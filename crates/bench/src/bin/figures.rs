@@ -19,16 +19,39 @@
 //!
 //! Artifacts: ASCII tables on stdout and machine-readable JSON under
 //! `results/` (one file per scenario), so the numbers in EXPERIMENTS.md
-//! are auditable.
+//! are auditable. An unknown subcommand prints the valid list and exits
+//! with status 2.
 
 use grid3_bench::{cms_config, gatekeeper_load_sweep, sc2003_config, seven_months_config};
+use grid3_core::campaign::{run_with_threads, CampaignPlan};
 use grid3_core::report::Grid3Report;
 use grid3_core::scenario::ScenarioConfig;
+use grid3_simkit::stats::Summary;
 use grid3_site::vo::Vo;
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
 const SEED: u64 = 2003;
+
+/// The figure and experiment keywords, in the order they run.
+const FIGURES: [&str; 13] = [
+    "fig2",
+    "fig3",
+    "fig4",
+    "fig5",
+    "fig6",
+    "table1",
+    "metrics",
+    "gkload",
+    "variance",
+    "ablation",
+    "telemetry",
+    "heat",
+    "ops",
+];
+
+/// Keywords that are neither figures nor path-taking modes.
+const MODES: [&str; 3] = ["all", "export-scenarios", "smoke-scenarios"];
 
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
@@ -58,6 +81,19 @@ fn main() {
             args.insert(flag.to_string());
             i += 1;
         }
+    }
+    if let Some(bad) = args
+        .iter()
+        .find(|a| !FIGURES.contains(&a.as_str()) && !MODES.contains(&a.as_str()))
+    {
+        eprintln!("[figures] unknown subcommand `{bad}`");
+        eprintln!(
+            "[figures] valid: {} {} | campaign <dir> | autopsy <file.snap> | \
+             --scenario <file.json> | --trace <log.jsonl>",
+            FIGURES.join(" "),
+            MODES.join(" ")
+        );
+        std::process::exit(2);
     }
 
     if args.remove("export-scenarios") {
@@ -212,20 +248,32 @@ fn main() {
     }
 
     if want("variance") {
-        println!("Seed robustness (30-day window, 10% scale, 8 seeds, Rayon fan-out):");
-        let cfg = sc2003_config(0).with_scale(0.1);
-        let seeds: Vec<u64> = (1..=8).collect();
-        let s = grid3_core::scenario::replica_summary(&cfg, &seeds);
-        let row = |name: &str, st: &grid3_core::scenario::SummaryStats| {
+        println!("Seed robustness (30-day window, 10% scale, 8 seeds, one run per core):");
+        let plan = CampaignPlan::single(
+            "variance",
+            sc2003_config(0).with_scale(0.1),
+            (1..=8).collect(),
+        );
+        let outcome = run_with_threads(&plan, cores());
+        let row = |name: &str, metric: &dyn Fn(&Grid3Report) -> f64| {
+            let mut st = Summary::new();
+            for r in &outcome.reports[0] {
+                st.record(metric(r));
+            }
             println!(
                 "  {name:<24} mean {:>8.3}  σ {:>7.3}  min {:>8.3}  max {:>8.3}",
-                st.mean, st.std_dev, st.min, st.max
+                st.mean(),
+                st.std_dev(),
+                st.min(),
+                st.max()
             );
         };
-        row("efficiency", &s.efficiency);
-        row("peak concurrent jobs", &s.peak_concurrent);
-        row("site-problem fraction", &s.site_problem_fraction);
-        row("total data (TB)", &s.total_data_tb);
+        row("efficiency", &|r| r.metrics.overall_efficiency);
+        row("peak concurrent jobs", &|r| r.metrics.peak_concurrent_jobs);
+        row("site-problem fraction", &|r| {
+            r.metrics.site_problem_fraction
+        });
+        row("total data (TB)", &|r| r.metrics.total_data.as_tb_f64());
         println!();
     }
 
@@ -234,10 +282,6 @@ fn main() {
         let base = sc2003_config(SEED).with_scale(0.25);
         let grid3 = base.clone().run();
         let srm = base.clone().with_srm(true).run();
-        let auto = base
-            .clone()
-            .with_pipeline(grid3_pacman::install::InstallPipeline::automated())
-            .run();
         // §8's storage lesson: reservations turn mid-flight storage
         // deaths (a job loses hours of work when the archive fills under
         // it) into cheap fail-fast rejections at submit time.
@@ -258,8 +302,12 @@ fn main() {
         );
         // The install-pipeline ablation is dominated by *which* sites ship
         // latent faults, so average it over seeds.
-        let seeds: Vec<u64> = (1..=6).collect();
-        let mis = |reports: &[grid3_core::report::Grid3Report]| -> (f64, f64) {
+        let plan = CampaignPlan::single("manual", base.clone(), (1..=6).collect()).with_variant(
+            "automated",
+            base.with_pipeline(grid3_pacman::install::InstallPipeline::automated()),
+        );
+        let outcome = run_with_threads(&plan, cores());
+        let mis = |reports: &[Grid3Report]| -> (f64, f64) {
             let mean = |it: Vec<f64>| it.iter().sum::<f64>() / it.len() as f64;
             (
                 mean(
@@ -276,15 +324,8 @@ fn main() {
                 ),
             )
         };
-        let manual_reports = grid3_core::scenario::run_replicas(&base, &seeds);
-        let auto_reports = grid3_core::scenario::run_replicas(
-            &base
-                .clone()
-                .with_pipeline(grid3_pacman::install::InstallPipeline::automated()),
-            &seeds,
-        );
-        let (mis_manual, eff_manual) = mis(&manual_reports);
-        let (mis_auto, eff_auto) = mis(&auto_reports);
+        let (mis_manual, _) = mis(&outcome.reports[0]);
+        let (mis_auto, eff_auto) = mis(&outcome.reports[1]);
         println!(
             "  {:<26} efficiency {:>5.1}%   misconfig failures {:>6.0} (vs {:.0}; 6-seed mean)",
             "+ automated install",
@@ -292,21 +333,17 @@ fn main() {
             mis_auto,
             mis_manual
         );
-        let _ = (auto, eff_manual);
         println!();
     }
 
     if want("telemetry") {
         println!("Telemetry — grid-wide instrumentation over the SC2003 window");
         eprintln!("[figures] running instrumented sc2003 scenario at full scale…");
-        let mut sim = grid3_core::engine::Simulation::new(sc2003_config(SEED).with_telemetry(true));
+        let mut sim = grid3_core::Grid3Engine::new(sc2003_config(SEED).with_telemetry(true));
         sim.run();
         let tele = &sim.telemetry();
-        println!("  event dispatches: {}", tele.dispatch_total());
-        println!("  hottest event types:");
-        for (label, n) in tele.hottest_events(10) {
-            println!("    {label:<20} {n:>10}");
-        }
+        println!("  events processed: {}", sim.events_processed());
+        println!("  (per-event-type cost ranking: figures -- heat)");
         println!(
             "  spans recorded: {} (open at horizon: {}, dropped: {})",
             tele.spans().len(),
@@ -317,18 +354,12 @@ fn main() {
         for c in tele.counters().iter().take(12) {
             println!("    {}/{}[{}] = {}", c.subsystem, c.name, c.label, c.value);
         }
-        // Machine-readable snapshot: full registry plus the hot-event
-        // ranking, mirroring what the monitoring bus producer publishes.
-        let hottest: Vec<String> = tele
-            .hottest_events(10)
-            .iter()
-            .map(|(l, n)| format!("{{\"label\":\"{l}\",\"count\":{n}}}"))
-            .collect();
+        // Machine-readable snapshot: the full registry, mirroring what
+        // the monitoring bus producer publishes.
         let json = format!(
-            "{{\"registry\":{},\"hottest_events\":[{}],\"dispatch_total\":{},\"spans\":{},\"dropped_spans\":{}}}",
+            "{{\"registry\":{},\"events_processed\":{},\"spans\":{},\"dropped_spans\":{}}}",
             tele.registry_json(),
-            hottest.join(","),
-            tele.dispatch_total(),
+            sim.events_processed(),
             tele.spans().len(),
             tele.dropped_span_count()
         );
@@ -638,6 +669,11 @@ fn smoke_scenarios() {
         );
     }
     eprintln!("[figures] smoked {} scenario files", paths.len());
+}
+
+/// Worker threads for the multi-run experiments: one per available core.
+fn cores() -> usize {
+    std::thread::available_parallelism().map_or(1, usize::from)
 }
 
 fn count(r: &Grid3Report, cause: &str) -> u64 {

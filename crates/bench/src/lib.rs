@@ -7,7 +7,6 @@
 
 #![warn(missing_docs)]
 
-use grid3_core::report::Grid3Report;
 use grid3_core::scenario::ScenarioConfig;
 
 /// Scenario used for Figures 2, 3 and 5 (the 30-day SC2003 window).
@@ -23,12 +22,6 @@ pub fn cms_config(seed: u64) -> ScenarioConfig {
 /// Scenario used for Table 1, Figure 6 and the §7 metrics (seven months).
 pub fn seven_months_config(seed: u64) -> ScenarioConfig {
     ScenarioConfig::seven_months().with_seed(seed)
-}
-
-/// Run a configuration and extract the report (convenience used by the
-/// binary and by benches at reduced scale).
-pub fn run(cfg: &ScenarioConfig) -> Grid3Report {
-    cfg.run()
 }
 
 /// The §6.4 gatekeeper load-law sweep (the `gkload` experiment): returns

@@ -31,7 +31,7 @@ use std::cmp::Ordering;
 /// The §6.4 soft ranking: available headroom first, then bandwidth
 /// (criterion 4), then site id for determinism. A total order on
 /// [`GlueRecord`]s — restricting it to any eligible subset therefore
-/// yields the same relative order, which is what lets [`RankCache`]
+/// yields the same relative order, which is what lets [`SiteTable`]
 /// score the full directory once per epoch instead of per job.
 fn rank_order(a: &GlueRecord, b: &GlueRecord) -> Ordering {
     let ha = a.free_cpus as i64 - a.queued_jobs as i64;
@@ -49,46 +49,6 @@ fn rank_order(a: &GlueRecord, b: &GlueRecord) -> Ordering {
         .then_with(|| a.site.cmp(&b.site))
 }
 
-/// A memoised site ranking, revalidated against [`MdsDirectory::epoch`].
-///
-/// The rank comparator reads nothing but the `GlueRecord`s, so between
-/// MDS publishes the scored order cannot change; only the per-job hard
-/// criteria (VO admission, disk, walltime, outbound) and freshness do.
-/// The cache scores *every* published record once per epoch; per-job
-/// selection walks the cached order keeping eligible sites — identical
-/// to re-sorting the eligible subset, at a membership test per site.
-#[derive(Debug, Clone, Default)]
-pub struct RankCache {
-    /// Epoch `order` was computed at; `None` until first refresh.
-    epoch: Option<u64>,
-    order: Vec<SiteId>,
-}
-
-impl RankCache {
-    /// An empty cache; the first [`RankCache::refresh`] populates it.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Revalidate against the directory: one integer compare when the
-    /// epoch is unchanged, a full re-score when it moved.
-    pub fn refresh(&mut self, mds: &MdsDirectory) {
-        if self.epoch == Some(mds.epoch()) {
-            return;
-        }
-        let mut records: Vec<&GlueRecord> = mds.all_records().collect();
-        records.sort_by(|a, b| rank_order(a, b));
-        self.order.clear();
-        self.order.extend(records.iter().map(|r| r.site));
-        self.epoch = Some(mds.epoch());
-    }
-
-    /// Every published site, best-ranked first, as of the last refresh.
-    pub fn order(&self) -> &[SiteId] {
-        &self.order
-    }
-}
-
 /// Bit over [`Vo::ALL`] for one VO.
 #[inline]
 fn vo_bit(vo: Vo) -> u8 {
@@ -100,6 +60,10 @@ fn vo_bit(vo: Vo) -> u8 {
 /// `GlueRecord` pointers, and carries the global rank position of every
 /// record so ranked selection needs no per-job sort.
 ///
+/// The rank comparator reads nothing but the `GlueRecord`s, so between
+/// MDS publishes the scored order cannot change; only the per-job hard
+/// criteria (VO admission, disk, walltime, outbound) and freshness do.
+///
 /// Rows sit in ascending site-id order — exactly the order
 /// [`MdsDirectory::fresh_records`] yields — so index-based selection
 /// over a filtered row subset is bit-identical to the reference
@@ -110,7 +74,7 @@ fn vo_bit(vo: Vo) -> u8 {
 pub struct SiteTable {
     epoch: Option<u64>,
     ttl: SimDuration,
-    /// Every published site, best-ranked first (the [`RankCache`] order).
+    /// Every published site, best-ranked first.
     order: Vec<SiteId>,
     // --- dense columns, ascending site order ---
     site: Vec<SiteId>,
@@ -229,7 +193,7 @@ impl SiteTable {
     }
 }
 
-/// Reusable per-placement buffers for [`Broker::select_table`]: row
+/// Reusable per-placement buffers for [`Broker::select_table_for`]: row
 /// indices of the eligible set plus a backup for the veto fallbacks.
 /// Owned by the caller so steady-state selection allocates nothing.
 ///
@@ -273,34 +237,24 @@ impl Default for Broker {
 }
 
 impl Broker {
-    /// Pick a site for `spec` from fresh MDS `records`.
+    /// Pick a site for `spec` from fresh MDS `records` — the reference
+    /// broker every fast path is differentially tested against.
     ///
     /// `vo_affinity` is the probability of restricting to sites owned by
     /// the job's VO (when any such site is eligible). Returns `None` when
     /// no site passes the hard criteria.
-    pub fn select(
-        &self,
-        spec: &JobSpec,
-        vo_affinity: f64,
-        records: &[&GlueRecord],
-        rng: &mut SimRng,
-    ) -> Option<SiteId> {
-        self.select_filtered(spec, vo_affinity, records, rng, |_| false)
-    }
-
-    /// [`Broker::select`] with a health veto from the resilience layer.
     ///
-    /// `banned` marks sites the fault-handling layer currently distrusts
-    /// (mid-outage, cooling down after a restore, or awaiting a storm
-    /// repair). Banned sites are dropped after the hard criteria — but if
-    /// *every* eligible site is banned, the veto is ignored and the full
-    /// eligible set is ranked: operators kept submitting during grid-wide
-    /// incidents rather than silently dropping work, so a degraded pick
-    /// beats no pick.
+    /// `banned` is the health veto from the resilience layer: sites the
+    /// fault-handling layer currently distrusts (mid-outage, cooling down
+    /// after a restore, or awaiting a storm repair). Banned sites are
+    /// dropped after the hard criteria — but if *every* eligible site is
+    /// banned, the veto is ignored and the full eligible set is ranked:
+    /// operators kept submitting during grid-wide incidents rather than
+    /// silently dropping work, so a degraded pick beats no pick.
     ///
-    /// With a never-banning filter this consumes exactly the RNG draws of
-    /// [`Broker::select`], so enabling the resilience layer does not
-    /// perturb baseline selection streams.
+    /// A never-banning veto (`|_| false`) consumes exactly the RNG draws
+    /// of an unfiltered selection, so enabling the resilience layer does
+    /// not perturb baseline selection streams.
     pub fn select_filtered(
         &self,
         spec: &JobSpec,
@@ -365,135 +319,24 @@ impl Broker {
         Some(eligible[rng.below(k)].site)
     }
 
-    /// [`Broker::select_filtered`] on the cached-ranking fast path.
-    ///
-    /// `ranked` is [`RankCache::order`] refreshed to the directory epoch
-    /// the `records` came from. Hard criteria, the health veto and both
-    /// soft-preference draws run exactly as in `select_filtered` (same
-    /// RNG draw sequence, so the two are drop-in interchangeable); only
-    /// the final O(n log n) re-sort is replaced by a walk down the
-    /// cached order. `records` must be in ascending site-id order, which
-    /// is how [`MdsDirectory::fresh_records`] yields them.
-    pub fn select_ranked(
-        &self,
-        spec: &JobSpec,
-        vo_affinity: f64,
-        records: &[&GlueRecord],
-        ranked: &[SiteId],
-        rng: &mut SimRng,
-        banned: impl Fn(SiteId) -> bool,
-    ) -> Option<SiteId> {
-        debug_assert!(
-            records.windows(2).all(|w| w[0].site < w[1].site),
-            "select_ranked needs records in ascending site order"
-        );
-        let vo = spec.class.vo();
-        let mut eligible: Vec<&&GlueRecord> = records
-            .iter()
-            .filter(|r| r.admits_vo(vo))
-            .filter(|r| !spec.needs_outbound || r.outbound_connectivity) // criterion 1
-            .filter(|r| spec.input_bytes + spec.output_bytes + spec.scratch_bytes <= r.se_free) // criterion 2
-            .filter(|r| spec.requested_walltime <= r.max_walltime) // criterion 3
-            .collect();
-        if eligible.is_empty() {
-            return None;
-        }
-        let healthy: Vec<&&GlueRecord> = eligible
-            .iter()
-            .copied()
-            .filter(|r| !banned(r.site))
-            .collect();
-        if !healthy.is_empty() {
-            eligible = healthy;
-        }
-        if rng.chance(vo_affinity) {
-            let own: Vec<&&GlueRecord> = eligible
-                .iter()
-                .copied()
-                .filter(|r| r.owner_vo == Some(vo))
-                .collect();
-            if !own.is_empty() {
-                eligible = own;
-            }
-        }
-
-        // Favorite path: `eligible` is already in ascending site order,
-        // so the `by_id` sort of the reference path is the identity.
-        if rng.chance(self.favorite_bias) {
-            let salt = rng.below(2);
-            let idx = (spec.user.0 as usize)
-                .wrapping_mul(2_654_435_761)
-                .wrapping_add(salt * 97)
-                % eligible.len();
-            return Some(eligible[idx].site);
-        }
-
-        // Ranked path: the target position the reference path would read
-        // out of its sorted eligible list, found by walking the cached
-        // global order and keeping eligible sites (binary search — the
-        // eligible list is site-id sorted).
-        let k = self.spread.max(1).min(eligible.len());
-        let target = rng.below(k);
-        let mut seen = 0usize;
-        for &site in ranked {
-            if eligible.binary_search_by(|r| r.site.cmp(&site)).is_ok() {
-                if seen == target {
-                    return Some(site);
-                }
-                seen += 1;
-            }
-        }
-        // Unreachable when `ranked` covers the directory the records came
-        // from; re-sort locally rather than misplace the job if not.
-        debug_assert!(false, "rank cache did not cover the eligible set");
-        eligible.sort_by(|a, b| rank_order(a, b));
-        Some(eligible[target].site)
-    }
-
     /// [`Broker::select_filtered`] over the struct-of-arrays
-    /// [`SiteTable`] — the allocation-free hot path.
+    /// [`SiteTable`] — the allocation-free production path, optionally
+    /// restricted to one member grid and ranked by a backend's
+    /// [`RankInputs`].
     ///
     /// Freshness (against the table's cached TTL) and the caller's
     /// `online` view are applied here rather than by pre-filtering a
     /// record vector, so the whole selection touches only dense scalar
-    /// columns and the caller-owned `scratch` buffers. The RNG draw
-    /// sequence is exactly the reference broker's: the same
-    /// `chance`/`below` calls, whose arguments depend only on
+    /// columns and the caller-owned `scratch` buffers. With `grid = None`
+    /// and [`RankInputs::HeadroomBandwidth`] (the single-grid path) the
+    /// RNG draw sequence and the pick are exactly the reference broker's:
+    /// the same `chance`/`below` calls, whose arguments depend only on
     /// eligible-set membership — which this path preserves row for row.
-    #[allow(clippy::too_many_arguments)]
-    pub fn select_table(
-        &self,
-        spec: &JobSpec,
-        vo_affinity: f64,
-        table: &SiteTable,
-        now: SimTime,
-        online: impl Fn(SiteId) -> bool,
-        banned: impl Fn(SiteId) -> bool,
-        scratch: &mut SelectScratch,
-        rng: &mut SimRng,
-    ) -> Option<SiteId> {
-        self.select_table_for(
-            spec,
-            vo_affinity,
-            table,
-            now,
-            None,
-            RankInputs::HeadroomBandwidth,
-            online,
-            banned,
-            scratch,
-            rng,
-        )
-    }
-
-    /// [`Broker::select_table`] restricted to one member grid and ranked
-    /// by a backend's [`RankInputs`] — the federated placement path.
     ///
-    /// `grid = None` spans the whole table (the single-grid hot path
-    /// delegates here with the `Vdt` rank). The `scratch` static-row
-    /// cache is keyed by `(epoch, day)` only, so callers must dedicate
-    /// one [`SelectScratch`] per distinct `(grid, online)` query shape —
-    /// the federated brokering subsystem keeps one per member grid.
+    /// The `scratch` static-row cache is keyed by `(epoch, day)` only, so
+    /// callers must dedicate one [`SelectScratch`] per distinct
+    /// `(grid, online)` query shape — the federated brokering subsystem
+    /// keeps one per member grid.
     #[allow(clippy::too_many_arguments)]
     pub fn select_table_for(
         &self,
@@ -706,32 +549,35 @@ mod tests {
         r.outbound_connectivity = false;
         let mut s = spec(UserClass::Sdss);
         s.needs_outbound = true;
-        assert_eq!(broker.select(&s, 0.0, &[&r], &mut rng), None);
+        assert_eq!(
+            broker.select_filtered(&s, 0.0, &[&r], &mut rng, |_| false),
+            None
+        );
         // Disk.
         let mut r = record(0, 50, None);
         r.se_free = Bytes::from_mb(10);
         assert_eq!(
-            broker.select(&spec(UserClass::Sdss), 0.0, &[&r], &mut rng),
+            broker.select_filtered(&spec(UserClass::Sdss), 0.0, &[&r], &mut rng, |_| false),
             None
         );
         // Walltime.
         let mut r = record(0, 50, None);
         r.max_walltime = SimDuration::from_hours(1);
         assert_eq!(
-            broker.select(&spec(UserClass::Sdss), 0.0, &[&r], &mut rng),
+            broker.select_filtered(&spec(UserClass::Sdss), 0.0, &[&r], &mut rng, |_| false),
             None
         );
         // VO admission.
         let mut r = record(0, 50, None);
         r.allowed_vos = Some(vec![Vo::Ligo]);
         assert_eq!(
-            broker.select(&spec(UserClass::Sdss), 0.0, &[&r], &mut rng),
+            broker.select_filtered(&spec(UserClass::Sdss), 0.0, &[&r], &mut rng, |_| false),
             None
         );
         // Clean record passes.
         let r = record(0, 50, None);
         assert_eq!(
-            broker.select(&spec(UserClass::Sdss), 0.0, &[&r], &mut rng),
+            broker.select_filtered(&spec(UserClass::Sdss), 0.0, &[&r], &mut rng, |_| false),
             Some(SiteId(0))
         );
     }
@@ -755,7 +601,7 @@ mod tests {
         let refs: Vec<&GlueRecord> = records.iter().collect();
         for _ in 0..50 {
             let pick = broker
-                .select(&spec(UserClass::Usatlas), 1.0, &refs, &mut rng)
+                .select_filtered(&spec(UserClass::Usatlas), 1.0, &refs, &mut rng, |_| false)
                 .unwrap();
             assert_eq!(pick, SiteId(2));
         }
@@ -776,7 +622,7 @@ mod tests {
         for _ in 0..200 {
             seen.insert(
                 broker
-                    .select(&spec(UserClass::Ivdgl), 0.0, &refs, &mut rng)
+                    .select_filtered(&spec(UserClass::Ivdgl), 0.0, &refs, &mut rng, |_| false)
                     .unwrap(),
             );
         }
@@ -793,7 +639,7 @@ mod tests {
         let mut rng = SimRng::for_entity(4, 4);
         let records = [record(0, 50, Some(Vo::Uscms))];
         let refs: Vec<&GlueRecord> = records.iter().collect();
-        let pick = broker.select(&spec(UserClass::Ligo), 1.0, &refs, &mut rng);
+        let pick = broker.select_filtered(&spec(UserClass::Ligo), 1.0, &refs, &mut rng, |_| false);
         assert_eq!(pick, Some(SiteId(0)));
     }
 
@@ -816,7 +662,11 @@ mod tests {
         spec_a.user = UserId(4);
         let mut palette = std::collections::BTreeSet::new();
         for _ in 0..40 {
-            palette.insert(broker.select(&spec_a, 0.0, &refs, &mut rng).unwrap());
+            palette.insert(
+                broker
+                    .select_filtered(&spec_a, 0.0, &refs, &mut rng, |_| false)
+                    .unwrap(),
+            );
         }
         assert!(
             palette.len() <= 2,
@@ -826,59 +676,23 @@ mod tests {
         for u in 0..12u32 {
             let mut s = spec(UserClass::Ivdgl);
             s.user = UserId(u);
-            seen.insert(broker.select(&s, 0.0, &refs, &mut rng).unwrap());
+            seen.insert(
+                broker
+                    .select_filtered(&s, 0.0, &refs, &mut rng, |_| false)
+                    .unwrap(),
+            );
         }
         assert!(seen.len() > 1, "different users spread across favorites");
     }
 
     #[test]
-    fn ranked_fast_path_matches_reference_broker() {
+    fn soa_table_path_matches_reference_broker() {
         // Drive both selection paths with identical RNG streams over a
         // messy directory (owned sites, banned sites, a NaN bandwidth,
-        // capacity ties) and require bit-identical picks.
-        let broker = Broker::default();
-        let mut records = vec![
-            record(0, 90, None),
-            record(1, 80, Some(Vo::Uscms)),
-            record(2, 80, Some(Vo::Usatlas)),
-            record(3, 70, None),
-            record(4, 5, Some(Vo::Usatlas)),
-            record(5, 90, None),
-        ];
-        records[3].wan_bandwidth = Bandwidth::from_bytes_per_sec(f64::NAN);
-        records[5].queued_jobs = 88; // headroom 2
-        let mut mds = grid3_middleware::mds::MdsDirectory::with_default_ttl();
-        for r in &records {
-            mds.publish(r.clone());
-        }
-        let mut cache = RankCache::new();
-        cache.refresh(&mds);
-        let refs: Vec<&GlueRecord> = records.iter().collect();
-        let banned = |s: SiteId| s == SiteId(0);
-        let mut fast_rng = SimRng::for_entity(77, 77);
-        let mut ref_rng = SimRng::for_entity(77, 77);
-        for trial in 0..300u32 {
-            let mut s = spec(if trial % 2 == 0 {
-                UserClass::Usatlas
-            } else {
-                UserClass::Ivdgl
-            });
-            s.user = UserId(trial % 7);
-            let affinity = f64::from(trial % 3) / 2.0;
-            let fast =
-                broker.select_ranked(&s, affinity, &refs, cache.order(), &mut fast_rng, banned);
-            let reference = broker.select_filtered(&s, affinity, &refs, &mut ref_rng, banned);
-            assert_eq!(fast, reference, "trial {trial} diverged");
-        }
-    }
-
-    #[test]
-    fn soa_table_path_matches_reference_broker() {
-        // Same differential drive as the ranked-path test, but through
-        // the struct-of-arrays table with freshness and online checks
-        // folded into the scan: a stale record and an offline site must
-        // drop out exactly as pre-filtering drops them for the
-        // reference path.
+        // capacity ties) and require bit-identical picks. Freshness and
+        // online checks are folded into the table scan: a stale record
+        // and an offline site must drop out exactly as pre-filtering
+        // drops them for the reference path.
         let broker = Broker::default();
         let mut records = vec![
             record(0, 90, None),
@@ -926,11 +740,13 @@ mod tests {
             });
             s.user = UserId(trial % 7);
             let affinity = f64::from(trial % 3) / 2.0;
-            let fast = broker.select_table(
+            let fast = broker.select_table_for(
                 &s,
                 affinity,
                 &table,
                 now,
+                None,
+                RankInputs::HeadroomBandwidth,
                 online,
                 banned,
                 &mut scratch,
@@ -942,20 +758,20 @@ mod tests {
     }
 
     #[test]
-    fn rank_cache_revalidates_on_epoch_bump() {
+    fn site_table_revalidates_on_epoch_bump() {
         let mut mds = grid3_middleware::mds::MdsDirectory::with_default_ttl();
         mds.publish(record(0, 10, None));
         mds.publish(record(1, 90, None));
-        let mut cache = RankCache::new();
-        cache.refresh(&mds);
-        assert_eq!(cache.order(), &[SiteId(1), SiteId(0)]);
+        let mut table = SiteTable::new();
+        table.refresh(&mds);
+        assert_eq!(table.order(), &[SiteId(1), SiteId(0)]);
         // No epoch movement → refresh is a no-op integer compare.
-        cache.refresh(&mds);
-        assert_eq!(cache.order(), &[SiteId(1), SiteId(0)]);
+        table.refresh(&mds);
+        assert_eq!(table.order(), &[SiteId(1), SiteId(0)]);
         // A publish flips the capacity order and bumps the epoch.
         mds.publish(record(0, 100, None));
-        cache.refresh(&mds);
-        assert_eq!(cache.order(), &[SiteId(0), SiteId(1)]);
+        table.refresh(&mds);
+        assert_eq!(table.order(), &[SiteId(0), SiteId(1)]);
     }
 
     #[test]
@@ -1037,7 +853,7 @@ mod tests {
         let calm = record(1, 30, None); // headroom 30
         let refs: Vec<&GlueRecord> = vec![&busy, &calm];
         assert_eq!(
-            broker.select(&spec(UserClass::Btev), 0.0, &refs, &mut rng),
+            broker.select_filtered(&spec(UserClass::Btev), 0.0, &refs, &mut rng, |_| false),
             Some(SiteId(1))
         );
     }

@@ -4,13 +4,12 @@
 //!
 //! The discrete-event core is strictly sequential per run — a run is a
 //! pure function of `(config, seed)` — so parallelism lives *across*
-//! runs, exactly like [`crate::scenario::run_replicas`] but generalised
-//! to a grid of `variants × seeds` and to a merged statistical summary.
-//! Every executor ([`run_campaign`], [`run_campaign_serial`],
-//! [`run_with_threads`]) produces the identical [`CampaignOutcome`]:
-//! reports are collected in plan order no matter which worker finished
-//! first, so the merged summary is independent of thread count and
-//! scheduling.
+//! runs, over a grid of `variants × seeds`. [`run_with_threads`] is the
+//! one executor: reports are collected in plan order no matter which
+//! worker finished first, so the merged summary is independent of
+//! thread count and scheduling (`run_with_threads(plan, 1)` is the
+//! serial reference). [`run_campaign_resumable`] adds the write-ahead
+//! journal and checkpoints on top of the same merge.
 
 pub mod resume;
 
@@ -115,20 +114,6 @@ pub trait CampaignObserver: Sync {
     fn run_finished(&self, progress: &RunProgress<'_>);
 }
 
-/// An observer that prints one progress line per finished run to
-/// stderr (stdout stays clean for machine-readable output).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct StderrObserver;
-
-impl CampaignObserver for StderrObserver {
-    fn run_finished(&self, p: &RunProgress<'_>) {
-        eprintln!(
-            "[campaign {}/{}] {} seed {}: efficiency {:.3}",
-            p.completed, p.total, p.variant, p.seed, p.efficiency
-        );
-    }
-}
-
 /// The do-nothing observer behind the observer-less entry points.
 struct NullObserver;
 
@@ -215,7 +200,7 @@ pub struct VariantSummary {
 }
 
 /// A scenario file a directory sweep skipped, with the rendered load
-/// error (see [`plan_from_dir_graceful`]).
+/// error (see [`plan_from_dir`]).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SkippedScenario {
     /// The offending file.
@@ -394,62 +379,6 @@ fn run_and_observe(
     (artifacts.report, artifacts.profile)
 }
 
-/// Run the whole plan **in parallel** with Rayon (one simulation per
-/// worker; reports come back in plan order regardless of completion
-/// order) and merge the summary.
-pub fn run_campaign(plan: &CampaignPlan) -> CampaignOutcome {
-    run_campaign_observed(plan, &NullObserver)
-}
-
-/// [`run_campaign`] with a progress observer, invoked in completion
-/// order as workers finish.
-///
-/// When the Rayon pool has no real parallelism to offer (one worker —
-/// single-core hosts, `RAYON_NUM_THREADS=1`), `par_iter` still pays the
-/// job-splitting and work-stealing machinery for nothing and benches
-/// ~0.98× the plain serial loop, so the plan is dispatched to
-/// [`run_campaign_serial_observed`] instead. Both paths execute the same
-/// plan-ordered runs through the same `run_and_observe`, so the outcome
-/// is identical — asserted byte-for-byte in the tests.
-pub fn run_campaign_observed(
-    plan: &CampaignPlan,
-    observer: &dyn CampaignObserver,
-) -> CampaignOutcome {
-    use rayon::prelude::*;
-    if rayon::current_num_threads() <= 1 {
-        return run_campaign_serial_observed(plan, observer);
-    }
-    let total = plan.len();
-    let done = AtomicUsize::new(0);
-    let flat: Vec<(Grid3Report, Option<CostProfiler>)> = plan
-        .runs()
-        .par_iter()
-        .map(|run| run_and_observe(plan, run, &done, total, observer))
-        .collect();
-    merge(plan, flat)
-}
-
-/// Run the whole plan serially (the reference executor the parallel
-/// paths are tested against).
-pub fn run_campaign_serial(plan: &CampaignPlan) -> CampaignOutcome {
-    run_campaign_serial_observed(plan, &NullObserver)
-}
-
-/// [`run_campaign_serial`] with a progress observer.
-pub fn run_campaign_serial_observed(
-    plan: &CampaignPlan,
-    observer: &dyn CampaignObserver,
-) -> CampaignOutcome {
-    let total = plan.len();
-    let done = AtomicUsize::new(0);
-    let flat: Vec<(Grid3Report, Option<CostProfiler>)> = plan
-        .runs()
-        .iter()
-        .map(|run| run_and_observe(plan, run, &done, total, observer))
-        .collect();
-    merge(plan, flat)
-}
-
 /// A directory-built campaign plan plus the files it had to skip, each
 /// with its typed load error.
 #[derive(Debug, Clone)]
@@ -471,7 +400,7 @@ pub struct DirPlan {
 /// it cannot be read, holds no `*.json` files at all, or every file is
 /// malformed (an all-invalid directory is a configuration mistake, not
 /// a partial one — the first file's error is returned).
-pub fn plan_from_dir_graceful(dir: &std::path::Path, seeds: Vec<u64>) -> Result<DirPlan, DslError> {
+pub fn plan_from_dir(dir: &std::path::Path, seeds: Vec<u64>) -> Result<DirPlan, DslError> {
     let mut paths: Vec<std::path::PathBuf> = std::fs::read_dir(dir)
         .map_err(|e| DslError::Io {
             path: dir.display().to_string(),
@@ -509,15 +438,9 @@ pub fn plan_from_dir_graceful(dir: &std::path::Path, seeds: Vec<u64>) -> Result<
     Ok(DirPlan { plan, skipped })
 }
 
-/// [`plan_from_dir_graceful`] without the skip report: just the plan
-/// over the valid files.
-pub fn plan_from_dir(dir: &std::path::Path, seeds: Vec<u64>) -> Result<CampaignPlan, DslError> {
-    Ok(plan_from_dir_graceful(dir, seeds)?.plan)
-}
-
 /// Sweep a directory of scenario files: load each `*.json` as a variant
-/// (via [`plan_from_dir_graceful`]) and run the cross product with
-/// `seeds` in parallel. The scenario files are data — a sweep needs no
+/// (via [`plan_from_dir`]) and run the cross product with `seeds` on
+/// every available core. The scenario files are data — a sweep needs no
 /// code. Malformed files are recorded in the summary's
 /// [`skipped`](CampaignSummary::skipped) list and the valid scenarios
 /// still run.
@@ -525,8 +448,9 @@ pub fn run_campaign_dir(
     dir: &std::path::Path,
     seeds: Vec<u64>,
 ) -> Result<CampaignOutcome, DslError> {
-    let DirPlan { plan, skipped } = plan_from_dir_graceful(dir, seeds)?;
-    let mut outcome = run_campaign(&plan);
+    let DirPlan { plan, skipped } = plan_from_dir(dir, seeds)?;
+    let threads = std::thread::available_parallelism().map_or(1, usize::from);
+    let mut outcome = run_with_threads(&plan, threads);
     outcome.summary.skipped = skipped
         .into_iter()
         .map(|(path, err)| SkippedScenario {
@@ -537,11 +461,10 @@ pub fn run_campaign_dir(
     Ok(outcome)
 }
 
-/// Run the plan on exactly `threads` OS threads (Rayon sizes itself from
-/// the machine; benchmarks and the thread-independence tests need the
-/// count pinned). Workers pull runs from a shared cursor and write each
-/// report into its plan-order slot, so the outcome is identical for any
-/// thread count.
+/// Run the plan on exactly `threads` OS threads. Workers pull runs from
+/// a shared cursor and write each report into its plan-order slot, so
+/// the outcome is identical for any thread count; one thread is the
+/// serial reference.
 pub fn run_with_threads(plan: &CampaignPlan, threads: usize) -> CampaignOutcome {
     run_with_threads_observed(plan, threads, &NullObserver)
 }
@@ -609,7 +532,7 @@ mod tests {
         let no_seeds = CampaignPlan::single("base", tiny(), vec![]);
         assert!(no_seeds.is_empty());
         assert_eq!(no_seeds.len(), 0);
-        let outcome = run_campaign_serial(&no_seeds);
+        let outcome = run_with_threads(&no_seeds, 1);
         assert_eq!(outcome.summary.runs, 0);
         assert_eq!(outcome.summary.variants.len(), 1);
         let v = &outcome.summary.variants[0];
@@ -624,7 +547,7 @@ mod tests {
             seeds: vec![1, 2],
         };
         assert!(no_variants.is_empty());
-        let outcome = run_campaign_serial(&no_variants);
+        let outcome = run_with_threads(&no_variants, 1);
         assert_eq!(outcome.summary.runs, 0);
         assert!(outcome.summary.variants.is_empty());
         assert!(outcome.reports.is_empty());
@@ -633,7 +556,7 @@ mod tests {
     #[test]
     fn single_run_bands_degenerate_to_that_run() {
         let plan = CampaignPlan::single("solo", tiny(), vec![7]);
-        let outcome = run_campaign_serial(&plan);
+        let outcome = run_with_threads(&plan, 1);
         assert_eq!(outcome.summary.runs, 1);
         let v = &outcome.summary.variants[0];
         // Every percentile of a one-sample band reads the same value.
@@ -730,7 +653,7 @@ mod tests {
     #[test]
     fn profiled_campaigns_merge_cost_bands() {
         let plan = CampaignPlan::single("profiled", tiny().with_profile(true), vec![1, 2]);
-        let outcome = run_campaign_serial(&plan);
+        let outcome = run_with_threads(&plan, 1);
         let merged = outcome.profiles[0].as_ref().expect("merged profile");
         assert!(merged.stats().iter().any(|s| s.events > 0));
         let bands = &outcome.summary.variants[0].cost_bands;
@@ -744,7 +667,7 @@ mod tests {
             assert!(band.ns_per_event.min <= band.ns_per_event.max);
         }
         // An unprofiled plan carries no profile and no bands.
-        let plain = run_campaign_serial(&CampaignPlan::single("plain", tiny(), vec![1]));
+        let plain = run_with_threads(&CampaignPlan::single("plain", tiny(), vec![1]), 1);
         assert!(plain.profiles[0].is_none());
         assert!(plain.summary.variants[0].cost_bands.is_empty());
     }
@@ -753,28 +676,12 @@ mod tests {
     fn variant_bands_reflect_their_configs() {
         let plan = CampaignPlan::single("base", tiny(), vec![1, 2])
             .with_variant("srm", tiny().with_srm(true));
-        let outcome = run_campaign(&plan);
+        let outcome = run_with_threads(&plan, 2);
         assert_eq!(outcome.summary.variants.len(), 2);
         assert_eq!(outcome.summary.runs, 4);
         for v in &outcome.summary.variants {
             assert!(v.efficiency.mean > 0.0 && v.efficiency.mean <= 1.0);
             assert!(v.total_jobs.min > 0.0);
         }
-    }
-
-    #[test]
-    fn parallel_and_serial_summaries_are_byte_identical() {
-        // The single-worker dispatch in run_campaign_observed must be a
-        // pure performance decision: whichever executor a host lands on,
-        // the serialized summary is the same byte stream. (On 1-core
-        // hosts this exercises the serial dispatch against the explicit
-        // serial path; on multi-core hosts, rayon against serial.)
-        let plan = CampaignPlan::single("base", tiny(), vec![1, 2])
-            .with_variant("srm", tiny().with_srm(true));
-        let parallel = run_campaign(&plan);
-        let serial = run_campaign_serial(&plan);
-        let parallel_json = serde_json::to_string(&parallel.summary).expect("serializes");
-        let serial_json = serde_json::to_string(&serial.summary).expect("serializes");
-        assert_eq!(parallel_json.as_bytes(), serial_json.as_bytes());
     }
 }

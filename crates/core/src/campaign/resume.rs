@@ -296,7 +296,7 @@ pub struct ResumableOutcome {
     /// The merged outcome over the completed runs. With failures the
     /// bands are partial (each variant's `seeds` names the runs that
     /// actually merged); with none this is byte-identical to
-    /// [`run_campaign_serial`](super::run_campaign_serial).
+    /// [`run_with_threads`](super::run_with_threads).
     pub outcome: CampaignOutcome,
     /// Failed runs, in plan order.
     pub failures: Vec<FailedRun>,

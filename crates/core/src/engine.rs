@@ -21,8 +21,7 @@
 //! Two kinds of event flow through the router:
 //!
 //! * **Timed** events go through the [`EventQueue`] exactly as in the
-//!   pre-split engine: same labels, same FIFO tie-breaking, same
-//!   profiled pops.
+//!   pre-split engine: same FIFO tie-breaking, one pop per event.
 //! * **Immediate** events (emitted with
 //!   [`EngineCtx::emit`](crate::subsystems::EngineCtx::emit)) replace
 //!   the former direct cross-subsystem method calls. The router drains
@@ -84,10 +83,6 @@ pub struct Grid3Engine {
     pub(crate) profiler: Option<grid3_simkit::profiler::CostProfiler>,
 }
 
-/// The historical name of the engine, kept for call sites and prose that
-/// talk about "the simulation".
-pub type Simulation = Grid3Engine;
-
 impl Grid3Engine {
     /// Assemble the grid for `cfg`: build the topology, onboard every
     /// site through the iGOC pipeline, register users with VOMS/GSI/AUP,
@@ -99,29 +94,8 @@ impl Grid3Engine {
 
     /// Run to the horizon.
     pub fn run(&mut self) {
-        let horizon = self.fabric.cfg.horizon();
-        while let Some(at) = self.ctx.queue.peek_time() {
-            if at >= horizon {
-                break;
-            }
-            let (now, event) = self
-                .ctx
-                .queue
-                .pop_profiled(&self.ctx.telemetry)
-                .expect("peeked");
-            if let Some(a) = &mut self.auditor {
-                a.observe_pop(now);
-            }
-            self.dispatch(now, event);
-        }
-        self.fabric.drain_netlogger();
-        if let Some(a) = &mut self.auditor {
-            a.verify_conservation(
-                self.ctx.queue.now(),
-                &self.fabric,
-                self.brokering.parked_jobs(),
-            );
-        }
+        self.pump(Some(self.fabric.cfg.horizon()));
+        self.finish();
     }
 
     /// Run forward until the simulation clock reaches `until` (capped at
@@ -132,22 +106,7 @@ impl Grid3Engine {
     /// uninterrupted `run()` — the property the snapshot differential
     /// suite locks.
     pub fn run_until(&mut self, until: SimTime) {
-        let horizon = self.fabric.cfg.horizon();
-        let stop = if until < horizon { until } else { horizon };
-        while let Some(at) = self.ctx.queue.peek_time() {
-            if at >= stop {
-                break;
-            }
-            let (now, event) = self
-                .ctx
-                .queue
-                .pop_profiled(&self.ctx.telemetry)
-                .expect("peeked");
-            if let Some(a) = &mut self.auditor {
-                a.observe_pop(now);
-            }
-            self.dispatch(now, event);
-        }
+        self.pump(Some(until.min(self.fabric.cfg.horizon())));
     }
 
     /// Capture the complete run-mutated state of this engine as a
@@ -178,12 +137,28 @@ impl Grid3Engine {
     /// injection.
     pub fn run_until_idle(&mut self) {
         self.run();
-        while let Some((now, event)) = self.ctx.queue.pop_profiled(&self.ctx.telemetry) {
+        self.pump(None);
+        self.finish();
+    }
+
+    /// The event loop: pop → audit → dispatch every queued event firing
+    /// before `stop` (`None` drains the queue).
+    fn pump(&mut self, stop: Option<SimTime>) {
+        while let Some(at) = self.ctx.queue.peek_time() {
+            if stop.is_some_and(|stop| at >= stop) {
+                break;
+            }
+            let (now, event) = self.ctx.queue.pop().expect("peeked");
             if let Some(a) = &mut self.auditor {
                 a.observe_pop(now);
             }
             self.dispatch(now, event);
         }
+    }
+
+    /// End-of-run finalization: flush the NetLogger archive and run the
+    /// auditor's conservation check.
+    fn finish(&mut self) {
         self.fabric.drain_netlogger();
         if let Some(a) = &mut self.auditor {
             a.verify_conservation(

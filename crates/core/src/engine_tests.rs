@@ -1,7 +1,7 @@
 //! Engine-level behaviour tests (kept out of `engine.rs` so the engine
 //! module stays a thin router).
 
-use crate::engine::Simulation;
+use crate::engine::Grid3Engine;
 use crate::scenario::ScenarioConfig;
 use grid3_simkit::ids::UserId;
 use grid3_simkit::rng::SimRng;
@@ -15,7 +15,7 @@ fn small_cfg(seed: u64) -> ScenarioConfig {
 
 #[test]
 fn small_run_reaches_quiescence() {
-    let mut sim = Simulation::new(small_cfg(1));
+    let mut sim = Grid3Engine::new(small_cfg(1));
     sim.run();
     assert!(sim.events_processed() > 100);
     assert!(sim.acdc().total_records() > 100);
@@ -43,7 +43,7 @@ fn small_run_reaches_quiescence() {
 #[test]
 fn deterministic_given_seed() {
     let run = |seed| {
-        let mut sim = Simulation::new(small_cfg(seed));
+        let mut sim = Grid3Engine::new(small_cfg(seed));
         sim.run();
         (
             sim.acdc().total_records(),
@@ -60,7 +60,7 @@ fn deterministic_given_seed() {
 fn efficiency_lands_in_paper_band() {
     // §6.1/§6.2/§7: grid-wide completion ≈70 %, generously banded for
     // a 1 % sample.
-    let mut sim = Simulation::new(small_cfg(3));
+    let mut sim = Grid3Engine::new(small_cfg(3));
     sim.run();
     let eff = sim.acdc().overall_efficiency();
     assert!(
@@ -73,7 +73,7 @@ fn efficiency_lands_in_paper_band() {
 fn failures_are_dominated_by_site_problems() {
     // §6.1: ≈90 % of failures were site problems. Accept a wide band
     // at small scale.
-    let mut sim = Simulation::new(small_cfg(4));
+    let mut sim = Grid3Engine::new(small_cfg(4));
     sim.run();
     let frac = sim.acdc().site_problem_fraction();
     assert!(
@@ -84,7 +84,7 @@ fn failures_are_dominated_by_site_problems() {
 
 #[test]
 fn gauge_and_gatekeepers_are_consistent() {
-    let mut sim = Simulation::new(small_cfg(5));
+    let mut sim = Grid3Engine::new(small_cfg(5));
     sim.run();
     // Gauge level equals running jobs still tracked.
     let running = sim.sites().iter().map(|s| s.running_count()).sum::<usize>() as f64;
@@ -101,7 +101,7 @@ fn demo_moves_data_when_enabled() {
         .with_scale(0.002)
         .with_seed(6)
         .with_days(3);
-    let mut sim = Simulation::new(cfg);
+    let mut sim = Grid3Engine::new(cfg);
     sim.run();
     // 2 TB/day target → several TB over 3 days even with failures.
     let tb = sim.bytes_delivered().as_tb_f64();
@@ -127,7 +127,7 @@ fn dag_campaign_runs_inside_the_grid() {
             throttle: 12,
             rescue_dags: 0,
         });
-    let mut sim = Simulation::new(cfg);
+    let mut sim = Grid3Engine::new(cfg);
     sim.run();
     let progress = sim.campaign_progress();
     assert_eq!(progress.len(), 1);
@@ -155,7 +155,7 @@ fn dag_campaign_runs_inside_the_grid() {
 #[test]
 fn telemetry_observes_without_perturbing() {
     let run = |telemetry: bool| {
-        let mut sim = Simulation::new(small_cfg(7).with_telemetry(telemetry));
+        let mut sim = Grid3Engine::new(small_cfg(7).with_telemetry(telemetry));
         sim.run();
         sim
     };
@@ -165,14 +165,13 @@ fn telemetry_observes_without_perturbing() {
     assert_eq!(sim.acdc().total_records(), base.acdc().total_records());
     assert_eq!(sim.bytes_delivered(), base.bytes_delivered());
     assert_eq!(sim.events_processed(), base.events_processed());
-    // The disabled handle records nothing; the enabled one profiles
-    // every event pop and carries middleware counters and spans.
-    assert_eq!(base.telemetry().dispatch_total(), 0);
-    assert_eq!(sim.telemetry().dispatch_total(), sim.events_processed());
+    // The disabled handle records nothing; the enabled one carries
+    // middleware counters and spans.
+    assert!(base.telemetry().counters().is_empty());
+    assert!(base.telemetry().spans().is_empty());
     assert!(sim.telemetry().counter_total("gram", "accepted") > 0);
     assert!(sim.telemetry().counter_total("scheduler", "dispatched") > 0);
     assert!(!sim.telemetry().spans().is_empty());
-    assert!(!sim.telemetry().hottest_events(3).is_empty());
     // Spans still open at the horizon belong to jobs/transfers still
     // in flight — never more than the engine itself tracks.
     let open_bound = 2 * sim.active_jobs() + sim.telemetry().dropped_span_count() as usize;
@@ -181,7 +180,7 @@ fn telemetry_observes_without_perturbing() {
 
 #[test]
 fn users_registered_across_voms_servers() {
-    let sim = Simulation::new(small_cfg(9));
+    let sim = Grid3Engine::new(small_cfg(9));
     let total = grid3_middleware::voms::total_distinct_users(sim.voms());
     // §7: 102 authorized users — the seven application classes'
     // populations plus the iGOC operations staff.

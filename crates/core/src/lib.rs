@@ -82,7 +82,7 @@ mod engine_tests;
 
 pub use chaos::{ChaosRates, FaultKind, FaultPlan, InvariantAuditor, PlannedFault, Violation};
 pub use dsl::{DslError, JobTrace, ScenarioDoc, TraceJob};
-pub use engine::{Grid3Engine, Simulation};
+pub use engine::Grid3Engine;
 pub use federation::{Federation, FederationState, GridMap, GridRuntime, GridSpec, GridTally};
 pub use ops::{OpsEventKind, OpsJournal, OpsRecord};
 pub use report::Grid3Report;

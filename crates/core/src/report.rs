@@ -1,7 +1,7 @@
 //! Report extraction: the paper's tables, figures and §7 metrics from a
 //! finished simulation.
 
-use crate::engine::Simulation;
+use crate::engine::Grid3Engine;
 use crate::resilience::SiteState;
 use grid3_monitoring::acdc::ClassStats;
 use grid3_simkit::units::Bytes;
@@ -157,7 +157,7 @@ pub struct ClassEfficiency {
 
 impl Grid3Report {
     /// Extract the full report from a finished simulation.
-    pub fn extract(sim: &Simulation) -> Self {
+    pub fn extract(sim: &Grid3Engine) -> Self {
         let mut table1 = sim.acdc().table1();
         // Table 1's "Number of Users" row counts *authorized* users per
         // class (LIGO lists 7 users against 3 jobs), so take the VOMS

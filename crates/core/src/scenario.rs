@@ -12,7 +12,7 @@
 //! the full 291 k-job record sample (run it in release builds — the
 //! `figures` binary does); small scales keep unit tests fast.
 
-use crate::engine::Simulation;
+use crate::engine::Grid3Engine;
 use crate::report::Grid3Report;
 use crate::resilience::ResilienceConfig;
 use grid3_apps::workloads::{grid3_workloads, WorkloadSpec};
@@ -68,8 +68,8 @@ pub struct ScenarioConfig {
     pub pipeline: InstallPipeline,
     /// §8 ablation: SRM-style storage reservations.
     pub srm_reservations: bool,
-    /// Enable the grid-wide instrumentation layer (metrics registry,
-    /// middleware spans, event-loop profiling). Off by default: the
+    /// Enable the grid-wide instrumentation layer (metrics registry and
+    /// middleware spans). Off by default: the
     /// disabled handle costs one branch per call site.
     pub telemetry: bool,
     /// DAG-shaped production campaigns to run inside the simulation
@@ -466,7 +466,7 @@ impl ScenarioConfig {
 
     /// Build and run the simulation, extracting the full report.
     pub fn run(&self) -> Grid3Report {
-        let mut sim = Simulation::new(self.clone());
+        let mut sim = Grid3Engine::new(self.clone());
         sim.run();
         Grid3Report::extract(&sim)
     }
@@ -478,7 +478,7 @@ impl ScenarioConfig {
     /// what [`ScenarioConfig::run`] extracts — the artifacts never touch
     /// its JSON, so golden hashes hold either way.
     pub fn run_full(&self) -> RunArtifacts {
-        let mut sim = Simulation::new(self.clone());
+        let mut sim = Grid3Engine::new(self.clone());
         sim.run();
         let report = Grid3Report::extract(&sim);
         RunArtifacts {
@@ -503,81 +503,6 @@ pub struct RunArtifacts {
     /// The ops journal handle (disabled and empty unless `ops_journal`
     /// was on).
     pub ops: crate::ops::OpsJournal,
-}
-
-/// Aggregate statistics across replicas of one configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ReplicaSummary {
-    /// Seeds run, in input order.
-    pub seeds: Vec<u64>,
-    /// Completion-efficiency summary across replicas.
-    pub efficiency: SummaryStats,
-    /// Peak-concurrent-jobs summary.
-    pub peak_concurrent: SummaryStats,
-    /// Site-problem-fraction summary.
-    pub site_problem_fraction: SummaryStats,
-    /// Total-data (TB) summary.
-    pub total_data_tb: SummaryStats,
-}
-
-/// Mean/stddev/min/max of one metric across replicas.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct SummaryStats {
-    /// Mean across replicas.
-    pub mean: f64,
-    /// Sample standard deviation.
-    pub std_dev: f64,
-    /// Smallest replica value.
-    pub min: f64,
-    /// Largest replica value.
-    pub max: f64,
-}
-
-fn summarize(values: impl Iterator<Item = f64>) -> SummaryStats {
-    let mut s = grid3_simkit::stats::Summary::new();
-    for v in values {
-        s.record(v);
-    }
-    SummaryStats {
-        mean: s.mean(),
-        std_dev: s.std_dev(),
-        min: s.min(),
-        max: s.max(),
-    }
-}
-
-/// Run one configuration under several seeds **in parallel** (Rayon fans
-/// out one whole simulation per thread — the DES core stays sequential
-/// per run, parallelism lives across runs). Reports come back in seed
-/// order regardless of completion order.
-///
-/// This is how EXPERIMENTS.md numbers can be checked for seed robustness:
-/// the paper's bands should hold for *any* seed, not one lucky draw.
-pub fn run_replicas(cfg: &ScenarioConfig, seeds: &[u64]) -> Vec<Grid3Report> {
-    use rayon::prelude::*;
-    // A shared progress counter (parking_lot: uncontended fast path) so
-    // long sweeps can report liveness without synchronizing the reports.
-    let done = parking_lot::Mutex::new(0usize);
-    seeds
-        .par_iter()
-        .map(|seed| {
-            let report = cfg.clone().with_seed(*seed).run();
-            *done.lock() += 1;
-            report
-        })
-        .collect()
-}
-
-/// Run replicas and aggregate the §7 headline metrics.
-pub fn replica_summary(cfg: &ScenarioConfig, seeds: &[u64]) -> ReplicaSummary {
-    let reports = run_replicas(cfg, seeds);
-    ReplicaSummary {
-        seeds: seeds.to_vec(),
-        efficiency: summarize(reports.iter().map(|r| r.metrics.overall_efficiency)),
-        peak_concurrent: summarize(reports.iter().map(|r| r.metrics.peak_concurrent_jobs)),
-        site_problem_fraction: summarize(reports.iter().map(|r| r.metrics.site_problem_fraction)),
-        total_data_tb: summarize(reports.iter().map(|r| r.metrics.total_data.as_tb_f64())),
-    }
 }
 
 #[cfg(test)]
@@ -648,37 +573,6 @@ mod tests {
         let report = cfg.with_scale(0.02).with_days(3).run();
         let jobs: u64 = report.table1.iter().map(|c| c.jobs).sum();
         assert!(jobs > 0, "scale-out run completed work");
-    }
-
-    #[test]
-    fn parallel_replicas_match_sequential_runs() {
-        let cfg = ScenarioConfig::sc2003()
-            .with_scale(0.005)
-            .with_days(6)
-            .with_demo(false);
-        let seeds = [11u64, 22, 33];
-        let parallel = run_replicas(&cfg, &seeds);
-        assert_eq!(parallel.len(), 3);
-        // Order preserved and each replica equals its sequential run.
-        for (seed, report) in seeds.iter().zip(&parallel) {
-            let sequential = cfg.clone().with_seed(*seed).run();
-            assert_eq!(report.to_json(), sequential.to_json());
-        }
-    }
-
-    #[test]
-    fn replica_summary_aggregates_band_metrics() {
-        let cfg = ScenarioConfig::sc2003()
-            .with_scale(0.005)
-            .with_days(6)
-            .with_demo(false);
-        let summary = replica_summary(&cfg, &[1, 2, 3, 4]);
-        assert_eq!(summary.seeds.len(), 4);
-        assert!(summary.efficiency.mean > 0.0 && summary.efficiency.mean <= 1.0);
-        assert!(summary.efficiency.min <= summary.efficiency.mean);
-        assert!(summary.efficiency.max >= summary.efficiency.mean);
-        assert!(summary.peak_concurrent.mean > 0.0);
-        assert!(summary.efficiency.std_dev >= 0.0);
     }
 
     #[test]

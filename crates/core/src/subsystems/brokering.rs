@@ -8,6 +8,7 @@
 //! terminal funnel.
 
 use crate::broker::{Broker, SelectScratch, SiteTable};
+use grid3_middleware::backend::RankInputs;
 use grid3_middleware::gram::RetryPolicy;
 use grid3_monitoring::trace::TraceEvent;
 use grid3_simkit::hash::FastMap;
@@ -42,7 +43,7 @@ pub struct Brokering {
     /// re-score — and any per-placement allocation — between monitor
     /// ticks.
     site_table: SiteTable,
-    /// Reusable row-index buffers for [`Broker::select_table`].
+    /// Reusable row-index buffers for [`Broker::select_table_for`].
     scratch: SelectScratch,
     /// One [`SelectScratch`] per member grid for the federated path —
     /// each grid's queries filter a different static row set, so they
@@ -247,17 +248,19 @@ impl Brokering {
     ) {
         // The SoA mirror of the directory (rebuilt only when the MDS
         // epoch moved); freshness, the online view and the resilience
-        // health veto (a no-op in baseline runs, so `select_table`
-        // degenerates to `select`) are applied inside the single scan.
+        // health veto (a no-op in baseline runs) are applied inside the
+        // single scan, ranked by the reference (`Vdt`) rank.
         self.site_table.refresh(&fabric.center.mds);
         let selected = if fabric.federation.is_single() {
             #[cfg(debug_assertions)]
             let mut reference_rng = ctx.broker_rng.clone();
-            let selected = self.broker.select_table(
+            let selected = self.broker.select_table_for(
                 &spec,
                 affinity,
                 &self.site_table,
                 now,
+                None,
+                RankInputs::HeadroomBandwidth,
                 |s| fabric.topo.is_online(s, now),
                 |s| {
                     fabric

@@ -19,10 +19,10 @@
 //!
 //! Subsystems never call each other. Every cross-subsystem interaction is
 //! an emitted [`GridEvent`] dispatched by the engine's typed router:
-//! timed events go through the [`EventQueue`] (and are profiled exactly
-//! like before the split), while *immediate* events — the former direct
-//! method calls — are drained depth-first in emission order, which
-//! reproduces the monolith's synchronous call sequences bit-for-bit.
+//! timed events go through the [`EventQueue`], while *immediate* events
+//! — the former direct method calls — are drained depth-first in
+//! emission order, which reproduces the monolith's synchronous call
+//! sequences bit-for-bit.
 //! Genuinely shared grid state (the sites, the middleware fabric, the
 //! active-job table, the resilience status board) lives in
 //! [`GridFabric`], mirroring §5's shared site-status catalog: every
@@ -40,7 +40,7 @@ pub mod staging;
 pub use fabric::GridFabric;
 
 use grid3_apps::workloads::Submission;
-use grid3_simkit::engine::{EventLabel, EventQueue};
+use grid3_simkit::engine::EventQueue;
 use grid3_simkit::ids::{JobId, SiteId, TransferId};
 use grid3_simkit::profiler::CostCenter;
 use grid3_simkit::rng::SimRng;
@@ -212,68 +212,13 @@ pub enum GridEvent {
     Timer(SimTime, Box<GridEvent>),
 }
 
-impl EventLabel for GridEvent {
-    fn label(&self) -> &'static str {
-        // Queue-entering variants keep the monolith's exact label strings
-        // so event-loop profiles stay comparable across the refactor.
-        // Immediate-only variants never enter the queue, so their labels
-        // never reach the profiler.
-        match self {
-            GridEvent::Brokering(e) => match e {
-                BrokeringEvent::Submit(..) => "submit",
-                BrokeringEvent::RetryPlace(..) => "retry_place",
-                BrokeringEvent::CampaignTick(..) => "campaign_tick",
-                BrokeringEvent::CampaignOutcome(..) => "campaign_outcome",
-            },
-            GridEvent::Staging(e) => match e {
-                StagingEvent::StageInDone(..) => "stage_in_done",
-                StagingEvent::StageOutDone(..) => "stage_out_done",
-                StagingEvent::BeginStageOut(..) => "begin_stage_out",
-                StagingEvent::EntradaRound => "entrada_round",
-                StagingEvent::DemoTransferDone(..) => "demo_transfer_done",
-                StagingEvent::ChaosTruncateTransfer { .. } => "chaos_truncate_transfer",
-            },
-            GridEvent::Execution(e) => match e {
-                ExecutionEvent::TryDispatch(..) => "try_dispatch",
-                ExecutionEvent::ExecutionEnds(..) => "execution_ends",
-                ExecutionEvent::HungJobCheck(..) => "hung_job_check",
-            },
-            GridEvent::Fault(e) => match e {
-                FaultEvent::Incident(..) => "incident",
-                FaultEvent::ServiceRestore(..) => "service_restore",
-                FaultEvent::NetworkRestore(..) => "network_restore",
-                FaultEvent::NodesRestore(..) => "nodes_restore",
-                FaultEvent::DiskCleanup(..) => "disk_cleanup",
-                FaultEvent::SiteRepaired(..) => "site_repaired",
-                FaultEvent::JobOutcome(..) => "job_outcome",
-                FaultEvent::ChaosBlackHole(..) => "chaos_black_hole",
-                FaultEvent::ChaosBlackHoleEnd(..) => "chaos_black_hole_end",
-                FaultEvent::ChaosRlsStale(..) => "chaos_rls_stale",
-                FaultEvent::ChaosRlsHeal(..) => "chaos_rls_heal",
-                FaultEvent::ChaosMdsFreeze(..) => "chaos_mds_freeze",
-                FaultEvent::ChaosMdsThaw(..) => "chaos_mds_thaw",
-                FaultEvent::ChaosSensorBlackout(..) => "chaos_sensor_blackout",
-                FaultEvent::ChaosSensorRestore(..) => "chaos_sensor_restore",
-                FaultEvent::ChaosIgocPartition(..) => "chaos_igoc_partition",
-                FaultEvent::ChaosIgocHeal(..) => "chaos_igoc_heal",
-            },
-            GridEvent::Reporting(e) => match e {
-                ReportingEvent::MonitorTick => "monitor_tick",
-                ReportingEvent::JobFinished(..) => "job_finished",
-                ReportingEvent::CreditTransfer(..) => "credit_transfer",
-            },
-            GridEvent::Timer(..) => "timer",
-        }
-    }
-}
-
 /// The cost-attribution table: one [`CostCenter`] per routed event type,
 /// indexed by [`GridEvent::cost_center`]. The engine's dispatch loop
 /// charges handler self-time, fan-out, and allocation deltas to these
 /// slots when profiling is on; `figures -- heat` renders them ranked.
 ///
-/// Order mirrors the [`EventLabel`] match above — grouped by subsystem,
-/// declaration order within — so attribution rows read like the router.
+/// Rows are grouped by subsystem in variant declaration order, so
+/// attribution rows read like the router.
 pub static COST_CENTERS: [CostCenter; 34] = [
     CostCenter {
         subsystem: "brokering",
@@ -607,25 +552,34 @@ mod tests {
                 c.event
             );
         }
-        // Spot-check the index map against `EventLabel::label` for one
-        // variant per subsystem: a misrouted discriminant would charge
-        // time to the wrong row for the whole run.
-        use grid3_simkit::engine::EventLabel;
-        let samples: Vec<GridEvent> = vec![
-            GridEvent::Brokering(BrokeringEvent::CampaignTick(0)),
-            GridEvent::Staging(StagingEvent::EntradaRound),
-            GridEvent::Execution(ExecutionEvent::TryDispatch(grid3_simkit::ids::SiteId(0))),
-            GridEvent::Fault(FaultEvent::NodesRestore(grid3_simkit::ids::SiteId(0))),
-            GridEvent::Reporting(ReportingEvent::MonitorTick),
+        // Spot-check the index map for one variant per subsystem: a
+        // misrouted discriminant would charge time to the wrong row for
+        // the whole run.
+        let samples: Vec<(GridEvent, (&str, &str))> = vec![
+            (
+                GridEvent::Brokering(BrokeringEvent::CampaignTick(0)),
+                ("brokering", "campaign_tick"),
+            ),
+            (
+                GridEvent::Staging(StagingEvent::EntradaRound),
+                ("staging", "entrada_round"),
+            ),
+            (
+                GridEvent::Execution(ExecutionEvent::TryDispatch(SiteId(0))),
+                ("execution", "try_dispatch"),
+            ),
+            (
+                GridEvent::Fault(FaultEvent::NodesRestore(SiteId(0))),
+                ("fault", "nodes_restore"),
+            ),
+            (
+                GridEvent::Reporting(ReportingEvent::MonitorTick),
+                ("reporting", "monitor_tick"),
+            ),
         ];
-        for e in samples {
+        for (e, expected) in samples {
             let c = &COST_CENTERS[e.cost_center()];
-            assert_eq!(
-                c.event,
-                e.label(),
-                "cost_center() disagrees with label() for {:?}",
-                e
-            );
+            assert_eq!((c.subsystem, c.event), expected, "cost_center() of {e:?}");
         }
     }
 

@@ -19,21 +19,10 @@
 //! `queue_equivalence` differential suite and the golden-hash
 //! determinism tests hold them to it.
 
-use crate::telemetry::Telemetry;
 use crate::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-
-/// Events that can name themselves for the event-loop profiler.
-///
-/// Labels must come from a fixed set of `&'static str`s (one per enum
-/// variant, typically) so the profiler can aggregate dispatch counts
-/// without allocating per event.
-pub trait EventLabel {
-    /// A stable, human-readable name for this event's type.
-    fn label(&self) -> &'static str;
-}
 
 /// An event plus its firing time and tie-breaking sequence number.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -568,18 +557,6 @@ impl<E> EventQueue<E> {
     }
 }
 
-impl<E: EventLabel> EventQueue<E> {
-    /// [`EventQueue::pop`], plus one profiler sample: records the event's
-    /// type label and the post-pop queue depth into `tele`. With a
-    /// disabled [`Telemetry`] handle the extra cost is one branch, so the
-    /// main loop can call this unconditionally.
-    pub fn pop_profiled(&mut self, tele: &Telemetry) -> Option<(SimTime, E)> {
-        let (time, event) = self.pop()?;
-        tele.record_dispatch(time, event.label(), self.len());
-        Some((time, event))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -785,32 +762,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    impl EventLabel for &'static str {
-        fn label(&self) -> &'static str {
-            self
-        }
-    }
-
-    #[test]
-    fn pop_profiled_records_labels_and_depth() {
-        let tele = Telemetry::enabled();
-        let mut q = EventQueue::new();
-        q.schedule_at(SimTime::from_secs(1), "submit");
-        q.schedule_at(SimTime::from_secs(2), "submit");
-        q.schedule_at(SimTime::from_secs(3), "monitor_tick");
-        while q.pop_profiled(&tele).is_some() {}
-        assert_eq!(tele.dispatch_total(), 3);
-        assert_eq!(
-            tele.dispatch_counts(),
-            vec![("monitor_tick", 1), ("submit", 2)]
-        );
-        // Depth is sampled after the pop: 2, then 1, then 0.
-        let profile = tele.depth_profile();
-        assert_eq!(profile.len(), 1);
-        assert_eq!(profile[0].1.pops, 3);
-        assert_eq!(profile[0].1.max_depth, 2);
     }
 
     mod properties {

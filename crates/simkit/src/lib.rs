@@ -27,8 +27,7 @@
 //!   volume, monthly job counts).
 //! * [`stats`] — small streaming-statistics helpers.
 //! * [`telemetry`] — the grid-wide instrumentation layer: typed metrics
-//!   registry, span tracing with Chrome `trace_event` export, and
-//!   event-loop profiling hooks.
+//!   registry and span tracing with Chrome `trace_event` export.
 //! * [`profiler`] — the cost-attribution profiler: dense per-cost-center
 //!   wall-time/fan-out/allocation accounting for the dispatch loop
 //!   (allocation columns require the `count-allocs` feature).
@@ -49,7 +48,7 @@ pub mod telemetry;
 pub mod time;
 pub mod units;
 
-pub use engine::{EventLabel, EventQueue, ScheduledEvent};
+pub use engine::{EventQueue, ScheduledEvent};
 pub use profiler::{alloc_snapshot, CostCenter, CostProfiler};
 pub use rng::{derive_seed, SimRng};
 pub use telemetry::{Counter, Histo, SpanId, SpanRecord, Telemetry};

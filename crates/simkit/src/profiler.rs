@@ -1,10 +1,9 @@
 //! Cost-attribution profiler: per-(subsystem × event-type) wall-time,
 //! fan-out, and allocation accounting for the dispatch loop.
 //!
-//! BENCH_hotpath.json shows the ladder queue is 2.2–2.3× faster than the
-//! heap in isolation while the whole engine only gained 1.11–1.14×: most
-//! of the per-event budget is spent *outside* the queue, and nothing
-//! attributed where. This module answers "where does the time go?" the
+//! The ladder queue measured 2.2–2.3× faster than the heap in isolation
+//! while the whole engine only gained 1.11–1.14×: most of the per-event
+//! budget is spent *outside* the queue, and nothing attributed where. This module answers "where does the time go?" the
 //! way the Grid2003 operators' monitoring stack answered "which site is
 //! sick?": cheap always-on accounting at the dispatch boundary, rendered
 //! as a ranked cost table (`figures -- heat`).
@@ -43,7 +42,7 @@ pub const LOG2_BUCKETS: usize = 32;
 pub struct CostCenter {
     /// Subsystem the router sends the event to.
     pub subsystem: &'static str,
-    /// Event-type label (matches `EventLabel::label`).
+    /// Event-type label (the event loop's name for the event type).
     pub event: &'static str,
 }
 

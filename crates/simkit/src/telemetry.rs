@@ -1,5 +1,4 @@
-//! Grid-wide instrumentation: metrics registry, span tracing, and
-//! event-loop profiling.
+//! Grid-wide instrumentation: metrics registry and span tracing.
 //!
 //! The paper's §8 lessons ask for "API for accessing troubleshooting and
 //! accounting information … without the necessity of parsing log files".
@@ -38,7 +37,7 @@
 //! serializes as `null` and deserializes as disabled, so structs that
 //! derive serde can embed it without custom attributes.
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
@@ -46,9 +45,6 @@ use std::rc::Rc;
 
 /// Default bound on retained completed spans.
 pub const DEFAULT_SPAN_CAPACITY: usize = 65_536;
-
-/// Width of one queue-depth bin of the event-loop profile.
-pub const DEFAULT_DEPTH_BIN: SimDuration = SimDuration::from_hours(1);
 
 /// A registry key: `(subsystem, name)` plus a free-form label
 /// (site, VO, …). Empty label means "grid-wide".
@@ -154,15 +150,6 @@ struct SpanSlot {
     begin: SimTime,
 }
 
-/// One bin of the event-loop queue-depth profile.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct DepthBin {
-    /// Events dispatched inside the bin.
-    pub pops: u64,
-    /// Maximum post-pop queue depth seen inside the bin.
-    pub max_depth: u64,
-}
-
 /// One counter reading in a registry snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CounterReading {
@@ -195,14 +182,6 @@ struct Inner {
     span_capacity: usize,
     dropped_spans: u64,
     next_span: u64,
-    /// Per-event-type dispatch counts in first-seen order; the label set
-    /// is a handful of `&'static str`s, so a pointer-equality linear
-    /// scan beats any tree or hash. Sorted on export.
-    dispatch: Vec<(&'static str, u64)>,
-    /// Queue-depth bins, sorted by bin index. Pop times are monotonic,
-    /// so the common case is "same bin as last" or "append".
-    depth_bins: Vec<(u64, DepthBin)>,
-    depth_bin_width: SimDuration,
 }
 
 impl Inner {
@@ -408,7 +387,6 @@ impl Telemetry {
     pub fn with_span_capacity(capacity: usize) -> Self {
         Telemetry(Some(Rc::new(RefCell::new(Inner {
             span_capacity: capacity.max(1),
-            depth_bin_width: DEFAULT_DEPTH_BIN,
             ..Inner::default()
         }))))
     }
@@ -709,118 +687,6 @@ impl Telemetry {
             .unwrap_or(0)
     }
 
-    // ----- event-loop profiling --------------------------------------
-
-    /// Record one event dispatch: per-event-type counts plus the
-    /// sim-time-binned queue-depth profile. Called by
-    /// [`EventQueue::pop_profiled`](crate::engine::EventQueue::pop_profiled).
-    pub fn record_dispatch(&self, now: SimTime, label: &'static str, queue_depth: usize) {
-        let Some(inner) = &self.0 else { return };
-        let mut inner = inner.borrow_mut();
-        // The label set is a few dozen static strings; a pointer-equality
-        // scan is branch-predictable and allocation-free.
-        if let Some(entry) = inner
-            .dispatch
-            .iter_mut()
-            .find(|(l, _)| std::ptr::eq(*l, label) || *l == label)
-        {
-            entry.1 += 1;
-        } else {
-            inner.dispatch.push((label, 1));
-        }
-
-        let width = inner.depth_bin_width.as_micros().max(1);
-        let idx = now.as_micros() / width;
-        let depth = queue_depth as u64;
-        match inner.depth_bins.last_mut() {
-            Some(last) if last.0 == idx => {
-                last.1.pops += 1;
-                last.1.max_depth = last.1.max_depth.max(depth);
-            }
-            Some(last) if last.0 < idx => {
-                inner.depth_bins.push((
-                    idx,
-                    DepthBin {
-                        pops: 1,
-                        max_depth: depth,
-                    },
-                ));
-            }
-            None => {
-                inner.depth_bins.push((
-                    idx,
-                    DepthBin {
-                        pops: 1,
-                        max_depth: depth,
-                    },
-                ));
-            }
-            Some(_) => {
-                // Time went backwards relative to the newest bin (only
-                // synthetic callers do this); keep the vec sorted.
-                match inner.depth_bins.binary_search_by_key(&idx, |b| b.0) {
-                    Ok(pos) => {
-                        let bin = &mut inner.depth_bins[pos].1;
-                        bin.pops += 1;
-                        bin.max_depth = bin.max_depth.max(depth);
-                    }
-                    Err(pos) => inner.depth_bins.insert(
-                        pos,
-                        (
-                            idx,
-                            DepthBin {
-                                pops: 1,
-                                max_depth: depth,
-                            },
-                        ),
-                    ),
-                }
-            }
-        }
-    }
-
-    /// Dispatch counts per event type, deterministically ordered by label.
-    pub fn dispatch_counts(&self) -> Vec<(&'static str, u64)> {
-        self.0
-            .as_ref()
-            .map(|inner| {
-                let mut all: Vec<(&'static str, u64)> = inner.borrow().dispatch.clone();
-                all.sort_by(|a, b| a.0.cmp(b.0));
-                all
-            })
-            .unwrap_or_default()
-    }
-
-    /// The `n` hottest event types, by dispatch count descending (ties
-    /// break alphabetically, so the order is deterministic).
-    pub fn hottest_events(&self, n: usize) -> Vec<(&'static str, u64)> {
-        let mut all = self.dispatch_counts();
-        all.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
-        all.truncate(n);
-        all
-    }
-
-    /// The queue-depth profile as `(bin_start, bin)` pairs.
-    pub fn depth_profile(&self) -> Vec<(SimTime, DepthBin)> {
-        self.0
-            .as_ref()
-            .map(|inner| {
-                let inner = inner.borrow();
-                let width = inner.depth_bin_width.as_micros().max(1);
-                inner
-                    .depth_bins
-                    .iter()
-                    .map(|(idx, bin)| (SimTime::from_micros(idx * width), *bin))
-                    .collect()
-            })
-            .unwrap_or_default()
-    }
-
-    /// Total events recorded through the profiler.
-    pub fn dispatch_total(&self) -> u64 {
-        self.dispatch_counts().iter().map(|(_, c)| c).sum()
-    }
-
     // ----- exports ---------------------------------------------------
 
     /// Completed spans as JSON lines, one object per line, oldest first.
@@ -883,8 +749,8 @@ impl Telemetry {
         out
     }
 
-    /// The whole registry (counters, gauges, histograms, dispatch
-    /// profile) as a JSON object string, deterministically ordered.
+    /// The whole registry (counters, gauges, histograms) as a JSON
+    /// object string, deterministically ordered.
     pub fn registry_json(&self) -> String {
         let mut out = String::from("{\"counters\":[");
         for (i, c) in self.counters().iter().enumerate() {
@@ -929,13 +795,6 @@ impl Telemetry {
                 );
             }
         }
-        out.push_str("],\"dispatch\":[");
-        for (i, (label, count)) in self.dispatch_counts().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{{\"event\":\"{label}\",\"count\":{count}}}");
-        }
         let _ = write!(
             out,
             "],\"spans_retained\":{},\"spans_dropped\":{}}}",
@@ -949,6 +808,7 @@ impl Telemetry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::time::SimDuration;
 
     #[test]
     fn disabled_handle_is_inert() {
@@ -956,11 +816,9 @@ mod tests {
         t.counter_add("gram", "accepted", "site0", 1);
         let id = t.span_enter(SimTime::EPOCH, "gram", "submit", Some(7));
         t.span_exit(SimTime::from_secs(1), id);
-        t.record_dispatch(SimTime::EPOCH, "submit", 3);
         assert!(!t.is_enabled());
         assert_eq!(t.counter_total("gram", "accepted"), 0);
         assert!(t.spans().is_empty());
-        assert!(t.dispatch_counts().is_empty());
     }
 
     #[test]
@@ -1094,37 +952,6 @@ mod tests {
     }
 
     #[test]
-    fn dispatch_profile_bins_and_hottest() {
-        let t = Telemetry::enabled();
-        for i in 0..10 {
-            t.record_dispatch(SimTime::from_mins(i * 30), "try_dispatch", i as usize);
-        }
-        t.record_dispatch(SimTime::from_hours(3), "monitor_tick", 1);
-        assert_eq!(t.dispatch_total(), 11);
-        let hottest = t.hottest_events(1);
-        assert_eq!(hottest, vec![("try_dispatch", 10)]);
-        let profile = t.depth_profile();
-        // 30-minute cadence over 5 hours → bins 0..=4 (plus the tick at 3 h).
-        assert_eq!(profile.len(), 5);
-        assert_eq!(profile[0].1.pops, 2);
-        assert_eq!(profile[0].1.max_depth, 1);
-    }
-
-    #[test]
-    fn dispatch_handles_out_of_order_times() {
-        let t = Telemetry::enabled();
-        t.record_dispatch(SimTime::from_hours(5), "a", 1);
-        t.record_dispatch(SimTime::from_hours(2), "b", 9);
-        t.record_dispatch(SimTime::from_hours(2), "b", 3);
-        let profile = t.depth_profile();
-        assert_eq!(profile.len(), 2);
-        assert_eq!(profile[0].0, SimTime::from_hours(2));
-        assert_eq!(profile[0].1.pops, 2);
-        assert_eq!(profile[0].1.max_depth, 9);
-        assert_eq!(profile[1].0, SimTime::from_hours(5));
-    }
-
-    #[test]
     fn exports_are_wellformed() {
         let t = Telemetry::enabled();
         t.counter_add("gram", "accepted", "site0", 2);
@@ -1132,7 +959,6 @@ mod tests {
         t.span_exit(SimTime::from_secs(2), a);
         let b = t.span_enter(SimTime::from_secs(1), "engine", "job", None);
         t.span_error(SimTime::from_secs(3), b);
-        t.record_dispatch(SimTime::EPOCH, "submit", 1);
 
         let jsonl = t.spans_jsonl();
         assert_eq!(jsonl.lines().count(), 2);

@@ -9,7 +9,7 @@
 //! cargo run --release --example operations_center
 //! ```
 
-use grid3_sim::core::{ScenarioConfig, Simulation};
+use grid3_sim::core::{Grid3Engine, ScenarioConfig};
 use grid3_sim::igoc::tickets::TicketStatus;
 use grid3_sim::simkit::time::SimDuration;
 
@@ -23,7 +23,7 @@ fn main() {
         "Operating Grid3 for {} days at 10% workload scale…\n",
         cfg.days
     );
-    let mut sim = Simulation::new(cfg);
+    let mut sim = Grid3Engine::new(cfg);
     sim.run();
     let now = sim.config().horizon();
 

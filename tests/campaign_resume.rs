@@ -10,7 +10,7 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use grid3_core::campaign::{
-    plan_fingerprint, run_campaign_resumable, run_campaign_serial, CampaignJournal, CampaignPlan,
+    plan_fingerprint, run_campaign_resumable, run_with_threads, CampaignJournal, CampaignPlan,
     ResumableOptions, RunFailure, WalRecord,
 };
 use grid3_core::scenario::ScenarioConfig;
@@ -47,7 +47,7 @@ fn uninterrupted_resumable_campaign_matches_plain_serial_byte_for_byte() {
     let dir = scratch("plain");
     let resumable =
         run_campaign_resumable(&plan, &ResumableOptions::new(&dir)).expect("campaign runs");
-    let serial = run_campaign_serial(&plan);
+    let serial = run_with_threads(&plan, 1);
     assert!(resumable.failures.is_empty());
     assert_eq!(resumable.replayed, 0);
     assert_eq!(resumable.warm_started, 0);
@@ -64,7 +64,7 @@ fn uninterrupted_resumable_campaign_matches_plain_serial_byte_for_byte() {
 #[test]
 fn resume_after_interruption_skips_finished_runs_and_matches_uninterrupted() {
     let plan = tiny_plan();
-    let serial = run_campaign_serial(&plan);
+    let serial = run_with_threads(&plan, 1);
     // Simulate a campaign killed after its first two runs: a journal
     // holding exactly those two Finished records, written through the
     // same WAL the executor uses.
@@ -94,7 +94,7 @@ fn resume_after_interruption_skips_finished_runs_and_matches_uninterrupted() {
 #[test]
 fn resume_warm_starts_an_interrupted_run_from_its_checkpoint() {
     let plan = CampaignPlan::single("base", tiny(), vec![1, 2]);
-    let serial = run_campaign_serial(&plan);
+    let serial = run_with_threads(&plan, 1);
     // Simulate a campaign killed mid-run 1: run 0 journaled, run 1 two
     // sim-days in with a checkpoint snapshot on disk.
     let dir = scratch("warm");
@@ -128,7 +128,7 @@ fn resume_warm_starts_an_interrupted_run_from_its_checkpoint() {
 #[test]
 fn a_stale_checkpoint_from_a_different_config_degrades_to_a_cold_start() {
     let plan = CampaignPlan::single("base", tiny(), vec![1]);
-    let serial = run_campaign_serial(&plan);
+    let serial = run_with_threads(&plan, 1);
     let dir = scratch("stale");
     std::fs::create_dir_all(&dir).expect("mkdir");
     // A snapshot of a *different* configuration squatting on run 0's
@@ -155,7 +155,7 @@ fn checkpointed_campaign_is_byte_identical_to_plain_serial() {
     let opts = ResumableOptions::new(&dir)
         .with_checkpoint_every(grid3_simkit::time::SimDuration::from_days(2));
     let resumable = run_campaign_resumable(&plan, &opts).expect("campaign runs");
-    let serial = run_campaign_serial(&plan);
+    let serial = run_with_threads(&plan, 1);
     assert_eq!(summary_json(&resumable.outcome), summary_json(&serial));
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -187,7 +187,7 @@ fn over_budget_runs_fail_typed_and_the_campaign_completes_then_recovers() {
     assert!(recovered.failures.is_empty());
     assert_eq!(
         summary_json(&recovered.outcome),
-        summary_json(&run_campaign_serial(&plan))
+        summary_json(&run_with_threads(&plan, 1))
     );
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -1,9 +1,7 @@
 //! The parallel campaign runner must be a pure reordering of the serial
 //! loop: same reports, same merged summary, for any thread count.
 
-use grid3_sim::core::campaign::{
-    run_campaign, run_campaign_serial, run_with_threads, CampaignPlan,
-};
+use grid3_sim::core::campaign::{run_with_threads, CampaignPlan};
 use grid3_sim::core::scenario::ScenarioConfig;
 
 fn plan() -> CampaignPlan {
@@ -19,8 +17,8 @@ fn plan() -> CampaignPlan {
 #[test]
 fn parallel_campaign_matches_serial_loop() {
     let plan = plan();
-    let serial = run_campaign_serial(&plan);
-    let parallel = run_campaign(&plan);
+    let serial = run_with_threads(&plan, 1);
+    let parallel = run_with_threads(&plan, 4);
 
     // Every per-run report identical and in plan order.
     assert_eq!(serial.reports.len(), 1);
@@ -38,7 +36,7 @@ fn parallel_campaign_matches_serial_loop() {
 #[test]
 fn campaign_summary_is_independent_of_thread_count() {
     let plan = plan();
-    let reference = serde_json::to_string(&run_campaign_serial(&plan).summary).unwrap();
+    let reference = serde_json::to_string(&run_with_threads(&plan, 1).summary).unwrap();
     for threads in [1, 2, 4] {
         let got = serde_json::to_string(&run_with_threads(&plan, threads).summary).unwrap();
         assert_eq!(got, reference, "summary diverged at {threads} threads");
@@ -48,7 +46,7 @@ fn campaign_summary_is_independent_of_thread_count() {
 #[test]
 fn campaign_bands_cover_the_seed_spread() {
     let plan = plan();
-    let outcome = run_campaign(&plan);
+    let outcome = run_with_threads(&plan, 2);
     let v = &outcome.summary.variants[0];
     assert_eq!(v.seeds.len(), 8);
     assert_eq!(outcome.summary.runs, 8);
@@ -65,7 +63,7 @@ fn campaign_bands_cover_the_seed_spread() {
 fn mixed_validity_scenario_dir_skips_bad_files_and_sweeps_the_rest() {
     // One malformed file must not abort the sweep: it is recorded as a
     // typed per-file skip in the summary and the valid scenarios run.
-    use grid3_sim::core::campaign::{plan_from_dir_graceful, run_campaign_dir};
+    use grid3_sim::core::campaign::{plan_from_dir, run_campaign_dir};
     let dir = std::env::temp_dir().join(format!("grid3-mixed-dir-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).expect("mkdir");
@@ -87,7 +85,7 @@ fn mixed_validity_scenario_dir_skips_bad_files_and_sweeps_the_rest() {
     std::fs::write(dir.join("notes.txt"), "not a scenario").expect("write decoy");
 
     // The graceful planner keeps the valid files and types the error.
-    let dir_plan = plan_from_dir_graceful(&dir, vec![1]).expect("plan builds");
+    let dir_plan = plan_from_dir(&dir, vec![1]).expect("plan builds");
     let names: Vec<&str> = dir_plan
         .plan
         .variants

@@ -4,7 +4,7 @@
 //! machinery as everything else.
 
 use grid3_sim::core::scenario::CampaignSpec;
-use grid3_sim::core::{ScenarioConfig, Simulation};
+use grid3_sim::core::{Grid3Engine, ScenarioConfig};
 use grid3_sim::pacman::install::InstallPipeline;
 use grid3_sim::workflow::dagman::DagState;
 use grid3_sim::workflow::mop::CmsSimulator;
@@ -35,7 +35,7 @@ fn campaign_completes_on_a_well_run_grid() {
         .with_demo(false)
         .with_pipeline(InstallPipeline::automated())
         .with_campaign(campaign(2_500, 5));
-    let mut sim = Simulation::new(cfg);
+    let mut sim = Grid3Engine::new(cfg);
     sim.run();
     let progress = sim.campaign_progress();
     let (_, state, done, total) = &progress[0];
@@ -53,7 +53,7 @@ fn campaign_absorbs_failures_with_retries() {
         .with_seed(402)
         .with_demo(false)
         .with_campaign(campaign(5_000, 4));
-    let mut sim = Simulation::new(cfg);
+    let mut sim = Grid3Engine::new(cfg);
     sim.run();
     let (_, state, done, total) = &sim.campaign_progress()[0];
     assert_eq!(*total, 60);
@@ -86,7 +86,7 @@ fn chain_steps_execute_in_dependency_order() {
         .with_demo(false)
         .with_pipeline(InstallPipeline::automated())
         .with_campaign(campaign(1_000, 5));
-    let mut sim = Simulation::new(cfg);
+    let mut sim = Grid3Engine::new(cfg);
     sim.run();
     let (_, state, _, _) = &sim.campaign_progress()[0];
     assert_eq!(*state, DagState::Completed);

@@ -8,7 +8,7 @@
 
 use grid3_sim::core::chaos::{ChaosRates, FaultKind, FaultPlan, PlannedFault};
 use grid3_sim::core::scenario::{CampaignSpec, QueueKind};
-use grid3_sim::core::{grid3_topology, Grid3Report, ScenarioConfig, Simulation};
+use grid3_sim::core::{grid3_topology, Grid3Engine, Grid3Report, ScenarioConfig};
 use grid3_sim::igoc::tickets::TicketKind;
 use grid3_sim::simkit::time::{SimDuration, SimTime};
 use grid3_sim::simkit::units::Bytes;
@@ -34,8 +34,8 @@ fn chaos_cfg(seed: u64) -> ScenarioConfig {
 /// Drain a configuration to quiescence and assert the auditor saw a
 /// conserved, balanced run: every job terminal exactly once, storage
 /// within bounds, report totals matching the audited ledger.
-fn run_audited(cfg: ScenarioConfig) -> (Simulation, Grid3Report) {
-    let mut sim = Simulation::new(cfg);
+fn run_audited(cfg: ScenarioConfig) -> (Grid3Engine, Grid3Report) {
+    let mut sim = Grid3Engine::new(cfg);
     sim.run_until_idle();
     let report = Grid3Report::extract(&sim);
     sim.audit_verify_report(&report);
@@ -99,7 +99,7 @@ fn black_hole_sites_swallow_jobs_until_the_watchdog_reaps_them() {
         .with_seed(404)
         .with_audit(true);
     let baseline_failed = {
-        let mut sim = Simulation::new(base.clone());
+        let mut sim = Grid3Engine::new(base.clone());
         sim.run_until_idle();
         sim.audit().unwrap().ledger().1
     };

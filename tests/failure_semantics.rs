@@ -2,7 +2,7 @@
 //! disk-full regime, manual vs automated installation, and the ACDC
 //! nightly rollover.
 
-use grid3_sim::core::{ScenarioConfig, Simulation};
+use grid3_sim::core::{Grid3Engine, ScenarioConfig};
 use grid3_sim::pacman::install::InstallPipeline;
 use grid3_sim::simkit::rng::SimRng;
 use grid3_sim::simkit::time::{SimDuration, SimTime};
@@ -16,7 +16,7 @@ fn base() -> ScenarioConfig {
         .with_demo(false)
 }
 
-fn failures_of(sim: &Simulation, cause: FailureCause) -> u64 {
+fn failures_of(sim: &Grid3Engine, cause: FailureCause) -> u64 {
     sim.acdc()
         .failure_breakdown()
         .get(&cause)
@@ -33,9 +33,9 @@ fn srm_reservations_prevent_mid_flight_storage_deaths() {
     // at submit time.
     // Needs enough load that archive-fill windows catch jobs mid-flight.
     let cfg = base().with_scale(0.25).with_seed(2003);
-    let mut grid3 = Simulation::new(cfg.clone());
+    let mut grid3 = Grid3Engine::new(cfg.clone());
     grid3.run();
-    let mut srm = Simulation::new(cfg.with_srm(true));
+    let mut srm = Grid3Engine::new(cfg.with_srm(true));
     srm.run();
     let deaths_grid3 = failures_of(&grid3, FailureCause::StageOutFailure);
     let deaths_srm = failures_of(&srm, FailureCause::StageOutFailure);
@@ -50,9 +50,9 @@ fn srm_reservations_prevent_mid_flight_storage_deaths() {
 #[test]
 fn automated_install_pipeline_raises_efficiency() {
     // §8's first lesson: automated configuration/testing scripts.
-    let mut manual = Simulation::new(base().with_seed(92));
+    let mut manual = Grid3Engine::new(base().with_seed(92));
     manual.run();
-    let mut automated = Simulation::new(
+    let mut automated = Grid3Engine::new(
         base()
             .with_seed(92)
             .with_pipeline(InstallPipeline::automated()),
@@ -77,7 +77,7 @@ fn acdc_rollover_kills_jobs_nightly() {
     // gracefully, and so jobs still running had to be re-processed."
     // Seed re-picked for the vendored-RNG stream (see vendor/rand): 93's
     // stream happens to land zero overnight kills at this scale.
-    let mut sim = Simulation::new(base().with_seed(95));
+    let mut sim = Grid3Engine::new(base().with_seed(95));
     sim.run();
     let rollover = failures_of(&sim, FailureCause::NodeRollover);
     assert!(
@@ -88,7 +88,7 @@ fn acdc_rollover_kills_jobs_nightly() {
 
 #[test]
 fn failure_mix_matches_section_6_structure() {
-    let mut sim = Simulation::new(base().with_seed(94));
+    let mut sim = Grid3Engine::new(base().with_seed(94));
     sim.run();
     let frac = sim.acdc().site_problem_fraction();
     assert!(
@@ -152,7 +152,7 @@ fn failure_schedules_are_half_open_at_the_horizon() {
 
 #[test]
 fn tickets_track_incidents_and_resolve() {
-    let mut sim = Simulation::new(base().with_seed(95));
+    let mut sim = Grid3Engine::new(base().with_seed(95));
     sim.run();
     let tickets = sim.center().tickets.tickets();
     assert!(!tickets.is_empty(), "incidents must raise tickets");

@@ -9,7 +9,7 @@
 
 use grid3_sim::core::chaos::{FaultKind, FaultPlan, PlannedFault};
 use grid3_sim::core::{
-    grid3_topology, Federation, Grid3Report, GridSpec, ScenarioConfig, Simulation,
+    grid3_topology, Federation, Grid3Engine, Grid3Report, GridSpec, ScenarioConfig,
 };
 use grid3_sim::middleware::backend::BackendKind;
 use grid3_sim::middleware::mds::MdsPeering;
@@ -35,17 +35,23 @@ fn federation_single_grid_vdt_is_bit_identical_to_no_federation() {
         .with_days(12)
         .with_scale(0.01)
         .with_seed(7);
-    let baseline = base.clone().run().to_json();
-    let degenerate = base
+    let baseline_run = base.clone().run_full();
+    let degenerate_run = base
         .with_federation(Federation::new(vec![GridSpec {
             name: "grid3".to_string(),
             backend: BackendKind::Vdt,
             sites: Vec::new(),
             admits: None,
         }]))
-        .run()
-        .to_json();
+        .run_full();
+    let baseline = baseline_run.report.to_json();
+    let degenerate = degenerate_run.report.to_json();
     assert_eq!(baseline, degenerate, "one-grid Vdt federation drifted");
+    // The event stream is identical too, not just its accounting.
+    assert_eq!(
+        degenerate_run.events_processed, baseline_run.events_processed,
+        "single-grid federation changed the event stream"
+    );
     // And the degenerate report carries no federated fields at all.
     assert!(!degenerate.contains("per_grid_efficiency"));
     assert!(!degenerate.contains("\"federation\""));
@@ -117,7 +123,7 @@ fn mds_staleness_fault_on_one_grid_of_two_starves_its_peering_epoch() {
         .collect();
     let cfg = fed_cfg(2003).with_chaos(FaultPlan::new(faults));
     let horizon = cfg.horizon();
-    let mut sim = Simulation::new(cfg);
+    let mut sim = Grid3Engine::new(cfg);
     sim.run();
     let report = Grid3Report::extract(&sim);
     assert!(report.total_jobs > 0, "frozen grid stalled the whole run");
@@ -178,7 +184,7 @@ fn federated_run_reports_per_grid_split_and_cross_grid_traffic() {
 fn federation_vo_admission_keeps_refused_work_off_a_grid() {
     // The EDG grid admits only USCMS and BTeV: no other VO's jobs may
     // land there, however attractive its sites look.
-    let mut sim = Simulation::new(fed_cfg(11));
+    let mut sim = Grid3Engine::new(fed_cfg(11));
     sim.run();
     let fed = sim.federation();
     for vo in [Vo::Uscms, Vo::Btev] {

@@ -1,7 +1,7 @@
 //! Whole-grid integration: submissions → brokering → middleware → batch
 //! execution → staging → registration → monitoring, across every crate.
 
-use grid3_sim::core::{ScenarioConfig, Simulation};
+use grid3_sim::core::{Grid3Engine, ScenarioConfig};
 use grid3_sim::site::vo::UserClass;
 
 fn small() -> ScenarioConfig {
@@ -13,7 +13,7 @@ fn small() -> ScenarioConfig {
 
 #[test]
 fn every_submission_reaches_a_terminal_or_in_flight_state() {
-    let mut sim = Simulation::new(small());
+    let mut sim = Grid3Engine::new(small());
     sim.run();
     let terminal = sim.acdc().total_records();
     let in_flight = sim.active_jobs() as u64;
@@ -101,7 +101,7 @@ fn figures_series_are_well_formed() {
 
 #[test]
 fn rls_holds_registered_outputs() {
-    let mut sim = Simulation::new(small());
+    let mut sim = Grid3Engine::new(small());
     sim.run();
     // Registering classes completed jobs, so the catalog is non-trivial.
     assert!(sim.rls().lfn_count() > 0);
@@ -111,7 +111,7 @@ fn rls_holds_registered_outputs() {
 #[test]
 fn gatekeepers_tracked_all_accepted_jobs() {
     use grid3_sim::site::job::FailureCause;
-    let mut sim = Simulation::new(small());
+    let mut sim = Grid3Engine::new(small());
     sim.run();
     let accepted: u64 = sim.gatekeepers().iter().map(|g| g.accepted_count()).sum();
     // Every job record except broker rejections and submit-time refusals

@@ -2,7 +2,7 @@
 //! (§5.3), Pacman onboarding → MDS publication (§5.1), and the gatekeeper
 //! load law (§6.4) driven by a real workload shape.
 
-use grid3_sim::core::{ScenarioConfig, Simulation};
+use grid3_sim::core::{Grid3Engine, ScenarioConfig};
 use grid3_sim::middleware::gram::{sustained_load, Gatekeeper};
 use grid3_sim::middleware::gsi::{CertificateAuthority, GridMapFile};
 use grid3_sim::middleware::voms::{mkgridmap, total_distinct_users, VoRole, VomsServer};
@@ -31,7 +31,7 @@ fn voms_to_gridmap_to_authorization_end_to_end() {
 
 #[test]
 fn scenario_populates_the_full_identity_stack() {
-    let sim = Simulation::new(
+    let sim = Grid3Engine::new(
         ScenarioConfig::sc2003()
             .with_scale(0.005)
             .with_seed(71)
@@ -48,7 +48,7 @@ fn scenario_populates_the_full_identity_stack() {
 
 #[test]
 fn onboarding_publishes_glue_records_with_grid3_extensions() {
-    let sim = Simulation::new(
+    let sim = Grid3Engine::new(
         ScenarioConfig::sc2003()
             .with_scale(0.005)
             .with_seed(72)
@@ -90,7 +90,7 @@ fn gatekeeper_load_law_under_production_shapes() {
 
 #[test]
 fn gridftp_and_rls_carry_scenario_data() {
-    let mut sim = Simulation::new(
+    let mut sim = Grid3Engine::new(
         ScenarioConfig::sc2003()
             .with_scale(0.01)
             .with_seed(73)

@@ -2,13 +2,13 @@
 //! "similar information [is] collected by different paths … permitting
 //! crosschecks on the data collected."
 
-use grid3_sim::core::{ScenarioConfig, Simulation};
+use grid3_sim::core::{Grid3Engine, ScenarioConfig};
 use grid3_sim::monitoring::framework::{fig1_topology, ComponentKind};
 use grid3_sim::monitoring::monalisa::SeriesKey;
 use grid3_sim::site::vo::Vo;
 
-fn run_small() -> Simulation {
-    let mut sim = Simulation::new(
+fn run_small() -> Grid3Engine {
+    let mut sim = Grid3Engine::new(
         ScenarioConfig::sc2003()
             .with_scale(0.01)
             .with_seed(33)
@@ -18,8 +18,8 @@ fn run_small() -> Simulation {
     sim
 }
 
-fn run_small_instrumented() -> Simulation {
-    let mut sim = Simulation::new(
+fn run_small_instrumented() -> Grid3Engine {
+    let mut sim = Grid3Engine::new(
         ScenarioConfig::sc2003()
             .with_scale(0.01)
             .with_seed(33)

@@ -1,7 +1,7 @@
 //! Cross-crate property-based tests: whole-simulation invariants under
 //! randomized configuration.
 
-use grid3_sim::core::{ScenarioConfig, Simulation};
+use grid3_sim::core::{Grid3Engine, ScenarioConfig};
 use proptest::prelude::*;
 
 fn tiny(seed: u64, days: u64, scale_milli: u64, srm: bool) -> ScenarioConfig {
@@ -22,7 +22,7 @@ proptest! {
     #[test]
     fn simulation_invariants(seed in 0u64..1_000, days in 5u64..20,
                              scale in 2u64..8, srm in any::<bool>()) {
-        let mut sim = Simulation::new(tiny(seed, days, scale, srm));
+        let mut sim = Grid3Engine::new(tiny(seed, days, scale, srm));
         sim.run();
         let running: usize = sim.sites().iter().map(|s| s.running_count()).sum();
         prop_assert_eq!(sim.job_gauge().level(), running as f64);

@@ -9,12 +9,12 @@
 //! center is busy re-validating.
 
 use grid3_sim::core::resilience::SiteState;
-use grid3_sim::core::{Grid3Report, ScenarioConfig, Simulation};
+use grid3_sim::core::{Grid3Engine, Grid3Report, ScenarioConfig};
 use grid3_sim::igoc::tickets::{TicketKind, TicketStatus};
 use grid3_sim::site::vo::UserClass;
 
-fn operated(seed: u64) -> Simulation {
-    let mut sim = Simulation::new(
+fn operated(seed: u64) -> Grid3Engine {
+    let mut sim = Grid3Engine::new(
         ScenarioConfig::sc2003_operated()
             .with_scale(0.05)
             .with_seed(seed)
@@ -115,7 +115,7 @@ fn report_breaks_down_efficiency_by_site_state() {
 fn baseline_scenario_keeps_resilience_off() {
     // sc2003 without the operations overlay must not instantiate the
     // layer at all — the baseline stream alignment depends on it.
-    let mut sim = Simulation::new(
+    let mut sim = Grid3Engine::new(
         ScenarioConfig::sc2003()
             .with_scale(0.01)
             .with_seed(5)

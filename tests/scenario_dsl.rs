@@ -164,7 +164,8 @@ fn scenario_dsl_cms_data_scenarios_run_green() {
 #[test]
 fn scenario_dsl_campaign_plan_builds_from_scenario_dir() {
     let plan = grid3_core::campaign::plan_from_dir(&scenarios_dir(), vec![1, 2])
-        .expect("scenario dir lowers to a plan");
+        .expect("scenario dir lowers to a plan")
+        .plan;
     assert_eq!(plan.variants.len(), 9, "one variant per committed file");
     assert_eq!(plan.len(), 18);
     let names: Vec<&str> = plan.variants.iter().map(|v| v.name.as_str()).collect();

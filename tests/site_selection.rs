@@ -5,7 +5,7 @@
 
 use grid3_sim::core::broker::Broker;
 use grid3_sim::core::resilience::{ResilienceConfig, ResilienceLayer};
-use grid3_sim::core::{ScenarioConfig, Simulation};
+use grid3_sim::core::{Grid3Engine, ScenarioConfig};
 use grid3_sim::middleware::mds::GlueRecord;
 use grid3_sim::simkit::ids::{SiteId, UserId};
 use grid3_sim::simkit::rng::SimRng;
@@ -14,8 +14,8 @@ use grid3_sim::simkit::units::{Bandwidth, Bytes};
 use grid3_sim::site::job::JobSpec;
 use grid3_sim::site::vo::UserClass;
 
-fn run_small(seed: u64) -> Simulation {
-    let mut sim = Simulation::new(
+fn run_small(seed: u64) -> Grid3Engine {
+    let mut sim = Grid3Engine::new(
         ScenarioConfig::sc2003()
             .with_scale(0.02)
             .with_seed(seed)
@@ -197,7 +197,7 @@ fn rank_ties_break_deterministically_by_site_id() {
     for round in 0..10u64 {
         let mut rng = SimRng::for_entity(61, round);
         let plain = deterministic_broker()
-            .select(&plain_spec(), 0.0, &refs, &mut rng)
+            .select_filtered(&plain_spec(), 0.0, &refs, &mut rng, |_| false)
             .unwrap();
         let mut rng = SimRng::for_entity(61, round);
         let vetoed = deterministic_broker()

@@ -3,23 +3,22 @@
 //! core subsystems, well-formed JSON-lines and registry exports, and a
 //! monitoring-bus feed — while never perturbing the simulation itself.
 
-use grid3_sim::core::{CampaignSpec, ScenarioConfig, Simulation};
+use grid3_sim::core::{CampaignSpec, Grid3Engine, ScenarioConfig};
 use grid3_sim::monitoring::framework::{MonitoringBus, TelemetryProducer};
 use grid3_sim::simkit::time::SimTime;
 use grid3_sim::workflow::mop::CmsSimulator;
 use serde_json::Value;
 use std::collections::BTreeSet;
 
-/// One instrumented day of SC2003 with a small CMSIM campaign, so every
+/// One day of SC2003 with a small CMSIM campaign, so every
 /// span-emitting subsystem (gram, gridftp, dagman, engine) does real work
 /// inside the window.
-fn run_one_day() -> Simulation {
-    let cfg = ScenarioConfig::sc2003()
+fn one_day() -> ScenarioConfig {
+    ScenarioConfig::sc2003()
         .with_scale(0.05)
         .with_seed(17)
         .with_days(1)
         .with_demo(false)
-        .with_telemetry(true)
         .with_campaign(CampaignSpec {
             dataset: "trace_test".into(),
             events: 150,
@@ -29,8 +28,12 @@ fn run_one_day() -> Simulation {
             retries: 3,
             throttle: 9,
             rescue_dags: 0,
-        });
-    let mut sim = Simulation::new(cfg);
+        })
+}
+
+/// The instrumented [`one_day`] run.
+fn run_one_day() -> Grid3Engine {
+    let mut sim = Grid3Engine::new(one_day().with_telemetry(true));
     sim.run();
     sim
 }
@@ -105,20 +108,18 @@ fn span_exports_are_wellformed_and_job_linked() {
 
 #[test]
 fn event_loop_profile_covers_the_run() {
-    let sim = run_one_day();
-    // Every processed event was dispatched through the profiling hook.
-    assert_eq!(sim.telemetry().dispatch_total(), sim.events_processed());
-    let hottest = sim.telemetry().hottest_events(5);
-    assert!(!hottest.is_empty());
-    // Counts are sorted descending.
-    for pair in hottest.windows(2) {
-        assert!(pair[0].1 >= pair[1].1);
-    }
-    // The queue-depth profile is binned over the one-day window.
-    let profile = sim.telemetry().depth_profile();
-    assert!(!profile.is_empty());
-    for (bin_start, _) in &profile {
-        assert!(*bin_start < SimTime::from_days(1));
+    // The cost profiler is the one per-dispatch account: every timed pop
+    // and every immediate it fans out lands on exactly one cost center.
+    let mut sim = Grid3Engine::new(one_day().with_profile(true));
+    sim.run();
+    let profile = sim.profiler().expect("profiling was enabled");
+    let fanout: u64 = profile.stats().iter().map(|s| s.fanout).sum();
+    assert_eq!(profile.total_events(), sim.events_processed() + fanout);
+    let rows = profile.rows();
+    assert!(!rows.is_empty());
+    // Rows are ranked by self time per event, most expensive first.
+    for pair in rows.windows(2) {
+        assert!(pair[0].ns_per_event >= pair[1].ns_per_event);
     }
 }
 

@@ -2,13 +2,13 @@
 //! submit↔execution id linkage, lifecycle completeness, queue-wait
 //! statistics and per-user accounting cross-checked against ACDC.
 
-use grid3_sim::core::{ScenarioConfig, Simulation};
+use grid3_sim::core::{Grid3Engine, ScenarioConfig};
 use grid3_sim::monitoring::trace::{SubmitSideId, TraceEvent};
 use grid3_sim::simkit::ids::{JobId, UserId};
 use grid3_sim::site::job::JobOutcome;
 
-fn run_small(seed: u64) -> Simulation {
-    let mut sim = Simulation::new(
+fn run_small(seed: u64) -> Grid3Engine {
+    let mut sim = Grid3Engine::new(
         ScenarioConfig::sc2003()
             .with_scale(0.01)
             .with_seed(seed)
