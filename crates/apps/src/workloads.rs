@@ -100,15 +100,31 @@ impl WorkloadSpec {
             .unwrap_or((0, 0))
     }
 
-    /// Generate the full submission schedule, time-ordered. Submission
-    /// instants are uniform within each month; users are assigned with
-    /// the admin taking `admin_share` of submissions.
-    pub fn schedule(&self, rng: &mut SimRng, first_user: UserId) -> Vec<Submission> {
+    /// Generate the submission schedule up to (excluding) `until`,
+    /// time-ordered. Submission instants are uniform within each month;
+    /// users are assigned with the admin taking `admin_share` of
+    /// submissions.
+    ///
+    /// Generation stops at the first month starting at or after `until`.
+    /// Each generated month is still drawn in full (instants within a
+    /// month are unsorted), so the kept submissions draw exactly the RNG
+    /// values a full seven-month schedule would: the result equals the
+    /// full schedule filtered to `at < until`.
+    pub fn schedule(
+        &self,
+        rng: &mut SimRng,
+        first_user: UserId,
+        until: SimTime,
+    ) -> Vec<Submission> {
         if let Some(process) = &self.arrivals {
-            return self.schedule_process(process, rng, first_user);
+            return self.schedule_process(process, rng, first_user, until);
         }
-        let mut subs = Vec::with_capacity(self.total_jobs() as usize);
-        for (month, &count) in self.monthly_jobs.iter().enumerate() {
+        let months = (0..self.monthly_jobs.len())
+            .take_while(|&m| month_bounds(m as u32).0 < until)
+            .count();
+        let drawn: u64 = self.monthly_jobs[..months].iter().sum();
+        let mut subs = Vec::with_capacity(drawn as usize);
+        for (month, &count) in self.monthly_jobs[..months].iter().enumerate() {
             let (start, end) = month_bounds(month as u32);
             let span = end.since(start).as_secs_f64();
             let surge_start = SimTime::from_days(SC2003_START_DAY);
@@ -123,10 +139,10 @@ impl WorkloadSpec {
                     start + SimDuration::from_secs_f64(rng.unit() * span)
                 };
                 let user = self.pick_user(rng, first_user);
-                subs.push(Submission {
-                    at,
-                    spec: self.sample_spec(rng, user),
-                });
+                let spec = self.sample_spec(rng, user);
+                if at < until {
+                    subs.push(Submission { at, spec });
+                }
             }
         }
         subs.sort_by_key(|s| s.at);
@@ -134,12 +150,15 @@ impl WorkloadSpec {
     }
 
     /// Schedule via a declarative arrival process over the workload's
-    /// month window (`monthly_jobs.len()` months from the epoch).
+    /// month window (`monthly_jobs.len()` months from the epoch). The
+    /// whole window's offsets are drawn; specs are drawn only for the
+    /// arrivals before `until`.
     fn schedule_process(
         &self,
         process: &ArrivalProcess,
         rng: &mut SimRng,
         first_user: UserId,
+        until: SimTime,
     ) -> Vec<Submission> {
         let months = self.monthly_jobs.len().max(1) as u32;
         let (window_start, _) = month_bounds(0);
@@ -147,9 +166,13 @@ impl WorkloadSpec {
         let window = window_end.since(window_start);
         let mut subs = Vec::new();
         for offset in process.arrivals(rng, window) {
+            let at = window_start + offset;
+            if at >= until {
+                break;
+            }
             let user = self.pick_user(rng, first_user);
             subs.push(Submission {
-                at: window_start + offset,
+                at,
                 spec: self.sample_spec(rng, user),
             });
         }
@@ -383,6 +406,10 @@ mod tests {
         SimRng::for_entity(2003, 7)
     }
 
+    /// An instant past every workload's seven-month window: a schedule
+    /// clipped here is the whole schedule.
+    const FAR: SimTime = SimTime::from_days(10_000);
+
     /// Table 1 job totals the calibration must reproduce exactly.
     const TABLE1_JOBS: [(UserClass, u64); 7] = [
         (UserClass::Btev, 2_598),
@@ -463,7 +490,7 @@ mod tests {
     fn schedule_is_time_ordered_and_complete() {
         let w = grid3_workloads();
         let spec = w.iter().find(|s| s.class == UserClass::Sdss).unwrap();
-        let subs = spec.schedule(&mut rng(), UserId(100));
+        let subs = spec.schedule(&mut rng(), UserId(100), FAR);
         assert_eq!(subs.len() as u64, spec.total_jobs());
         for pair in subs.windows(2) {
             assert!(pair[0].at <= pair[1].at);
@@ -483,7 +510,7 @@ mod tests {
     fn schedule_respects_monthly_profile() {
         let w = grid3_workloads();
         let spec = w.iter().find(|s| s.class == UserClass::Btev).unwrap();
-        let subs = spec.schedule(&mut rng(), UserId(0));
+        let subs = spec.schedule(&mut rng(), UserId(0), FAR);
         let mut per_month = [0u64; 7];
         for s in &subs {
             per_month[s.at.month_index() as usize] += 1;
@@ -495,7 +522,7 @@ mod tests {
     fn single_user_class_attributes_everything_to_admin() {
         let w = grid3_workloads();
         let btev = w.iter().find(|s| s.class == UserClass::Btev).unwrap();
-        let subs = btev.schedule(&mut rng(), UserId(55));
+        let subs = btev.schedule(&mut rng(), UserId(55), FAR);
         assert!(subs.iter().all(|s| s.spec.user == UserId(55)));
     }
 
@@ -520,7 +547,7 @@ mod tests {
             every: SimDuration::from_hours(6),
             offset: SimDuration::ZERO,
         });
-        let subs = spec.schedule(&mut rng(), UserId(100));
+        let subs = spec.schedule(&mut rng(), UserId(100), FAR);
         // Four per day over the 7-month (213-day) window, ignoring
         // monthly_jobs entirely.
         assert_eq!(subs.len() as f64, {
@@ -531,7 +558,7 @@ mod tests {
             assert_eq!(pair[1].at.since(pair[0].at), SimDuration::from_hours(6));
         }
         // Deterministic under the same seed.
-        let again = spec.schedule(&mut rng(), UserId(100));
+        let again = spec.schedule(&mut rng(), UserId(100), FAR);
         assert_eq!(subs, again);
     }
 
@@ -539,8 +566,46 @@ mod tests {
     fn deterministic_schedules() {
         let w = grid3_workloads();
         let atlas = w.iter().find(|s| s.class == UserClass::Usatlas).unwrap();
-        let a = atlas.schedule(&mut SimRng::for_entity(9, 9), UserId(0));
-        let b = atlas.schedule(&mut SimRng::for_entity(9, 9), UserId(0));
+        let a = atlas.schedule(&mut SimRng::for_entity(9, 9), UserId(0), FAR);
+        let b = atlas.schedule(&mut SimRng::for_entity(9, 9), UserId(0), FAR);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn clipped_schedule_is_the_full_schedule_filtered_to_the_cutoff() {
+        let mut specs = grid3_workloads();
+        let base = specs[3].clone();
+        specs.push(WorkloadSpec {
+            arrivals: Some(ArrivalProcess::Poisson { per_day: 40.0 }),
+            ..base.clone()
+        });
+        specs.push(WorkloadSpec {
+            arrivals: Some(ArrivalProcess::Periodic {
+                every: SimDuration::from_hours(5),
+                offset: SimDuration::from_mins(17),
+            }),
+            ..base
+        });
+        let cutoffs = [
+            SimTime::from_days(30),
+            month_bounds(2).0,
+            // Mid-SC2003 week: November's surge straddles the cutoff.
+            SimTime::from_days(SC2003_START_DAY) + SimDuration::from_hours(80),
+            // Past the window: nothing is clipped.
+            month_bounds(9).0,
+        ];
+        for spec in &specs {
+            let full = spec.schedule(&mut rng(), UserId(10), FAR);
+            for until in cutoffs {
+                let clipped = spec.schedule(&mut rng(), UserId(10), until);
+                let expected: Vec<Submission> =
+                    full.iter().filter(|s| s.at < until).cloned().collect();
+                assert_eq!(
+                    clipped, expected,
+                    "{} ({:?}) clipped at {until}",
+                    spec.class, spec.arrivals
+                );
+            }
+        }
     }
 }

@@ -22,6 +22,9 @@
 //!
 //! * **Timed** events go through the [`EventQueue`] exactly as in the
 //!   pre-split engine: same FIFO tie-breaking, one pop per event.
+//!   Workload submissions are timed events kept outside the queue, in
+//!   the brokering arrival table; the loop merges the two streams in
+//!   the order the queue would have produced.
 //! * **Immediate** events (emitted with
 //!   [`EngineCtx::emit`](crate::subsystems::EngineCtx::emit)) replace
 //!   the former direct cross-subsystem method calls. The router drains
@@ -58,7 +61,7 @@ use crate::subsystems::execution::Execution;
 use crate::subsystems::fault::FaultHandling;
 use crate::subsystems::reporting::Reporting;
 use crate::subsystems::staging::Staging;
-use crate::subsystems::{EngineCtx, GridEvent, GridFabric, Subsystem};
+use crate::subsystems::{BrokeringEvent, EngineCtx, GridEvent, GridFabric, Subsystem};
 
 /// The assembled grid: clock + event router + the five routed subsystem
 /// services + the shared fabric (see the module docs).
@@ -86,8 +89,8 @@ pub struct Grid3Engine {
 impl Grid3Engine {
     /// Assemble the grid for `cfg`: build the topology, onboard every
     /// site through the iGOC pipeline, register users with VOMS/GSI/AUP,
-    /// schedule workloads, demo rounds, failure incidents and monitor
-    /// ticks.
+    /// build the workload arrival table, and schedule demo rounds,
+    /// failure incidents and monitor ticks.
     pub fn new(cfg: ScenarioConfig) -> Self {
         crate::subsystems::assembly::assemble(cfg)
     }
@@ -141,14 +144,34 @@ impl Grid3Engine {
         self.finish();
     }
 
-    /// The event loop: pop → audit → dispatch every queued event firing
-    /// before `stop` (`None` drains the queue).
+    /// The event loop: merge the brokering arrival table with the event
+    /// queue, then audit → dispatch every event firing before `stop`
+    /// (`None` drains both).
+    ///
+    /// An arrival is delivered whenever its instant is at or before the
+    /// queue head. Arrivals win ties because they hold the lowest
+    /// sequence numbers of the run: a submission scheduled into the
+    /// queue at assembly, ahead of every other event, would fire first
+    /// at its instant.
     fn pump(&mut self, stop: Option<SimTime>) {
-        while let Some(at) = self.ctx.queue.peek_time() {
+        loop {
+            let queued = self.ctx.queue.peek_time();
+            let arrival = self
+                .brokering
+                .next_arrival()
+                .filter(|&at| queued.is_none_or(|q| at <= q));
+            let Some(at) = arrival.or(queued) else {
+                break;
+            };
             if stop.is_some_and(|stop| at >= stop) {
                 break;
             }
-            let (now, event) = self.ctx.queue.pop().expect("peeked");
+            let (now, event) = if arrival.is_some() {
+                self.ctx.queue.deliver_external(at);
+                (at, GridEvent::Brokering(BrokeringEvent::Submit))
+            } else {
+                self.ctx.queue.pop().expect("peeked")
+            };
             if let Some(a) = &mut self.auditor {
                 a.observe_pop(now);
             }
@@ -260,8 +283,9 @@ impl Grid3Engine {
         &self.fabric.topo
     }
 
-    /// Events processed so far (timed queue pops; routed immediates are
-    /// internal and not counted, matching the pre-split engine).
+    /// Events processed so far (timed queue pops and delivered arrivals;
+    /// routed immediates are internal and not counted, matching the
+    /// pre-split engine).
     pub fn events_processed(&self) -> u64 {
         self.ctx.queue.processed()
     }
@@ -363,7 +387,9 @@ impl Grid3Engine {
         self.brokering.campaign_progress()
     }
 
-    /// The underlying event queue (read-only; for depth inspection).
+    /// The underlying event queue (read-only; for depth inspection). It
+    /// holds in-flight work only: undelivered workload arrivals wait in
+    /// the brokering arrival table.
     pub fn queue(&self) -> &EventQueue<GridEvent> {
         &self.ctx.queue
     }

@@ -5,6 +5,7 @@ use crate::engine::Grid3Engine;
 use crate::scenario::ScenarioConfig;
 use grid3_simkit::ids::UserId;
 use grid3_simkit::rng::SimRng;
+use grid3_simkit::time::SimTime;
 
 fn small_cfg(seed: u64) -> ScenarioConfig {
     ScenarioConfig::sc2003()
@@ -30,7 +31,9 @@ fn small_run_reaches_quiescence() {
         .flat_map(|w| {
             let mut rng =
                 SimRng::for_label(sim.config().seed, &format!("workload/{}", w.class.name()));
-            w.schedule(&mut rng, UserId(0))
+            // The whole schedule, filtered here: independent of the
+            // engine's own horizon clipping.
+            w.schedule(&mut rng, UserId(0), SimTime::from_days(10_000))
                 .into_iter()
                 .filter(|s| s.at < sim.config().horizon())
                 .map(|_| 1u64)
@@ -185,4 +188,70 @@ fn users_registered_across_voms_servers() {
     // §7: 102 authorized users — the seven application classes'
     // populations plus the iGOC operations staff.
     assert_eq!(total, 102);
+}
+
+#[test]
+fn assembly_schedules_no_submission_into_the_queue() {
+    use crate::subsystems::{BrokeringEvent, GridEvent};
+    let sim = Grid3Engine::new(small_cfg(5));
+    // Every workload submission waits in the brokering arrival table…
+    assert!(
+        sim.brokering.next_arrival().is_some(),
+        "arrival table is empty"
+    );
+    // …and none of them sits in the queue.
+    let submits = sim
+        .queue()
+        .iter_pending()
+        .filter(|(_, _, e)| matches!(e, GridEvent::Brokering(BrokeringEvent::Submit)))
+        .count();
+    assert_eq!(submits, 0, "submissions scheduled into the queue");
+    assert!(
+        !sim.queue().is_empty(),
+        "incidents and monitor ticks are queued"
+    );
+}
+
+#[test]
+fn arrivals_win_ties_with_queued_events() {
+    use crate::dsl::{JobTrace, TraceJob};
+    use crate::scenario::StormSpec;
+    use grid3_site::vo::UserClass;
+    // One logged job at 01:00 on day 0, the instant an outage storm
+    // crashes every site's grid services.
+    let trace = JobTrace {
+        jobs: vec![TraceJob {
+            at: SimTime::from_hours(1),
+            class: UserClass::Usatlas,
+            user: "op".to_string(),
+            runtime: grid3_simkit::time::SimDuration::from_secs(600),
+            input_bytes: 0,
+            output_bytes: 0,
+            scratch_bytes: 0,
+            staged_files: 0,
+            needs_outbound: false,
+            registers_output: false,
+            walltime_factor: 2.0,
+            affinity: 0.0,
+        }],
+    };
+    let mut sim = Grid3Engine::new(
+        ScenarioConfig::sc2003()
+            .with_days(1)
+            .with_demo(false)
+            .with_workloads(Vec::new())
+            .with_trace(trace)
+            .with_storm(StormSpec {
+                day: 0,
+                hour: 1,
+                outage_hours: 2,
+                sites: (0..1_000).collect(),
+            }),
+    );
+    sim.run();
+    // The arrival fires before the storm queued for the same instant, as
+    // it did when submissions held the lowest sequence numbers of the
+    // run: a gatekeeper accepts the job before the crash takes it down.
+    let accepted: u64 = sim.gatekeepers().iter().map(|g| g.accepted_count()).sum();
+    assert_eq!(accepted, 1);
 }

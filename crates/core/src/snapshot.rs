@@ -3,14 +3,16 @@
 //!
 //! A snapshot captures the *run-mutated* state — the simulation clock and
 //! pending event queue (both backends, including the ladder queue's full
-//! rung-refinement state), both RNG stream positions, every site's
-//! cluster/storage/scheduler state, the middleware fabric (GridFTP
-//! transfers in flight, RLS catalog, MDS records, tickets, monitoring
-//! archives), all five subsystems' accumulators, the federation tally and
-//! the invariant auditor. Everything that is a pure function of the
+//! rung-refinement state), the workload arrival cursor, both RNG stream
+//! positions, every site's cluster/storage/scheduler state, the
+//! middleware fabric (GridFTP transfers in flight, RLS catalog, MDS
+//! records, tickets, monitoring archives), all five subsystems'
+//! accumulators, the federation tally and the invariant auditor. Everything that is a pure function of the
 //! scenario configuration — topology, install pipeline, arena pools,
-//! broker caches — is *not* captured: [`Grid3Engine::restore`] rebuilds
-//! it by re-assembling the scenario and overlaying the captured state.
+//! broker caches, the workload arrival table — is *not* captured:
+//! [`Grid3Engine::restore`] rebuilds it by re-assembling the scenario and
+//! overlaying the captured state (the arrival table drops the prefix the
+//! cursor says was already delivered).
 //!
 //! Deliberately not captured (observation-only, process-local):
 //!
@@ -70,7 +72,9 @@ use serde::{Deserialize, Serialize, Value};
 
 /// Current snapshot payload schema version. Bumped on any change to the
 /// captured field set or their serde shapes; readers reject mismatches.
-pub const SNAPSHOT_VERSION: u32 = 1;
+/// Version 2 replaced the queued workload submissions with the arrival
+/// cursor.
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// File magic: "G3ENGSNP".
 const MAGIC: [u8; 8] = *b"G3ENGSNP";
@@ -144,6 +148,11 @@ const TAG_F64: u8 = 5;
 const TAG_STR: u8 = 6;
 const TAG_ARRAY: u8 = 7;
 const TAG_OBJECT: u8 = 8;
+
+/// Deepest array/object nesting the decoder accepts. Engine snapshots
+/// nest 15 deep; the bound keeps a crafted payload from recursing the
+/// decoder off the end of the stack (an abort no watchdog can catch).
+const MAX_DEPTH: usize = 128;
 
 /// Append the binary encoding of `v` to `out`.
 pub(crate) fn encode_value(v: &Value, out: &mut Vec<u8>) {
@@ -221,8 +230,20 @@ fn take_string(bytes: &[u8], pos: &mut usize) -> Result<String, SnapshotError> {
 }
 
 /// Decode one value starting at `pos`, advancing it past the value.
+/// Arrays and objects nested deeper than [`MAX_DEPTH`] are rejected with
+/// [`SnapshotError::Decode`].
 pub(crate) fn decode_value(bytes: &[u8], pos: &mut usize) -> Result<Value, SnapshotError> {
+    decode_nested(bytes, pos, 0)
+}
+
+/// [`decode_value`] for a value inside `depth` enclosing containers.
+fn decode_nested(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, SnapshotError> {
     let tag = take(bytes, pos, 1)?[0];
+    if matches!(tag, TAG_ARRAY | TAG_OBJECT) && depth == MAX_DEPTH {
+        return Err(SnapshotError::Decode(format!(
+            "value nested deeper than {MAX_DEPTH} levels"
+        )));
+    }
     match tag {
         TAG_NULL => Ok(Value::Null),
         TAG_FALSE => Ok(Value::Bool(false)),
@@ -235,7 +256,7 @@ pub(crate) fn decode_value(bytes: &[u8], pos: &mut usize) -> Result<Value, Snaps
             let n = take_len(bytes, pos)?;
             let mut items = Vec::with_capacity(n);
             for _ in 0..n {
-                items.push(decode_value(bytes, pos)?);
+                items.push(decode_nested(bytes, pos, depth + 1)?);
             }
             Ok(Value::Array(items))
         }
@@ -244,7 +265,7 @@ pub(crate) fn decode_value(bytes: &[u8], pos: &mut usize) -> Result<Value, Snaps
             let mut pairs = Vec::with_capacity(n);
             for _ in 0..n {
                 let key = take_string(bytes, pos)?;
-                pairs.push((key, decode_value(bytes, pos)?));
+                pairs.push((key, decode_nested(bytes, pos, depth + 1)?));
             }
             Ok(Value::Object(pairs))
         }
@@ -302,7 +323,9 @@ impl EngineSnapshot {
         self.queue.now()
     }
 
-    /// Timed events pending in the captured queue.
+    /// Events pending in the captured queue: in-flight work only.
+    /// Undelivered workload arrivals are not queued events (a restore
+    /// rebuilds them from the scenario) and are not counted.
     pub fn pending_events(&self) -> usize {
         self.queue.len()
     }
@@ -521,6 +544,45 @@ mod tests {
                 "cut at {cut} decoded"
             );
         }
+    }
+
+    /// `levels` arrays nested inside one another around a null.
+    fn nested_arrays(levels: usize) -> Vec<u8> {
+        let mut bytes = Vec::with_capacity(levels * 9 + 1);
+        for _ in 0..levels {
+            bytes.push(TAG_ARRAY);
+            bytes.extend_from_slice(&1u64.to_le_bytes());
+        }
+        bytes.push(TAG_NULL);
+        bytes
+    }
+
+    #[test]
+    fn codec_bounds_nesting_depth() {
+        let mut pos = 0;
+        assert!(decode_value(&nested_arrays(MAX_DEPTH), &mut pos).is_ok());
+        for levels in [MAX_DEPTH + 1, 100_000] {
+            let mut pos = 0;
+            assert!(
+                matches!(
+                    decode_value(&nested_arrays(levels), &mut pos),
+                    Err(SnapshotError::Decode(_))
+                ),
+                "{levels} levels decoded"
+            );
+        }
+        // Through the file format too: a deep payload with a valid
+        // checksum is a typed error, not a stack overflow.
+        let payload = nested_arrays(100_000);
+        let mut file = Vec::new();
+        file.extend_from_slice(&MAGIC);
+        file.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
+        file.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
+        file.extend_from_slice(&payload);
+        assert!(matches!(
+            EngineSnapshot::from_bytes(&file).err(),
+            Some(SnapshotError::Decode(_))
+        ));
     }
 
     #[test]

@@ -3,10 +3,10 @@
 //!
 //! Construction order is load-bearing: every RNG stream is labelled and
 //! every initial event is scheduled in a fixed sequence (onboarding,
-//! telemetry wiring, middleware, user registration, workload scheduling,
-//! incident sampling, storms, the demonstrator, campaigns, the first
-//! monitor tick), so a given seed yields bit-identical runs regardless
-//! of how the engine is internally organised.
+//! telemetry wiring, middleware, user registration, the workload arrival
+//! table, incident sampling, storms, the demonstrator, campaigns, the
+//! first monitor tick), so a given seed yields bit-identical runs
+//! regardless of how the engine is internally organised.
 
 use crate::engine::Grid3Engine;
 use crate::resilience::ResilienceLayer;
@@ -44,8 +44,9 @@ use super::staging::Staging;
 use super::{BrokeringEvent, EngineCtx, FaultEvent, GridEvent, ReportingEvent, StagingEvent};
 
 /// Assemble the grid for `cfg`: build the topology, onboard every site
-/// through the iGOC pipeline, register users with VOMS/GSI/AUP, schedule
-/// workloads, demo rounds, failure incidents and monitor ticks.
+/// through the iGOC pipeline, register users with VOMS/GSI/AUP, build
+/// the workload arrival table, and schedule demo rounds, failure
+/// incidents and monitor ticks.
 pub(crate) fn assemble(cfg: ScenarioConfig) -> Grid3Engine {
     let topo = crate::topology::grid3_topology().replicated(cfg.site_replicas);
     let mut sites = topo.build_sites();
@@ -167,17 +168,19 @@ pub(crate) fn assemble(cfg: ScenarioConfig) -> Grid3Engine {
         }
     }
 
-    // Schedule every workload submission inside the horizon.
+    // The arrival table: every workload submission inside the horizon
+    // (workloads in config order), then the replayed trace jobs in log
+    // order, stable-sorted by instant. That is exactly the `(time, seq)`
+    // order these submissions would fire in had each been scheduled
+    // into the queue here, ahead of every other event.
+    let mut arrivals = Vec::new();
     for (w, first_user) in workloads.iter().zip(&first_users) {
         let mut rng = SimRng::for_label(cfg.seed, &format!("workload/{}", w.class.name()));
-        for sub in w.schedule(&mut rng, *first_user) {
-            if sub.at < cfg.horizon() {
-                queue.schedule_at(
-                    sub.at,
-                    GridEvent::Brokering(BrokeringEvent::Submit(Box::new(sub), w.vo_affinity)),
-                );
-            }
-        }
+        arrivals.extend(
+            w.schedule(&mut rng, *first_user, cfg.horizon())
+                .into_iter()
+                .map(|sub| (sub, w.vo_affinity)),
+        );
     }
 
     // Replay the trace: fully-specified jobs at their logged instants,
@@ -196,12 +199,10 @@ pub(crate) fn assemble(cfg: ScenarioConfig) -> Grid3Engine {
                 at: job.at,
                 spec: job.spec(user),
             };
-            queue.schedule_at(
-                job.at,
-                GridEvent::Brokering(BrokeringEvent::Submit(Box::new(sub), job.affinity)),
-            );
+            arrivals.push((sub, job.affinity));
         }
     }
+    arrivals.sort_by_key(|(sub, _)| sub.at);
 
     // With the resilience layer on, sites also suffer ongoing
     // configuration drift (§6.2's regressions after validation) at
@@ -412,7 +413,7 @@ pub(crate) fn assemble(cfg: ScenarioConfig) -> Grid3Engine {
         None
     };
     let chaos_state = crate::chaos::ChaosState::new(sites.len());
-    let mut brokering = Brokering::new(campaigns);
+    let mut brokering = Brokering::new(campaigns, arrivals);
     if !federation.is_single() {
         brokering.set_federation(federation.grids().len(), federation.grid_map());
     }

@@ -1,13 +1,17 @@
 //! Brokering: workload intake, §6.4 site selection, GRAM submission
 //! with retry/backoff, and the DAGMan campaign feedback loop (§4.2).
 //!
-//! Owns the broker, the per-job retry ledger, and the campaign table.
-//! Placement failures re-enter through [`BrokeringEvent::RetryPlace`];
+//! Owns the workload arrival table, the broker, the per-job retry
+//! ledger, and the campaign table. The engine loop merges the arrival
+//! table with the event queue and routes each due arrival here as a
+//! [`BrokeringEvent::Submit`]. Placement failures re-enter through
+//! [`BrokeringEvent::RetryPlace`];
 //! terminal outcomes arrive as immediate
 //! [`BrokeringEvent::CampaignOutcome`] events emitted by the fabric's
 //! terminal funnel.
 
 use crate::broker::{Broker, SelectScratch, SiteTable};
+use grid3_apps::workloads::Submission;
 use grid3_middleware::backend::RankInputs;
 use grid3_middleware::gram::RetryPolicy;
 use grid3_monitoring::trace::TraceEvent;
@@ -37,6 +41,13 @@ const RESCUE_DAG_DELAY: SimDuration = SimDuration::from_hours(2);
 
 /// The brokering subsystem (see the module docs).
 pub struct Brokering {
+    /// Undelivered workload arrivals with their VO affinity, latest
+    /// first: the next one is a `Vec::pop` from the back, and delivered
+    /// entries are freed as the run goes. A pure function of the config,
+    /// so snapshots carry only `arrivals_delivered`.
+    arrivals: Vec<(Submission, f64)>,
+    /// Arrivals delivered so far: the snapshot cursor into the table.
+    arrivals_delivered: u64,
     broker: Broker,
     /// Struct-of-arrays mirror of the MDS directory, memoised per MDS
     /// epoch (see [`SiteTable`]); spares the broker an O(n log n)
@@ -67,9 +78,16 @@ pub struct Brokering {
 }
 
 impl Brokering {
-    /// Build the subsystem around the assembled campaign table.
-    pub(crate) fn new(campaigns: Vec<(String, DagManager<CmsTask>)>) -> Self {
+    /// Build the subsystem around the assembled campaign table and the
+    /// arrival table (in delivery order).
+    pub(crate) fn new(
+        campaigns: Vec<(String, DagManager<CmsTask>)>,
+        mut arrivals: Vec<(Submission, f64)>,
+    ) -> Self {
+        arrivals.reverse();
         Brokering {
+            arrivals,
+            arrivals_delivered: 0,
             broker: Broker::default(),
             site_table: SiteTable::new(),
             scratch: SelectScratch::default(),
@@ -89,6 +107,23 @@ impl Brokering {
         self.retry_state.len()
     }
 
+    /// When the next undelivered arrival is due (`None` once the table
+    /// is exhausted).
+    pub(crate) fn next_arrival(&self) -> Option<SimTime> {
+        self.arrivals.last().map(|(sub, _)| sub.at)
+    }
+
+    /// Take the next arrival, handing the table's memory back whenever
+    /// it falls to half its capacity.
+    fn take_arrival(&mut self) -> Option<(Submission, f64)> {
+        let next = self.arrivals.pop()?;
+        self.arrivals_delivered += 1;
+        if self.arrivals.len() < self.arrivals.capacity() / 2 {
+            self.arrivals.shrink_to_fit();
+        }
+        Some(next)
+    }
+
     /// Prepare the subsystem for a federated run: stamp the site→grid
     /// labelling onto the SoA mirror and size the per-grid scratch set.
     pub(crate) fn set_federation(&mut self, grids: usize, grid_of: &[GridId]) {
@@ -97,12 +132,14 @@ impl Brokering {
     }
 
     /// The run-mutated slice of this subsystem, for engine snapshots.
-    /// The SoA site table, the per-grid scratch set, and the span map
-    /// are rebuildable caches/telemetry and are *not* captured: the
-    /// table re-memoises from the restored MDS on first access (same
-    /// epoch key, same content), and spans restart empty.
+    /// The arrival table is rebuilt by re-assembly, so only its cursor
+    /// is captured. The SoA site table, the per-grid scratch set, and
+    /// the span map are rebuildable caches/telemetry and are *not*
+    /// captured: the table re-memoises from the restored MDS on first
+    /// access (same epoch key, same content), and spans restart empty.
     pub(crate) fn capture(&self) -> BrokeringCapture {
         BrokeringCapture {
+            arrivals_delivered: self.arrivals_delivered,
             broker: self.broker.clone(),
             retry_state: self.retry_state.clone(),
             unplaced_jobs: self.unplaced_jobs,
@@ -113,14 +150,22 @@ impl Brokering {
         }
     }
 
-    /// Overlay a captured slice onto a freshly assembled subsystem.
-    /// Campaign DAGMan counters deserialize inert, so telemetry is
-    /// re-attached here.
+    /// Overlay a captured slice onto a freshly assembled subsystem: the
+    /// re-assembled arrival table drops its delivered prefix. Campaign
+    /// DAGMan counters deserialize inert, so telemetry is re-attached
+    /// here.
     pub(crate) fn apply(
         &mut self,
         cap: BrokeringCapture,
         telemetry: &grid3_simkit::telemetry::Telemetry,
     ) {
+        let undelivered = self
+            .arrivals
+            .len()
+            .saturating_sub(usize::try_from(cap.arrivals_delivered).unwrap_or(usize::MAX));
+        self.arrivals.truncate(undelivered);
+        self.arrivals.shrink_to_fit();
+        self.arrivals_delivered = cap.arrivals_delivered;
         self.broker = cap.broker;
         self.retry_state = cap.retry_state;
         self.unplaced_jobs = cap.unplaced_jobs;
@@ -732,6 +777,7 @@ impl Brokering {
 /// (see [`Brokering::capture`]).
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub(crate) struct BrokeringCapture {
+    arrivals_delivered: u64,
     broker: Broker,
     retry_state: FastMap<JobId, (JobSpec, f64, u32)>,
     unplaced_jobs: u64,
@@ -754,8 +800,10 @@ impl Subsystem for Brokering {
         fabric: &mut GridFabric,
     ) {
         match event {
-            BrokeringEvent::Submit(sub, affinity) => {
-                self.submit_spec(ctx, fabric, now, sub.spec, affinity, None);
+            BrokeringEvent::Submit => {
+                if let Some((sub, affinity)) = self.take_arrival() {
+                    self.submit_spec(ctx, fabric, now, sub.spec, affinity, None);
+                }
             }
             BrokeringEvent::RetryPlace(job) => {
                 if let Some((spec, affinity, attempt)) = self.retry_state.remove(&job) {

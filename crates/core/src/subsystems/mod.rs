@@ -4,9 +4,10 @@
 //! of state in one `impl` block. It is now split along the paper's own
 //! operational seams into five services, each implementing [`Subsystem`]:
 //!
-//! * [`Brokering`](brokering::Brokering) — workload intake, §6.4 site
-//!   selection, GRAM submission with retry/backoff, and the DAGMan
-//!   campaign feedback loop (§4.2).
+//! * [`Brokering`](brokering::Brokering) — workload intake (the arrival
+//!   table the engine loop merges with the queue), §6.4 site selection,
+//!   GRAM submission with retry/backoff, and the DAGMan campaign feedback
+//!   loop (§4.2).
 //! * [`Staging`](staging::Staging) — GridFTP stage-in/stage-out, SE
 //!   placement, RLS registration, and the Entrada demonstrator (§4.7).
 //! * [`Execution`](execution::Execution) — batch dispatch and the
@@ -39,7 +40,6 @@ pub mod staging;
 
 pub use fabric::GridFabric;
 
-use grid3_apps::workloads::Submission;
 use grid3_simkit::engine::EventQueue;
 use grid3_simkit::ids::{JobId, SiteId, TransferId};
 use grid3_simkit::profiler::CostCenter;
@@ -79,8 +79,10 @@ pub trait Subsystem {
 /// Events consumed by the brokering subsystem.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub enum BrokeringEvent {
-    /// A workload submission reaches the broker (with its VO affinity).
-    Submit(Box<Submission>, f64),
+    /// The next workload arrival reaches the broker. The payload stays
+    /// in the subsystem's arrival table; the engine loop routes one
+    /// `Submit` per arrival as it falls due.
+    Submit,
     /// Re-broker a job whose placement hit a transient failure, after
     /// its GRAM retry backoff elapsed.
     RetryPlace(JobId),
@@ -365,7 +367,7 @@ impl GridEvent {
     pub fn cost_center(&self) -> usize {
         match self {
             GridEvent::Brokering(e) => match e {
-                BrokeringEvent::Submit(..) => 0,
+                BrokeringEvent::Submit => 0,
                 BrokeringEvent::RetryPlace(..) => 1,
                 BrokeringEvent::CampaignTick(..) => 2,
                 BrokeringEvent::CampaignOutcome(..) => 3,

@@ -501,6 +501,32 @@ impl<E> EventQueue<E> {
         Some((se.time, se.event))
     }
 
+    /// Account for an event delivered from outside the queue (a caller's
+    /// own time-ordered stream, merged ahead of the queue head) exactly
+    /// as a pop would: the clock moves to `at` and
+    /// [`processed`](Self::processed) counts the event. No sequence
+    /// number is consumed and nothing is stored.
+    ///
+    /// ```
+    /// use grid3_simkit::engine::EventQueue;
+    /// use grid3_simkit::time::SimTime;
+    ///
+    /// let mut q: EventQueue<&str> = EventQueue::new();
+    /// q.schedule_at(SimTime::from_secs(30), "queued");
+    /// q.deliver_external(SimTime::from_secs(10));
+    /// assert_eq!((q.now(), q.processed(), q.len()), (SimTime::from_secs(10), 1, 1));
+    /// ```
+    pub fn deliver_external(&mut self, at: SimTime) {
+        debug_assert!(
+            at >= self.now,
+            "external event out of order: now={}, at={}",
+            self.now,
+            at
+        );
+        self.now = at;
+        self.processed += 1;
+    }
+
     /// Peek at the next firing time without advancing.
     ///
     /// ```

@@ -31,10 +31,17 @@ fn every_submission_reaches_a_terminal_or_in_flight_state() {
                 sim.config().seed,
                 &format!("workload/{}", w.class.name()),
             );
-            w.schedule(&mut rng, grid3_sim::simkit::ids::UserId(0))
-                .into_iter()
-                .filter(|s| s.at < sim.config().horizon())
-                .count() as u64
+            // The whole seven-month schedule, clipped here rather than by
+            // the generator, so the count is independent of the engine's
+            // own horizon clipping.
+            w.schedule(
+                &mut rng,
+                grid3_sim::simkit::ids::UserId(0),
+                grid3_sim::simkit::time::SimTime::from_days(10_000),
+            )
+            .into_iter()
+            .filter(|s| s.at < sim.config().horizon())
+            .count() as u64
         })
         .sum();
     assert_eq!(terminal + in_flight, expected);

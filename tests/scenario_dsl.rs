@@ -302,6 +302,25 @@ fn scenario_dsl_malformed_documents_never_panic() {
         dsl::load_config(Path::new("/nonexistent/scenario.json")),
         Err(DslError::Io { .. })
     ));
+    // Nesting past the parser's 128-level bound is a positioned syntax
+    // error, not a stack overflow. Under the document object, the 128th
+    // `[` opens level 129: the parser gives up at its column, 137.
+    let deep = format!(
+        "{{\"seed\": {}1{}}}",
+        "[".repeat(100_000),
+        "]".repeat(100_000)
+    );
+    match dsl::parse_str(&deep) {
+        Err(DslError::Syntax { line, column, .. }) => assert_eq!((line, column), (1, 137)),
+        other => panic!("deep nesting: expected a syntax error, got {other:?}"),
+    }
+    let dir = std::env::temp_dir().join(format!("grid3_dsl_deep_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("deep.json");
+    std::fs::write(&path, &deep).expect("write deep document");
+    let loaded = dsl::load_config(&path);
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(matches!(loaded, Err(DslError::Syntax { .. })));
 }
 
 // ---------------------------------------------------------------------------
@@ -381,6 +400,32 @@ fn scenario_dsl_trace_replay_is_thread_count_independent() {
         serde_json::to_string(&o.summary).expect("summary serializes")
     };
     assert_eq!(json(&one).as_bytes(), json(&four).as_bytes());
+}
+
+/// Replayed trace jobs are rebuilt from the config on restore, not
+/// carried in the snapshot: a replay cut mid-run — at an instant two
+/// logged jobs share, with another same-instant pair already delivered —
+/// goes through the binary format and finishes on the uninterrupted
+/// report byte for byte.
+#[test]
+fn scenario_dsl_trace_replay_survives_a_snapshot_cut() {
+    let mut trace = synthetic_trace(2_000);
+    trace.jobs[400].at = trace.jobs[399].at;
+    trace.jobs[1_001].at = trace.jobs[1_000].at;
+    let cut = trace.jobs[1_000].at;
+    let cfg = trace_config(trace);
+    let uninterrupted = cfg.run().to_json();
+
+    let mut engine = grid3_core::Grid3Engine::new(cfg);
+    engine.run_until(cut);
+    let bytes = engine.snapshot().to_bytes();
+    drop(engine);
+    let snap = grid3_core::EngineSnapshot::from_bytes(&bytes).expect("snapshot parses");
+    assert!(snap.sim_now() < cut, "the pair at the cut is still pending");
+    let mut engine = grid3_core::Grid3Engine::restore(snap);
+    engine.run();
+    let resumed = grid3_core::Grid3Report::extract(&engine).to_json();
+    assert_eq!(resumed.as_bytes(), uninterrupted.as_bytes());
 }
 
 /// The JSONL front end round-trips, skips comments/blanks, and names
