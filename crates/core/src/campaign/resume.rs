@@ -8,7 +8,8 @@
 //! * **Write-ahead journal.** Every completed run's [`Grid3Report`]
 //!   (and profile stats, when profiled) is appended to
 //!   `campaign.wal` *before* it is merged. Records are length-framed
-//!   and checksummed; on restart the journal is replayed, finished
+//!   and checksummed, their payloads in the same positional binary
+//!   codec as snapshots; on restart the journal is replayed, finished
 //!   runs are skipped, and a torn or corrupt tail is truncated away —
 //!   the partial record's run simply re-executes. Runs are a pure
 //!   function of `(config, seed)`, so a replayed report is the report,
@@ -44,10 +45,10 @@ use super::{merge_partial, CampaignOutcome, CampaignPlan};
 use crate::engine::Grid3Engine;
 use crate::report::Grid3Report;
 use crate::scenario::ScenarioConfig;
-use crate::snapshot::{decode_value, encode_value, fnv1a64, EngineSnapshot};
+use crate::snapshot::{fnv1a64, sync_parent_dir, EngineSnapshot};
 use grid3_simkit::profiler::{CenterStats, CostProfiler};
 use grid3_simkit::time::SimDuration;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Encode, Serialize};
 
 /// Errors from the crash-safe campaign layer. Torn journal tails are
 /// *not* errors (they are truncated and their runs re-executed); these
@@ -102,7 +103,7 @@ pub enum WalRecord {
     /// plan, so a stale journal cannot be replayed against the wrong
     /// campaign.
     Header {
-        /// FNV-1a over the binary-encoded plan.
+        /// FNV-1a over the plan's binary encoding.
         fingerprint: u64,
     },
     /// A run finished; its report is final and a resume replays it
@@ -126,7 +127,7 @@ pub enum WalRecord {
 }
 
 /// The append-only campaign journal: length-framed, checksummed
-/// records in the snapshot module's binary value encoding
+/// records, each payload a [`WalRecord`] in the positional binary codec
 /// (`[u32 len][u64 FNV-1a][payload]`, all little-endian).
 pub struct CampaignJournal {
     path: PathBuf,
@@ -136,7 +137,9 @@ pub struct CampaignJournal {
 /// Scan the longest valid record prefix of `bytes`: stops at the first
 /// frame that is torn (header or payload extends past the end), fails
 /// its checksum, or does not decode — everything before it is intact
-/// by construction (appends are strictly sequential).
+/// by construction (appends are strictly sequential). A journal written
+/// in an older payload encoding fails to decode at its first frame and
+/// reads as empty.
 fn scan(bytes: &[u8]) -> (Vec<WalRecord>, usize) {
     let mut pos = 0;
     let mut records = Vec::new();
@@ -153,14 +156,7 @@ fn scan(bytes: &[u8]) -> (Vec<WalRecord>, usize) {
         if fnv1a64(payload) != want {
             break;
         }
-        let mut vpos = 0;
-        let Ok(value) = decode_value(payload, &mut vpos) else {
-            break;
-        };
-        if vpos != payload.len() {
-            break;
-        }
-        let Ok(rec) = WalRecord::from_value(&value) else {
+        let Ok(rec) = serde::binary::from_bytes::<WalRecord>(payload) else {
             break;
         };
         records.push(rec);
@@ -178,7 +174,8 @@ impl CampaignJournal {
     /// truncated off the file — torn-write tolerance: the partial
     /// record's run is simply not in the returned set and re-executes.
     /// A journal whose header names a different plan is refused with
-    /// [`WalError::PlanMismatch`].
+    /// [`WalError::PlanMismatch`]. A new journal's header is synced and
+    /// so is its directory entry, before this returns.
     pub fn open(path: &Path, fingerprint: u64) -> Result<(Self, Vec<WalRecord>), WalError> {
         let io = |e: std::io::Error| WalError::Io(format!("{}: {e}", path.display()));
         let bytes = match std::fs::read(path) {
@@ -210,6 +207,7 @@ impl CampaignJournal {
         };
         if fresh {
             journal.append(&WalRecord::Header { fingerprint })?;
+            sync_parent_dir(path).map_err(io)?;
         }
         Ok((journal, records))
     }
@@ -218,22 +216,22 @@ impl CampaignJournal {
     /// before the caller merges the run it describes (write-ahead).
     pub fn append(&mut self, rec: &WalRecord) -> Result<(), WalError> {
         let io = |e: std::io::Error| WalError::Io(format!("{}: {e}", self.path.display()));
-        let mut payload = Vec::new();
-        encode_value(&rec.to_value(), &mut payload);
-        let mut frame = Vec::with_capacity(12 + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
-        frame.extend_from_slice(&payload);
+        let mut frame = vec![0; 12];
+        rec.encode(&mut frame);
+        let payload = &frame[12..];
+        let len = u32::try_from(payload.len())
+            .map_err(|_| WalError::Io(format!("{}: record too large", self.path.display())))?;
+        let sum = fnv1a64(payload);
+        frame[..4].copy_from_slice(&len.to_le_bytes());
+        frame[4..12].copy_from_slice(&sum.to_le_bytes());
         self.file.write_all(&frame).map_err(io)?;
         self.file.sync_data().map_err(io)
     }
 }
 
-/// FNV-1a over the binary-encoded plan: the journal's identity check.
+/// FNV-1a over the plan's binary encoding: the journal's identity check.
 pub fn plan_fingerprint(plan: &CampaignPlan) -> u64 {
-    let mut bytes = Vec::new();
-    encode_value(&plan.to_value(), &mut bytes);
-    fnv1a64(&bytes)
+    fnv1a64(&serde::binary::to_bytes(plan))
 }
 
 /// Options for [`run_campaign_resumable`].
@@ -355,14 +353,11 @@ where
     received.map_err(|message| RunFailure::Panicked { message })
 }
 
-/// True when `snap` was taken under exactly this configuration (binary
-/// value-encoding equality), so warm-starting from it is sound.
+/// True when `snap` was taken under exactly this configuration (equal
+/// binary encodings, so floats compare bit for bit), so warm-starting
+/// from it is sound.
 fn snapshot_matches(snap: &EngineSnapshot, cfg: &ScenarioConfig) -> bool {
-    let mut a = Vec::new();
-    let mut b = Vec::new();
-    encode_value(&snap.scenario().to_value(), &mut a);
-    encode_value(&cfg.to_value(), &mut b);
-    a == b
+    serde::binary::to_bytes(snap.scenario()) == serde::binary::to_bytes(cfg)
 }
 
 /// Execute one run, warm-starting from `warm_bytes` when it parses to a

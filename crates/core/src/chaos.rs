@@ -386,7 +386,7 @@ pub struct Violation {
     /// Simulation time at which the violation was detected.
     pub at: SimTime,
     /// Which invariant was broken.
-    pub invariant: &'static str,
+    pub invariant: String,
     /// Human-readable detail.
     pub detail: String,
 }
@@ -428,7 +428,7 @@ impl InvariantAuditor {
         if self.violations.len() < MAX_RECORDED_VIOLATIONS {
             self.violations.push(Violation {
                 at,
-                invariant,
+                invariant: invariant.to_string(),
                 detail,
             });
         }

@@ -30,8 +30,10 @@
 //!
 //! # On-disk format
 //!
-//! See DESIGN.md §13. A snapshot file is a small header followed by a
-//! length-free binary encoding of the serde value tree:
+//! See DESIGN.md §13. A snapshot file is a small header followed by the
+//! positional binary encoding of [`EngineSnapshot`] (the vendored
+//! serde's `Encode`/`Decode`: fields in declaration order, no names, no
+//! type tags):
 //!
 //! ```text
 //! [8B magic "G3ENGSNP"] [4B version LE] [8B FNV-1a checksum LE] [payload]
@@ -39,8 +41,10 @@
 //!
 //! The checksum covers the payload only; a torn or bit-flipped file fails
 //! closed with a typed [`SnapshotError`] instead of deserializing
-//! garbage. The version is bumped whenever the payload schema changes
-//! shape; old versions are rejected, not migrated (snapshots are
+//! garbage, and a payload that passes the checksum but is not a valid
+//! encoding still fails closed (the decoder bounds every length and the
+//! nesting depth). The version is bumped whenever the payload schema
+//! changes shape; old versions are rejected, not migrated (snapshots are
 //! ephemeral crash-recovery artifacts, not archival data).
 
 use crate::chaos::{ChaosState, InvariantAuditor};
@@ -68,13 +72,16 @@ use grid3_simkit::rng::SimRng;
 use grid3_simkit::series::GaugeTracker;
 use grid3_simkit::time::SimTime;
 use grid3_site::cluster::Site;
-use serde::{Deserialize, Serialize, Value};
+use serde::{DecodeError, Deserialize, Encode, Serialize};
+use std::io::Write as _;
+use std::path::Path;
 
 /// Current snapshot payload schema version. Bumped on any change to the
 /// captured field set or their serde shapes; readers reject mismatches.
 /// Version 2 replaced the queued workload submissions with the arrival
-/// cursor.
-pub const SNAPSHOT_VERSION: u32 = 2;
+/// cursor; version 3 replaced the encoded value tree with the positional
+/// binary codec.
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 /// File magic: "G3ENGSNP".
 const MAGIC: [u8; 8] = *b"G3ENGSNP";
@@ -95,8 +102,17 @@ pub enum SnapshotError {
     ChecksumMismatch,
     /// The file ends mid-value.
     Truncated,
-    /// The payload decoded to a value tree the engine schema rejects.
+    /// The payload is not a valid encoding of the engine schema.
     Decode(String),
+}
+
+impl From<DecodeError> for SnapshotError {
+    fn from(e: DecodeError) -> Self {
+        match e {
+            DecodeError::Truncated => SnapshotError::Truncated,
+            other => SnapshotError::Decode(other.to_string()),
+        }
+    }
 }
 
 impl std::fmt::Display for SnapshotError {
@@ -130,147 +146,14 @@ pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
-// ---------------------------------------------------------------------
-// Binary value codec
-// ---------------------------------------------------------------------
-//
-// A compact tagged encoding of the serde value tree. One byte of tag,
-// fixed-width little-endian scalars, u64 lengths. Floats travel as raw
-// IEEE-754 bits, so the decode is exact — no text round-trip, no
-// shortest-representation dependence.
-
-const TAG_NULL: u8 = 0;
-const TAG_FALSE: u8 = 1;
-const TAG_TRUE: u8 = 2;
-const TAG_U64: u8 = 3;
-const TAG_I64: u8 = 4;
-const TAG_F64: u8 = 5;
-const TAG_STR: u8 = 6;
-const TAG_ARRAY: u8 = 7;
-const TAG_OBJECT: u8 = 8;
-
-/// Deepest array/object nesting the decoder accepts. Engine snapshots
-/// nest 15 deep; the bound keeps a crafted payload from recursing the
-/// decoder off the end of the stack (an abort no watchdog can catch).
-const MAX_DEPTH: usize = 128;
-
-/// Append the binary encoding of `v` to `out`.
-pub(crate) fn encode_value(v: &Value, out: &mut Vec<u8>) {
-    match v {
-        Value::Null => out.push(TAG_NULL),
-        Value::Bool(false) => out.push(TAG_FALSE),
-        Value::Bool(true) => out.push(TAG_TRUE),
-        Value::U64(n) => {
-            out.push(TAG_U64);
-            out.extend_from_slice(&n.to_le_bytes());
-        }
-        Value::I64(n) => {
-            out.push(TAG_I64);
-            out.extend_from_slice(&n.to_le_bytes());
-        }
-        Value::F64(x) => {
-            out.push(TAG_F64);
-            out.extend_from_slice(&x.to_bits().to_le_bytes());
-        }
-        Value::Str(s) => {
-            out.push(TAG_STR);
-            out.extend_from_slice(&(s.len() as u64).to_le_bytes());
-            out.extend_from_slice(s.as_bytes());
-        }
-        Value::Array(items) => {
-            out.push(TAG_ARRAY);
-            out.extend_from_slice(&(items.len() as u64).to_le_bytes());
-            for item in items {
-                encode_value(item, out);
-            }
-        }
-        Value::Object(pairs) => {
-            out.push(TAG_OBJECT);
-            out.extend_from_slice(&(pairs.len() as u64).to_le_bytes());
-            for (k, item) in pairs {
-                out.extend_from_slice(&(k.len() as u64).to_le_bytes());
-                out.extend_from_slice(k.as_bytes());
-                encode_value(item, out);
-            }
-        }
-    }
-}
-
-fn take<'a>(bytes: &'a [u8], pos: &mut usize, n: usize) -> Result<&'a [u8], SnapshotError> {
-    let end = pos.checked_add(n).ok_or(SnapshotError::Truncated)?;
-    if end > bytes.len() {
-        return Err(SnapshotError::Truncated);
-    }
-    let out = &bytes[*pos..end];
-    *pos = end;
-    Ok(out)
-}
-
-fn take_u64(bytes: &[u8], pos: &mut usize) -> Result<u64, SnapshotError> {
-    let raw = take(bytes, pos, 8)?;
-    Ok(u64::from_le_bytes(raw.try_into().expect("8 bytes")))
-}
-
-fn take_len(bytes: &[u8], pos: &mut usize) -> Result<usize, SnapshotError> {
-    let n = take_u64(bytes, pos)?;
-    // A length cannot exceed the bytes remaining (every element costs at
-    // least one byte) — rejecting early keeps a corrupt length from
-    // attempting a huge allocation.
-    if n > (bytes.len() - *pos) as u64 {
-        return Err(SnapshotError::Truncated);
-    }
-    Ok(n as usize)
-}
-
-fn take_string(bytes: &[u8], pos: &mut usize) -> Result<String, SnapshotError> {
-    let len = take_len(bytes, pos)?;
-    let raw = take(bytes, pos, len)?;
-    String::from_utf8(raw.to_vec())
-        .map_err(|_| SnapshotError::Decode("non-UTF-8 string".to_string()))
-}
-
-/// Decode one value starting at `pos`, advancing it past the value.
-/// Arrays and objects nested deeper than [`MAX_DEPTH`] are rejected with
-/// [`SnapshotError::Decode`].
-pub(crate) fn decode_value(bytes: &[u8], pos: &mut usize) -> Result<Value, SnapshotError> {
-    decode_nested(bytes, pos, 0)
-}
-
-/// [`decode_value`] for a value inside `depth` enclosing containers.
-fn decode_nested(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, SnapshotError> {
-    let tag = take(bytes, pos, 1)?[0];
-    if matches!(tag, TAG_ARRAY | TAG_OBJECT) && depth == MAX_DEPTH {
-        return Err(SnapshotError::Decode(format!(
-            "value nested deeper than {MAX_DEPTH} levels"
-        )));
-    }
-    match tag {
-        TAG_NULL => Ok(Value::Null),
-        TAG_FALSE => Ok(Value::Bool(false)),
-        TAG_TRUE => Ok(Value::Bool(true)),
-        TAG_U64 => Ok(Value::U64(take_u64(bytes, pos)?)),
-        TAG_I64 => Ok(Value::I64(take_u64(bytes, pos)? as i64)),
-        TAG_F64 => Ok(Value::F64(f64::from_bits(take_u64(bytes, pos)?))),
-        TAG_STR => Ok(Value::Str(take_string(bytes, pos)?)),
-        TAG_ARRAY => {
-            let n = take_len(bytes, pos)?;
-            let mut items = Vec::with_capacity(n);
-            for _ in 0..n {
-                items.push(decode_nested(bytes, pos, depth + 1)?);
-            }
-            Ok(Value::Array(items))
-        }
-        TAG_OBJECT => {
-            let n = take_len(bytes, pos)?;
-            let mut pairs = Vec::with_capacity(n);
-            for _ in 0..n {
-                let key = take_string(bytes, pos)?;
-                pairs.push((key, decode_nested(bytes, pos, depth + 1)?));
-            }
-            Ok(Value::Object(pairs))
-        }
-        other => Err(SnapshotError::Decode(format!("unknown value tag {other}"))),
-    }
+/// Sync the directory holding `path`, so that a file created in it or
+/// renamed into it survives a power cut.
+pub(crate) fn sync_parent_dir(path: &Path) -> std::io::Result<()> {
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    std::fs::File::open(dir)?.sync_all()
 }
 
 // ---------------------------------------------------------------------
@@ -336,15 +219,16 @@ impl EngineSnapshot {
     }
 
     /// Serialize to the versioned, checksummed binary format (see the
-    /// module docs).
+    /// module docs): the payload is encoded once, straight after the
+    /// header, and its checksum patched in.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut payload = Vec::new();
-        encode_value(&self.to_value(), &mut payload);
-        let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
+        let mut out = Vec::new();
         out.extend_from_slice(&MAGIC);
         out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-        out.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
-        out.extend_from_slice(&payload);
+        out.extend_from_slice(&[0; 8]);
+        self.encode(&mut out);
+        let sum = fnv1a64(&out[HEADER_LEN..]);
+        out[12..HEADER_LEN].copy_from_slice(&sum.to_le_bytes());
         out
     }
 
@@ -369,33 +253,32 @@ impl EngineSnapshot {
         if fnv1a64(payload) != want {
             return Err(SnapshotError::ChecksumMismatch);
         }
-        let mut pos = 0;
-        let value = decode_value(payload, &mut pos)?;
-        if pos != payload.len() {
-            return Err(SnapshotError::Decode(
-                "trailing bytes after value".to_string(),
-            ));
-        }
-        let snap = Self::from_value(&value).map_err(|e| SnapshotError::Decode(format!("{e:?}")))?;
+        let snap: Self = serde::binary::from_bytes(payload)?;
         if snap.version != SNAPSHOT_VERSION {
             return Err(SnapshotError::UnsupportedVersion(snap.version));
         }
         Ok(snap)
     }
 
-    /// Write the binary format to `path` atomically: the bytes land in a
-    /// sibling `.tmp` file first and are renamed into place, so a crash
-    /// mid-write leaves either the old snapshot or none — never a torn
-    /// one under the final name.
-    pub fn write_to(&self, path: &std::path::Path) -> Result<(), SnapshotError> {
+    /// Write the binary format to `path` atomically and durably: the
+    /// bytes land in a sibling `.tmp` file, which is synced to disk
+    /// before it is renamed into place, and the directory is synced
+    /// after the rename. A crash or power cut at any point leaves the
+    /// previous snapshot or the new one under the final name — never a
+    /// torn one.
+    pub fn write_to(&self, path: &Path) -> Result<(), SnapshotError> {
         let io = |e: std::io::Error| SnapshotError::Io(format!("{}: {e}", path.display()));
         let tmp = path.with_extension("tmp");
-        std::fs::write(&tmp, self.to_bytes()).map_err(io)?;
-        std::fs::rename(&tmp, path).map_err(io)
+        let mut file = std::fs::File::create(&tmp).map_err(io)?;
+        file.write_all(&self.to_bytes()).map_err(io)?;
+        file.sync_all().map_err(io)?;
+        drop(file);
+        std::fs::rename(&tmp, path).map_err(io)?;
+        sync_parent_dir(path).map_err(io)
     }
 
     /// Read and parse a snapshot file.
-    pub fn read_from(path: &std::path::Path) -> Result<Self, SnapshotError> {
+    pub fn read_from(path: &Path) -> Result<Self, SnapshotError> {
         let bytes = std::fs::read(path)
             .map_err(|e| SnapshotError::Io(format!("{}: {e}", path.display())))?;
         Self::from_bytes(&bytes)
@@ -492,97 +375,54 @@ pub(crate) fn restore_engine(snap: EngineSnapshot) -> Grid3Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::subsystems::ReportingEvent;
 
-    fn round_trip(v: &Value) -> Value {
-        let mut bytes = Vec::new();
-        encode_value(v, &mut bytes);
-        let mut pos = 0;
-        let out = decode_value(&bytes, &mut pos).expect("decodes");
-        assert_eq!(pos, bytes.len(), "decoder consumed everything");
-        out
+    /// A header for `payload` at `version`, checksum included.
+    fn file_with(version: u32, payload: &[u8]) -> Vec<u8> {
+        let mut file = Vec::new();
+        file.extend_from_slice(&MAGIC);
+        file.extend_from_slice(&version.to_le_bytes());
+        file.extend_from_slice(&fnv1a64(payload).to_le_bytes());
+        file.extend_from_slice(payload);
+        file
     }
 
-    #[test]
-    fn codec_round_trips_every_value_shape() {
-        let v = Value::Object(vec![
-            ("null".to_string(), Value::Null),
-            ("t".to_string(), Value::Bool(true)),
-            ("f".to_string(), Value::Bool(false)),
-            ("u".to_string(), Value::U64(u64::MAX)),
-            ("i".to_string(), Value::I64(i64::MIN)),
-            ("x".to_string(), Value::F64(-0.1)),
-            ("nan".to_string(), Value::F64(f64::NAN)),
-            ("s".to_string(), Value::Str("grité\u{1F30D}".to_string())),
-            (
-                "a".to_string(),
-                Value::Array(vec![Value::U64(1), Value::Str(String::new())]),
-            ),
-            ("o".to_string(), Value::Object(Vec::new())),
-        ]);
-        let got = round_trip(&v);
-        // NaN != NaN, so compare through the encoding (bit-exact floats).
-        let mut a = Vec::new();
-        let mut b = Vec::new();
-        encode_value(&v, &mut a);
-        encode_value(&got, &mut b);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn codec_rejects_truncation_at_every_boundary() {
-        let v = Value::Array(vec![
-            Value::Str("abcdef".to_string()),
-            Value::U64(7),
-            Value::Object(vec![("k".to_string(), Value::F64(1.5))]),
-        ]);
-        let mut bytes = Vec::new();
-        encode_value(&v, &mut bytes);
-        for cut in 0..bytes.len() {
-            let mut pos = 0;
-            assert!(
-                decode_value(&bytes[..cut], &mut pos).is_err(),
-                "cut at {cut} decoded"
-            );
-        }
-    }
-
-    /// `levels` arrays nested inside one another around a null.
-    fn nested_arrays(levels: usize) -> Vec<u8> {
-        let mut bytes = Vec::with_capacity(levels * 9 + 1);
-        for _ in 0..levels {
-            bytes.push(TAG_ARRAY);
-            bytes.extend_from_slice(&1u64.to_le_bytes());
-        }
-        bytes.push(TAG_NULL);
+    /// The encoding of `levels` `GridEvent::Timer` boxes nested around a
+    /// monitor tick, built bytewise: a value that deep would overflow the
+    /// stack on drop.
+    fn nested_timers(levels: usize) -> Vec<u8> {
+        let leaf = serde::binary::to_bytes(&GridEvent::Reporting(ReportingEvent::MonitorTick));
+        let one = serde::binary::to_bytes(&GridEvent::Timer(
+            SimTime::from_secs(60),
+            Box::new(GridEvent::Reporting(ReportingEvent::MonitorTick)),
+        ));
+        let prefix = &one[..one.len() - leaf.len()];
+        let mut bytes = prefix.repeat(levels);
+        bytes.extend_from_slice(&leaf);
         bytes
     }
 
     #[test]
-    fn codec_bounds_nesting_depth() {
-        let mut pos = 0;
-        assert!(decode_value(&nested_arrays(MAX_DEPTH), &mut pos).is_ok());
-        for levels in [MAX_DEPTH + 1, 100_000] {
-            let mut pos = 0;
+    fn decoder_bounds_timer_nesting() {
+        let decode = |bytes: &[u8]| {
+            serde::binary::from_bytes::<GridEvent>(bytes).map_err(SnapshotError::from)
+        };
+        let mut event = decode(&nested_timers(128)).expect("128 levels decode");
+        let mut levels = 0;
+        while let GridEvent::Timer(_, inner) = event {
+            event = *inner;
+            levels += 1;
+        }
+        assert_eq!(levels, 128);
+        for levels in [129, 100_000] {
             assert!(
                 matches!(
-                    decode_value(&nested_arrays(levels), &mut pos),
+                    decode(&nested_timers(levels)),
                     Err(SnapshotError::Decode(_))
                 ),
                 "{levels} levels decoded"
             );
         }
-        // Through the file format too: a deep payload with a valid
-        // checksum is a typed error, not a stack overflow.
-        let payload = nested_arrays(100_000);
-        let mut file = Vec::new();
-        file.extend_from_slice(&MAGIC);
-        file.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-        file.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
-        file.extend_from_slice(&payload);
-        assert!(matches!(
-            EngineSnapshot::from_bytes(&file).err(),
-            Some(SnapshotError::Decode(_))
-        ));
     }
 
     #[test]
@@ -595,22 +435,21 @@ mod tests {
             EngineSnapshot::from_bytes(b"G3EN").err(),
             Some(SnapshotError::Truncated)
         ));
-        let mut bad_version = Vec::new();
-        bad_version.extend_from_slice(&MAGIC);
-        bad_version.extend_from_slice(&99u32.to_le_bytes());
-        bad_version.extend_from_slice(&[0u8; 8]);
-        assert!(matches!(
-            EngineSnapshot::from_bytes(&bad_version).err(),
-            Some(SnapshotError::UnsupportedVersion(99))
-        ));
-        let mut bad_sum = Vec::new();
-        bad_sum.extend_from_slice(&MAGIC);
-        bad_sum.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-        bad_sum.extend_from_slice(&0xDEAD_BEEFu64.to_le_bytes());
-        bad_sum.push(TAG_NULL);
-        assert!(matches!(
+        for old in [1, 2, 99] {
+            assert_eq!(
+                EngineSnapshot::from_bytes(&file_with(old, &[0])).err(),
+                Some(SnapshotError::UnsupportedVersion(old))
+            );
+        }
+        let mut bad_sum = file_with(SNAPSHOT_VERSION, &[0]);
+        bad_sum[12] ^= 1;
+        assert_eq!(
             EngineSnapshot::from_bytes(&bad_sum).err(),
             Some(SnapshotError::ChecksumMismatch)
-        ));
+        );
+        assert_eq!(
+            EngineSnapshot::from_bytes(&file_with(SNAPSHOT_VERSION, &[])).err(),
+            Some(SnapshotError::Truncated)
+        );
     }
 }

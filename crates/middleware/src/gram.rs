@@ -82,8 +82,11 @@ pub struct Gatekeeper {
     peak_load: f64,
     refused: u64,
     accepted: u64,
+    #[serde(skip)]
     c_refused: Counter,
+    #[serde(skip)]
     c_accepted: Counter,
+    #[serde(skip)]
     h_load_at_accept: Histo,
 }
 

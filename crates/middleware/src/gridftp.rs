@@ -153,7 +153,7 @@ struct ActiveTransfer {
 /// (site ids are dense from 0), so the per-transfer rate computation and
 /// stream accounting are array reads; only the in-flight transfer table
 /// needs a map, keyed by the deterministic fast hasher.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct GridFtp {
     /// Dense by site index; unknown sites read as zero bandwidth.
     links: Vec<Bandwidth>,
@@ -168,57 +168,16 @@ pub struct GridFtp {
     /// Pre-interned per-VO transfer counters, each indexed by
     /// `Vo::index()`: one slot-indexed add per transfer event, no
     /// lookup on the hot path.
+    #[serde(skip)]
     c_started: Vec<Counter>,
+    #[serde(skip)]
     c_completed: Vec<Counter>,
+    #[serde(skip)]
     c_bytes_completed: Vec<Counter>,
+    #[serde(skip)]
     c_failed: Vec<Counter>,
+    #[serde(skip)]
     c_truncated: Vec<Counter>,
-}
-
-// Manual serde: everything except the telemetry counters, which are
-// process-local handles re-interned via [`GridFtp::set_telemetry`] after a
-// snapshot restore.
-impl Serialize for GridFtp {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            ("links".into(), self.links.to_value()),
-            ("link_up".into(), self.link_up.to_value()),
-            ("streams".into(), self.streams.to_value()),
-            ("active".into(), self.active.to_value()),
-            ("ids".into(), self.ids.to_value()),
-            ("log".into(), self.log.to_value()),
-            ("log_enabled".into(), self.log_enabled.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for GridFtp {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        let serde::Value::Object(pairs) = v else {
-            return Err(serde::DeError::expected("GridFtp object", v));
-        };
-        let field = |name: &str| -> Result<&serde::Value, serde::DeError> {
-            pairs
-                .iter()
-                .find(|(k, _)| k == name)
-                .map(|(_, v)| v)
-                .ok_or(serde::DeError::msg("missing GridFtp field"))
-        };
-        Ok(GridFtp {
-            links: Deserialize::from_value(field("links")?)?,
-            link_up: Deserialize::from_value(field("link_up")?)?,
-            streams: Deserialize::from_value(field("streams")?)?,
-            active: Deserialize::from_value(field("active")?)?,
-            ids: Deserialize::from_value(field("ids")?)?,
-            log: Deserialize::from_value(field("log")?)?,
-            log_enabled: Deserialize::from_value(field("log_enabled")?)?,
-            c_started: Vec::new(),
-            c_completed: Vec::new(),
-            c_bytes_completed: Vec::new(),
-            c_failed: Vec::new(),
-            c_truncated: Vec::new(),
-        })
-    }
 }
 
 impl GridFtp {

@@ -161,11 +161,14 @@ pub struct MdsDirectory {
     /// (fault injection): publishes for it are dropped, so its last
     /// record ages out past the TTL like a genuinely wedged GRIS.
     frozen: Vec<bool>,
+    #[serde(skip)]
     tele: Telemetry,
     /// Pre-interned `published` counters, indexed by site; grown on
     /// first publish from a site.
+    #[serde(skip)]
     c_published: Vec<Counter>,
     /// Pre-interned `queries` counters, indexed by `Vo::index()`.
+    #[serde(skip)]
     c_queries: Vec<Counter>,
 }
 

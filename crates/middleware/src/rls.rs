@@ -61,11 +61,14 @@ pub struct ReplicaLocationService {
     /// before trusting an answer (which is exactly the failure mode —
     /// most don't).
     stale: BTreeSet<SiteId>,
+    #[serde(skip)]
     tele: Telemetry,
     /// Pre-interned `registered` counters, indexed by site; grown on
     /// first registration from a site so the per-file hot path is a
     /// slot-indexed add.
+    #[serde(skip)]
     c_registered: Vec<Counter>,
+    #[serde(skip)]
     c_lookups: Counter,
 }
 

@@ -221,7 +221,7 @@ pub enum ComponentKind {
 }
 
 /// A node of the Figure 1 graph.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Component {
     /// Label as it appears in Figure 1.
     pub name: &'static str,

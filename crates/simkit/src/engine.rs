@@ -774,8 +774,8 @@ mod tests {
             for _ in 0..123 {
                 q.pop();
             }
-            let v = q.to_value();
-            let mut restored: EventQueue<u64> = EventQueue::from_value(&v).unwrap();
+            let mut restored: EventQueue<u64> =
+                serde::binary::from_bytes(&serde::binary::to_bytes(&q)).unwrap();
             assert_eq!(restored.len(), q.len());
             assert_eq!(restored.now(), q.now());
             assert_eq!(restored.processed(), q.processed());

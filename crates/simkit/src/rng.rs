@@ -117,6 +117,20 @@ impl serde::Deserialize for SimRng {
     }
 }
 
+impl serde::Encode for SimRng {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.inner.state().encode(out);
+    }
+}
+
+impl serde::Decode for SimRng {
+    fn decode(r: &mut serde::Reader<'_>) -> Result<Self, serde::DecodeError> {
+        <[u64; 4]>::decode(r).map(|s| SimRng {
+            inner: StdRng::from_state(s),
+        })
+    }
+}
+
 impl RngCore for SimRng {
     fn next_u32(&mut self) -> u32 {
         self.inner.next_u32()
@@ -208,8 +222,11 @@ mod tests {
             r.next_u64();
         }
         let mut restored = SimRng::from_value(&r.to_value()).unwrap();
+        let mut decoded: SimRng = serde::binary::from_bytes(&serde::binary::to_bytes(&r)).unwrap();
         for _ in 0..64 {
-            assert_eq!(r.next_u64(), restored.next_u64());
+            let want = r.next_u64();
+            assert_eq!(want, restored.next_u64());
+            assert_eq!(want, decoded.next_u64());
         }
     }
 

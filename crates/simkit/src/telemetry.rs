@@ -33,9 +33,11 @@
 //!   misattribution.
 //!
 //! The handle is a shared `Rc<RefCell<…>>`, so recording works through
-//! `&self` — subsystems can instrument read-only query paths. It
-//! serializes as `null` and deserializes as disabled, so structs that
-//! derive serde can embed it without custom attributes.
+//! `&self` — subsystems can instrument read-only query paths. Handles
+//! are process-local plumbing, not state: they do not implement serde,
+//! so a struct that derives it marks each handle field
+//! `#[serde(skip)]` (left out of JSON and snapshots alike, read back
+//! disabled) and re-attaches telemetry after a restore.
 
 use crate::time::SimTime;
 use std::cell::RefCell;
@@ -245,8 +247,7 @@ impl Inner {
 /// A pre-registered counter: one `RefCell` borrow plus one array index
 /// per [`Counter::add`], no name lookup. Obtained from
 /// [`Telemetry::register_counter`]; a handle from a disabled `Telemetry`
-/// is inert. Clones share the same slot. Serializes as `null` and
-/// deserializes as inert, so serde-derived structs can embed it.
+/// is inert. Clones share the same slot.
 #[derive(Clone, Default)]
 pub struct Counter(Option<(Rc<RefCell<Inner>>, u32)>);
 
@@ -279,22 +280,10 @@ impl std::fmt::Debug for Counter {
     }
 }
 
-impl serde::Serialize for Counter {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Null
-    }
-}
-
-impl serde::Deserialize for Counter {
-    fn from_value(_v: &serde::Value) -> Result<Self, serde::DeError> {
-        Ok(Counter::disabled())
-    }
-}
-
 /// A pre-registered fixed-bucket histogram: one `RefCell` borrow plus
 /// one array index per [`Histo::observe`]. Obtained from
 /// [`Telemetry::register_histogram`]; inert when the `Telemetry` was
-/// disabled. Serializes as `null`, deserializes as inert.
+/// disabled.
 #[derive(Clone, Default)]
 pub struct Histo(Option<(Rc<RefCell<Inner>>, u32)>);
 
@@ -327,18 +316,6 @@ impl std::fmt::Debug for Histo {
     }
 }
 
-impl serde::Serialize for Histo {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Null
-    }
-}
-
-impl serde::Deserialize for Histo {
-    fn from_value(_v: &serde::Value) -> Result<Self, serde::DeError> {
-        Ok(Histo::disabled())
-    }
-}
-
 /// The shared instrumentation handle. Cloning is cheap and every clone
 /// records into the same registry; the disabled handle records nothing.
 #[derive(Clone, Default)]
@@ -355,20 +332,6 @@ impl std::fmt::Debug for Telemetry {
             ),
             None => write!(f, "Telemetry(disabled)"),
         }
-    }
-}
-
-// The handle is runtime plumbing, not state: it serializes as `null` and
-// deserializes as disabled, so serde-derived structs can embed it.
-impl serde::Serialize for Telemetry {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Null
-    }
-}
-
-impl serde::Deserialize for Telemetry {
-    fn from_value(_v: &serde::Value) -> Result<Self, serde::DeError> {
-        Ok(Telemetry::disabled())
     }
 }
 
@@ -973,24 +936,5 @@ mod tests {
         let reg = t.registry_json();
         assert!(reg.contains("\"counters\""));
         assert!(reg.contains("\"spans_retained\":2"));
-    }
-
-    #[test]
-    fn serde_embeds_as_null() {
-        use serde::{Deserialize, Serialize};
-        let t = Telemetry::enabled();
-        t.counter_add("x", "y", "", 1);
-        assert_eq!(t.to_value(), serde::Value::Null);
-        let back = Telemetry::from_value(&serde::Value::Null).unwrap();
-        assert!(!back.is_enabled());
-
-        let c = t.register_counter("x", "y", "");
-        assert_eq!(c.to_value(), serde::Value::Null);
-        assert!(!Counter::from_value(&serde::Value::Null)
-            .unwrap()
-            .is_enabled());
-        let h = t.register_histogram("x", "z", "", &[1.0]);
-        assert_eq!(h.to_value(), serde::Value::Null);
-        assert!(!Histo::from_value(&serde::Value::Null).unwrap().is_enabled());
     }
 }

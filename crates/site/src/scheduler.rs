@@ -67,7 +67,9 @@ pub struct BatchScheduler {
     long_q: VecDeque<QueuedJob>,
     /// Max fraction of total slots long jobs may occupy (LSF only).
     long_cap_fraction: f64,
+    #[serde(skip)]
     c_enqueued: Counter,
+    #[serde(skip)]
     c_dispatched: Counter,
 }
 

@@ -60,10 +60,15 @@ pub struct DagManager<T> {
     done: usize,
     failed: usize,
     total_retries: u64,
+    #[serde(skip)]
     c_submitted: Counter,
+    #[serde(skip)]
     c_done: Counter,
+    #[serde(skip)]
     c_retried: Counter,
+    #[serde(skip)]
     c_failed_permanent: Counter,
+    #[serde(skip)]
     c_rescued: Counter,
 }
 

@@ -135,7 +135,7 @@ proptest! {
     /// mid-drain cursor — must survive a serde round trip. Schedule a
     /// clustered workload (the shape that forces recursive rung
     /// refinement), drain part of it so the queue is caught mid-rung,
-    /// round-trip through the serde value tree, and require the
+    /// round-trip through the snapshot's binary codec, and require the
     /// remaining pop sequence — including follow-ups scheduled *after*
     /// the round trip — to match the never-serialized original exactly.
     #[test]
@@ -144,7 +144,6 @@ proptest! {
         drain_pct in 0u64..100,
         followups in proptest::collection::vec(0u64..2_000_000, 0..40),
     ) {
-        use serde::{Deserialize as _, Serialize as _};
         let times: Vec<u64> = picks
             .iter()
             .map(|&(cluster, off)| cluster * 40_000_000 + off * 7)
@@ -158,7 +157,8 @@ proptest! {
             original.pop();
         }
         let mut restored: EventQueue<usize> =
-            EventQueue::from_value(&original.to_value()).expect("queue round-trips");
+            serde::binary::from_bytes(&serde::binary::to_bytes(&original))
+                .expect("queue round-trips");
         prop_assert_eq!(restored.len(), original.len());
         prop_assert_eq!(restored.now(), original.now());
         prop_assert_eq!(restored.processed(), original.processed());

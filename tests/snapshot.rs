@@ -50,7 +50,9 @@ fn config(scenario: &str, seed: u64) -> ScenarioConfig {
 
 /// Run `cfg` uninterrupted except for one snapshot/restore cut at
 /// `frac` of the horizon (the snapshot crosses the binary wire format
-/// both ways), and return the final report's JSON hash.
+/// both ways), and return the final report's JSON hash. Capturing the
+/// restored engine again must reproduce the snapshot byte for byte:
+/// nothing process-local leaks into a checkpoint.
 fn hash_with_cut(cfg: ScenarioConfig, frac: f64) -> u64 {
     let horizon = cfg.horizon();
     let cut = SimTime::EPOCH
@@ -63,6 +65,10 @@ fn hash_with_cut(cfg: ScenarioConfig, frac: f64) -> u64 {
     drop(snap);
     let restored = EngineSnapshot::from_bytes(&bytes).expect("snapshot bytes parse");
     let mut engine = Grid3Engine::restore(restored);
+    assert!(
+        engine.snapshot().to_bytes() == bytes,
+        "re-capturing the restored engine changed the snapshot bytes"
+    );
     engine.run();
     fnv1a64(Grid3Report::extract(&engine).to_json().as_bytes())
 }
