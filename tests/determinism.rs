@@ -27,7 +27,7 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 
 /// Golden hashes recorded from the pre-refactor monolithic engine at
 /// 2 % workload scale over the full 30-day windows (demo included).
-const GOLDEN: [(&str, u64, u64); 9] = [
+const GOLDEN: [(&str, u64, u64); 10] = [
     ("sc2003", 2003, 0x9a81fc63ba6ab37f),
     ("sc2003_operated", 2003, 0x4890551a29889f49),
     ("sc2003", 7, 0x26e1d0268b73dbe9),
@@ -45,6 +45,10 @@ const GOLDEN: [(&str, u64, u64); 9] = [
     // peering, cross-grid stage-ins), recorded when the federation layer
     // landed (identical in debug and release builds).
     ("sc2003_federated", 2003, 0x11d025ba3c2cec18),
+    // The 300-site stress grid, recorded before site selection moved to
+    // 64-bit row masks: the only golden wider than one mask word
+    // (identical in debug and release builds).
+    ("scale_out", 2003, 0x6aed4329e0b8c4bb),
 ];
 
 fn config(scenario: &str, seed: u64) -> ScenarioConfig {
@@ -53,6 +57,7 @@ fn config(scenario: &str, seed: u64) -> ScenarioConfig {
         "sc2003_operated" => ScenarioConfig::sc2003_operated(),
         "sc2003_chaos" => ScenarioConfig::sc2003_chaos(),
         "sc2003_federated" => ScenarioConfig::sc2003_federated(),
+        "scale_out" => ScenarioConfig::scale_out(),
         other => panic!("unknown scenario {other}"),
     };
     base.with_scale(0.02).with_seed(seed)

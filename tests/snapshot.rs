@@ -4,11 +4,11 @@
 //! snapshot through the on-disk binary format, restore in a fresh
 //! engine, run to the horizon — and the extracted report is
 //! *byte-identical* to the uninterrupted run. The suite pins that
-//! against the same nine golden hashes `tests/determinism.rs` holds,
-//! on both queue backends, which transitively proves every piece of
-//! run-mutated state (queue contents and ladder rung refinement, RNG
-//! stream positions, site/middleware/fabric tables, subsystem
-//! accumulators, auditor state) survives the round trip exactly.
+//! against every golden hash `tests/determinism.rs` holds, on both
+//! queue backends, which transitively proves every piece of run-mutated
+//! state (queue contents and ladder rung refinement, RNG stream
+//! positions, site/middleware/fabric tables, subsystem accumulators,
+//! auditor state) survives the round trip exactly.
 
 use grid3_core::scenario::{QueueKind, ScenarioConfig};
 use grid3_core::snapshot::EngineSnapshot;
@@ -26,6 +26,7 @@ const GOLDEN: &[(&str, u64, u64)] = &[
     ("sc2003_operated", 1234, 0x55138bc19796295f),
     ("sc2003_chaos", 2003, 0x428edf429c32422b),
     ("sc2003_federated", 2003, 0x11d025ba3c2cec18),
+    ("scale_out", 2003, 0x6aed4329e0b8c4bb),
 ];
 
 fn fnv1a64(bytes: &[u8]) -> u64 {
@@ -43,6 +44,7 @@ fn config(scenario: &str, seed: u64) -> ScenarioConfig {
         "sc2003_operated" => ScenarioConfig::sc2003_operated(),
         "sc2003_chaos" => ScenarioConfig::sc2003_chaos(),
         "sc2003_federated" => ScenarioConfig::sc2003_federated(),
+        "scale_out" => ScenarioConfig::scale_out(),
         other => panic!("unknown scenario {other}"),
     };
     base.with_scale(0.02).with_seed(seed)
@@ -74,7 +76,7 @@ fn hash_with_cut(cfg: ScenarioConfig, frac: f64) -> u64 {
 }
 
 #[test]
-fn snapshot_restore_reproduces_all_nine_goldens() {
+fn snapshot_restore_reproduces_every_golden() {
     for &(scenario, seed, want) in GOLDEN {
         let got = hash_with_cut(config(scenario, seed), 0.5);
         assert_eq!(
@@ -85,7 +87,7 @@ fn snapshot_restore_reproduces_all_nine_goldens() {
 }
 
 #[test]
-fn snapshot_restore_reproduces_all_nine_goldens_on_heap_backend() {
+fn snapshot_restore_reproduces_every_golden_on_heap_backend() {
     for &(scenario, seed, want) in GOLDEN {
         let got = hash_with_cut(config(scenario, seed).with_queue(QueueKind::Heap), 0.5);
         assert_eq!(
