@@ -757,6 +757,228 @@ mod tests {
         }
     }
 
+    /// [`Broker::select_filtered`] with the EDG/LCG rank: the same
+    /// filters, veto, affinity and favourite draws, then a sort by
+    /// `(queued, u32::MAX − free, site)` in place of [`rank_order`].
+    fn select_queue_depth_reference(
+        broker: &Broker,
+        spec: &JobSpec,
+        vo_affinity: f64,
+        records: &[&GlueRecord],
+        rng: &mut SimRng,
+        banned: impl Fn(SiteId) -> bool,
+    ) -> Option<SiteId> {
+        let vo = spec.class.vo();
+        let need = spec.input_bytes + spec.output_bytes + spec.scratch_bytes;
+        let mut eligible: Vec<&GlueRecord> = records
+            .iter()
+            .copied()
+            .filter(|r| r.admits_vo(vo))
+            .filter(|r| !spec.needs_outbound || r.outbound_connectivity)
+            .filter(|r| need <= r.se_free)
+            .filter(|r| spec.requested_walltime <= r.max_walltime)
+            .collect();
+        if eligible.is_empty() {
+            return None;
+        }
+        let healthy: Vec<&GlueRecord> = eligible
+            .iter()
+            .copied()
+            .filter(|r| !banned(r.site))
+            .collect();
+        if !healthy.is_empty() {
+            eligible = healthy;
+        }
+        if rng.chance(vo_affinity) {
+            let own: Vec<&GlueRecord> = eligible
+                .iter()
+                .copied()
+                .filter(|r| r.owner_vo == Some(vo))
+                .collect();
+            if !own.is_empty() {
+                eligible = own;
+            }
+        }
+        if rng.chance(broker.favorite_bias) {
+            let salt = rng.below(2);
+            let idx = (spec.user.0 as usize)
+                .wrapping_mul(2_654_435_761)
+                .wrapping_add(salt * 97)
+                % eligible.len();
+            return Some(eligible[idx].site);
+        }
+        eligible.sort_by_key(|r| (r.queued_jobs, u32::MAX - r.free_cpus, r.site));
+        let k = broker.spread.max(1).min(eligible.len());
+        Some(eligible[rng.below(k)].site)
+    }
+
+    #[test]
+    fn multi_word_table_matches_both_references() {
+        // 150 site ids with a few never published: the table holds well
+        // over 128 rows, so every mask spans three words and rows 63/64
+        // and 127/128 sit on word boundaries.
+        let mut gen = SimRng::for_entity(0x6d61_736b, 15);
+        let shapes: Vec<JobSpec> = [(1, 8, false), (7, 30, true), (40, 2, false)]
+            .into_iter()
+            .map(|(gb, hours, outbound)| {
+                let mut s = spec(UserClass::Ivdgl);
+                s.input_bytes = Bytes::from_gb(gb);
+                s.requested_walltime = SimDuration::from_hours(hours);
+                s.needs_outbound = outbound;
+                s
+            })
+            .collect();
+        // Disk and walltime are drawn from sets holding every shape's
+        // exact threshold (the `<=` ties) and values either side of it.
+        let mut disks = vec![Bytes::ZERO, Bytes::from_tb(5)];
+        let mut walls = vec![SimDuration::ZERO, SimDuration::from_hours(72)];
+        for s in &shapes {
+            let need = s.input_bytes + s.output_bytes + s.scratch_bytes;
+            disks.extend([need - Bytes::new(1), need, need + Bytes::new(1)]);
+            let w = s.requested_walltime;
+            walls.extend([
+                w - SimDuration::from_micros(1),
+                w,
+                w + SimDuration::from_micros(1),
+            ]);
+        }
+        let grid_of: Vec<GridId> = (0..150).map(|_| GridId(gen.below(2) as u32)).collect();
+        let ttl = MdsDirectory::DEFAULT_TTL;
+        // Just before midnight, so the trials cross a day boundary.
+        let start = SimTime::from_days(1) - SimDuration::from_mins(6);
+        let mut mds = MdsDirectory::with_default_ttl();
+        let publish = |mds: &mut MdsDirectory, gen: &mut SimRng, site: u32, now: SimTime| {
+            let mut r = record(site, gen.below(8) as u32, None);
+            r.queued_jobs = gen.below(4) as u32;
+            r.wan_bandwidth = *gen.pick(&[
+                Bandwidth::from_mbit_per_sec(100.0),
+                Bandwidth::from_mbit_per_sec(622.0),
+                Bandwidth::from_bytes_per_sec(f64::NAN),
+            ]);
+            r.outbound_connectivity = gen.chance(0.7);
+            r.allowed_vos = if gen.chance(0.3) {
+                None
+            } else {
+                Some(Vo::ALL.into_iter().filter(|_| gen.chance(0.6)).collect())
+            };
+            r.owner_vo = if gen.chance(0.4) {
+                Some(*gen.pick(&Vo::ALL))
+            } else {
+                None
+            };
+            r.se_free = *gen.pick(&disks);
+            r.max_walltime = *gen.pick(&walls);
+            // Up to twice the TTL old: some rows start stale, the rest
+            // age out as the trials advance the clock.
+            let age = gen.below(2 * ttl.as_micros() as usize) as u64;
+            r.timestamp = SimTime::from_micros(now.as_micros().saturating_sub(age));
+            mds.publish(r);
+        };
+        for site in 0..150 {
+            if site % 17 != 5 {
+                publish(&mut mds, &mut gen, site, start);
+            }
+        }
+        let mut table = SiteTable::new();
+        table.set_grid_map(&grid_of);
+        table.refresh(&mds);
+        assert!(table.len() >= 130, "{} rows", table.len());
+
+        let brokers = [
+            Broker::default(),
+            Broker {
+                spread: 1,
+                favorite_bias: 0.3,
+            },
+            Broker {
+                spread: 12,
+                favorite_bias: 0.0,
+            },
+        ];
+        let mut scratch = SelectScratch::default();
+        let mut grid_scratch = [SelectScratch::default(), SelectScratch::default()];
+        let mut fast_rng = SimRng::for_entity(151, 15);
+        let mut ref_rng = SimRng::for_entity(151, 15);
+        let mut placed = 0;
+        for trial in 0..1_500u32 {
+            let now = start + SimDuration::from_secs(u64::from(trial / 2));
+            // A few republishes move the epoch (and restamp rows fresh).
+            if trial % 250 == 249 {
+                for _ in 0..20 {
+                    let site = gen.below(150) as u32;
+                    publish(&mut mds, &mut gen, site, now);
+                }
+                table.refresh(&mds);
+            }
+            let day = now.day_index();
+            let online = |s: SiteId| (u64::from(s.0) * 7 + day) % 11 != 0;
+            let ban_mode = trial % 4;
+            let banned = |s: SiteId| match ban_mode {
+                0 => false,
+                1 => s.0 % 3 == 0,
+                2 => true,
+                _ => s.0 < 70,
+            };
+            let broker = &brokers[(trial % 3) as usize];
+            let mut s = shapes[(trial / 3 % 3) as usize].clone();
+            s.class = *gen.pick(&UserClass::ALL);
+            s.user = UserId(gen.below(50) as u32);
+            let affinity = f64::from(trial % 5) / 4.0;
+            let fresh: Vec<&GlueRecord> = mds
+                .fresh_records(now)
+                .into_iter()
+                .filter(|r| online(r.site))
+                .collect();
+            let (fast, reference) = if trial % 2 == 0 {
+                let fast = broker.select_table_for(
+                    &s,
+                    affinity,
+                    &table,
+                    now,
+                    None,
+                    RankInputs::HeadroomBandwidth,
+                    online,
+                    banned,
+                    &mut scratch,
+                    &mut fast_rng,
+                );
+                let reference = broker.select_filtered(&s, affinity, &fresh, &mut ref_rng, banned);
+                (fast, reference)
+            } else {
+                let g = GridId(gen.below(2) as u32);
+                let members: Vec<&GlueRecord> = fresh
+                    .iter()
+                    .copied()
+                    .filter(|r| grid_of[r.site.index()] == g)
+                    .collect();
+                let fast = broker.select_table_for(
+                    &s,
+                    affinity,
+                    &table,
+                    now,
+                    Some(g),
+                    RankInputs::QueueDepth,
+                    online,
+                    banned,
+                    &mut grid_scratch[g.index()],
+                    &mut fast_rng,
+                );
+                let reference = select_queue_depth_reference(
+                    broker,
+                    &s,
+                    affinity,
+                    &members,
+                    &mut ref_rng,
+                    banned,
+                );
+                (fast, reference)
+            };
+            assert_eq!(fast, reference, "trial {trial} diverged");
+            placed += usize::from(fast.is_some());
+        }
+        assert!(placed >= 1_000, "only {placed} of 1500 trials placed a job");
+    }
+
     #[test]
     fn site_table_revalidates_on_epoch_bump() {
         let mut mds = grid3_middleware::mds::MdsDirectory::with_default_ttl();
