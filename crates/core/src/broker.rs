@@ -49,27 +49,139 @@ fn rank_order(a: &GlueRecord, b: &GlueRecord) -> Ordering {
         .then_with(|| a.site.cmp(&b.site))
 }
 
-/// Bit over [`Vo::ALL`] for one VO.
-#[inline]
-fn vo_bit(vo: Vo) -> u8 {
-    1u8 << vo.index()
+/// Row sets as 64-bit words, several sets of one width in one buffer:
+/// set `i` occupies words `i * words .. (i + 1) * words`, and row `r` is
+/// bit `r % 64` of word `r / 64`.
+#[derive(Debug, Clone, Default)]
+struct RowMasks {
+    words: usize,
+    bits: Vec<u64>,
 }
 
-/// An epoch-keyed struct-of-arrays mirror of the MDS directory: the
-/// per-placement hot path reads dense scalar columns instead of chasing
-/// `GlueRecord` pointers, and carries the global rank position of every
-/// record so ranked selection needs no per-job sort.
+impl RowMasks {
+    /// `sets` empty sets of `words` words each, in the retained buffer.
+    fn reset(&mut self, sets: usize, words: usize) {
+        self.words = words;
+        self.bits.clear();
+        self.bits.resize(sets * words, 0);
+    }
+
+    /// Set `i`, or `None` past the last one.
+    fn get(&self, i: usize) -> Option<&[u64]> {
+        self.bits.get(i * self.words..(i + 1) * self.words)
+    }
+
+    fn insert(&mut self, i: usize, row: usize) {
+        self.bits[i * self.words + row / 64] |= 1 << (row % 64);
+    }
+}
+
+/// A `need <= value` criterion over one column: the column's distinct
+/// values sorted ascending, and one suffix mask per distinct value (mask
+/// `d` holds the rows whose value is at least `values[d]`, and mask
+/// `values.len()` is empty). The rows meeting a need are one binary
+/// search away.
+#[derive(Debug, Clone, Default)]
+struct AtLeast<T> {
+    values: Vec<T>,
+    suffix: RowMasks,
+    /// `(value, row)` for every row, sorted; retained across rebuilds.
+    sorted: Vec<(T, u32)>,
+}
+
+impl<T: Ord + Copy> AtLeast<T> {
+    /// Start a rebuild with no rows.
+    fn clear(&mut self) {
+        self.sorted.clear();
+    }
+
+    /// Record one row's value.
+    fn push(&mut self, row: usize, value: T) {
+        self.sorted.push((value, row as u32));
+    }
+
+    /// Sort the recorded rows and rebuild the suffix masks.
+    fn build(&mut self, words: usize) {
+        self.sorted.sort_unstable();
+        self.values.clear();
+        self.values.extend(self.sorted.iter().map(|&(v, _)| v));
+        self.values.dedup();
+        self.suffix.reset(self.values.len() + 1, words);
+        let mut rows = self.sorted.iter().rev().peekable();
+        for d in (0..self.values.len()).rev() {
+            let (head, tail) = self.suffix.bits.split_at_mut((d + 1) * words);
+            head[d * words..].copy_from_slice(&tail[..words]);
+            while let Some(&(_, row)) = rows.next_if(|&&(v, _)| v == self.values[d]) {
+                self.suffix.insert(d, row as usize);
+            }
+        }
+    }
+
+    /// Rows whose value is at least `need`.
+    fn at_least(&self, need: T) -> &[u64] {
+        let d = self.values.partition_point(|&v| v < need);
+        self.suffix.get(d).unwrap_or_default()
+    }
+}
+
+/// Fill `top` with the `k` smallest `key(row)` over the set bits of
+/// `mask`, ascending, in one walk: a key enters only while the buffer
+/// has room or when it beats the largest key kept.
+fn smallest_keys(mask: &[u64], k: usize, top: &mut Vec<u128>, key: impl Fn(usize) -> u128) {
+    top.clear();
+    let mut bound = u128::MAX;
+    for (w, &word) in mask.iter().enumerate() {
+        let mut bits = word;
+        while bits != 0 {
+            let row = w * 64 + bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            let key = key(row);
+            if key < bound {
+                if top.len() == k {
+                    top.pop();
+                }
+                top.insert(top.partition_point(|&t| t < key), key);
+                if top.len() == k {
+                    bound = top[k - 1];
+                }
+            }
+        }
+    }
+}
+
+/// Row of the `n`-th set bit (counting from 0) across `mask`'s words;
+/// `n` must be below the mask's population.
+fn nth_row(mask: &[u64], mut n: usize) -> usize {
+    for (w, &word) in mask.iter().enumerate() {
+        let ones = word.count_ones() as usize;
+        if n < ones {
+            let mut word = word;
+            for _ in 0..n {
+                word &= word - 1;
+            }
+            return w * 64 + word.trailing_zeros() as usize;
+        }
+        n -= ones;
+    }
+    unreachable!("row index beyond the mask's population")
+}
+
+/// An epoch-keyed mirror of the MDS directory built for word-parallel
+/// selection: every job-independent fact a hard criterion reads is a
+/// 64-bit row mask, so filtering a placement is a few ANDs per word
+/// instead of a scan over rows. The rank position of every record is
+/// carried too, so ranked selection needs no per-job sort.
 ///
 /// The rank comparator reads nothing but the `GlueRecord`s, so between
 /// MDS publishes the scored order cannot change; only the per-job hard
 /// criteria (VO admission, disk, walltime, outbound) and freshness do.
 ///
 /// Rows sit in ascending site-id order — exactly the order
-/// [`MdsDirectory::fresh_records`] yields — so index-based selection
-/// over a filtered row subset is bit-identical to the reference
-/// broker's record filtering. Rebuilt once per [`MdsDirectory::epoch`]
-/// into retained buffers (zero steady-state allocation); the TTL is
-/// cached too, which is sound because `set_ttl` also bumps the epoch.
+/// [`MdsDirectory::fresh_records`] yields — so the `n`-th set bit of a
+/// filtered mask is the `n`-th record the reference broker keeps.
+/// Rebuilt once per [`MdsDirectory::epoch`] into retained buffers (zero
+/// steady-state allocation); the TTL is cached too, which is sound
+/// because `set_ttl` also bumps the epoch.
 #[derive(Debug, Clone, Default)]
 pub struct SiteTable {
     epoch: Option<u64>,
@@ -79,23 +191,28 @@ pub struct SiteTable {
     // --- dense columns, ascending site order ---
     site: Vec<SiteId>,
     timestamp: Vec<SimTime>,
-    /// VOs the record admits, as bits over [`Vo::ALL`] (`allowed_vos:
-    /// None` ⇒ all bits set).
-    admit_mask: Vec<u8>,
-    /// The owning VO as a one-bit mask (0 = no owner).
-    owner_mask: Vec<u8>,
-    outbound: Vec<bool>,
-    se_free: Vec<Bytes>,
-    max_walltime: Vec<SimDuration>,
     /// Position of this row's site in `order`.
     rank_pos: Vec<u32>,
-    /// Member grid of this row's site (from [`SiteTable::set_grid_map`]);
-    /// `GridId(0)` everywhere in single-grid runs.
-    grid: Vec<GridId>,
     /// Free CPUs — the EDG/LCG rank's tie-break input.
     free: Vec<u32>,
     /// Queued jobs — the EDG/LCG rank's primary input.
     queued: Vec<u32>,
+    // --- row masks, ⌈rows / 64⌉ words each ---
+    /// Rows admitting each VO, one set per [`Vo::index`]
+    /// (`allowed_vos: None` admits every VO).
+    admits: RowMasks,
+    /// Rows owned by each VO, one set per [`Vo::index`].
+    owned_by: RowMasks,
+    /// Rows whose worker nodes reach the internet (criterion 1), as
+    /// set 0.
+    outbound_rows: RowMasks,
+    /// Rows of each member grid, one set per [`GridId`] in the grid map
+    /// (a single set of every row when the map is empty).
+    grid_rows: RowMasks,
+    /// Free storage element space (criterion 2).
+    disk: AtLeast<Bytes>,
+    /// Maximum walltime (criterion 3).
+    walltime: AtLeast<SimDuration>,
     /// Scratch for inverting `order` into `rank_pos`, dense by site
     /// index; retained across refreshes.
     pos_scratch: Vec<u32>,
@@ -120,8 +237,8 @@ impl SiteTable {
     }
 
     /// Revalidate against the directory: one integer compare when the
-    /// epoch is unchanged, a full re-score into retained buffers when
-    /// it moved.
+    /// epoch is unchanged, a full rebuild into retained buffers when it
+    /// moved.
     pub fn refresh(&mut self, mds: &MdsDirectory) {
         if self.epoch == Some(mds.epoch()) {
             return;
@@ -142,38 +259,42 @@ impl SiteTable {
         for (pos, s) in self.order.iter().enumerate() {
             self.pos_scratch[s.index()] = pos as u32;
         }
+        let words = records.len().div_ceil(64);
+        let grids = self.grid_map.iter().map(|g| g.index() + 1).max();
         self.site.clear();
         self.timestamp.clear();
-        self.admit_mask.clear();
-        self.owner_mask.clear();
-        self.outbound.clear();
-        self.se_free.clear();
-        self.max_walltime.clear();
         self.rank_pos.clear();
-        self.grid.clear();
         self.free.clear();
         self.queued.clear();
-        for r in mds.all_records() {
+        self.admits.reset(Vo::ALL.len(), words);
+        self.owned_by.reset(Vo::ALL.len(), words);
+        self.outbound_rows.reset(1, words);
+        self.grid_rows.reset(grids.unwrap_or(1), words);
+        self.disk.clear();
+        self.walltime.clear();
+        for (row, r) in mds.all_records().enumerate() {
             self.site.push(r.site);
             self.timestamp.push(r.timestamp);
-            self.admit_mask.push(match &r.allowed_vos {
-                None => (1u8 << Vo::ALL.len()) - 1,
-                Some(vs) => vs.iter().fold(0u8, |m, v| m | vo_bit(*v)),
-            });
-            self.owner_mask.push(r.owner_vo.map_or(0, vo_bit));
-            self.outbound.push(r.outbound_connectivity);
-            self.se_free.push(r.se_free);
-            self.max_walltime.push(r.max_walltime);
             self.rank_pos.push(self.pos_scratch[r.site.index()]);
-            self.grid.push(
-                self.grid_map
-                    .get(r.site.index())
-                    .copied()
-                    .unwrap_or(GridId(0)),
-            );
             self.free.push(r.free_cpus);
             self.queued.push(r.queued_jobs);
+            for vo in Vo::ALL.into_iter().filter(|&vo| r.admits_vo(vo)) {
+                self.admits.insert(vo.index(), row);
+            }
+            if let Some(vo) = r.owner_vo {
+                self.owned_by.insert(vo.index(), row);
+            }
+            if r.outbound_connectivity {
+                self.outbound_rows.insert(0, row);
+            }
+            let grid = self.grid_map.get(r.site.index()).copied();
+            self.grid_rows
+                .insert(grid.unwrap_or(GridId(0)).index(), row);
+            self.disk.push(row, r.se_free);
+            self.walltime.push(row, r.max_walltime);
         }
+        self.disk.build(words);
+        self.walltime.build(words);
         self.epoch = Some(mds.epoch());
     }
 
@@ -193,26 +314,31 @@ impl SiteTable {
     }
 }
 
-/// Reusable per-placement buffers for [`Broker::select_table_for`]: row
-/// indices of the eligible set plus a backup for the veto fallbacks.
-/// Owned by the caller so steady-state selection allocates nothing.
+/// Reusable per-placement buffers for [`Broker::select_table_for`],
+/// owned by the caller so steady-state selection allocates nothing.
 ///
-/// Also caches the *static* row set — rows passing the job-independent
-/// filters (record freshness and the topology's online view). Both
-/// inputs are piecewise-constant: freshness only changes at a cached
-/// record's `timestamp + ttl` (stale records cannot refresh without an
-/// epoch bump), and the online view only changes at day boundaries. The
-/// cache is therefore keyed by `(epoch, day)` and expires at the
-/// earliest cached freshness deadline, so between monitor ticks the
-/// per-placement scan touches only the static rows.
+/// Also caches the *live* row mask — rows passing the job-independent
+/// filters (record freshness and the caller's online view). Both inputs
+/// are piecewise-constant: freshness only changes at a cached record's
+/// `timestamp + ttl` (stale records cannot refresh without an epoch
+/// bump), and the online view only changes at day boundaries. The mask
+/// is therefore keyed by `(epoch, day)` and expires at the earliest live
+/// row's freshness deadline. It spans every member grid — a grid
+/// restriction is one more AND per placement — so one scratch serves
+/// every query against one table and one online view.
 #[derive(Debug, Clone, Default)]
 pub struct SelectScratch {
-    eligible: Vec<u32>,
-    saved: Vec<u32>,
-    static_rows: Vec<u32>,
-    static_epoch: Option<u64>,
-    static_day: u64,
-    static_valid_until: SimTime,
+    /// Fresh-and-online rows.
+    live: Vec<u64>,
+    live_epoch: Option<u64>,
+    live_day: u64,
+    live_until: SimTime,
+    /// The candidate rows, narrowed step by step through one placement.
+    candidates: Vec<u64>,
+    /// Candidates the health veto bans.
+    vetoed: Vec<u64>,
+    /// The ranked walk's best keys so far, ascending.
+    top: Vec<u128>,
 }
 
 /// Broker configuration.
@@ -319,24 +445,23 @@ impl Broker {
         Some(eligible[rng.below(k)].site)
     }
 
-    /// [`Broker::select_filtered`] over the struct-of-arrays
+    /// [`Broker::select_filtered`] over the row masks of a
     /// [`SiteTable`] — the allocation-free production path, optionally
     /// restricted to one member grid and ranked by a backend's
     /// [`RankInputs`].
     ///
     /// Freshness (against the table's cached TTL) and the caller's
     /// `online` view are applied here rather than by pre-filtering a
-    /// record vector, so the whole selection touches only dense scalar
-    /// columns and the caller-owned `scratch` buffers. With `grid = None`
-    /// and [`RankInputs::HeadroomBandwidth`] (the single-grid path) the
-    /// RNG draw sequence and the pick are exactly the reference broker's:
-    /// the same `chance`/`below` calls, whose arguments depend only on
-    /// eligible-set membership — which this path preserves row for row.
+    /// record vector: each hard criterion is an AND of ⌈rows / 64⌉ words
+    /// against the cached live mask, and the counts the RNG draws depend
+    /// on are popcounts. With `grid = None` and
+    /// [`RankInputs::HeadroomBandwidth`] (the single-grid path) the RNG
+    /// draw sequence and the pick are exactly the reference broker's: the
+    /// same `chance`/`below` calls, whose arguments depend only on
+    /// eligible-set membership — which the masks keep row for row.
     ///
-    /// The `scratch` static-row cache is keyed by `(epoch, day)` only, so
-    /// callers must dedicate one [`SelectScratch`] per distinct
-    /// `(grid, online)` query shape — the federated brokering subsystem
-    /// keeps one per member grid.
+    /// `banned` is the health veto, `None` when the grid has no
+    /// resilience layer; it is asked only about candidate rows.
     #[allow(clippy::too_many_arguments)]
     pub fn select_table_for(
         &self,
@@ -347,150 +472,143 @@ impl Broker {
         grid: Option<GridId>,
         rank: RankInputs,
         online: impl Fn(SiteId) -> bool,
-        banned: impl Fn(SiteId) -> bool,
+        banned: Option<impl Fn(SiteId) -> bool>,
         scratch: &mut SelectScratch,
         rng: &mut SimRng,
     ) -> Option<SiteId> {
-        let vo = vo_bit(spec.class.vo());
-        let need = spec.input_bytes + spec.output_bytes + spec.scratch_bytes;
-        // Revalidate the static-row cache (see [`SelectScratch`]): rows
-        // passing the job-independent filters. Within one `(epoch, day)`
-        // a fresh row can only *leave* the set — at `timestamp + ttl` —
-        // so expiring the cache at the earliest such deadline keeps its
-        // membership exact, and with it the RNG draw sequence.
+        let words = table.len().div_ceil(64);
+        // Revalidate the live mask (see [`SelectScratch`]). Within one
+        // `(epoch, day)` a fresh row can only *leave* the set — at
+        // `timestamp + ttl` — so expiring the mask at the earliest such
+        // deadline keeps its membership exact, and with it the RNG draw
+        // sequence.
         let day = now.day_index();
-        if scratch.static_epoch != table.epoch
-            || scratch.static_day != day
-            || now > scratch.static_valid_until
+        if scratch.live_epoch != table.epoch || scratch.live_day != day || now > scratch.live_until
         {
-            scratch.static_rows.clear();
-            let mut valid_until = SimTime::from_micros(u64::MAX);
-            for i in 0..table.site.len() {
-                if now.since(table.timestamp[i]) <= table.ttl
-                    && grid.is_none_or(|g| table.grid[i] == g)
-                    && online(table.site[i])
-                {
-                    valid_until = valid_until.min(table.timestamp[i] + table.ttl);
-                    scratch.static_rows.push(i as u32);
+            scratch.live.clear();
+            scratch.live.resize(words, 0);
+            let mut until = SimTime::from_micros(u64::MAX);
+            for (row, (&site, &stamp)) in table.site.iter().zip(&table.timestamp).enumerate() {
+                if now.since(stamp) <= table.ttl && online(site) {
+                    until = until.min(stamp + table.ttl);
+                    scratch.live[row / 64] |= 1 << (row % 64);
                 }
             }
-            scratch.static_epoch = table.epoch;
-            scratch.static_day = day;
-            scratch.static_valid_until = valid_until;
+            scratch.live_epoch = table.epoch;
+            scratch.live_day = day;
+            scratch.live_until = until;
         }
-        scratch.eligible.clear();
-        for &row in &scratch.static_rows {
-            let i = row as usize;
-            if table.admit_mask[i] & vo != 0                         // VO admission
-                && (!spec.needs_outbound || table.outbound[i])       // criterion 1
-                && need <= table.se_free[i]                          // criterion 2
-                && spec.requested_walltime <= table.max_walltime[i]
-            // criterion 3
-            {
-                scratch.eligible.push(row);
+
+        // The four hard criteria, plus the grid restriction: a grid with
+        // no rows has no candidates.
+        let vo = spec.class.vo().index();
+        let members = match grid {
+            Some(g) => Some(table.grid_rows.get(g.index())?),
+            None => None,
+        };
+        let admits = table.admits.get(vo).unwrap_or_default();
+        let outbound = table.outbound_rows.get(0).unwrap_or_default();
+        let need = spec.input_bytes + spec.output_bytes + spec.scratch_bytes;
+        let disk = table.disk.at_least(need); // criterion 2
+        let walltime = table.walltime.at_least(spec.requested_walltime); // criterion 3
+        scratch.candidates.clear();
+        let mut count = 0;
+        for w in 0..words {
+            let mut m = scratch.live[w] & admits[w] & disk[w] & walltime[w];
+            if spec.needs_outbound {
+                m &= outbound[w]; // criterion 1
             }
+            if let Some(members) = members {
+                m &= members[w];
+            }
+            count += m.count_ones() as usize;
+            scratch.candidates.push(m);
         }
-        if scratch.eligible.is_empty() {
+        if count == 0 {
             return None;
         }
 
         // Health veto, with all-banned fallback: drop banned rows only
-        // when the veto is partial — all-banned keeps the full set, and
-        // none-banned (every baseline placement) touches nothing.
-        let n_banned = scratch
-            .eligible
-            .iter()
-            .filter(|&&i| banned(table.site[i as usize]))
-            .count();
-        if n_banned > 0 && n_banned < scratch.eligible.len() {
-            scratch
-                .eligible
-                .retain(|&i| !banned(table.site[i as usize]));
+        // when the veto is partial — all-banned keeps the full set.
+        if let Some(banned) = banned {
+            scratch.vetoed.clear();
+            let mut n_banned = 0;
+            for (w, &word) in scratch.candidates.iter().enumerate() {
+                let (mut bits, mut hit) = (word, 0u64);
+                while bits != 0 {
+                    let bit = bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    if banned(table.site[w * 64 + bit]) {
+                        hit |= 1 << bit;
+                    }
+                }
+                n_banned += hit.count_ones() as usize;
+                scratch.vetoed.push(hit);
+            }
+            if n_banned > 0 && n_banned < count {
+                for (m, v) in scratch.candidates.iter_mut().zip(&scratch.vetoed) {
+                    *m &= !v;
+                }
+                count -= n_banned;
+            }
         }
 
         // Soft preference: own-VO sites (keep the full set when none).
         if rng.chance(vo_affinity) {
-            let n_own = scratch
-                .eligible
+            let owned = table.owned_by.get(vo).unwrap_or_default();
+            let n_own: usize = scratch
+                .candidates
                 .iter()
-                .filter(|&&i| table.owner_mask[i as usize] == vo)
-                .count();
-            if n_own > 0 && n_own < scratch.eligible.len() {
-                scratch
-                    .eligible
-                    .retain(|&i| table.owner_mask[i as usize] == vo);
+                .zip(owned)
+                .map(|(m, o)| (m & o).count_ones() as usize)
+                .sum();
+            if n_own > 0 && n_own < count {
+                for (m, o) in scratch.candidates.iter_mut().zip(owned) {
+                    *m &= o;
+                }
+                count = n_own;
             }
         }
 
-        // Favorite path: rows are in ascending site order, so indexing
-        // the eligible list is the reference path's sorted `by_id` walk.
+        // Favorite path: rows are in ascending site order, so the idx-th
+        // set bit is the reference path's sorted `by_id[idx]`.
         if rng.chance(self.favorite_bias) {
             let salt = rng.below(2);
             let idx = (spec.user.0 as usize)
                 .wrapping_mul(2_654_435_761)
                 .wrapping_add(salt * 97)
-                % scratch.eligible.len();
-            return Some(table.site[scratch.eligible[idx] as usize]);
+                % count;
+            return Some(table.site[nth_row(&scratch.candidates, idx)]);
         }
 
-        // Ranked path. The `target` draw is identical under either rank
-        // — only which site the slot resolves to differs per backend.
-        let k = self.spread.max(1).min(scratch.eligible.len());
+        // Ranked path: slot `target` of the candidates sorted by the
+        // backend's rank, found in one walk that keeps the `k` smallest
+        // keys. The `target` draw is identical under either rank — only
+        // which site the slot resolves to differs per backend.
+        let k = self.spread.max(1).min(count);
         let target = rng.below(k);
-        match rank {
+        let (candidates, top) = (&scratch.candidates, &mut scratch.top);
+        Some(match rank {
             // The reference (`Vdt`) rank: the reference broker sorts the
-            // eligible subset by `rank_order` and reads slot `target`;
-            // restricting a total order to a subset preserves relative
-            // order, so that slot holds the eligible row with the
-            // `target`-th smallest global rank position — found in one
-            // pass (rank positions are unique).
+            // eligible subset by `rank_order`, and restricting a total
+            // order to a subset preserves relative order, so the key is
+            // the global rank position (unique per row).
             RankInputs::HeadroomBandwidth => {
-                const SMALL_K: usize = 8;
-                if k <= SMALL_K {
-                    let mut best = [u32::MAX; SMALL_K];
-                    for &i in &scratch.eligible {
-                        let rp = table.rank_pos[i as usize];
-                        if rp >= best[k - 1] {
-                            continue;
-                        }
-                        let mut j = k - 1;
-                        while j > 0 && best[j - 1] > rp {
-                            best[j] = best[j - 1];
-                            j -= 1;
-                        }
-                        best[j] = rp;
-                    }
-                    return Some(table.order[best[target] as usize]);
-                }
-                // Oversized spread (not a shipped configuration): select
-                // via a sort of the rank positions in the retained buffer.
-                scratch.saved.clear();
-                scratch
-                    .saved
-                    .extend(scratch.eligible.iter().map(|&i| table.rank_pos[i as usize]));
-                scratch.saved.sort_unstable();
-                Some(table.order[scratch.saved[target] as usize])
+                smallest_keys(candidates, k, top, |row| u128::from(table.rank_pos[row]));
+                table.order[top[target] as usize]
             }
             // The EDG/LCG resource-broker rank: shortest batch queue
-            // first, free CPUs and site id as tie-breaks. Keys are
-            // unique (site id is the last word), so slot `target` of the
-            // sorted key set is well-defined.
+            // first, free CPUs and site id as tie-breaks. Keys are unique
+            // (site id is the last word), which also names the pick.
             RankInputs::QueueDepth => {
-                let key = |i: u32| {
-                    let i = i as usize;
-                    ((table.queued[i] as u128) << 64)
-                        | (((u32::MAX - table.free[i]) as u128) << 32)
-                        | table.site[i].0 as u128
-                };
-                let mut picks: Vec<(u128, SiteId)> = scratch
-                    .eligible
-                    .iter()
-                    .map(|&i| (key(i), table.site[i as usize]))
-                    .collect();
-                picks.sort_unstable();
-                Some(picks[target].1)
+                smallest_keys(candidates, k, top, |row| {
+                    u128::from(table.queued[row]) << 64
+                        | u128::from(u32::MAX - table.free[row]) << 32
+                        | u128::from(table.site[row].0)
+                });
+                SiteId(top[target] as u32)
             }
-        }
+        })
     }
 }
 
@@ -748,7 +866,7 @@ mod tests {
                 None,
                 RankInputs::HeadroomBandwidth,
                 online,
-                banned,
+                Some(banned),
                 &mut scratch,
                 &mut fast_rng,
             );
@@ -814,9 +932,9 @@ mod tests {
 
     #[test]
     fn multi_word_table_matches_both_references() {
-        // 150 site ids with a few never published: the table holds well
-        // over 128 rows, so every mask spans three words and rows 63/64
-        // and 127/128 sit on word boundaries.
+        // 150 site ids with nine never published: the table holds 141
+        // rows, so every mask spans three words and rows 63/64 and
+        // 127/128 sit on word boundaries.
         let mut gen = SimRng::for_entity(0x6d61_736b, 15);
         let shapes: Vec<JobSpec> = [(1, 8, false), (7, 30, true), (40, 2, false)]
             .into_iter()
@@ -845,7 +963,7 @@ mod tests {
         let grid_of: Vec<GridId> = (0..150).map(|_| GridId(gen.below(2) as u32)).collect();
         let ttl = MdsDirectory::DEFAULT_TTL;
         // Just before midnight, so the trials cross a day boundary.
-        let start = SimTime::from_days(1) - SimDuration::from_mins(6);
+        let start = SimTime::from_days(1) - SimDuration::from_mins(3);
         let mut mds = MdsDirectory::with_default_ttl();
         let publish = |mds: &mut MdsDirectory, gen: &mut SimRng, site: u32, now: SimTime| {
             let mut r = record(site, gen.below(8) as u32, None);
@@ -868,9 +986,11 @@ mod tests {
             };
             r.se_free = *gen.pick(&disks);
             r.max_walltime = *gen.pick(&walls);
-            // Up to twice the TTL old: some rows start stale, the rest
-            // age out as the trials advance the clock.
-            let age = gen.below(2 * ttl.as_micros() as usize) as u64;
+            // Most rows stay fresh through every trial; the rest are up
+            // to twice the TTL old, so some start stale and others age
+            // out as the trials advance the clock.
+            let oldest = if gen.chance(0.3) { ttl * 2 } else { ttl / 3 };
+            let age = gen.below(oldest.as_micros() as usize) as u64;
             r.timestamp = SimTime::from_micros(now.as_micros().saturating_sub(age));
             mds.publish(r);
         };
@@ -895,13 +1015,14 @@ mod tests {
                 favorite_bias: 0.0,
             },
         ];
+        // One scratch serves both ranks and both grids: the live mask it
+        // caches is the same for every query shape.
         let mut scratch = SelectScratch::default();
-        let mut grid_scratch = [SelectScratch::default(), SelectScratch::default()];
         let mut fast_rng = SimRng::for_entity(151, 15);
         let mut ref_rng = SimRng::for_entity(151, 15);
         let mut placed = 0;
         for trial in 0..1_500u32 {
-            let now = start + SimDuration::from_secs(u64::from(trial / 2));
+            let now = start + SimDuration::from_secs(u64::from(trial / 4));
             // A few republishes move the epoch (and restamp rows fresh).
             if trial % 250 == 249 {
                 for _ in 0..20 {
@@ -911,14 +1032,17 @@ mod tests {
                 table.refresh(&mds);
             }
             let day = now.day_index();
-            let online = |s: SiteId| (u64::from(s.0) * 7 + day) % 11 != 0;
+            let online = |s: SiteId| !(u64::from(s.0) * 7 + day).is_multiple_of(11);
+            // No veto at all (a grid without a resilience layer), a
+            // partial ban, a total ban, and a ban of every low site id.
             let ban_mode = trial % 4;
             let banned = |s: SiteId| match ban_mode {
                 0 => false,
-                1 => s.0 % 3 == 0,
+                1 => s.0.is_multiple_of(3),
                 2 => true,
                 _ => s.0 < 70,
             };
+            let veto = (ban_mode != 0).then_some(banned);
             let broker = &brokers[(trial % 3) as usize];
             let mut s = shapes[(trial / 3 % 3) as usize].clone();
             s.class = *gen.pick(&UserClass::ALL);
@@ -938,7 +1062,7 @@ mod tests {
                     None,
                     RankInputs::HeadroomBandwidth,
                     online,
-                    banned,
+                    veto,
                     &mut scratch,
                     &mut fast_rng,
                 );
@@ -959,8 +1083,8 @@ mod tests {
                     Some(g),
                     RankInputs::QueueDepth,
                     online,
-                    banned,
-                    &mut grid_scratch[g.index()],
+                    veto,
+                    &mut scratch,
                     &mut fast_rng,
                 );
                 let reference = select_queue_depth_reference(
@@ -1025,7 +1149,7 @@ mod tests {
                 grid,
                 rank,
                 |_| true,
-                |_| false,
+                None::<fn(SiteId) -> bool>,
                 &mut scratch,
                 rng,
             )

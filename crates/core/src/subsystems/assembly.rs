@@ -415,7 +415,7 @@ pub(crate) fn assemble(cfg: ScenarioConfig) -> Grid3Engine {
     let chaos_state = crate::chaos::ChaosState::new(sites.len());
     let mut brokering = Brokering::new(campaigns, arrivals);
     if !federation.is_single() {
-        brokering.set_federation(federation.grids().len(), federation.grid_map());
+        brokering.set_federation(federation.grid_map());
     }
     let fabric = GridFabric {
         resilience,
@@ -443,7 +443,7 @@ pub(crate) fn assemble(cfg: ScenarioConfig) -> Grid3Engine {
         fabric,
         brokering,
         staging: Staging::new(demo),
-        execution: Execution,
+        execution: Execution::default(),
         fault: FaultHandling::default(),
         reporting: Reporting::new(viewer),
         auditor,

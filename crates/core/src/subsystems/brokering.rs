@@ -54,12 +54,9 @@ pub struct Brokering {
     /// re-score — and any per-placement allocation — between monitor
     /// ticks.
     site_table: SiteTable,
-    /// Reusable row-index buffers for [`Broker::select_table_for`].
+    /// Reusable row-mask buffers for [`Broker::select_table_for`],
+    /// shared by every member grid's queries.
     scratch: SelectScratch,
-    /// One [`SelectScratch`] per member grid for the federated path —
-    /// each grid's queries filter a different static row set, so they
-    /// cannot share the `(epoch, day)`-keyed cache. Empty single-grid.
-    grid_scratch: Vec<SelectScratch>,
     /// Jobs waiting out a retry backoff before re-brokering:
     /// `(spec, vo_affinity, attempts already made)`.
     retry_state: FastMap<JobId, (JobSpec, f64, u32)>,
@@ -91,7 +88,6 @@ impl Brokering {
             broker: Broker::default(),
             site_table: SiteTable::new(),
             scratch: SelectScratch::default(),
-            grid_scratch: Vec::new(),
             retry_state: FastMap::default(),
             unplaced_jobs: 0,
             campaigns,
@@ -125,16 +121,15 @@ impl Brokering {
     }
 
     /// Prepare the subsystem for a federated run: stamp the site→grid
-    /// labelling onto the SoA mirror and size the per-grid scratch set.
-    pub(crate) fn set_federation(&mut self, grids: usize, grid_of: &[GridId]) {
+    /// labelling onto the site table.
+    pub(crate) fn set_federation(&mut self, grid_of: &[GridId]) {
         self.site_table.set_grid_map(grid_of);
-        self.grid_scratch = vec![SelectScratch::default(); grids];
     }
 
     /// The run-mutated slice of this subsystem, for engine snapshots.
     /// The arrival table is rebuilt by re-assembly, so only its cursor
-    /// is captured. The SoA site table, the per-grid scratch set, and
-    /// the span map are rebuildable caches/telemetry and are *not*
+    /// is captured. The site table, the selection scratch, and the span
+    /// map are rebuildable caches/telemetry and are *not*
     /// captured: the table re-memoises from the restored MDS on first
     /// access (same epoch key, same content), and spans restart empty.
     pub(crate) fn capture(&self) -> BrokeringCapture {
@@ -291,10 +286,10 @@ impl Brokering {
         affinity: f64,
         attempt: u32,
     ) {
-        // The SoA mirror of the directory (rebuilt only when the MDS
+        // The row-mask mirror of the directory (rebuilt only when the MDS
         // epoch moved); freshness, the online view and the resilience
-        // health veto (a no-op in baseline runs) are applied inside the
-        // single scan, ranked by the reference (`Vdt`) rank.
+        // health veto (absent in baseline runs) are applied inside the
+        // selection, ranked by the reference (`Vdt`) rank.
         self.site_table.refresh(&fabric.center.mds);
         let selected = if fabric.federation.is_single() {
             #[cfg(debug_assertions)]
@@ -307,12 +302,10 @@ impl Brokering {
                 None,
                 RankInputs::HeadroomBandwidth,
                 |s| fabric.topo.is_online(s, now),
-                |s| {
-                    fabric
-                        .resilience
-                        .as_ref()
-                        .is_some_and(|r| r.is_banned(s, now))
-                },
+                fabric
+                    .resilience
+                    .as_ref()
+                    .map(|r| move |s| r.is_banned(s, now)),
                 &mut self.scratch,
                 &mut ctx.broker_rng,
             );
@@ -340,7 +333,7 @@ impl Brokering {
                                 .is_some_and(|r| r.is_banned(s, now))
                         }
                     ),
-                    "SoA fast path diverged from the reference broker"
+                    "row-mask selection diverged from the reference broker"
                 );
             }
             selected
@@ -568,7 +561,7 @@ impl Brokering {
     /// admits the VO *and* whose aggregated directory the federation
     /// still trusts ([`grid3_middleware::mds::MdsPeering::is_live`]).
     /// Within each grid, placement runs that grid's backend rank over
-    /// that grid's rows only, with its own scratch cache.
+    /// that grid's rows only.
     fn select_federated(
         &mut self,
         fabric: &GridFabric,
@@ -605,13 +598,11 @@ impl Brokering {
                 Some(g),
                 grid.backend.info().rank_inputs(),
                 |s| fabric.topo.is_online(s, now),
-                |s| {
-                    fabric
-                        .resilience
-                        .as_ref()
-                        .is_some_and(|r| r.is_banned(s, now))
-                },
-                &mut self.grid_scratch[g.index()],
+                fabric
+                    .resilience
+                    .as_ref()
+                    .map(|r| move |s| r.is_banned(s, now)),
+                &mut self.scratch,
                 rng,
             );
             if pick.is_some() {

@@ -9,20 +9,27 @@
 //! staging via an immediate [`StagingEvent::BeginStageOut`].
 
 use grid3_monitoring::trace::TraceEvent;
-use grid3_simkit::ids::{JobId, SiteId};
+use grid3_simkit::ids::{JobId, NodeId, SiteId};
 use grid3_simkit::time::{SimDuration, SimTime};
 use grid3_site::job::FailureCause;
+use grid3_site::scheduler::QueuedJob;
 
 use super::fabric::{ExecutionFate, Phase};
 use super::{EngineCtx, ExecutionEvent, GridEvent, GridFabric, StagingEvent, Subsystem};
 
 /// The execution subsystem (see the module docs).
 ///
-/// Stateless by construction: the jobs it advances live in the shared
-/// fabric's job table, and its randomness comes from the context's fate
-/// stream — so the subsystem itself is pure event-to-event logic.
+/// Holds no run state: the jobs it advances live in the shared fabric's
+/// job table, and its randomness comes from the context's fate stream —
+/// so the subsystem itself is pure event-to-event logic. Its one field
+/// is dispatch scratch whose contents never outlive an event: snapshots
+/// do not capture it, and it restores empty.
 #[derive(Default)]
-pub struct Execution;
+pub struct Execution {
+    /// Reusable `(queued-job, node)` buffer for
+    /// [`Site::dispatch`](grid3_site::cluster::Site::dispatch).
+    started: Vec<(QueuedJob, NodeId)>,
+}
 
 /// Grace period past a job's requested walltime before the hung-job
 /// watchdog declares it lost. Generous enough that no healthy fate
@@ -40,9 +47,10 @@ impl Execution {
         if !fabric.topo.is_online(site, now) {
             return;
         }
-        let started = fabric.sites[site.index()].dispatch(now);
-        for (qj, node) in started {
-            let Some(spec) = fabric.jobs.get(&qj.job).map(|j| j.spec.clone()) else {
+        fabric.sites[site.index()].dispatch(now, &mut self.started);
+        for (qj, node) in &self.started {
+            let (job, node) = (qj.job, *node);
+            let Some(spec) = fabric.jobs.get(&job).map(|j| j.spec.clone()) else {
                 continue;
             };
             fabric.job_gauge.step(now, 1.0);
@@ -74,13 +82,12 @@ impl Execution {
             } else {
                 (ExecutionFate::Success, wall)
             };
-            let j = fabric.jobs.get_mut(&qj.job).expect("present");
+            let j = fabric.jobs.get_mut(&job).expect("present");
             j.phase = Phase::Running;
             j.started = Some(now);
             j.fate = fate;
             j.exec_duration = ends_after;
-            ctx.traces
-                .record(qj.job, now, TraceEvent::Dispatched { node });
+            ctx.traces.record(job, now, TraceEvent::Dispatched { node });
             // Black-hole site (§6.2): the batch system "runs" the job but
             // it will never finish — suppress the end event and let the
             // hung-job watchdog reap it. Fate draws above still happened,
@@ -88,7 +95,7 @@ impl Execution {
             if !fabric.chaos.is_black_hole(site) {
                 ctx.queue.schedule_at(
                     now + ends_after,
-                    GridEvent::Execution(ExecutionEvent::ExecutionEnds(qj.job)),
+                    GridEvent::Execution(ExecutionEvent::ExecutionEnds(job)),
                 );
             }
             if fabric.cfg.chaos.is_some() {
@@ -97,7 +104,7 @@ impl Execution {
                 // Lazily cancelled — for healthy jobs the check no-ops.
                 ctx.queue.schedule_at(
                     now + spec.requested_walltime + HUNG_JOB_GRACE,
-                    GridEvent::Execution(ExecutionEvent::HungJobCheck(qj.job)),
+                    GridEvent::Execution(ExecutionEvent::HungJobCheck(job)),
                 );
             }
         }

@@ -203,7 +203,7 @@ mod tests {
     use super::*;
 
     /// The reference backend must equal the legacy constants exactly —
-    /// this is what the eight golden hashes lean on.
+    /// this is what every golden in `tests/determinism.rs` leans on.
     #[test]
     fn vdt_knobs_match_legacy_constants() {
         let k = BackendKind::Vdt;

@@ -78,7 +78,7 @@ impl SiteStatusCatalog {
         } else {
             ProbeStatus::Fail
         };
-        let entry = self.entries.entry(site.id).or_insert(CatalogEntry {
+        let entry = self.entries.entry(site.id).or_insert_with(|| CatalogEntry {
             name: site.profile.name.clone(),
             status,
             last_probe: now,

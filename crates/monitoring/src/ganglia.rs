@@ -214,7 +214,7 @@ mod tests {
                 enqueued: SimTime::EPOCH,
             });
         }
-        site.dispatch(SimTime::EPOCH);
+        site.dispatch(SimTime::EPOCH, &mut Vec::new());
         let agent = GangliaAgent::new(SiteId(0));
         let events = agent.sample(&site, SimTime::from_mins(5));
         assert_eq!(events.len(), 3);

@@ -248,12 +248,13 @@ impl Site {
     }
 
     /// Dispatch as many queued jobs as free slots (and policy) allow.
-    /// Returns `(queued-job, node)` pairs; the caller computes wall time
-    /// from the node speed and schedules completion events.
-    pub fn dispatch(&mut self, now: SimTime) -> Vec<(QueuedJob, NodeId)> {
-        let mut started = Vec::new();
+    /// Clears `started`, then fills it with `(queued-job, node)` pairs;
+    /// the caller computes wall time from the node speed and schedules
+    /// completion events, and keeps the buffer across calls.
+    pub fn dispatch(&mut self, now: SimTime, started: &mut Vec<(QueuedJob, NodeId)>) {
+        started.clear();
         if !self.service_up {
-            return started;
+            return;
         }
         while !self.free_nodes.is_empty() {
             let ctx = DispatchCtx {
@@ -281,7 +282,6 @@ impl Site {
             );
             started.push((job, node));
         }
-        started
     }
 
     /// Node speed lookup for wall-time computation.
@@ -411,7 +411,8 @@ mod tests {
         for i in 0..5 {
             s.enqueue(qj(i, Vo::Usatlas, 4));
         }
-        let started = s.dispatch(SimTime::EPOCH);
+        let mut started = Vec::new();
+        s.dispatch(SimTime::EPOCH, &mut started);
         assert_eq!(started.len(), 3);
         assert_eq!(s.free_slots(), 0);
         assert_eq!(s.running_count(), 3);
@@ -427,7 +428,7 @@ mod tests {
     fn release_frees_slot_and_charges_usage() {
         let mut s = Site::new(SiteId(0), profile(2));
         s.enqueue(qj(1, Vo::Uscms, 4));
-        s.dispatch(SimTime::EPOCH);
+        s.dispatch(SimTime::EPOCH, &mut Vec::new());
         let booking = s
             .release(JobId(1), SimTime::EPOCH + SimDuration::from_hours(4))
             .unwrap();
@@ -481,7 +482,7 @@ mod tests {
         for i in 0..4 {
             s.enqueue(qj(i, Vo::Usatlas, 4));
         }
-        s.dispatch(SimTime::EPOCH);
+        s.dispatch(SimTime::EPOCH, &mut Vec::new());
         let killed = s.kill_all_running(SimTime::EPOCH + SimDuration::from_hours(1));
         assert_eq!(killed.len(), 4);
         assert_eq!(s.running_count(), 0);
@@ -497,18 +498,18 @@ mod tests {
         for i in 0..3 {
             s.enqueue(qj(i, Vo::Usatlas, 4));
         }
-        s.dispatch(SimTime::EPOCH);
+        s.dispatch(SimTime::EPOCH, &mut Vec::new());
         let killed = s.nodes_down(SimTime::EPOCH + SimDuration::from_hours(2));
         assert_eq!(killed.len(), 3);
         assert_eq!(s.free_slots(), 0);
         // No dispatch while down.
         s.enqueue(qj(9, Vo::Usatlas, 4));
-        assert!(s
-            .dispatch(SimTime::EPOCH + SimDuration::from_hours(3))
-            .is_empty());
+        let mut started = Vec::new();
+        s.dispatch(SimTime::EPOCH + SimDuration::from_hours(3), &mut started);
+        assert!(started.is_empty());
         s.nodes_back_up();
         assert_eq!(s.free_slots(), 3);
-        let started = s.dispatch(SimTime::EPOCH + SimDuration::from_hours(4));
+        s.dispatch(SimTime::EPOCH + SimDuration::from_hours(4), &mut started);
         assert_eq!(started.len(), 1);
     }
 
@@ -521,14 +522,15 @@ mod tests {
         for i in 0..4 {
             s.enqueue(qj(i, Vo::Uscms, 40)); // all long
         }
-        let started = s.dispatch(SimTime::EPOCH);
+        let mut started = Vec::new();
+        s.dispatch(SimTime::EPOCH, &mut started);
         assert_eq!(started.len(), 2, "long cap limits dispatch");
         assert_eq!(s.queued_count(), 2);
         // Releasing one long job admits one more.
         let first = started[0].0.job;
         s.release(first, SimTime::EPOCH + SimDuration::from_hours(1));
-        let more = s.dispatch(SimTime::EPOCH + SimDuration::from_hours(1));
-        assert_eq!(more.len(), 1);
+        s.dispatch(SimTime::EPOCH + SimDuration::from_hours(1), &mut started);
+        assert_eq!(started.len(), 1);
     }
 
     #[test]
@@ -537,7 +539,7 @@ mod tests {
         assert_eq!(s.utilization(), 0.0);
         s.enqueue(qj(0, Vo::Usatlas, 4));
         s.enqueue(qj(1, Vo::Usatlas, 4));
-        s.dispatch(SimTime::EPOCH);
+        s.dispatch(SimTime::EPOCH, &mut Vec::new());
         assert!((s.utilization() - 0.5).abs() < 1e-12);
     }
 }

@@ -38,14 +38,16 @@ fn allocs_per_event(cfg: ScenarioConfig) -> (f64, u64) {
 /// grid) must stay under the pinned allocs/event ceiling.
 ///
 /// Pre-arena baseline on this config measured 40.19 allocs/event; the
-/// arena/SoA engine runs at ~5.5 (monitor ticks dominate at smoke
-/// depth, and their publish/sample buffers are now reused; the trace
-/// store's dense tables and reserved event vectors removed most of the
-/// rest). Measured with the counter to itself, the ceiling of 7.0 is
-/// 1.27× the 5.51 reading, so only a real regression trips the guard.
+/// arena/SoA engine ran at ~5.5 (monitor ticks dominate at smoke depth,
+/// and their publish/sample buffers are now reused; the trace store's
+/// dense tables and reserved event vectors removed most of the rest).
+/// Row-mask site selection, a caller-owned dispatch buffer and a status
+/// catalog probe that no longer clones the site name brought it to 2.80.
+/// Measured with the counter to itself, the ceiling of 3.5 is 1.25× the
+/// 2.80 reading, so only a real regression trips the guard.
 #[test]
 fn scale_out_smoke_stays_under_alloc_budget() {
-    const CEILING: f64 = 7.0;
+    const CEILING: f64 = 3.5;
     let _counter = exclusive_counter();
     let cfg = ScenarioConfig::scale_out().with_scale(0.1).with_days(4);
     let (per_event, events) = allocs_per_event(cfg);
