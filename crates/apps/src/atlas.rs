@@ -10,7 +10,6 @@
 use grid3_simkit::ids::{FileId, FileIdGen};
 use grid3_simkit::time::SimDuration;
 use grid3_workflow::chimera::{Derivation, Transformation, VirtualDataCatalog};
-use grid3_workflow::dial::DatasetCatalog;
 use serde::{Deserialize, Serialize};
 
 /// The logical files of one ATLAS production chain.
@@ -36,11 +35,11 @@ pub struct AtlasDataChallenge {
 
 /// Reference runtimes for the three ATLAS steps. The paper's Table 1
 /// average (8.81 h) is dominated by the simulation step.
-pub const PYTHIA_RUNTIME_HOURS: u64 = 1;
+pub(crate) const PYTHIA_RUNTIME_HOURS: u64 = 1;
 /// GEANT simulation step runtime.
-pub const ATLSIM_RUNTIME_HOURS: u64 = 10;
+pub(crate) const ATLSIM_RUNTIME_HOURS: u64 = 10;
 /// Reconstruction step runtime.
-pub const RECO_RUNTIME_HOURS: u64 = 4;
+pub(crate) const RECO_RUNTIME_HOURS: u64 = 4;
 
 /// Build the virtual-data catalog for `partitions` production chains,
 /// allocating logical files from `lfns`.
@@ -97,22 +96,10 @@ pub fn dc2_virtual_data(partitions: u32, lfns: &mut FileIdGen) -> AtlasDataChall
     AtlasDataChallenge { vdc, chains }
 }
 
-/// Register produced samples in the DIAL dataset catalog (§6.1: "a dataset
-/// catalog was created for produced samples, making them available to the
-/// DIAL distributed analysis package").
-pub fn register_dial_datasets(dc: &AtlasDataChallenge, catalog: &mut DatasetCatalog) {
-    catalog.add_files(
-        "dc2.reconstructed",
-        dc.chains.iter().map(|c| c.reconstructed),
-    );
-    catalog.add_files("dc2.simulated", dc.chains.iter().map(|c| c.simulated));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use grid3_middleware::rls::ReplicaLocationService;
-    use grid3_workflow::dial::DialScheduler;
 
     #[test]
     fn each_chain_is_a_three_step_pipeline() {
@@ -137,21 +124,6 @@ mod tests {
         let mut lfns = FileIdGen::new();
         let dc = dc2_virtual_data(1_700, &mut lfns);
         assert_eq!(dc.vdc.derivation_count(), 5_100);
-    }
-
-    #[test]
-    fn dial_analysis_splits_reconstructed_samples() {
-        let mut lfns = FileIdGen::new();
-        let dc = dc2_virtual_data(40, &mut lfns);
-        let mut catalog = DatasetCatalog::new();
-        register_dial_datasets(&dc, &mut catalog);
-        assert_eq!(catalog.len(), 2);
-        let jobs = DialScheduler
-            .split(&catalog, "dc2.reconstructed", 8)
-            .unwrap();
-        assert_eq!(jobs.len(), 8);
-        let files: usize = jobs.iter().map(|j| j.files.len()).sum();
-        assert_eq!(files, 40);
     }
 
     #[test]

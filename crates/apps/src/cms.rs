@@ -11,7 +11,7 @@ use grid3_simkit::ids::UserId;
 use grid3_workflow::mop::{CmsSimulator, ProductionRequest};
 
 /// Standard events per production job chain.
-pub const EVENTS_PER_JOB: u64 = 250;
+pub(crate) const EVENTS_PER_JOB: u64 = 250;
 
 /// Build the US-CMS production request series: `oscar_events` of GEANT4
 /// OSCAR simulation plus `cmsim_events` of GEANT3 CMSIM, split into

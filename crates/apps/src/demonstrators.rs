@@ -6,18 +6,16 @@
 //!   generate simulated traffic between a matrix of sites in a periodic
 //!   fashion." §6.3: the demo met the 2 TB/day goal and "accounted for
 //!   most data transferred on Grid3" (Figure 5).
-//! * **Condor exerciser** — "an exerciser backfill application provided by
-//!   the Condor group tested the status of the batch systems … This
-//!   application ran repeatedly with a low priority at 15 minute
-//!   intervals."
+//!
+//! The Condor exerciser ("an exerciser backfill application provided by
+//! the Condor group tested the status of the batch systems … at 15 minute
+//! intervals") runs as the `Exerciser` class of [`crate::workloads`].
 
 use grid3_middleware::gridftp::TransferRequest;
-use grid3_simkit::ids::{SiteId, UserId};
-use grid3_simkit::rng::SimRng;
+use grid3_simkit::ids::SiteId;
 use grid3_simkit::time::{SimDuration, SimTime};
 use grid3_simkit::units::Bytes;
-use grid3_site::job::JobSpec;
-use grid3_site::vo::{UserClass, Vo};
+use grid3_site::vo::Vo;
 use serde::{Deserialize, Serialize};
 
 /// The Entrada periodic transfer-matrix demonstrator.
@@ -89,55 +87,6 @@ impl EntradaDemo {
     }
 }
 
-/// The Condor exerciser: one low-priority probe job per site per interval.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Exerciser {
-    /// Probe cadence (§4.7: 15 minutes).
-    pub interval: SimDuration,
-    /// The service identity submitting probes.
-    pub user: UserId,
-}
-
-impl Exerciser {
-    /// The canonical 15-minute exerciser.
-    pub fn new(user: UserId) -> Self {
-        Exerciser {
-            interval: SimDuration::from_mins(15),
-            user,
-        }
-    }
-
-    /// The probe job spec: tiny, quick, no staging, no registration. A
-    /// small random jitter in runtime models batch-system variance.
-    pub fn probe_spec(&self, rng: &mut SimRng) -> JobSpec {
-        let runtime = SimDuration::from_secs_f64(240.0 + rng.unit() * 360.0);
-        JobSpec {
-            class: UserClass::Exerciser,
-            user: self.user,
-            reference_runtime: runtime,
-            requested_walltime: SimDuration::from_hours(1),
-            input_bytes: Bytes::from_mb(1),
-            output_bytes: Bytes::from_mb(1),
-            scratch_bytes: Bytes::from_mb(10),
-            needs_outbound: false,
-            staged_files: 0,
-            registers_output: false,
-        }
-    }
-
-    /// Probe submission times for one site over a window.
-    pub fn probe_times(&self, start: SimTime, horizon: SimDuration) -> Vec<SimTime> {
-        let mut times = Vec::new();
-        let mut t = start;
-        let end = start + horizon;
-        while t < end {
-            times.push(t);
-            t += self.interval;
-        }
-        times
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -182,21 +131,6 @@ mod tests {
         let times = demo.round_times(SimTime::EPOCH, SimDuration::from_days(1));
         assert_eq!(times.len(), 4);
         assert_eq!(times[1], SimTime::from_hours(6));
-    }
-
-    #[test]
-    fn exerciser_cadence_is_fifteen_minutes() {
-        let ex = Exerciser::new(UserId(0));
-        let times = ex.probe_times(SimTime::EPOCH, SimDuration::from_hours(1));
-        assert_eq!(times.len(), 4);
-        // §6.4/Table 1: exerciser jobs are short (avg 0.13 h ≈ 8 min).
-        let mut rng = SimRng::for_entity(1, 1);
-        for _ in 0..100 {
-            let spec = ex.probe_spec(&mut rng);
-            let hr = spec.reference_runtime.as_hours_f64();
-            assert!(hr > 0.05 && hr < 0.17, "probe runtime {hr}");
-            assert_eq!(spec.staged_files, 0);
-        }
     }
 
     #[test]

@@ -14,21 +14,16 @@
 //! * [`cms`] — U.S. CMS MOP production (§4.2, §6.2): CMSIM/OSCAR requests.
 //! * [`sdss`] — SDSS cluster finding (§4.3): thousand-step workflows.
 //! * [`ligo`] — the LIGO blind pulsar search (§4.4): 4 GB SFT staging.
-//! * [`btev`] — BTeV CP-violation Monte Carlo (§4.5).
-//! * [`chembio`] — SnB crystallography and GADU genome analysis (§4.6).
-//! * [`demonstrators`] — the Entrada GridFTP transfer matrix and the
-//!   Condor exerciser (§4.7).
+//! * [`demonstrators`] — the Entrada GridFTP transfer matrix (§4.7).
 
 #![warn(missing_docs)]
 
 pub mod atlas;
-pub mod btev;
-pub mod chembio;
 pub mod cms;
 pub mod demonstrators;
 pub mod ligo;
 pub mod sdss;
 pub mod workloads;
 
-pub use demonstrators::{EntradaDemo, Exerciser};
+pub use demonstrators::EntradaDemo;
 pub use workloads::{grid3_workloads, Submission, WorkloadSpec};

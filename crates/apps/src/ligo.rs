@@ -56,7 +56,7 @@ pub struct S2Search {
 }
 
 /// Hours one band search takes on the reference CPU ("several hours").
-pub const SEARCH_HOURS: u64 = 6;
+pub(crate) const SEARCH_HOURS: u64 = 6;
 
 /// Build the S2 all-sky search over `bands` frequency bands. Each band is
 /// an independent stage→search→publish chain; all chains share the

@@ -80,9 +80,9 @@ pub struct WorkloadSpec {
 }
 
 /// First day (from epoch) of the SC2003 week: Nov 15, 2003.
-pub const SC2003_START_DAY: u64 = 21;
+pub(crate) const SC2003_START_DAY: u64 = 21;
 /// Day after the SC2003 week ends: Nov 22, 2003.
-pub const SC2003_END_DAY: u64 = 28;
+pub(crate) const SC2003_END_DAY: u64 = 28;
 
 impl WorkloadSpec {
     /// Total jobs over the whole window.
@@ -180,7 +180,7 @@ impl WorkloadSpec {
     }
 
     /// Sample one job spec for `user`.
-    pub fn sample_spec(&self, rng: &mut SimRng, user: UserId) -> JobSpec {
+    pub(crate) fn sample_spec(&self, rng: &mut SimRng, user: UserId) -> JobSpec {
         let runtime = self.runtime.sample(rng);
         let input = Bytes::new(self.input.sample(rng));
         let output = Bytes::new(self.output.sample(rng));

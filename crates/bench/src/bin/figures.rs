@@ -22,7 +22,7 @@
 //! are auditable. An unknown subcommand prints the valid list and exits
 //! with status 2.
 
-use grid3_bench::{cms_config, gatekeeper_load_sweep, sc2003_config, seven_months_config};
+use grid3_bench::gatekeeper_load_sweep;
 use grid3_core::campaign::{run_with_threads, CampaignPlan};
 use grid3_core::report::Grid3Report;
 use grid3_core::scenario::ScenarioConfig;
@@ -128,9 +128,9 @@ fn main() {
 
     let mut get = |which: &str| -> Grid3Report {
         let (slot, cfg): (&mut Option<Grid3Report>, ScenarioConfig) = match which {
-            "sc2003" => (&mut sc2003, sc2003_config(SEED)),
-            "cms" => (&mut cms, cms_config(SEED)),
-            _ => (&mut seven, seven_months_config(SEED)),
+            "sc2003" => (&mut sc2003, ScenarioConfig::sc2003().with_seed(SEED)),
+            "cms" => (&mut cms, ScenarioConfig::cms_production().with_seed(SEED)),
+            _ => (&mut seven, ScenarioConfig::seven_months().with_seed(SEED)),
         };
         if slot.is_none() {
             eprintln!("[figures] running {which} scenario at full scale…");
@@ -251,7 +251,7 @@ fn main() {
         println!("Seed robustness (30-day window, 10% scale, 8 seeds, one run per core):");
         let plan = CampaignPlan::single(
             "variance",
-            sc2003_config(0).with_scale(0.1),
+            ScenarioConfig::sc2003().with_seed(0).with_scale(0.1),
             (1..=8).collect(),
         );
         let outcome = run_with_threads(&plan, cores());
@@ -279,7 +279,7 @@ fn main() {
 
     if want("ablation") {
         println!("§8 ablations (30-day window, 25% scale):");
-        let base = sc2003_config(SEED).with_scale(0.25);
+        let base = ScenarioConfig::sc2003().with_seed(SEED).with_scale(0.25);
         let grid3 = base.clone().run();
         let srm = base.clone().with_srm(true).run();
         // §8's storage lesson: reservations turn mid-flight storage
@@ -339,7 +339,11 @@ fn main() {
     if want("telemetry") {
         println!("Telemetry — grid-wide instrumentation over the SC2003 window");
         eprintln!("[figures] running instrumented sc2003 scenario at full scale…");
-        let mut sim = grid3_core::Grid3Engine::new(sc2003_config(SEED).with_telemetry(true));
+        let mut sim = grid3_core::Grid3Engine::new(
+            ScenarioConfig::sc2003()
+                .with_seed(SEED)
+                .with_telemetry(true),
+        );
         sim.run();
         let tele = &sim.telemetry();
         println!("  events processed: {}", sim.events_processed());

@@ -183,7 +183,7 @@ fn nth_row(mask: &[u64], mut n: usize) -> usize {
 /// steady-state allocation); the TTL is cached too, which is sound
 /// because `set_ttl` also bumps the epoch.
 #[derive(Debug, Clone, Default)]
-pub struct SiteTable {
+pub(crate) struct SiteTable {
     epoch: Option<u64>,
     ttl: SimDuration,
     /// Every published site, best-ranked first.
@@ -230,7 +230,7 @@ impl SiteTable {
     /// Install the site→grid labelling the next refresh stamps onto each
     /// row. Federated assemblies call this once at build time; the empty
     /// default labels every row grid 0.
-    pub fn set_grid_map(&mut self, grid_of: &[GridId]) {
+    pub(crate) fn set_grid_map(&mut self, grid_of: &[GridId]) {
         self.grid_map = grid_of.to_vec();
         // Force the next refresh to restamp rows under the new map.
         self.epoch = None;
@@ -298,19 +298,9 @@ impl SiteTable {
         self.epoch = Some(mds.epoch());
     }
 
-    /// Every published site, best-ranked first, as of the last refresh.
-    pub fn order(&self) -> &[SiteId] {
-        &self.order
-    }
-
     /// Rows held (published records, fresh or stale).
     pub fn len(&self) -> usize {
         self.site.len()
-    }
-
-    /// True when no records were published as of the last refresh.
-    pub fn is_empty(&self) -> bool {
-        self.site.is_empty()
     }
 }
 
@@ -327,7 +317,7 @@ impl SiteTable {
 /// restriction is one more AND per placement — so one scratch serves
 /// every query against one table and one online view.
 #[derive(Debug, Clone, Default)]
-pub struct SelectScratch {
+pub(crate) struct SelectScratch {
     /// Fresh-and-online rows.
     live: Vec<u64>,
     live_epoch: Option<u64>,
@@ -463,7 +453,7 @@ impl Broker {
     /// `banned` is the health veto, `None` when the grid has no
     /// resilience layer; it is asked only about candidate rows.
     #[allow(clippy::too_many_arguments)]
-    pub fn select_table_for(
+    pub(crate) fn select_table_for(
         &self,
         spec: &JobSpec,
         vo_affinity: f64,
@@ -1110,14 +1100,14 @@ mod tests {
         mds.publish(record(1, 90, None));
         let mut table = SiteTable::new();
         table.refresh(&mds);
-        assert_eq!(table.order(), &[SiteId(1), SiteId(0)]);
+        assert_eq!(table.order, [SiteId(1), SiteId(0)]);
         // No epoch movement → refresh is a no-op integer compare.
         table.refresh(&mds);
-        assert_eq!(table.order(), &[SiteId(1), SiteId(0)]);
+        assert_eq!(table.order, [SiteId(1), SiteId(0)]);
         // A publish flips the capacity order and bumps the epoch.
         mds.publish(record(0, 100, None));
         table.refresh(&mds);
-        assert_eq!(table.order(), &[SiteId(0), SiteId(1)]);
+        assert_eq!(table.order, [SiteId(0), SiteId(1)]);
     }
 
     #[test]

@@ -14,8 +14,8 @@
 pub mod resume;
 
 pub use resume::{
-    plan_fingerprint, run_campaign_resumable, CampaignJournal, FailedRun, ResumableOptions,
-    ResumableOutcome, RunFailure, WalError, WalRecord,
+    plan_fingerprint, run_campaign_resumable, CampaignJournal, ResumableOptions, RunFailure,
+    WalError, WalRecord,
 };
 
 use crate::dsl::DslError;
@@ -25,6 +25,7 @@ use grid3_simkit::profiler::CostProfiler;
 use grid3_simkit::stats::{percentile, Summary};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// One named configuration variant of a campaign (e.g. the SRM ablation
 /// or a resilience-layer overlay of the same window).
@@ -144,7 +145,7 @@ pub struct PercentileBand {
 
 impl PercentileBand {
     /// Band a sample set (empty samples give an all-zero band).
-    pub fn from_samples(samples: &[f64]) -> Self {
+    pub(crate) fn from_samples(samples: &[f64]) -> Self {
         let mut s = Summary::new();
         for &v in samples {
             s.record(v);
@@ -479,8 +480,8 @@ pub fn run_with_threads_observed(
     let runs = plan.runs();
     let n = runs.len();
     let threads = threads.max(1).min(n.max(1));
-    type Slot = parking_lot::Mutex<Option<(Grid3Report, Option<CostProfiler>)>>;
-    let slots: Vec<Slot> = (0..n).map(|_| parking_lot::Mutex::new(None)).collect();
+    let slots: Vec<OnceLock<(Grid3Report, Option<CostProfiler>)>> =
+        (0..n).map(|_| OnceLock::new()).collect();
     let cursor = AtomicUsize::new(0);
     let done = AtomicUsize::new(0);
     std::thread::scope(|scope| {
@@ -491,7 +492,7 @@ pub fn run_with_threads_observed(
                     break;
                 }
                 let result = run_and_observe(plan, &runs[i], &done, n, observer);
-                *slots[i].lock() = Some(result);
+                assert!(slots[i].set(result).is_ok(), "each run fills its slot once");
             });
         }
     });
@@ -601,12 +602,13 @@ mod tests {
     }
 
     /// Records every progress callback for the observer tests.
-    struct RecordingObserver(parking_lot::Mutex<Vec<(usize, String, u64)>>);
+    struct RecordingObserver(std::sync::Mutex<Vec<(usize, String, u64)>>);
 
     impl CampaignObserver for RecordingObserver {
         fn run_finished(&self, p: &RunProgress<'_>) {
             self.0
                 .lock()
+                .unwrap()
                 .push((p.completed, p.variant.to_string(), p.seed));
         }
     }
@@ -615,9 +617,9 @@ mod tests {
     fn observer_sees_every_run_with_monotonic_completion() {
         let plan = CampaignPlan::single("base", tiny(), vec![1, 2])
             .with_variant("srm", tiny().with_srm(true));
-        let observer = RecordingObserver(parking_lot::Mutex::new(Vec::new()));
+        let observer = RecordingObserver(std::sync::Mutex::new(Vec::new()));
         let outcome = run_with_threads_observed(&plan, 3, &observer);
-        let calls = observer.0.into_inner();
+        let calls = observer.0.into_inner().unwrap();
         assert_eq!(calls.len(), plan.len());
         // Completion counts arrive in order 1..=n no matter which worker
         // finished which run.
@@ -634,7 +636,7 @@ mod tests {
     #[test]
     fn observed_outcome_is_thread_count_independent() {
         let plan = CampaignPlan::single("base", tiny(), vec![1, 2, 3]);
-        let observer = RecordingObserver(parking_lot::Mutex::new(Vec::new()));
+        let observer = RecordingObserver(std::sync::Mutex::new(Vec::new()));
         let one = run_with_threads_observed(&plan, 1, &observer);
         let four = run_with_threads_observed(&plan, 4, &observer);
         let eff = |o: &CampaignOutcome| -> Vec<f64> {

@@ -361,17 +361,17 @@ impl ChaosState {
     }
 
     /// Is the site currently a black hole?
-    pub fn is_black_hole(&self, site: SiteId) -> bool {
+    pub(crate) fn is_black_hole(&self, site: SiteId) -> bool {
         Self::flag(&self.black_hole, site)
     }
 
     /// Are the site's monitoring sensors dark?
-    pub fn is_sensor_blackout(&self, site: SiteId) -> bool {
+    pub(crate) fn is_sensor_blackout(&self, site: SiteId) -> bool {
         Self::flag(&self.sensor_blackout, site)
     }
 
     /// Is the site partitioned from the iGOC?
-    pub fn is_igoc_partitioned(&self, site: SiteId) -> bool {
+    pub(crate) fn is_igoc_partitioned(&self, site: SiteId) -> bool {
         Self::flag(&self.igoc_partition, site)
     }
 }
@@ -405,7 +405,7 @@ pub struct Violation {
 /// * **storage bounds** — per-site `used + reserved + free == capacity`
 ///   (never negative, never over capacity), scanned every monitor tick;
 /// * **report balance** — [`Grid3Report`] totals equal the audited
-///   ledger ([`InvariantAuditor::verify_report`]).
+///   ledger (`InvariantAuditor::verify_report`).
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct InvariantAuditor {
     last_pop: SimTime,
@@ -435,7 +435,7 @@ impl InvariantAuditor {
     }
 
     /// Observe a timed queue pop (clock-monotonicity check).
-    pub fn observe_pop(&mut self, at: SimTime) {
+    pub(crate) fn observe_pop(&mut self, at: SimTime) {
         self.checks += 1;
         if at < self.last_pop {
             self.violate(
@@ -448,7 +448,7 @@ impl InvariantAuditor {
     }
 
     /// Observe one routed event (timed or immediate) against the fabric.
-    pub fn observe_event(&mut self, now: SimTime, event: &GridEvent, fabric: &GridFabric) {
+    pub(crate) fn observe_event(&mut self, now: SimTime, event: &GridEvent, fabric: &GridFabric) {
         match event {
             GridEvent::Reporting(ReportingEvent::JobFinished(rec)) => {
                 self.checks += 1;
@@ -502,7 +502,7 @@ impl InvariantAuditor {
 
     /// Assert the job-conservation identity: every allocated job id is
     /// terminal, in flight on the fabric, or parked for a retry.
-    pub fn verify_conservation(&mut self, now: SimTime, fabric: &GridFabric, parked: usize) {
+    pub(crate) fn verify_conservation(&mut self, now: SimTime, fabric: &GridFabric, parked: usize) {
         self.checks += 1;
         let allocated = u64::from(fabric.job_ids.issued());
         let accounted = self.terminal.len() as u64 + fabric.jobs.len() as u64 + parked as u64;
@@ -520,7 +520,7 @@ impl InvariantAuditor {
     }
 
     /// Balance the extracted [`Grid3Report`] against the audited ledger.
-    pub fn verify_report(&mut self, report: &Grid3Report) {
+    pub(crate) fn verify_report(&mut self, report: &Grid3Report) {
         self.checks += 1;
         let at = self.last_pop;
         if report.total_jobs != self.terminal.len() as u64 {

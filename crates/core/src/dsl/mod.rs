@@ -193,7 +193,7 @@ pub fn parse_str(text: &str) -> Result<ScenarioDoc, DslError> {
 }
 
 /// Load a scenario document from disk.
-pub fn load_doc(path: &Path) -> Result<ScenarioDoc, DslError> {
+pub(crate) fn load_doc(path: &Path) -> Result<ScenarioDoc, DslError> {
     let text = std::fs::read_to_string(path).map_err(|e| DslError::Io {
         path: path.display().to_string(),
         msg: e.to_string(),
@@ -453,14 +453,14 @@ impl ScenarioDoc {
     // -- document ⇄ config ------------------------------------------------
 
     /// Lower to a runnable config. Trace paths resolve against the
-    /// process working directory; use [`ScenarioDoc::to_config_in`] (or
+    /// process working directory; use `ScenarioDoc::to_config_in` (or
     /// [`load_config`]) to anchor them at the scenario file instead.
     pub fn to_config(&self) -> Result<ScenarioConfig, DslError> {
         self.to_config_in(None)
     }
 
     /// Lower to a runnable config, resolving trace paths against `base`.
-    pub fn to_config_in(&self, base: Option<&Path>) -> Result<ScenarioConfig, DslError> {
+    pub(crate) fn to_config_in(&self, base: Option<&Path>) -> Result<ScenarioConfig, DslError> {
         let mut cfg = ScenarioConfig::default();
         if let Some(seed) = self.seed {
             cfg.seed = seed;
@@ -590,7 +590,7 @@ impl ScenarioDoc {
     /// back to their names. `from_config(cfg).to_config()` reproduces
     /// `cfg` exactly — the conformance suite holds every built-in to
     /// this through its golden hash.
-    pub fn from_config(cfg: &ScenarioConfig) -> ScenarioDoc {
+    pub(crate) fn from_config(cfg: &ScenarioConfig) -> ScenarioDoc {
         let pipeline = if Serialize::to_value(&cfg.pipeline)
             == Serialize::to_value(&InstallPipeline::grid3_default())
         {

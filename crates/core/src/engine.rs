@@ -2,8 +2,8 @@
 //!
 //! [`Grid3Engine`] is deliberately thin: it owns the clock (via the
 //! event queue), the typed event router, and the five subsystem services
-//! it routes between — [`Brokering`], [`Staging`], [`Execution`],
-//! [`FaultHandling`] and [`Reporting`] — plus the
+//! it routes between — `Brokering`, [`Staging`], [`Execution`],
+//! `FaultHandling` and `Reporting` — plus the
 //! shared [`GridFabric`] status board they all consult. Assembly (the §5
 //! deployment pipeline) lives in [`crate::subsystems::assembly`];
 //! everything domain-specific lives in the subsystems.

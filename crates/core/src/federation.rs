@@ -13,7 +13,7 @@
 //! The conservative contract: a run with no federation configured (or a
 //! single-grid federation running the [`BackendKind::Vdt`] backend) is
 //! bit-identical to the pre-federation engine — every multi-grid branch
-//! in the subsystems is gated on [`FederationState::is_single`].
+//! in the subsystems is gated on `FederationState::is_single`.
 
 use crate::topology::Topology;
 use grid3_middleware::backend::BackendKind;
@@ -72,12 +72,11 @@ impl Federation {
     }
 }
 
-/// A shared, immutable site→grid labelling, cheap to clone. Threaded
-/// through `EngineCtx` (and handed to the ops journal) so code that
-/// only sees the context — not the fabric — can still resolve a site's
-/// grid. Empty in single-grid runs: every site resolves to grid 0.
+/// A shared, immutable site→grid labelling, cheap to clone: the ops
+/// journal stamps each record's grid from it. Empty in single-grid
+/// runs: every site resolves to grid 0.
 #[derive(Debug, Clone, Default)]
-pub struct GridMap(std::rc::Rc<Vec<GridId>>);
+pub(crate) struct GridMap(std::rc::Rc<Vec<GridId>>);
 
 impl GridMap {
     /// A labelling from a dense site-indexed vector (empty = all grid 0).
@@ -93,7 +92,7 @@ impl GridMap {
 
     /// Whether this is the degenerate single-grid labelling.
     #[inline]
-    pub fn is_single(&self) -> bool {
+    pub(crate) fn is_single(&self) -> bool {
         self.0.is_empty()
     }
 }
@@ -239,7 +238,7 @@ impl FederationState {
     /// Whether this is the degenerate one-grid federation — the gate on
     /// every multi-grid branch in the subsystems.
     #[inline]
-    pub fn is_single(&self) -> bool {
+    pub(crate) fn is_single(&self) -> bool {
         self.grids.len() == 1
     }
 
@@ -256,7 +255,7 @@ impl FederationState {
 
     /// The site→grid labelling, dense by site index (empty in
     /// single-grid runs — every site is implicitly grid 0).
-    pub fn grid_map(&self) -> &[GridId] {
+    pub(crate) fn grid_map(&self) -> &[GridId] {
         &self.grid_of
     }
 
@@ -268,7 +267,7 @@ impl FederationState {
 
     /// Record a terminal job outcome at `site` into its grid's tally.
     #[inline]
-    pub fn record_outcome(&mut self, site: SiteId, success: bool) {
+    pub(crate) fn record_outcome(&mut self, site: SiteId, success: bool) {
         let g = self.grid_of(site).index();
         let t = &mut self.tally[g];
         if success {
@@ -285,7 +284,7 @@ impl FederationState {
 
     /// Record a stage-in transfer that crossed a grid boundary.
     #[inline]
-    pub fn record_cross_stage_in(&mut self, bytes: Bytes) {
+    pub(crate) fn record_cross_stage_in(&mut self, bytes: Bytes) {
         self.cross_grid_stage_ins += 1;
         self.cross_grid_stage_in_bytes += bytes;
     }

@@ -80,13 +80,13 @@ pub mod topology;
 #[cfg(test)]
 mod engine_tests;
 
-pub use chaos::{ChaosRates, FaultKind, FaultPlan, InvariantAuditor, PlannedFault, Violation};
+pub use chaos::{ChaosRates, FaultKind, FaultPlan, PlannedFault};
 pub use dsl::{DslError, JobTrace, ScenarioDoc, TraceJob};
 pub use engine::Grid3Engine;
-pub use federation::{Federation, FederationState, GridMap, GridRuntime, GridSpec, GridTally};
-pub use ops::{OpsEventKind, OpsJournal, OpsRecord};
+pub use federation::{Federation, GridSpec};
+pub use ops::{OpsEventKind, OpsRecord};
 pub use report::Grid3Report;
 pub use resilience::{ResilienceConfig, ResilienceLayer};
 pub use scenario::{CampaignSpec, ScenarioConfig, StormSpec};
 pub use snapshot::{EngineSnapshot, SnapshotError};
-pub use topology::{grid3_topology, SiteSpec, Topology};
+pub use topology::grid3_topology;

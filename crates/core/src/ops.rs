@@ -96,7 +96,7 @@ pub struct OpsRecord {
 
 impl OpsRecord {
     /// This record as one JSON line (no trailing newline).
-    pub fn to_json_line(&self) -> String {
+    pub(crate) fn to_json_line(&self) -> String {
         serde_json::to_string(self).expect("ops record serializes")
     }
 
@@ -134,7 +134,7 @@ impl OpsJournal {
     /// Install the site→grid labelling federated runs stamp onto each
     /// record. The single-grid default labelling leaves records in
     /// their legacy (no `grid` key) shape.
-    pub fn set_grid_map(&mut self, grid_of: crate::federation::GridMap) {
+    pub(crate) fn set_grid_map(&mut self, grid_of: crate::federation::GridMap) {
         self.grid_of = grid_of;
     }
 
@@ -167,7 +167,7 @@ impl OpsJournal {
     /// invoked when the journal is enabled, so call sites whose payloads
     /// carry `format!`/`to_string` strings cost nothing — no allocation,
     /// no formatting — on the (default) disabled handle.
-    pub fn record_with(
+    pub(crate) fn record_with(
         &self,
         at: SimTime,
         site: Option<SiteId>,

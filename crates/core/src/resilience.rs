@@ -10,7 +10,7 @@
 //! to recover throughput. This module automates the loop:
 //!
 //! 1. the engine records every terminal job outcome into a per-site
-//!    sliding window ([`ResilienceLayer::record_outcome`]);
+//!    sliding window (`ResilienceLayer::record_outcome`);
 //! 2. when the window's site-caused failure fraction storms past
 //!    threshold, a [`grid3_igoc::tickets::TicketKind::FailureStorm`]
 //!    ticket opens and the site
@@ -135,7 +135,8 @@ impl ResilienceLayer {
 
     /// Health score in `[0, 1]`: the window's success fraction (1.0 with
     /// no evidence yet).
-    pub fn health_score(&self, site: SiteId) -> f64 {
+    #[cfg(test)]
+    fn health_score(&self, site: SiteId) -> f64 {
         let Some(h) = self.sites.get(site.index()) else {
             return 1.0;
         };
@@ -149,7 +150,7 @@ impl ResilienceLayer {
     /// Record a terminal job outcome at a site. Returns `true` when this
     /// outcome tips the window past the storm threshold — the caller
     /// opens the ticket and calls [`ResilienceLayer::begin_repair`].
-    pub fn record_outcome(&mut self, site: SiteId, site_failure: bool) -> bool {
+    pub(crate) fn record_outcome(&mut self, site: SiteId, site_failure: bool) -> bool {
         let cfg_window = self.cfg.window;
         let Some(h) = self.sites.get_mut(site.index()) else {
             return false;
@@ -167,21 +168,16 @@ impl ResilienceLayer {
 
     /// A storm ticket was opened; keep the site out of brokering until
     /// [`ResilienceLayer::finish_repair`].
-    pub fn begin_repair(&mut self, site: SiteId, ticket: TicketId) {
+    pub(crate) fn begin_repair(&mut self, site: SiteId, ticket: TicketId) {
         if let Some(h) = self.sites.get_mut(site.index()) {
             h.repair = Some(ticket);
             self.storms_opened += 1;
         }
     }
 
-    /// The storm ticket a site is waiting on, if any.
-    pub fn repair_ticket(&self, site: SiteId) -> Option<TicketId> {
-        self.sites.get(site.index()).and_then(|h| h.repair)
-    }
-
     /// The repair landed: forgive history, lift every ban, and return the
     /// ticket to resolve. The caller re-validates the site.
-    pub fn finish_repair(&mut self, site: SiteId) -> Option<TicketId> {
+    pub(crate) fn finish_repair(&mut self, site: SiteId) -> Option<TicketId> {
         let h = self.sites.get_mut(site.index())?;
         let ticket = h.repair.take()?;
         h.window.clear();
@@ -227,7 +223,8 @@ impl ResilienceLayer {
     }
 
     /// When the current blacklist (if any) expires.
-    pub fn blacklisted_until(&self, site: SiteId) -> Option<SimTime> {
+    #[cfg(test)]
+    fn blacklisted_until(&self, site: SiteId) -> Option<SimTime> {
         self.sites
             .get(site.index())
             .and_then(|h| h.blacklisted_until)

@@ -323,7 +323,7 @@ impl ScenarioConfig {
     }
 
     /// Replace the topology replication factor.
-    pub fn with_site_replicas(mut self, replicas: usize) -> Self {
+    pub(crate) fn with_site_replicas(mut self, replicas: usize) -> Self {
         assert!(replicas >= 1, "site_replicas must be at least 1");
         self.site_replicas = replicas;
         self
@@ -372,13 +372,13 @@ impl ScenarioConfig {
     }
 
     /// Enable the adaptive fault-handling layer.
-    pub fn with_resilience(mut self, cfg: ResilienceConfig) -> Self {
+    pub(crate) fn with_resilience(mut self, cfg: ResilienceConfig) -> Self {
         self.resilience = Some(cfg);
         self
     }
 
     /// Add a correlated multi-site outage storm.
-    pub fn with_storm(mut self, storm: StormSpec) -> Self {
+    pub(crate) fn with_storm(mut self, storm: StormSpec) -> Self {
         self.storms.push(storm);
         self
     }

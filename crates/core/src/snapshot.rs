@@ -81,7 +81,7 @@ use std::path::Path;
 /// Version 2 replaced the queued workload submissions with the arrival
 /// cursor; version 3 replaced the encoded value tree with the positional
 /// binary codec.
-pub const SNAPSHOT_VERSION: u32 = 3;
+pub(crate) const SNAPSHOT_VERSION: u32 = 3;
 
 /// File magic: "G3ENGSNP".
 const MAGIC: [u8; 8] = *b"G3ENGSNP";
@@ -96,7 +96,7 @@ pub enum SnapshotError {
     Io(String),
     /// The file does not start with the snapshot magic.
     BadMagic,
-    /// The file's schema version is not [`SNAPSHOT_VERSION`].
+    /// The file's schema version is not `SNAPSHOT_VERSION`.
     UnsupportedVersion(u32),
     /// The payload checksum does not match — torn write or corruption.
     ChecksumMismatch,

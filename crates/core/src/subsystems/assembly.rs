@@ -373,20 +373,18 @@ pub(crate) fn assemble(cfg: ScenarioConfig) -> Grid3Engine {
         .clone()
         .map(|rc| ResilienceLayer::new(rc, sites.len()));
 
-    // The site→grid labelling, shared by the context and the ops
-    // journal. Stays the empty (all-grid-0) default in single-grid runs
-    // so journal records keep their legacy shape.
-    let grid_of = if federation.is_single() {
-        crate::federation::GridMap::default()
-    } else {
-        crate::federation::GridMap::new(federation.grid_map().to_vec())
-    };
     let mut ops = if cfg.ops_journal {
         crate::ops::OpsJournal::enabled()
     } else {
         crate::ops::OpsJournal::disabled()
     };
-    ops.set_grid_map(grid_of.clone());
+    // The journal's site→grid labelling stays the empty (all-grid-0)
+    // default in single-grid runs so records keep their legacy shape.
+    if !federation.is_single() {
+        ops.set_grid_map(crate::federation::GridMap::new(
+            federation.grid_map().to_vec(),
+        ));
+    }
     let ctx = EngineCtx {
         broker_rng: SimRng::for_entity(cfg.seed, 0xB0B),
         fate_rng: SimRng::for_entity(cfg.seed, 0xFA7E),
@@ -394,7 +392,6 @@ pub(crate) fn assemble(cfg: ScenarioConfig) -> Grid3Engine {
         telemetry,
         traces: TraceStore::new(),
         ops,
-        grid_of,
         immediates: Vec::new(),
         drain_pool: Vec::new(),
         timer_pool: Vec::new(),

@@ -40,7 +40,7 @@ const CAMPAIGN_RETRY_BASE_DELAY: SimDuration = SimDuration::from_mins(30);
 const RESCUE_DAG_DELAY: SimDuration = SimDuration::from_hours(2);
 
 /// The brokering subsystem (see the module docs).
-pub struct Brokering {
+pub(crate) struct Brokering {
     /// Undelivered workload arrivals with their VO affinity, latest
     /// first: the next one is a `Vec::pop` from the back, and delivered
     /// entries are freed as the run goes. A pure function of the config,

@@ -11,8 +11,8 @@
 //! only via routed events.
 //!
 //! The fabric also hosts the terminal-path funnel
-//! ([`GridFabric::fail_active_job`] / [`GridFabric::complete_active_job`]
-//! / [`GridFabric::finish_job_record`]): every job death or completion,
+//! (`GridFabric::fail_active_job` / `GridFabric::complete_active_job`
+//! / `GridFabric::finish_job_record`): every job death or completion,
 //! from whichever subsystem, funnels through it exactly once, emitting
 //! the same immediate-event triple — record ingestion (reporting), site
 //! outcome (fault handling), campaign feedback (brokering) — in the
@@ -44,7 +44,7 @@ use serde::{Deserialize, Serialize};
 use super::{BrokeringEvent, EngineCtx, FaultEvent, GridEvent, ReportingEvent};
 
 /// Sentinel transfer id for "no transfer was needed".
-pub const NO_TRANSFER: TransferId = TransferId(u32::MAX);
+pub(crate) const NO_TRANSFER: TransferId = TransferId(u32::MAX);
 
 /// Phase of an active job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -156,14 +156,14 @@ pub struct GridFabric {
     /// The federation layer: site→grid labelling, member-grid backends,
     /// hierarchical MDS peering, and cross-grid accounting. Degenerate
     /// (one `Vdt` grid) in non-federated runs — every multi-grid branch
-    /// is gated on [`crate::federation::FederationState::is_single`].
+    /// is gated on `crate::federation::FederationState::is_single`.
     pub federation: crate::federation::FederationState,
 }
 
 impl GridFabric {
     /// Ship the GridFTP NetLogger event stream to the iGOC archive
     /// (§4.7's central collection point).
-    pub fn drain_netlogger(&mut self) {
+    pub(crate) fn drain_netlogger(&mut self) {
         let events = self.gridftp.drain_log();
         self.center.netlogger.ingest_all(events.iter());
     }
@@ -173,7 +173,7 @@ impl GridFabric {
     /// its sites becomes the peering view's freshness. Runs once per
     /// monitor sweep in multi-grid runs (reporting calls it); a no-op
     /// single-grid, where the peering table is never consulted.
-    pub fn sync_federation(&mut self, now: SimTime) {
+    pub(crate) fn sync_federation(&mut self, now: SimTime) {
         if self.federation.is_single() {
             return;
         }
@@ -192,7 +192,7 @@ impl GridFabric {
     }
 
     /// Open a GridFTP transfer span (no-op when telemetry is disabled).
-    pub fn open_transfer_span(
+    pub(crate) fn open_transfer_span(
         &mut self,
         ctx: &mut EngineCtx,
         now: SimTime,
@@ -207,7 +207,7 @@ impl GridFabric {
     }
 
     /// Close a transfer span, as an error when the transfer died.
-    pub fn close_transfer_span(
+    pub(crate) fn close_transfer_span(
         &mut self,
         ctx: &mut EngineCtx,
         now: SimTime,
@@ -224,7 +224,7 @@ impl GridFabric {
     }
 
     /// Kill staging/queued (not running) jobs at a site.
-    pub fn kill_non_running(
+    pub(crate) fn kill_non_running(
         &mut self,
         ctx: &mut EngineCtx,
         now: SimTime,
@@ -248,7 +248,7 @@ impl GridFabric {
     }
 
     /// Fail transfers touching a site, cascading to their jobs.
-    pub fn fail_site_transfers(
+    pub(crate) fn fail_site_transfers(
         &mut self,
         ctx: &mut EngineCtx,
         now: SimTime,
@@ -276,7 +276,7 @@ impl GridFabric {
     /// tickets resolve through their own repair event instead). While
     /// the site is partitioned from the iGOC, resolution is deferred —
     /// the partition-heal event re-runs this.
-    pub fn resolve_site_tickets(
+    pub(crate) fn resolve_site_tickets(
         &mut self,
         ops: &crate::ops::OpsJournal,
         site: SiteId,
@@ -305,7 +305,7 @@ impl GridFabric {
 
     /// Terminate an in-flight job with a failure cause, releasing its
     /// resources and funnelling the terminal record.
-    pub fn fail_active_job(
+    pub(crate) fn fail_active_job(
         &mut self,
         ctx: &mut EngineCtx,
         now: SimTime,
@@ -346,7 +346,7 @@ impl GridFabric {
 
     /// Terminate an in-flight job as fully completed (§6.1: every
     /// lifecycle step succeeded).
-    pub fn complete_active_job(&mut self, ctx: &mut EngineCtx, now: SimTime, job: JobId) {
+    pub(crate) fn complete_active_job(&mut self, ctx: &mut EngineCtx, now: SimTime, job: JobId) {
         let Some(j) = self.jobs.remove(&job) else {
             return;
         };
@@ -387,7 +387,7 @@ impl GridFabric {
     /// (fault handling), campaign feedback (brokering) — in the
     /// monolith's original call order.
     #[allow(clippy::too_many_arguments)]
-    pub fn finish_job_record(
+    pub(crate) fn finish_job_record(
         &mut self,
         ctx: &mut EngineCtx,
         now: SimTime,

@@ -20,7 +20,7 @@ use super::{EngineCtx, ExecutionEvent, FaultEvent, GridEvent, GridFabric, Subsys
 
 /// The fault-handling subsystem (see the module docs).
 #[derive(Clone, Default, serde::Serialize, serde::Deserialize)]
-pub struct FaultHandling {
+pub(crate) struct FaultHandling {
     /// Completion accounting bucketed by site operational state at finish
     /// time — the §7 m-eff split's source.
     pub(crate) site_ledger: SiteStateLedger,

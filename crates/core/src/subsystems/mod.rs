@@ -4,7 +4,7 @@
 //! of state in one `impl` block. It is now split along the paper's own
 //! operational seams into five services, each implementing [`Subsystem`]:
 //!
-//! * [`Brokering`](brokering::Brokering) — workload intake (the arrival
+//! * `Brokering` — workload intake (the arrival
 //!   table the engine loop merges with the queue), §6.4 site selection,
 //!   GRAM submission with retry/backoff, and the DAGMan campaign feedback
 //!   loop (§4.2).
@@ -12,10 +12,10 @@
 //!   placement, RLS registration, and the Entrada demonstrator (§4.7).
 //! * [`Execution`](execution::Execution) — batch dispatch and the
 //!   predetermined execution fates (§6.2's per-job loss models).
-//! * [`FaultHandling`](fault::FaultHandling) — site incidents, outage
+//! * `FaultHandling` — site incidents, outage
 //!   restores, the failure-storm repair loop, and the §7 per-state
 //!   completion ledger.
-//! * [`Reporting`](reporting::Reporting) — monitoring sweeps (§4.7) and
+//! * `Reporting` — monitoring sweeps (§4.7) and
 //!   the ACDC/MDViewer accounting databases (Table 1, the figures).
 //!
 //! Subsystems never call each other. Every cross-subsystem interaction is
@@ -38,7 +38,7 @@ pub mod fault;
 pub mod reporting;
 pub mod staging;
 
-pub use fabric::GridFabric;
+pub(crate) use fabric::GridFabric;
 
 use grid3_simkit::engine::EventQueue;
 use grid3_simkit::ids::{JobId, SiteId, TransferId};
@@ -196,15 +196,15 @@ pub enum ReportingEvent {
 /// engine-level [`GridEvent::Timer`].
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub enum GridEvent {
-    /// Routed to [`brokering::Brokering`].
+    /// Routed to `brokering::Brokering`.
     Brokering(BrokeringEvent),
     /// Routed to [`staging::Staging`].
     Staging(StagingEvent),
     /// Routed to [`execution::Execution`].
     Execution(ExecutionEvent),
-    /// Routed to [`fault::FaultHandling`].
+    /// Routed to `fault::FaultHandling`.
     Fault(FaultEvent),
-    /// Routed to [`reporting::Reporting`].
+    /// Routed to `reporting::Reporting`.
     Reporting(ReportingEvent),
     /// Immediate-only: insert the inner event into the time queue at the
     /// given instant. Emitted *after* a handler's cascade of immediates
@@ -215,7 +215,7 @@ pub enum GridEvent {
 }
 
 /// The cost-attribution table: one [`CostCenter`] per routed event type,
-/// indexed by [`GridEvent::cost_center`]. The engine's dispatch loop
+/// indexed by `GridEvent::cost_center`. The engine's dispatch loop
 /// charges handler self-time, fan-out, and allocation deltas to these
 /// slots when profiling is on; `figures -- heat` renders them ranked.
 ///
@@ -364,7 +364,7 @@ impl GridEvent {
     /// This event's index into [`COST_CENTERS`]: a dense discriminant
     /// the profiler uses as a direct array index — no hashing, no label
     /// comparison on the hot path.
-    pub fn cost_center(&self) -> usize {
+    pub(crate) fn cost_center(&self) -> usize {
         match self {
             GridEvent::Brokering(e) => match e {
                 BrokeringEvent::Submit => 0,
@@ -436,10 +436,6 @@ pub struct EngineCtx {
     /// fault-handling, and chaos paths append operational events here;
     /// the stream lives beside the report, never inside it.
     pub ops: crate::ops::OpsJournal,
-    /// The federation's site→grid labelling (empty single-grid map in
-    /// non-federated runs). Subsystems resolve a [`grid3_simkit::ids::GridId`]
-    /// from it without reaching into the fabric.
-    pub grid_of: crate::federation::GridMap,
     pub(crate) immediates: Vec<GridEvent>,
     /// Spare drain buffers recycled by the router so each dispatch level
     /// swaps in a pre-warmed `Vec` instead of growing a fresh one. Depth
@@ -483,7 +479,7 @@ impl EngineCtx {
     /// Emit a trailing [`GridEvent::Timer`] wrapping `inner`, routing
     /// the payload through the timer arena so steady-state timer traffic
     /// reuses boxes the router already freed.
-    pub fn emit_timer(&mut self, at: SimTime, inner: GridEvent) {
+    pub(crate) fn emit_timer(&mut self, at: SimTime, inner: GridEvent) {
         let boxed = match self.timer_pool.pop() {
             Some(mut b) => {
                 *b = inner;
@@ -496,7 +492,7 @@ impl EngineCtx {
 
     /// Box a terminal job record through the record arena (refilled by
     /// reporting as it ingests each record).
-    pub fn boxed_record(
+    pub(crate) fn boxed_record(
         &mut self,
         record: grid3_site::job::JobRecord,
     ) -> Box<grid3_site::job::JobRecord> {
@@ -593,7 +589,6 @@ mod tests {
             telemetry: Telemetry::disabled(),
             traces: grid3_monitoring::trace::TraceStore::new(),
             ops: crate::ops::OpsJournal::disabled(),
-            grid_of: crate::federation::GridMap::default(),
             immediates: Vec::new(),
             drain_pool: Vec::new(),
             timer_pool: Vec::new(),

@@ -20,7 +20,7 @@ use grid3_site::vo::Vo;
 use super::{EngineCtx, GridEvent, GridFabric, ReportingEvent, Subsystem};
 
 /// The reporting subsystem (see the module docs).
-pub struct Reporting {
+pub(crate) struct Reporting {
     /// The ACDC-style job monitor: per-class/per-site completion and
     /// failure accounting (Table 1's source).
     pub(crate) acdc: AcdcJobMonitor,

@@ -117,7 +117,7 @@ impl Topology {
     }
 
     /// Whether a site is online at `t`.
-    pub fn is_online(&self, site: SiteId, t: SimTime) -> bool {
+    pub(crate) fn is_online(&self, site: SiteId, t: SimTime) -> bool {
         let s = &self.specs[site.index()];
         let day = t.day_index();
         day >= s.online_from_day && s.offline_after_day.map(|d| day <= d).unwrap_or(true)

@@ -23,7 +23,7 @@ use grid3_site::cluster::Site;
 use grid3_site::vo::Vo;
 
 /// How many consecutive failed probes escalate to a ticket.
-pub const ESCALATION_THRESHOLD: u32 = 2;
+pub(crate) const ESCALATION_THRESHOLD: u32 = 2;
 
 /// The iGOC.
 pub struct OperationsCenter {

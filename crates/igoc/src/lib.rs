@@ -22,5 +22,4 @@ pub mod policy;
 pub mod tickets;
 
 pub use center::OperationsCenter;
-pub use policy::{AcceptableUsePolicy, PolicyDecision};
-pub use tickets::{Ticket, TicketKind, TicketStatus, TicketSystem};
+pub use tickets::{Ticket, TicketKind, TicketStatus};

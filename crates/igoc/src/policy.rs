@@ -6,8 +6,7 @@
 //!
 //! The AUP model captures the operational semantics: users must accept the
 //! policy before their DN reaches any grid-map file, and the policy text
-//! carries enumerable rules the operations center can point to when
-//! revoking access.
+//! carries enumerable rules the operations center can point to.
 
 use crate::tickets::TicketKind;
 use grid3_simkit::ids::UserId;
@@ -55,22 +54,15 @@ pub enum PolicyDecision {
     Permitted,
     /// The user never accepted the policy.
     NotAccepted,
-    /// Access was revoked for a policy violation.
-    Revoked,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-enum Standing {
-    Accepted(SimTime),
-    Revoked(SimTime),
-}
-
-/// The acceptable-use policy and per-user standing.
+/// The acceptable-use policy and who accepted it.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct AcceptableUsePolicy {
     /// The enumerated rules (display text).
     pub rules: Vec<String>,
-    standings: BTreeMap<UserId, Standing>,
+    /// When each user first accepted the policy.
+    accepted: BTreeMap<UserId, SimTime>,
 }
 
 impl AcceptableUsePolicy {
@@ -85,38 +77,28 @@ impl AcceptableUsePolicy {
                 "Usage is monitored and logged; logs may be shared with site administrators".into(),
                 "Sites may suspend access without notice to protect their resources".into(),
             ],
-            standings: BTreeMap::new(),
+            accepted: BTreeMap::new(),
         }
     }
 
-    /// Record that `user` accepted the policy (idempotent; re-acceptance
-    /// after revocation does not restore access).
+    /// Record that `user` accepted the policy (idempotent: the first
+    /// acceptance time stands).
     pub fn accept(&mut self, user: UserId, now: SimTime) {
-        self.standings
-            .entry(user)
-            .or_insert(Standing::Accepted(now));
-    }
-
-    /// Revoke a user's access for violation.
-    pub fn revoke(&mut self, user: UserId, now: SimTime) {
-        self.standings.insert(user, Standing::Revoked(now));
+        self.accepted.entry(user).or_insert(now);
     }
 
     /// Check a user's standing.
     pub fn check(&self, user: UserId) -> PolicyDecision {
-        match self.standings.get(&user) {
-            None => PolicyDecision::NotAccepted,
-            Some(Standing::Accepted(_)) => PolicyDecision::Permitted,
-            Some(Standing::Revoked(_)) => PolicyDecision::Revoked,
+        if self.accepted.contains_key(&user) {
+            PolicyDecision::Permitted
+        } else {
+            PolicyDecision::NotAccepted
         }
     }
 
     /// Users in good standing.
     pub fn permitted_count(&self) -> usize {
-        self.standings
-            .values()
-            .filter(|s| matches!(s, Standing::Accepted(_)))
-            .count()
+        self.accepted.len()
     }
 }
 
@@ -132,18 +114,6 @@ mod tests {
         p.accept(UserId(1), SimTime::EPOCH);
         assert_eq!(p.check(UserId(1)), PolicyDecision::Permitted);
         assert_eq!(p.permitted_count(), 1);
-    }
-
-    #[test]
-    fn revocation_is_sticky() {
-        let mut p = AcceptableUsePolicy::grid3();
-        p.accept(UserId(1), SimTime::EPOCH);
-        p.revoke(UserId(1), SimTime::from_days(2));
-        assert_eq!(p.check(UserId(1)), PolicyDecision::Revoked);
-        // Re-accepting does not restore access.
-        p.accept(UserId(1), SimTime::from_days(3));
-        assert_eq!(p.check(UserId(1)), PolicyDecision::Revoked);
-        assert_eq!(p.permitted_count(), 0);
     }
 
     #[test]

@@ -33,7 +33,7 @@ pub struct Certificate {
 
 impl Certificate {
     /// Whether the certificate is valid at `now`.
-    pub fn is_valid(&self, now: SimTime) -> bool {
+    pub(crate) fn is_valid(&self, now: SimTime) -> bool {
         now < self.not_after
     }
 }
@@ -123,13 +123,8 @@ impl GridMapFile {
     }
 
     /// Map a DN to a VO's group account (one line of the file).
-    pub fn add_entry(&mut self, dn: impl Into<String>, vo: Vo) {
+    pub(crate) fn add_entry(&mut self, dn: impl Into<String>, vo: Vo) {
         self.entries.insert(dn.into(), vo);
-    }
-
-    /// Remove a DN (user left the VO).
-    pub fn remove_entry(&mut self, dn: &str) -> bool {
-        self.entries.remove(dn).is_some()
     }
 
     /// Number of mapped DNs.
@@ -242,7 +237,7 @@ mod tests {
 
     #[test]
     fn untrusted_issuer_rejected() {
-        let mut good_ca = ca();
+        let good_ca = ca();
         let mut rogue_ca = CertificateAuthority::new("/CN=Rogue CA");
         let cert = rogue_ca.issue(UserId(1), "/CN=Jane Doe", SimTime::from_days(365));
         let mut map = GridMapFile::new();
@@ -251,11 +246,6 @@ mod tests {
             map.authorize(&cert, &good_ca, SimTime::EPOCH),
             Err(AuthError::UntrustedIssuer)
         );
-        // And removal works.
-        let own = good_ca.issue(UserId(2), "/CN=Jane Doe", SimTime::from_days(1));
-        let _ = own;
-        assert!(map.remove_entry("/CN=Jane Doe"));
-        assert!(!map.remove_entry("/CN=Jane Doe"));
     }
 
     #[test]

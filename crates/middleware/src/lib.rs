@@ -32,10 +32,10 @@ pub mod mds;
 pub mod rls;
 pub mod voms;
 
-pub use backend::{BackendKind, ComputeBackend, InfoBackend, RankInputs, ReplicaBackend};
+pub use backend::{BackendKind, RankInputs};
 pub use gram::{Gatekeeper, GramError};
-pub use gridftp::{GridFtp, TransferOutcome, TransferRequest};
-pub use gsi::{Certificate, CertificateAuthority, GridMapFile};
+pub use gridftp::{GridFtp, TransferRequest};
+pub use gsi::{CertificateAuthority, GridMapFile};
 pub use mds::{GiisIndex, GlueRecord, MdsDirectory, MdsPeering};
 pub use rls::ReplicaLocationService;
 pub use voms::VomsServer;

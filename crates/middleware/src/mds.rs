@@ -126,11 +126,6 @@ impl GiisIndex {
         }
     }
 
-    /// Deregister a site.
-    pub fn deregister(&mut self, site: SiteId) {
-        self.sites.retain(|s| *s != site);
-    }
-
     /// Registered sites, in registration order.
     pub fn sites(&self) -> &[SiteId] {
         &self.sites
@@ -167,9 +162,6 @@ pub struct MdsDirectory {
     /// first publish from a site.
     #[serde(skip)]
     c_published: Vec<Counter>,
-    /// Pre-interned `queries` counters, indexed by `Vo::index()`.
-    #[serde(skip)]
-    c_queries: Vec<Counter>,
 }
 
 impl MdsDirectory {
@@ -187,18 +179,12 @@ impl MdsDirectory {
             frozen: Vec::new(),
             tele: Telemetry::disabled(),
             c_published: Vec::new(),
-            c_queries: Vec::new(),
         }
     }
 
-    /// Attach the grid-wide instrumentation handle. The six per-VO query
-    /// counters are interned here; per-site publish counters are interned
-    /// on first publish.
+    /// Attach the grid-wide instrumentation handle. Per-site publish
+    /// counters are interned on first publish.
     pub fn set_telemetry(&mut self, tele: Telemetry) {
-        self.c_queries = Vo::ALL
-            .iter()
-            .map(|vo| tele.register_counter("mds", "queries", format!("{vo:?}").to_lowercase()))
-            .collect();
         self.c_published.clear();
         self.tele = tele;
     }
@@ -304,7 +290,7 @@ impl MdsDirectory {
     }
 
     /// Whether a site's GRIS is currently frozen.
-    pub fn is_frozen(&self, site: SiteId) -> bool {
+    pub(crate) fn is_frozen(&self, site: SiteId) -> bool {
         self.frozen.get(site.index()).copied().unwrap_or(false)
     }
 
@@ -318,13 +304,6 @@ impl MdsDirectory {
     /// The latest record for a site, fresh or stale.
     pub fn lookup(&self, site: SiteId) -> Option<&GlueRecord> {
         self.records.get(site.index()).and_then(Option::as_ref)
-    }
-
-    /// Whether a site's record is fresh at `now`.
-    pub fn is_fresh(&self, site: SiteId, now: SimTime) -> bool {
-        self.lookup(site)
-            .map(|r| now.since(r.timestamp) <= self.ttl)
-            .unwrap_or(false)
     }
 
     /// All fresh records at `now`, in site-id order (deterministic
@@ -343,17 +322,6 @@ impl MdsDirectory {
     /// per-query fresh subset, so freshness never invalidates the cache.
     pub fn all_records(&self) -> impl Iterator<Item = &GlueRecord> {
         self.records.iter().flatten()
-    }
-
-    /// Fresh records admitting `vo`, the broker's candidate list.
-    pub fn candidates_for(&self, vo: Vo, now: SimTime) -> Vec<&GlueRecord> {
-        if let Some(c) = self.c_queries.get(vo.index()) {
-            c.add(1);
-        }
-        self.fresh_records(now)
-            .into_iter()
-            .filter(|r| r.admits_vo(vo))
-            .collect()
     }
 
     /// Number of records held (fresh or stale).
@@ -412,11 +380,6 @@ impl MdsPeering {
             epoch: vec![0; grids],
             synced: vec![SimTime::EPOCH; grids],
         }
-    }
-
-    /// Number of member grids.
-    pub fn grid_count(&self) -> usize {
-        self.freshest.len()
     }
 
     /// The staleness horizon in force.
@@ -512,8 +475,11 @@ mod tests {
         g.register(SiteId(1));
         g.register(SiteId(2));
         assert_eq!(g.sites(), &[SiteId(1), SiteId(2)]);
-        g.deregister(SiteId(1));
-        assert_eq!(g.sites(), &[SiteId(2)]);
+    }
+
+    /// Whether `site` is among the directory's fresh records at `now`.
+    fn is_fresh(dir: &MdsDirectory, site: SiteId, now: SimTime) -> bool {
+        dir.fresh_records(now).iter().any(|r| r.site == site)
     }
 
     #[test]
@@ -532,7 +498,7 @@ mod tests {
             SimTime::from_mins(8),
         ));
         assert_eq!(dir.epoch(), epoch);
-        assert!(!dir.is_fresh(SiteId(0), SimTime::from_mins(11)));
+        assert!(!is_fresh(&dir, SiteId(0), SimTime::from_mins(11)));
         // Thaw: the next publish refreshes as usual.
         dir.set_frozen(SiteId(0), false);
         dir.publish(GlueRecord::from_site(
@@ -540,7 +506,7 @@ mod tests {
             "VDT-1.1.8",
             SimTime::from_mins(12),
         ));
-        assert!(dir.is_fresh(SiteId(0), SimTime::from_mins(13)));
+        assert!(is_fresh(&dir, SiteId(0), SimTime::from_mins(13)));
         // Freezing an unknown site is harmless either way.
         dir.set_frozen(SiteId(9), false);
         assert!(!dir.is_frozen(SiteId(9)));
@@ -551,8 +517,8 @@ mod tests {
         let mut dir = MdsDirectory::new(SimDuration::from_mins(10));
         let site = mk_site(0, "A");
         dir.publish(GlueRecord::from_site(&site, "VDT-1.1.8", SimTime::EPOCH));
-        assert!(dir.is_fresh(SiteId(0), SimTime::from_mins(10)));
-        assert!(!dir.is_fresh(SiteId(0), SimTime::from_mins(11)));
+        assert!(is_fresh(&dir, SiteId(0), SimTime::from_mins(10)));
+        assert!(!is_fresh(&dir, SiteId(0), SimTime::from_mins(11)));
         assert_eq!(dir.fresh_records(SimTime::from_mins(11)).len(), 0);
         // Republishing refreshes.
         dir.publish(GlueRecord::from_site(
@@ -560,22 +526,7 @@ mod tests {
             "VDT-1.1.8",
             SimTime::from_mins(11),
         ));
-        assert!(dir.is_fresh(SiteId(0), SimTime::from_mins(20)));
-    }
-
-    #[test]
-    fn candidates_filter_by_vo_policy() {
-        let mut dir = MdsDirectory::with_default_ttl();
-        let mut site_a = mk_site(0, "A");
-        site_a.profile.policy.allowed_vos = Some(vec![Vo::Usatlas]);
-        let site_b = mk_site(1, "B");
-        dir.publish(GlueRecord::from_site(&site_a, "VDT", SimTime::EPOCH));
-        dir.publish(GlueRecord::from_site(&site_b, "VDT", SimTime::EPOCH));
-        let atlas = dir.candidates_for(Vo::Usatlas, SimTime::EPOCH);
-        assert_eq!(atlas.len(), 2);
-        let cms = dir.candidates_for(Vo::Uscms, SimTime::EPOCH);
-        assert_eq!(cms.len(), 1);
-        assert_eq!(cms[0].site, SiteId(1));
+        assert!(is_fresh(&dir, SiteId(0), SimTime::from_mins(20)));
     }
 
     #[test]

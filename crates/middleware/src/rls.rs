@@ -23,22 +23,12 @@ pub enum RlsError {
         /// The unknown logical file.
         FileId,
     ),
-    /// The (lfn, site) replica pair is not registered.
-    NoSuchReplica {
-        /// Logical file.
-        lfn: FileId,
-        /// Site that was expected to hold a replica.
-        site: SiteId,
-    },
 }
 
 impl std::fmt::Display for RlsError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             RlsError::UnknownLfn(lfn) => write!(f, "no replica registered for {lfn}"),
-            RlsError::NoSuchReplica { lfn, site } => {
-                write!(f, "no replica of {lfn} registered at {site}")
-            }
         }
     }
 }
@@ -104,25 +94,6 @@ impl ReplicaLocationService {
         self.sizes.insert(lfn, size);
     }
 
-    /// Remove a replica. Errors if it was not registered.
-    pub fn unregister(&mut self, lfn: FileId, site: SiteId) -> Result<(), RlsError> {
-        let lrc = self
-            .lrcs
-            .get_mut(&site)
-            .ok_or(RlsError::NoSuchReplica { lfn, site })?;
-        if lrc.remove(&lfn).is_none() {
-            return Err(RlsError::NoSuchReplica { lfn, site });
-        }
-        if let Some(sites) = self.rli.get_mut(&lfn) {
-            sites.remove(&site);
-            if sites.is_empty() {
-                self.rli.remove(&lfn);
-                self.sizes.remove(&lfn);
-            }
-        }
-        Ok(())
-    }
-
     /// Sites holding a replica of `lfn`, in site-id order (RLI query).
     pub fn locate(&self, lfn: FileId) -> Result<Vec<SiteId>, RlsError> {
         self.c_lookups.add(1);
@@ -131,15 +102,6 @@ impl ReplicaLocationService {
             .filter(|s| !s.is_empty())
             .map(|s| s.iter().copied().collect())
             .ok_or(RlsError::UnknownLfn(lfn))
-    }
-
-    /// The physical file name of a replica at a specific site (LRC query).
-    pub fn pfn(&self, lfn: FileId, site: SiteId) -> Result<&str, RlsError> {
-        self.lrcs
-            .get(&site)
-            .and_then(|lrc| lrc.get(&lfn))
-            .map(|s| s.as_str())
-            .ok_or(RlsError::NoSuchReplica { lfn, site })
     }
 
     /// Registered size attribute for a logical file.
@@ -192,11 +154,6 @@ impl ReplicaLocationService {
         self.stale.contains(&site)
     }
 
-    /// Number of sites currently serving stale answers.
-    pub fn stale_count(&self) -> usize {
-        self.stale.len()
-    }
-
     /// Drop every replica registered at a site (site storage lost). The
     /// RLI is updated; LFNs whose last replica vanished become unknown.
     pub fn drop_site(&mut self, site: SiteId) -> usize {
@@ -230,7 +187,7 @@ mod tests {
         assert!(rls.exists(FileId(1)));
         assert_eq!(rls.size_of(FileId(1)).unwrap(), Bytes::from_gb(2));
         assert_eq!(
-            rls.pfn(FileId(1), SiteId(2)).unwrap(),
+            rls.lrcs[&SiteId(2)][&FileId(1)],
             "gsiftp://site-2/grid3/data/lfn-1"
         );
     }
@@ -241,23 +198,6 @@ mod tests {
         assert_eq!(rls.locate(FileId(9)), Err(RlsError::UnknownLfn(FileId(9))));
         assert_eq!(rls.size_of(FileId(9)), Err(RlsError::UnknownLfn(FileId(9))));
         assert!(!rls.exists(FileId(9)));
-    }
-
-    #[test]
-    fn unregister_updates_rli() {
-        let mut rls = ReplicaLocationService::new();
-        rls.register(FileId(1), SiteId(0), Bytes::from_gb(1));
-        rls.register(FileId(1), SiteId(1), Bytes::from_gb(1));
-        rls.unregister(FileId(1), SiteId(0)).unwrap();
-        assert_eq!(rls.locate(FileId(1)).unwrap(), vec![SiteId(1)]);
-        rls.unregister(FileId(1), SiteId(1)).unwrap();
-        assert!(!rls.exists(FileId(1)));
-        assert_eq!(rls.lfn_count(), 0);
-        // Double unregister errors.
-        assert!(matches!(
-            rls.unregister(FileId(1), SiteId(1)),
-            Err(RlsError::NoSuchReplica { .. })
-        ));
     }
 
     #[test]
@@ -276,12 +216,9 @@ mod tests {
         rls.mark_stale(SiteId(0));
         // The stale catalog still answers — that is the failure mode.
         assert!(rls.is_stale(SiteId(0)));
-        assert_eq!(rls.stale_count(), 1);
         assert_eq!(rls.locate(FileId(1)).unwrap(), vec![SiteId(0)]);
-        assert!(rls.pfn(FileId(1), SiteId(0)).is_ok());
         rls.heal_stale(SiteId(0));
         assert!(!rls.is_stale(SiteId(0)));
-        assert_eq!(rls.stale_count(), 0);
     }
 
     #[test]
@@ -307,7 +244,7 @@ mod tests {
             /// vice versa.
             #[test]
             fn rli_lrc_consistency(ops in proptest::collection::vec(
-                (0u8..3, 0u32..12, 0u32..5), 1..200))
+                (0u8..2, 0u32..12, 0u32..5), 1..200))
             {
                 let mut rls = ReplicaLocationService::new();
                 for (op, lfn, site) in ops {
@@ -315,7 +252,6 @@ mod tests {
                     let site = SiteId(site);
                     match op {
                         0 => rls.register(lfn, site, Bytes::from_gb(1)),
-                        1 => { let _ = rls.unregister(lfn, site); }
                         _ => { rls.drop_site(site); }
                     }
                 }
@@ -324,7 +260,7 @@ mod tests {
                 for (lfn, sites) in &rls.rli {
                     for site in sites {
                         rli_pairs += 1;
-                        prop_assert!(rls.pfn(*lfn, *site).is_ok());
+                        prop_assert!(rls.lrcs.get(site).is_some_and(|l| l.contains_key(lfn)));
                     }
                     prop_assert!(!sites.is_empty());
                     prop_assert!(rls.sizes.contains_key(lfn));

@@ -85,7 +85,8 @@ impl VomsServer {
     }
 
     /// Whether a DN is a member.
-    pub fn is_member(&self, dn: &str) -> bool {
+    #[cfg(test)]
+    fn is_member(&self, dn: &str) -> bool {
         self.members.iter().any(|m| m.dn == dn)
     }
 
@@ -100,7 +101,8 @@ impl VomsServer {
     }
 
     /// Number of application administrators.
-    pub fn app_admin_count(&self) -> usize {
+    #[cfg(test)]
+    fn app_admin_count(&self) -> usize {
         self.members
             .iter()
             .filter(|m| m.role == VoRole::AppAdmin)

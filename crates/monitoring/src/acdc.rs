@@ -215,15 +215,6 @@ impl AcdcJobMonitor {
         series
     }
 
-    /// Completed-job counts per month for one class.
-    pub fn monthly_jobs_for(&self, class: UserClass) -> MonthlySeries {
-        let mut series = MonthlySeries::new();
-        for j in &self.completed[class.index()] {
-            series.add_month_index(j.month, 1.0);
-        }
-        series
-    }
-
     /// CPU-days by site for one class (Figure 4's per-site breakdown).
     pub fn cpu_days_by_site(&self, class: UserClass) -> BTreeMap<SiteId, f64> {
         let mut map = BTreeMap::new();
@@ -243,7 +234,7 @@ impl AcdcJobMonitor {
     }
 
     /// The full Table 1 row for a class.
-    pub fn class_stats(&self, class: UserClass) -> ClassStats {
+    pub(crate) fn class_stats(&self, class: UserClass) -> ClassStats {
         let jobs = &self.completed[class.index()];
         let users: BTreeSet<UserId> = jobs.iter().map(|j| j.user).collect();
         let sites: BTreeSet<SiteId> = jobs.iter().map(|j| j.site).collect();
@@ -541,9 +532,8 @@ mod tests {
                 ));
             }
         }
-        let series = db.monthly_jobs_for(UserClass::Exerciser);
-        assert_eq!(series.values(), &[2.0, 5.0, 4.0]);
         let all = db.monthly_jobs_all();
+        assert_eq!(all.values(), &[2.0, 5.0, 4.0]);
         assert_eq!(all.total(), 11.0);
     }
 }

@@ -117,49 +117,12 @@ impl SiteStatusCatalog {
             .collect()
     }
 
-    /// Sites failing at least `n` consecutive probes (ticket escalation).
-    pub fn escalation_candidates(&self, n: u32) -> Vec<SiteId> {
-        self.entries
-            .iter()
-            .filter(|(_, e)| e.consecutive_failures >= n)
-            .map(|(id, _)| *id)
-            .collect()
-    }
-
     /// Availability of a site over its probe history.
     pub fn availability(&self, id: SiteId) -> f64 {
         match self.entries.get(&id) {
             Some(e) if e.probes > 0 => 1.0 - e.failed_probes as f64 / e.probes as f64,
             _ => 0.0,
         }
-    }
-
-    /// Render the status web page (§5.2: "a web interface provides a list
-    /// of all Grid3 sites … their status, and other important
-    /// information").
-    pub fn render_page(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::from("Grid3 Site Status Catalog\n");
-        let _ = writeln!(
-            out,
-            "  {:<24} {:>6}  {:>7}  {:>12}  last probe",
-            "site", "status", "probes", "availability"
-        );
-        for (id, e) in &self.entries {
-            let _ = writeln!(
-                out,
-                "  {:<24} {:>6}  {:>7}  {:>11.1}%  {}",
-                e.name,
-                match e.status {
-                    ProbeStatus::Pass => "PASS",
-                    ProbeStatus::Fail => "FAIL",
-                },
-                e.probes,
-                self.availability(*id) * 100.0,
-                e.last_probe
-            );
-        }
-        out
     }
 }
 
@@ -240,10 +203,9 @@ mod tests {
         site.network_up = false;
         cat.probe(&site, SimTime::EPOCH);
         cat.probe(&site, SimTime::from_mins(30));
-        assert_eq!(cat.escalation_candidates(2), vec![SiteId(1)]);
+        assert_eq!(cat.entry(SiteId(1)).unwrap().consecutive_failures, 2);
         site.network_up = true;
         cat.probe(&site, SimTime::from_mins(60));
-        assert!(cat.escalation_candidates(1).is_empty());
         assert_eq!(cat.entry(SiteId(1)).unwrap().consecutive_failures, 0);
     }
 
@@ -254,23 +216,6 @@ mod tests {
         assert_eq!(cat.entries().len(), 1);
         assert_eq!(cat.entry(SiteId(5)).unwrap().name, "LATE_SITE");
         assert_eq!(cat.availability(SiteId(5)), 0.0); // no probes yet
-    }
-
-    #[test]
-    fn status_page_lists_every_site() {
-        let mut cat = SiteStatusCatalog::new(SimDuration::from_mins(30));
-        let mut up = mk_site(0);
-        let mut down = mk_site(1);
-        down.service_up = false;
-        cat.probe(&up, SimTime::from_mins(1));
-        cat.probe(&down, SimTime::from_mins(1));
-        up.service_up = true;
-        let page = cat.render_page();
-        assert!(page.contains("S0"));
-        assert!(page.contains("S1"));
-        assert!(page.contains("PASS"));
-        assert!(page.contains("FAIL"));
-        assert!(page.contains("100.0%"));
     }
 
     #[test]

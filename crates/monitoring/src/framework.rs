@@ -146,21 +146,6 @@ impl MonitoringBus {
     pub fn published_count(&self) -> u64 {
         self.published
     }
-
-    /// Registered sink names, in registration order.
-    pub fn sink_names(&self) -> Vec<&str> {
-        self.sinks.iter().map(|s| s.name()).collect()
-    }
-
-    /// Borrow a sink by index (downcast in the caller if needed).
-    pub fn sink(&self, idx: usize) -> &dyn MetricSink {
-        self.sinks[idx].as_ref()
-    }
-
-    /// Mutably borrow a sink by index.
-    pub fn sink_mut(&mut self, idx: usize) -> &mut dyn MetricSink {
-        self.sinks[idx].as_mut()
-    }
 }
 
 /// Producer adapting the telemetry registry to the monitoring bus: each
@@ -354,7 +339,8 @@ mod tests {
             });
         }
         assert_eq!(bus.published_count(), 5);
-        assert_eq!(bus.sink_names(), vec!["a", "b"]);
+        let names: Vec<&str> = bus.sinks.iter().map(|s| s.name()).collect();
+        assert_eq!(names, vec!["a", "b"]);
         // Both sinks saw all five (redundant paths by construction).
         let _ = (a, b);
     }

@@ -110,23 +110,6 @@ impl GangliaWeb {
     pub fn total_cpus(&self) -> u32 {
         self.summaries.values().map(|s| s.total_cpus).sum()
     }
-
-    /// Grid-wide busy CPUs.
-    pub fn busy_cpus(&self) -> u32 {
-        self.summaries
-            .values()
-            .map(|s| s.total_cpus - s.free_cpus)
-            .sum()
-    }
-
-    /// Sites whose last report is older than `ttl` relative to `now`.
-    pub fn silent_sites(&self, now: SimTime, ttl: grid3_simkit::time::SimDuration) -> Vec<SiteId> {
-        self.summaries
-            .iter()
-            .filter(|(_, s)| now.since(s.last_seen) > ttl)
-            .map(|(id, _)| *id)
-            .collect()
-    }
 }
 
 impl MetricSink for GangliaWeb {
@@ -246,7 +229,12 @@ mod tests {
             });
         }
         assert_eq!(web.total_cpus(), 300);
-        assert_eq!(web.busy_cpus(), 110);
+        let busy: u32 = web
+            .summaries()
+            .values()
+            .map(|s| s.total_cpus - s.free_cpus)
+            .sum();
+        assert_eq!(busy, 110);
         assert_eq!(web.summaries().len(), 2);
     }
 
@@ -267,8 +255,8 @@ mod tests {
                 load: 2.0,
             },
         });
-        let silent = web.silent_sites(SimTime::from_mins(31), SimDuration::from_mins(10));
-        assert_eq!(silent, vec![SiteId(0)]);
+        let seen: Vec<SimTime> = web.summaries().values().map(|s| s.last_seen).collect();
+        assert_eq!(seen, vec![SimTime::from_mins(0), SimTime::from_mins(30)]);
     }
 
     #[test]

@@ -48,6 +48,6 @@ pub use catalog::SiteStatusCatalog;
 pub use framework::{fig1_topology, ComponentKind, Metric, MetricEvent, MonitoringBus};
 pub use ganglia::{GangliaAgent, GangliaWeb};
 pub use mdviewer::MdViewer;
-pub use monalisa::{MonAlisaAgent, MonAlisaRepository, RoundRobinDb};
+pub use monalisa::{MonAlisaAgent, MonAlisaRepository};
 pub use netlogger::NetLoggerArchive;
 pub use trace::{JobTrace, SubmitSideId, TraceEvent, TraceStore};

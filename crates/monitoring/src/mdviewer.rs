@@ -168,11 +168,6 @@ impl MdViewer {
 
     // --- Figure 5: data consumed, by VO ---
 
-    /// Daily GB delivered for one VO.
-    pub fn fig5_daily_gb(&self, vo: Vo) -> &[f64] {
-        self.bytes_by_vo[vo.index()].values()
-    }
-
     /// Cumulative TB delivered, all sources (Figure 5's top curve).
     pub fn fig5_cumulative_tb_total(&self) -> Vec<f64> {
         self.bytes_total

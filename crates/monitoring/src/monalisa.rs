@@ -230,19 +230,6 @@ impl MonAlisaRepository {
         self.populated
     }
 
-    /// Total running jobs across all sites for a VO, from each site's
-    /// latest consolidated sample — the repository's grid-wide VO view.
-    /// Summed in ascending site order (the dense layout's natural walk).
-    pub fn grid_running_for(&self, vo: Vo) -> f64 {
-        self.series
-            .iter()
-            .skip(3 + vo.index())
-            .step_by(SLOTS_PER_SITE)
-            .flatten()
-            .filter_map(|db| db.last())
-            .sum()
-    }
-
     fn record(&mut self, key: SeriesKey, t: SimTime, v: f64) {
         let idx = Self::slot_index(&key);
         if idx >= self.series.len() {
@@ -350,8 +337,13 @@ mod tests {
             },
         });
         assert_eq!(repo.series_count(), 3);
-        assert_eq!(repo.grid_running_for(Vo::Uscms), 100.0);
-        assert_eq!(repo.grid_running_for(Vo::Ligo), 0.0);
+        let running = |site, vo| {
+            repo.series(&SeriesKey::Running(SiteId(site), vo))
+                .and_then(RoundRobinDb::last)
+        };
+        assert_eq!(running(0, Vo::Uscms), Some(40.0));
+        assert_eq!(running(1, Vo::Uscms), Some(60.0));
+        assert_eq!(running(0, Vo::Ligo), None);
         assert_eq!(
             repo.series(&SeriesKey::GkLoad(SiteId(0))).unwrap().last(),
             Some(225.0)

@@ -21,5 +21,5 @@
 pub mod install;
 pub mod package;
 
-pub use install::{CertificationResult, InstallPipeline, InstallReport, InstallStage};
-pub use package::{grid3_package_cache, Package, PackageCache, ResolveError};
+pub use install::{InstallPipeline, InstallReport};
+pub use package::{grid3_package_cache, PackageCache};

@@ -95,11 +95,6 @@ impl PackageCache {
         Ok(order)
     }
 
-    /// Total install cost of a resolved plan.
-    pub fn total_cost(&self, root: &str) -> Result<u32, ResolveError> {
-        Ok(self.resolve(root)?.iter().map(|p| p.install_cost).sum())
-    }
-
     fn visit<'a>(
         &'a self,
         name: &str,
@@ -247,19 +242,6 @@ mod tests {
         let plan = cache.resolve("top").unwrap();
         let names: Vec<&str> = plan.iter().map(|p| p.name.as_str()).collect();
         assert_eq!(names, vec!["base", "left", "right", "top"]);
-    }
-
-    #[test]
-    fn total_cost_sums_closure() {
-        let cache = grid3_package_cache();
-        let expected: u32 = cache
-            .resolve("grid3")
-            .unwrap()
-            .iter()
-            .map(|p| p.install_cost)
-            .sum();
-        assert_eq!(cache.total_cost("grid3").unwrap(), expected);
-        assert!(expected >= 10);
     }
 
     #[test]

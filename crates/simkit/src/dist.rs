@@ -68,21 +68,6 @@ impl DurationDist {
             }
         }
     }
-
-    /// Analytic mean where available; for the capped log-normal this is the
-    /// *uncapped* mean (an upper bound), adequate for sanity checks.
-    pub fn mean_approx(&self) -> SimDuration {
-        match *self {
-            DurationDist::Fixed(d) => d,
-            DurationDist::Uniform { lo, hi } => {
-                SimDuration::from_secs_f64((lo.as_secs_f64() + hi.as_secs_f64()) / 2.0)
-            }
-            DurationDist::Exponential { mean } => mean,
-            DurationDist::LogNormalCapped { median, sigma, .. } => {
-                SimDuration::from_secs_f64(median.as_secs_f64() * (sigma * sigma / 2.0).exp())
-            }
-        }
-    }
 }
 
 /// A size sampler for dataset/file sizes, in bytes.
@@ -191,20 +176,6 @@ impl ArrivalProcess {
         out
     }
 
-    /// Expected number of arrivals over `window` (exact for `Periodic`).
-    pub fn expected_jobs(&self, window: SimDuration) -> f64 {
-        match *self {
-            ArrivalProcess::Poisson { per_day } => per_day * window.as_secs_f64() / 86_400.0,
-            ArrivalProcess::Periodic { every, offset } => {
-                if every == SimDuration::ZERO || offset >= window {
-                    0.0
-                } else {
-                    (window.as_secs_f64() - offset.as_secs_f64()) / every.as_secs_f64()
-                }
-            }
-        }
-    }
-
     /// Scale the arrival intensity by `factor` (campaign `--scale` support).
     pub fn scaled(&self, factor: f64) -> ArrivalProcess {
         match *self {
@@ -299,19 +270,6 @@ mod tests {
     }
 
     #[test]
-    fn mean_approx_matches_analytics() {
-        let exp = DurationDist::Exponential {
-            mean: SimDuration::from_secs(100),
-        };
-        assert_eq!(exp.mean_approx(), SimDuration::from_secs(100));
-        let uni = DurationDist::Uniform {
-            lo: SimDuration::from_secs(0),
-            hi: SimDuration::from_secs(10),
-        };
-        assert_eq!(uni.mean_approx(), SimDuration::from_secs(5));
-    }
-
-    #[test]
     fn size_dist_samples_in_range() {
         let mut r = rng();
         assert_eq!(SizeDist::Fixed(4_000).sample(&mut r), 4_000);
@@ -340,7 +298,8 @@ mod tests {
             assert!(pair[0] <= pair[1]);
         }
         assert!(arrivals.iter().all(|t| *t < window));
-        let expect = p.expected_jobs(window);
+        // 48 arrivals a day over 30 days.
+        let expect = 48.0 * 30.0;
         let got = arrivals.len() as f64;
         assert!(
             (got - expect).abs() / expect < 0.15,
@@ -363,10 +322,6 @@ mod tests {
                 SimDuration::from_mins(35),
                 SimDuration::from_mins(50),
             ]
-        );
-        assert_eq!(
-            p.expected_jobs(SimDuration::from_hours(1)).round() as u64,
-            4
         );
     }
 

@@ -9,7 +9,7 @@
 //!
 //! Two interchangeable backends implement that order:
 //!
-//! * [`LadderQueue`] — a FIFO-stable two-tier ladder/calendar queue with
+//! * `LadderQueue` — a FIFO-stable two-tier ladder/calendar queue with
 //!   amortized O(1) schedule/pop, the default;
 //! * a plain `BinaryHeap` (O(log n) per operation), kept as the reference
 //!   implementation behind [`EventQueue::with_heap`] for differential
@@ -19,14 +19,14 @@
 //! `queue_equivalence` differential suite and the golden-hash
 //! determinism tests hold them to it.
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 /// An event plus its firing time and tie-breaking sequence number.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ScheduledEvent<E> {
+pub(crate) struct ScheduledEvent<E> {
     /// When the event fires.
     pub time: SimTime,
     /// Monotonic insertion index; earlier-scheduled fires first on ties.
@@ -173,7 +173,7 @@ impl<E> Rung<E> {
 /// maintained by `LadderQueue::refill` after every mutation — so
 /// [`LadderQueue::peek_key`] is a borrow of `bottom.last()`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct LadderQueue<E> {
+pub(crate) struct LadderQueue<E> {
     /// Sorted descending by `(time, seq)`; popped from the back.
     bottom: Vec<ScheduledEvent<E>>,
     /// Refinement stack; deeper rungs hold nearer spans.
@@ -213,13 +213,8 @@ impl<E> LadderQueue<E> {
         self.len
     }
 
-    /// True when no events are stored.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// The smallest `(time, seq)` key, without consuming it.
-    pub fn peek_key(&self) -> Option<(SimTime, u64)> {
+    pub(crate) fn peek_key(&self) -> Option<(SimTime, u64)> {
         self.bottom.last().map(ScheduledEvent::key)
     }
 
@@ -265,7 +260,7 @@ impl<E> LadderQueue<E> {
     /// order (bottom tier, then rung buckets, then the far-future
     /// spill) — *not* pop order. Consumes nothing; `len` and all
     /// refinement state are untouched.
-    pub fn iter_events(&self) -> impl Iterator<Item = &ScheduledEvent<E>> {
+    pub(crate) fn iter_events(&self) -> impl Iterator<Item = &ScheduledEvent<E>> {
         self.bottom
             .iter()
             .chain(self.rungs.iter().flat_map(|r| r.buckets.iter().flatten()))
@@ -378,7 +373,7 @@ impl<E> Default for EventQueue<E> {
 
 impl<E> EventQueue<E> {
     /// An empty queue with the clock at the epoch, on the default
-    /// [`LadderQueue`] backend.
+    /// ladder backend.
     pub fn new() -> Self {
         EventQueue {
             backend: Backend::Ladder(LadderQueue::new()),
@@ -484,11 +479,6 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Schedule `event` after a delay from the current clock.
-    pub fn schedule_in(&mut self, delay: SimDuration, event: E) {
-        self.schedule_at(self.now + delay, event);
-    }
-
     /// Pop the next event, advancing the clock to its firing time.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         let se = match &mut self.backend {
@@ -586,6 +576,7 @@ impl<E> EventQueue<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::time::SimDuration;
 
     #[test]
     fn pops_in_time_order() {
@@ -612,7 +603,7 @@ mod tests {
     fn clock_advances_with_pops() {
         let mut q = EventQueue::new();
         q.schedule_at(SimTime::from_secs(10), ());
-        q.schedule_in(SimDuration::from_secs(3), ());
+        q.schedule_at(q.now() + SimDuration::from_secs(3), ());
         assert_eq!(q.now(), SimTime::EPOCH);
         let (t1, _) = q.pop().unwrap();
         assert_eq!(t1, SimTime::from_secs(3));
@@ -621,15 +612,6 @@ mod tests {
         assert_eq!(t2, SimTime::from_secs(10));
         assert!(q.pop().is_none());
         assert_eq!(q.processed(), 2);
-    }
-
-    #[test]
-    fn schedule_in_is_relative_to_now() {
-        let mut q = EventQueue::new();
-        q.schedule_at(SimTime::from_secs(100), "first");
-        q.pop();
-        q.schedule_in(SimDuration::from_secs(50), "second");
-        assert_eq!(q.peek_time(), Some(SimTime::from_secs(150)));
     }
 
     // Scheduling into the past is rejected loudly in debug builds and
@@ -818,7 +800,7 @@ mod tests {
                 }
             }
 
-            /// Interleaving schedule_in with pops never violates causality.
+            /// Interleaving relative scheduling with pops never violates causality.
             #[test]
             fn interleaved_scheduling_is_causal(
                 delays in proptest::collection::vec(0u64..100, 1..100)
@@ -831,7 +813,7 @@ mod tests {
                     prop_assert!(t >= last);
                     last = t;
                     if i < delays.len() {
-                        q.schedule_in(SimDuration::from_secs(delays[i]), i + 1);
+                        q.schedule_at(q.now() + SimDuration::from_secs(delays[i]), i + 1);
                         i += 1;
                     }
                 }

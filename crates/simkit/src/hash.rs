@@ -11,10 +11,10 @@
 //! [`crate::ids::TransferId`] (simulation-internal, never
 //! attacker-controlled — HashDoS resistance is not a requirement here).
 //!
-//! Use [`FastMap`]/[`FastSet`] for id-keyed working state; truly dense
-//! id ranges should prefer [`crate::ids::IdMap`] (a plain `Vec`).
+//! Use [`FastMap`] for id-keyed working state; truly dense id ranges
+//! should prefer a plain `Vec` indexed by the id.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// Multiplier from FxHash (Firefox): a 64-bit odd constant close to
@@ -85,9 +85,6 @@ pub type FastBuildHasher = BuildHasherDefault<FastHasher>;
 
 /// A `HashMap` on the deterministic fast hasher.
 pub type FastMap<K, V> = HashMap<K, V, FastBuildHasher>;
-
-/// A `HashSet` on the deterministic fast hasher.
-pub type FastSet<T> = HashSet<T, FastBuildHasher>;
 
 #[cfg(test)]
 mod tests {

@@ -5,9 +5,6 @@
 //! for all of them invites cross-wiring (submitting a *file* id to a batch
 //! queue). Each handle gets its own newtype via the `define_id!` macro.
 
-use serde::{Deserialize, Serialize};
-use std::fmt;
-
 /// Define a `Copy` newtype identifier around `u32` with a short display
 /// prefix, plus a matching allocator type `<Name>Gen`.
 #[macro_export]
@@ -130,80 +127,6 @@ define_id!(
     "grid-"
 );
 
-/// A compact map keyed by a typed id, backed by a dense `Vec`.
-///
-/// Entities in the simulation are allocated densely from id 0, so a vector
-/// beats a hash map for the hot per-site / per-node lookups (see the
-/// perf-book guidance on avoiding hashing in hot paths).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct IdMap<I, T> {
-    items: Vec<T>,
-    _marker: std::marker::PhantomData<I>,
-}
-
-impl<I, T> Default for IdMap<I, T> {
-    fn default() -> Self {
-        IdMap {
-            items: Vec::new(),
-            _marker: std::marker::PhantomData,
-        }
-    }
-}
-
-impl<I: Copy + Into<u32> + fmt::Display, T> IdMap<I, T> {
-    /// An empty map.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Append an item; it must correspond to the next dense id.
-    pub fn push(&mut self, item: T) {
-        self.items.push(item);
-    }
-
-    /// Item count.
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-
-    /// Shared access by id; panics on out-of-range id (a wiring bug).
-    pub fn get(&self, id: I) -> &T {
-        let idx = id.into() as usize;
-        &self.items[idx]
-    }
-
-    /// Mutable access by id.
-    pub fn get_mut(&mut self, id: I) -> &mut T {
-        let idx = id.into() as usize;
-        &mut self.items[idx]
-    }
-
-    /// Iterate items in id order.
-    pub fn iter(&self) -> impl Iterator<Item = &T> {
-        self.items.iter()
-    }
-
-    /// Iterate items mutably in id order.
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut T> {
-        self.items.iter_mut()
-    }
-}
-
-macro_rules! impl_into_u32 {
-    ($($t:ty),*) => {
-        $(impl From<$t> for u32 {
-            fn from(v: $t) -> u32 { v.0 }
-        })*
-    };
-}
-
-impl_into_u32!(SiteId, NodeId, JobId, FileId, TransferId, UserId, WorkflowId, TicketId, GridId);
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -223,29 +146,6 @@ mod tests {
         assert_eq!(SiteId(3).to_string(), "site-3");
         assert_eq!(FileId(12).to_string(), "lfn-12");
         assert_eq!(TicketId(0).to_string(), "tkt-0");
-    }
-
-    #[test]
-    fn idmap_round_trips() {
-        let mut g = SiteIdGen::new();
-        let mut m: IdMap<SiteId, &'static str> = IdMap::new();
-        let a = g.next_id();
-        m.push("ANL");
-        let b = g.next_id();
-        m.push("BNL");
-        assert_eq!(*m.get(a), "ANL");
-        assert_eq!(*m.get(b), "BNL");
-        *m.get_mut(b) = "Brookhaven";
-        assert_eq!(*m.get(b), "Brookhaven");
-        assert_eq!(m.len(), 2);
-        assert_eq!(m.iter().count(), 2);
-    }
-
-    #[test]
-    #[should_panic]
-    fn idmap_panics_on_unknown_id() {
-        let m: IdMap<SiteId, u8> = IdMap::new();
-        let _ = m.get(SiteId(5));
     }
 
     #[test]

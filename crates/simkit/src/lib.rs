@@ -13,8 +13,7 @@
 //!   the paper's observation epoch (2003-10-25T00:00:00 UTC) plus the
 //!   Gregorian calendar arithmetic needed for "jobs per month" style
 //!   reporting (Figure 6, Table 1 peak months).
-//! * [`units`] — strongly typed quantities: [`Bytes`],
-//!   [`CpuSeconds`], [`Bandwidth`].
+//! * [`units`] — strongly typed quantities: [`Bytes`], [`Bandwidth`].
 //! * [`ids`] — zero-cost typed identifiers for sites, nodes, jobs, files…
 //! * [`rng`] — per-entity deterministic random streams derived from one
 //!   master seed, so simulations are pure functions of `(config, seed)`.
@@ -48,9 +47,9 @@ pub mod telemetry;
 pub mod time;
 pub mod units;
 
-pub use engine::{EventQueue, ScheduledEvent};
+pub use engine::EventQueue;
 pub use profiler::{alloc_snapshot, CostCenter, CostProfiler};
-pub use rng::{derive_seed, SimRng};
-pub use telemetry::{Counter, Histo, SpanId, SpanRecord, Telemetry};
-pub use time::{CalendarDate, SimDuration, SimTime};
-pub use units::{Bandwidth, Bytes, CpuSeconds};
+pub use rng::SimRng;
+pub use telemetry::{Counter, Histo, SpanId, Telemetry};
+pub use time::{SimDuration, SimTime};
+pub use units::{Bandwidth, Bytes};

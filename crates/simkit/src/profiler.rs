@@ -34,7 +34,7 @@ use std::fmt::Write as _;
 /// Number of log2 latency buckets per cost center. Bucket 0 holds
 /// zero-duration events; bucket `b ≥ 1` covers `[2^(b-1), 2^b)` ns;
 /// the last bucket absorbs everything ≥ 2^30 ns (~1.07 s).
-pub const LOG2_BUCKETS: usize = 32;
+pub(crate) const LOG2_BUCKETS: usize = 32;
 
 /// One attribution bucket: a `(subsystem, event-type)` pair. The engine
 /// owns a static table of these, indexed by the event discriminant.
@@ -59,7 +59,9 @@ pub struct CenterStats {
     pub total_ns: u64,
     /// Immediate events emitted by the handler (fan-out).
     pub fanout: u64,
-    /// Log2 latency histogram; see [`LOG2_BUCKETS`].
+    /// Log2 latency histogram: bucket 0 holds zero-duration events,
+    /// bucket `b ≥ 1` covers `[2^(b-1), 2^b)` ns, and the last bucket
+    /// absorbs everything ≥ 2^30 ns.
     pub hist: [u64; LOG2_BUCKETS],
     /// Heap allocations inside the handler (0 without `count-allocs`).
     pub allocs: u64,
@@ -84,7 +86,7 @@ impl Default for CenterStats {
 /// `floor(log2(ns)) + 1` clamped to [`LOG2_BUCKETS`]` - 1`, so bucket
 /// `b ≥ 1` covers `[2^(b-1), 2^b)`.
 #[inline]
-pub fn log2_bucket(ns: u64) -> usize {
+pub(crate) fn log2_bucket(ns: u64) -> usize {
     if ns == 0 {
         0
     } else {
@@ -283,8 +285,8 @@ mod counting_alloc {
     use std::alloc::{GlobalAlloc, Layout, System};
     use std::sync::atomic::{AtomicU64, Ordering};
 
-    pub static ALLOCS: AtomicU64 = AtomicU64::new(0);
-    pub static BYTES: AtomicU64 = AtomicU64::new(0);
+    pub(crate) static ALLOCS: AtomicU64 = AtomicU64::new(0);
+    pub(crate) static BYTES: AtomicU64 = AtomicU64::new(0);
 
     struct CountingAlloc;
 

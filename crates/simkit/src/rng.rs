@@ -15,7 +15,7 @@ use rand::{Rng, RngCore, SeedableRng};
 ///
 /// Uses the SplitMix64 finalizer, whose avalanche behaviour makes adjacent
 /// tags produce uncorrelated streams.
-pub fn derive_seed(master: u64, tag: u64) -> u64 {
+pub(crate) fn derive_seed(master: u64, tag: u64) -> u64 {
     let mut z = master
         .wrapping_add(0x9E37_79B9_7F4A_7C15)
         .wrapping_add(tag.wrapping_mul(0xBF58_476D_1CE4_E5B9));
@@ -25,7 +25,7 @@ pub fn derive_seed(master: u64, tag: u64) -> u64 {
 }
 
 /// Derive a seed from a master seed and a string label (e.g. a site name).
-pub fn derive_seed_str(master: u64, label: &str) -> u64 {
+pub(crate) fn derive_seed_str(master: u64, label: &str) -> u64 {
     // FNV-1a over the label, then mixed with the master seed.
     let mut h: u64 = 0xCBF2_9CE4_8422_2325;
     for b in label.as_bytes() {
@@ -38,7 +38,7 @@ pub fn derive_seed_str(master: u64, label: &str) -> u64 {
 /// A deterministic RNG for one simulation entity.
 ///
 /// Wraps [`StdRng`] (ChaCha-based, identical across platforms) seeded via
-/// [`derive_seed`].
+/// `derive_seed`.
 #[derive(Debug, Clone)]
 pub struct SimRng {
     inner: StdRng,

@@ -45,7 +45,7 @@ impl BinnedSeries {
     }
 
     /// Bin index for an instant, clamped into range.
-    pub fn bin_of(&self, t: SimTime) -> usize {
+    pub(crate) fn bin_of(&self, t: SimTime) -> usize {
         let offset = t.since(self.start).as_micros();
         let idx = (offset / self.width.as_micros()) as usize;
         idx.min(self.bins.len() - 1)
@@ -102,16 +102,6 @@ impl BinnedSeries {
     /// Largest single bin value.
     pub fn peak(&self) -> f64 {
         self.bins.iter().cloned().fold(0.0, f64::max)
-    }
-
-    /// Index of the largest bin.
-    pub fn peak_bin(&self) -> usize {
-        self.bins
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-            .map(|(i, _)| i)
-            .unwrap_or(0)
     }
 
     /// Merge another series with identical geometry into this one.
@@ -254,8 +244,9 @@ impl MonthlySeries {
     }
 }
 
-/// A step-function gauge: tracks a level over time, recording the exact
-/// peak and the exact time-integral (for time-averages).
+/// A step-function gauge: tracks a level over time and records its exact
+/// peak. It also accumulates the level's time-integral, which checkpoints
+/// carry.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct GaugeTracker {
     level: f64,
@@ -304,16 +295,6 @@ impl GaugeTracker {
     pub fn peak_at(&self) -> SimTime {
         self.peak_at
     }
-
-    /// Time-average level from the origin to `now`.
-    pub fn average_until(&self, now: SimTime) -> f64 {
-        let total = now.since(self.origin).as_secs_f64();
-        if total <= 0.0 {
-            return self.level;
-        }
-        let integral = self.integral + self.level * now.since(self.last_change).as_secs_f64();
-        integral / total
-    }
 }
 
 #[cfg(test)]
@@ -350,7 +331,6 @@ mod tests {
         }
         assert_eq!(s.cumulative(), vec![1.0, 3.0, 6.0, 10.0]);
         assert_eq!(s.peak(), 4.0);
-        assert_eq!(s.peak_bin(), 3);
     }
 
     #[test]
@@ -425,16 +405,13 @@ mod tests {
     }
 
     #[test]
-    fn gauge_tracks_peak_and_average() {
+    fn gauge_tracks_level_and_peak() {
         let mut g = GaugeTracker::new(SimTime::EPOCH);
         g.step(SimTime::from_secs(0), 2.0); // level 2
         g.step(SimTime::from_secs(10), 3.0); // level 5 at t=10
         g.step(SimTime::from_secs(20), -4.0); // level 1 at t=20
         assert_eq!(g.peak(), 5.0);
         assert_eq!(g.peak_at(), SimTime::from_secs(10));
-        // avg over [0,30): (2*10 + 5*10 + 1*10)/30 = 80/30
-        let avg = g.average_until(SimTime::from_secs(30));
-        assert!((avg - 80.0 / 30.0).abs() < 1e-9);
         assert_eq!(g.level(), 1.0);
     }
 
@@ -476,26 +453,6 @@ mod tests {
                 for w in c.windows(2) {
                     prop_assert!(w[1] >= w[0] - 1e-12);
                 }
-            }
-
-            /// Gauge average is bounded by [0, peak].
-            #[test]
-            fn gauge_average_bounded(steps in proptest::collection::vec(
-                (1u64..10_000, 0u8..2), 1..100)
-            ) {
-                let mut g = GaugeTracker::new(SimTime::EPOCH);
-                let mut t = 0u64;
-                let mut level = 0i64;
-                for (dt, dir) in steps {
-                    t += dt;
-                    // Only step down when above zero, mirroring job gauges.
-                    let delta = if dir == 0 || level == 0 { level += 1; 1.0 }
-                                else { level -= 1; -1.0 };
-                    g.step(SimTime::from_secs(t), delta);
-                }
-                let avg = g.average_until(SimTime::from_secs(t + 100));
-                prop_assert!(avg >= -1e-12);
-                prop_assert!(avg <= g.peak() + 1e-12);
             }
         }
     }

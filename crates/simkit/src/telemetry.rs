@@ -26,7 +26,7 @@
 //! * **Simulation-pure.** Timestamps are [`SimTime`]; wall-clock
 //!   events/sec is computed by the bench harness, not here.
 //! * **Bounded.** Completed spans live in a ring buffer
-//!   ([`DEFAULT_SPAN_CAPACITY`] by default); the oldest records are
+//!   (65,536 spans by default); the oldest records are
 //!   dropped, and the drop count is reported, never hidden. Open spans
 //!   live in a free-list slab; a [`SpanId`] packs `(generation, slot)`
 //!   so a stale or double close is a detected no-op, never a
@@ -46,12 +46,12 @@ use std::fmt::Write as _;
 use std::rc::Rc;
 
 /// Default bound on retained completed spans.
-pub const DEFAULT_SPAN_CAPACITY: usize = 65_536;
+pub(crate) const DEFAULT_SPAN_CAPACITY: usize = 65_536;
 
 /// A registry key: `(subsystem, name)` plus a free-form label
 /// (site, VO, …). Empty label means "grid-wide".
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub struct MetricKey {
+pub(crate) struct MetricKey {
     /// Producing subsystem (`"gram"`, `"gridftp"`, …).
     pub subsystem: &'static str,
     /// Metric name within the subsystem.
@@ -173,7 +173,6 @@ struct Inner {
     /// Dense counter storage; slots are append-only and stable, so
     /// [`Counter`] handles stay valid across later registrations.
     counter_values: Vec<u64>,
-    gauges: BTreeMap<MetricKey, f64>,
     /// Sorted `(key → slot)` intern index for histograms.
     hist_index: Vec<(MetricKey, u32)>,
     hist_slots: Vec<Histogram>,
@@ -347,7 +346,7 @@ impl Telemetry {
     }
 
     /// An active handle retaining at most `capacity` completed spans.
-    pub fn with_span_capacity(capacity: usize) -> Self {
+    pub(crate) fn with_span_capacity(capacity: usize) -> Self {
         Telemetry(Some(Rc::new(RefCell::new(Inner {
             span_capacity: capacity.max(1),
             ..Inner::default()
@@ -398,7 +397,7 @@ impl Telemetry {
         }
     }
 
-    // ----- counters / gauges / histograms ----------------------------
+    // ----- counters / histograms -------------------------------------
 
     /// Add `delta` to the counter `(subsystem, name, label)`.
     ///
@@ -468,43 +467,6 @@ impl Telemetry {
                     .sum()
             })
             .unwrap_or(0)
-    }
-
-    /// Set the gauge `(subsystem, name, label)`.
-    pub fn gauge_set(
-        &self,
-        subsystem: &'static str,
-        name: &'static str,
-        label: impl Into<String>,
-        value: f64,
-    ) {
-        if let Some(inner) = &self.0 {
-            let key = MetricKey {
-                subsystem,
-                name,
-                label: label.into(),
-            };
-            inner.borrow_mut().gauges.insert(key, value);
-        }
-    }
-
-    /// Observe `value` into the fixed-bucket histogram
-    /// `(subsystem, name, label)`. `bounds` fixes the buckets on first
-    /// use; later calls must pass the same slice. Hot call sites should
-    /// hold a [`Histo`] from [`Telemetry::register_histogram`] instead.
-    pub fn observe(
-        &self,
-        subsystem: &'static str,
-        name: &'static str,
-        label: impl Into<String> + AsRef<str>,
-        value: f64,
-        bounds: &'static [f64],
-    ) {
-        if let Some(inner) = &self.0 {
-            let mut inner = inner.borrow_mut();
-            let slot = inner.hist_slot(subsystem, name, label, bounds);
-            inner.hist_slots[slot as usize].observe(value);
-        }
     }
 
     /// Snapshot of one histogram.
@@ -712,7 +674,7 @@ impl Telemetry {
         out
     }
 
-    /// The whole registry (counters, gauges, histograms) as a JSON
+    /// The whole registry (counters, histograms) as a JSON
     /// object string, deterministically ordered.
     pub fn registry_json(&self) -> String {
         let mut out = String::from("{\"counters\":[");
@@ -725,22 +687,6 @@ impl Telemetry {
                 "{{\"subsystem\":\"{}\",\"name\":\"{}\",\"label\":\"{}\",\"value\":{}}}",
                 c.subsystem, c.name, c.label, c.value
             );
-        }
-        out.push_str("],\"gauges\":[");
-        if let Some(inner) = &self.0 {
-            for (i, (k, v)) in inner.borrow().gauges.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(
-                    out,
-                    "{{\"subsystem\":\"{}\",\"name\":\"{}\",\"label\":\"{}\",\"value\":{}}}",
-                    k.subsystem,
-                    k.name,
-                    k.label,
-                    if v.is_finite() { *v } else { 0.0 }
-                );
-            }
         }
         out.push_str("],\"histograms\":[");
         if let Some(inner) = &self.0 {
@@ -840,8 +786,9 @@ mod tests {
     fn histogram_buckets_and_overflow() {
         static BOUNDS: [f64; 3] = [1.0, 10.0, 100.0];
         let t = Telemetry::enabled();
+        let h = t.register_histogram("gram", "load", "", &BOUNDS);
         for v in [0.5, 5.0, 50.0, 500.0, 0.9] {
-            t.observe("gram", "load", "", v, &BOUNDS);
+            h.observe(v);
         }
         let h = t.histogram("gram", "load", "").unwrap();
         assert_eq!(h.counts, vec![2, 1, 1, 1]);
@@ -855,7 +802,9 @@ mod tests {
         let t = Telemetry::enabled();
         let h = t.register_histogram("gram", "load", "site3", &BOUNDS);
         h.observe(0.5);
-        t.observe("gram", "load", "site3", 5.0, &BOUNDS);
+        // Re-registering the same key returns the same slot.
+        t.register_histogram("gram", "load", "site3", &BOUNDS)
+            .observe(5.0);
         let snap = t.histogram("gram", "load", "site3").unwrap();
         assert_eq!(snap.counts, vec![1, 1, 0]);
         assert_eq!(snap.count, 2);

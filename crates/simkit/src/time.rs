@@ -18,7 +18,7 @@ const SECS_PER_DAY: u64 = 86_400;
 
 /// The calendar date of the simulation epoch (`SimTime::EPOCH`):
 /// 25 October 2003, start of the paper's SC2003 observation window.
-pub const EPOCH_DATE: CalendarDate = CalendarDate {
+pub(crate) const EPOCH_DATE: CalendarDate = CalendarDate {
     year: 2003,
     month: 10,
     day: 25,
@@ -114,12 +114,6 @@ impl SimTime {
     pub fn month_index(self) -> u32 {
         let d = self.calendar_date();
         (d.year - 2003) as u32 * 12 + d.month - 10
-    }
-
-    /// Seconds into the current simulated day (0..86400). Drives diurnal
-    /// effects such as the ACDC nightly worker-node rollover of §6.1.
-    pub fn seconds_into_day(self) -> u64 {
-        (self.0 / MICROS_PER_SEC) % SECS_PER_DAY
     }
 }
 
@@ -308,12 +302,12 @@ pub struct CalendarDate {
 
 impl CalendarDate {
     /// Whether `year` is a Gregorian leap year.
-    pub fn is_leap_year(year: i32) -> bool {
+    pub(crate) fn is_leap_year(year: i32) -> bool {
         (year % 4 == 0 && year % 100 != 0) || year % 400 == 0
     }
 
     /// Days in the given month of the given year.
-    pub fn days_in_month(year: i32, month: u32) -> u32 {
+    pub(crate) fn days_in_month(year: i32, month: u32) -> u32 {
         match month {
             1 | 3 | 5 | 7 | 8 | 10 | 12 => 31,
             4 | 6 | 9 | 11 => 30,
@@ -329,7 +323,7 @@ impl CalendarDate {
     }
 
     /// The date `days` days after `self`.
-    pub fn plus_days(mut self, mut days: u64) -> CalendarDate {
+    pub(crate) fn plus_days(mut self, mut days: u64) -> CalendarDate {
         while days > 0 {
             let dim = Self::days_in_month(self.year, self.month) as u64;
             let left_in_month = dim - self.day as u64;
@@ -346,12 +340,6 @@ impl CalendarDate {
             }
         }
         self
-    }
-
-    /// `"MM-YYYY"` label matching the paper's Table 1 "Peak Production
-    /// Month-Year" row (e.g. `"11-2003"`).
-    pub fn month_label(&self) -> String {
-        format!("{:02}-{}", self.month, self.year)
     }
 }
 
@@ -488,12 +476,6 @@ mod tests {
         assert_eq!(SimDuration::from_mins(3).to_string(), "3.00m");
         assert_eq!(SimDuration::from_hours(10).to_string(), "10.00h");
         assert_eq!(SimDuration::from_days(2).to_string(), "2.00d");
-    }
-
-    #[test]
-    fn seconds_into_day_wraps() {
-        let t = SimTime::from_days(3) + SimDuration::from_secs(61);
-        assert_eq!(t.seconds_into_day(), 61);
     }
 
     #[test]

@@ -43,11 +43,6 @@ impl Bytes {
         Bytes(gb * 1_000_000_000)
     }
 
-    /// Fractional gigabytes; negatives clamp to zero.
-    pub fn from_gb_f64(gb: f64) -> Self {
-        Bytes((gb.max(0.0) * 1e9).round() as u64)
-    }
-
     /// Terabytes (10¹² bytes).
     pub const fn from_tb(tb: u64) -> Self {
         Bytes(tb * 1_000_000_000_000)
@@ -152,76 +147,6 @@ impl fmt::Display for Bytes {
     }
 }
 
-/// Consumed CPU time. The paper's headline compute metric is the CPU-day
-/// (Figures 2 and 4, Table 1's "Total CPU (days)").
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
-pub struct CpuSeconds(f64);
-
-impl CpuSeconds {
-    /// Zero CPU time.
-    pub const ZERO: CpuSeconds = CpuSeconds(0.0);
-
-    /// Construct from seconds; negatives clamp to zero.
-    pub fn from_secs(s: f64) -> Self {
-        CpuSeconds(s.max(0.0))
-    }
-
-    /// Construct from hours.
-    pub fn from_hours(h: f64) -> Self {
-        Self::from_secs(h * 3_600.0)
-    }
-
-    /// Construct from CPU-days.
-    pub fn from_days(d: f64) -> Self {
-        Self::from_secs(d * 86_400.0)
-    }
-
-    /// One CPU busy for the given wall-clock span.
-    pub fn from_duration(d: SimDuration) -> Self {
-        CpuSeconds(d.as_secs_f64())
-    }
-
-    /// Seconds.
-    pub fn as_secs(self) -> f64 {
-        self.0
-    }
-
-    /// Hours.
-    pub fn as_hours(self) -> f64 {
-        self.0 / 3_600.0
-    }
-
-    /// CPU-days, the paper's reporting unit.
-    pub fn as_days(self) -> f64 {
-        self.0 / 86_400.0
-    }
-}
-
-impl Add for CpuSeconds {
-    type Output = CpuSeconds;
-    fn add(self, rhs: CpuSeconds) -> CpuSeconds {
-        CpuSeconds(self.0 + rhs.0)
-    }
-}
-
-impl AddAssign for CpuSeconds {
-    fn add_assign(&mut self, rhs: CpuSeconds) {
-        self.0 += rhs.0;
-    }
-}
-
-impl Sum for CpuSeconds {
-    fn sum<I: Iterator<Item = CpuSeconds>>(iter: I) -> CpuSeconds {
-        iter.fold(CpuSeconds::ZERO, |a, b| a + b)
-    }
-}
-
-impl fmt::Display for CpuSeconds {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:.2} CPU-days", self.as_days())
-    }
-}
-
 /// A data rate in bytes per second. Site WAN links and gatekeeper NICs are
 /// expressed in this unit; §6.4's fourth site-selection criterion ranks
 /// sites by it.
@@ -240,11 +165,6 @@ impl Bandwidth {
     /// Construct from megabits per second (the unit sites advertise).
     pub fn from_mbit_per_sec(mbit: f64) -> Self {
         Self::from_bytes_per_sec(mbit * 1e6 / 8.0)
-    }
-
-    /// Construct from gigabits per second.
-    pub fn from_gbit_per_sec(gbit: f64) -> Self {
-        Self::from_mbit_per_sec(gbit * 1_000.0)
     }
 
     /// Bytes per second.
@@ -299,7 +219,6 @@ mod tests {
         assert_eq!(Bytes::from_mb(1).as_u64(), 1_000_000);
         assert_eq!(Bytes::from_gb(2).as_u64(), 2_000_000_000);
         assert_eq!(Bytes::from_tb(1).as_u64(), 1_000_000_000_000);
-        assert!((Bytes::from_gb_f64(2.5).as_gb_f64() - 2.5).abs() < 1e-9);
     }
 
     #[test]
@@ -315,13 +234,6 @@ mod tests {
         let mut b = Bytes::from_mb(1);
         b -= Bytes::from_mb(5);
         assert_eq!(b, Bytes::ZERO);
-    }
-
-    #[test]
-    fn cpu_days_round_trip() {
-        // The BTeV challenge: 1000 jobs of 10 hours each.
-        let total: CpuSeconds = (0..1000).map(|_| CpuSeconds::from_hours(10.0)).sum();
-        assert!((total.as_days() - 1000.0 * 10.0 / 24.0).abs() < 1e-9);
     }
 
     #[test]

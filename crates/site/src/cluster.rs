@@ -211,11 +211,6 @@ impl Site {
         self.scheduler.queued()
     }
 
-    /// Iterate over running jobs.
-    pub fn running_jobs(&self) -> impl Iterator<Item = &RunningJob> {
-        self.running.values()
-    }
-
     /// Running jobs per VO, indexed by [`Vo::index`].
     pub fn running_per_vo(&self) -> &[u32; Vo::ALL.len()] {
         &self.running_per_vo
@@ -307,7 +302,7 @@ impl Site {
 
     /// Kill every running job (service crash / rollover). Slots free up
     /// immediately; returns the killed bookings for failure accounting.
-    pub fn kill_all_running(&mut self, now: SimTime) -> Vec<RunningJob> {
+    pub(crate) fn kill_all_running(&mut self, now: SimTime) -> Vec<RunningJob> {
         let jobs: Vec<JobId> = self.running.keys().copied().collect();
         let mut killed = Vec::with_capacity(jobs.len());
         for j in jobs {

@@ -48,7 +48,7 @@ pub struct JobSpec {
 
 impl JobSpec {
     /// Total bytes this job will move over the site's WAN link.
-    pub fn total_transfer(&self) -> Bytes {
+    pub(crate) fn total_transfer(&self) -> Bytes {
         self.input_bytes + self.output_bytes
     }
 
@@ -65,32 +65,6 @@ impl JobSpec {
         } else {
             4.0
         }
-    }
-}
-
-/// Where a job is in the §6.1 lifecycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum JobState {
-    /// Accepted by the gatekeeper, input staging in progress.
-    StagingIn,
-    /// Waiting in the site's batch queue.
-    Queued,
-    /// Executing on a worker node.
-    Running,
-    /// Output staging to the final storage element.
-    StagingOut,
-    /// Registering outputs in the replica location service.
-    Registering,
-    /// All steps finished perfectly (§6.1's definition of success).
-    Completed,
-    /// Some step failed; carries the cause.
-    Failed(FailureCause),
-}
-
-impl JobState {
-    /// Terminal states.
-    pub fn is_terminal(self) -> bool {
-        matches!(self, JobState::Completed | JobState::Failed(_))
     }
 }
 
@@ -311,14 +285,6 @@ mod tests {
         assert!(!FailureCause::RandomLoss.is_site_problem());
         assert!(!FailureCause::WalltimeExceeded.is_site_problem());
         assert!(!FailureCause::NoEligibleSite.is_site_problem());
-    }
-
-    #[test]
-    fn job_state_terminality() {
-        assert!(!JobState::Queued.is_terminal());
-        assert!(!JobState::Running.is_terminal());
-        assert!(JobState::Completed.is_terminal());
-        assert!(JobState::Failed(FailureCause::DiskFull).is_terminal());
     }
 
     #[test]

@@ -34,7 +34,7 @@ pub mod vo;
 
 pub use cluster::{Site, SitePolicy, SiteProfile};
 pub use failure::{FailureEvent, FailureModel};
-pub use job::{FailureCause, JobOutcome, JobRecord, JobSpec, JobState};
-pub use scheduler::{BatchScheduler, SchedulerKind};
+pub use job::{FailureCause, JobOutcome, JobRecord, JobSpec};
+pub use scheduler::SchedulerKind;
 pub use storage::StorageElement;
 pub use vo::{UserClass, Vo};

@@ -55,7 +55,7 @@ impl WorkerNode {
     }
 
     /// Whether the node can currently accept work.
-    pub fn is_up(&self) -> bool {
+    pub(crate) fn is_up(&self) -> bool {
         self.state == NodeState::Up
     }
 }

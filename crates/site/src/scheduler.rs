@@ -34,7 +34,7 @@ pub struct QueuedJob {
 
 /// Dispatch-time facts the scheduler may consult.
 #[derive(Debug, Clone, Copy)]
-pub struct DispatchCtx {
+pub(crate) struct DispatchCtx {
     /// Jobs currently running that are classified "long" (LSF policy).
     pub running_long: usize,
     /// Total batch slots at the site.
@@ -53,7 +53,7 @@ pub enum SchedulerKind {
 }
 
 /// The walltime above which LSF classifies a job as "long".
-pub const LSF_LONG_THRESHOLD: SimDuration = SimDuration::from_hours(12);
+pub(crate) const LSF_LONG_THRESHOLD: SimDuration = SimDuration::from_hours(12);
 
 /// A site's batch scheduler.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -100,26 +100,13 @@ impl BatchScheduler {
         self.c_dispatched = tele.register_counter("scheduler", "dispatched", label);
     }
 
-    /// Set per-VO fair-share weights (Condor kind only; ignored otherwise).
-    /// Zero-weight VOs are still admitted but always rank last.
-    pub fn with_shares(mut self, shares: [f64; 6]) -> Self {
-        self.shares = shares;
-        self
-    }
-
-    /// Set the fraction of slots long jobs may hold (LSF kind).
-    pub fn with_long_cap(mut self, fraction: f64) -> Self {
-        self.long_cap_fraction = fraction.clamp(0.0, 1.0);
-        self
-    }
-
     /// The discipline this scheduler implements.
     pub fn kind(&self) -> SchedulerKind {
         self.kind
     }
 
     /// Whether a job counts as "long" under the LSF policy.
-    pub fn is_long(walltime: SimDuration) -> bool {
+    pub(crate) fn is_long(walltime: SimDuration) -> bool {
         walltime > LSF_LONG_THRESHOLD
     }
 
@@ -149,7 +136,7 @@ impl BatchScheduler {
     }
 
     /// Pick the next job to dispatch, or `None` if nothing is eligible.
-    pub fn dequeue(&mut self, ctx: DispatchCtx) -> Option<QueuedJob> {
+    pub(crate) fn dequeue(&mut self, ctx: DispatchCtx) -> Option<QueuedJob> {
         let picked = self.dequeue_inner(ctx);
         if picked.is_some() {
             self.c_dispatched.add(1);
@@ -192,13 +179,14 @@ impl BatchScheduler {
     }
 
     /// Accumulated usage for a VO, in CPU-seconds.
-    pub fn usage_of(&self, vo: Vo) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn usage_of(&self, vo: Vo) -> f64 {
         self.usage[vo.index()]
     }
 
     /// Remove every queued job (site failure killing the queue) and return
     /// them for failure accounting.
-    pub fn drain_all(&mut self) -> Vec<QueuedJob> {
+    pub(crate) fn drain_all(&mut self) -> Vec<QueuedJob> {
         let mut out = Vec::with_capacity(self.queued());
         out.extend(self.fifo.drain(..));
         for q in &mut self.per_vo {
@@ -268,7 +256,8 @@ mod tests {
         // USCMS gets 10× the share of BTeV, so equal usage ranks USCMS first.
         let mut shares = [1.0; 6];
         shares[Vo::Uscms.index()] = 10.0;
-        let mut s = BatchScheduler::new(SchedulerKind::CondorFairShare).with_shares(shares);
+        let mut s = BatchScheduler::new(SchedulerKind::CondorFairShare);
+        s.shares = shares;
         s.charge(Vo::Uscms, 500.0);
         s.charge(Vo::Btev, 500.0);
         s.enqueue(qj(1, Vo::Btev, 10));
@@ -280,7 +269,8 @@ mod tests {
     fn zero_share_vo_ranks_last_but_still_runs() {
         let mut shares = [1.0; 6];
         shares[Vo::Sdss.index()] = 0.0;
-        let mut s = BatchScheduler::new(SchedulerKind::CondorFairShare).with_shares(shares);
+        let mut s = BatchScheduler::new(SchedulerKind::CondorFairShare);
+        s.shares = shares;
         s.enqueue(qj(1, Vo::Sdss, 10));
         s.enqueue(qj(2, Vo::Ligo, 10));
         assert_eq!(s.dequeue(ctx(0, 10)).unwrap().job.0, 2);
@@ -289,7 +279,8 @@ mod tests {
 
     #[test]
     fn lsf_short_priority_and_long_cap() {
-        let mut s = BatchScheduler::new(SchedulerKind::Lsf).with_long_cap(0.25);
+        let mut s = BatchScheduler::new(SchedulerKind::Lsf);
+        s.long_cap_fraction = 0.25;
         s.enqueue(qj(1, Vo::Uscms, 40)); // long
         s.enqueue(qj(2, Vo::Btev, 2)); // short
                                        // Short job wins despite arriving later.

@@ -97,11 +97,6 @@ impl StorageElement {
         }
     }
 
-    /// Number of files held.
-    pub fn file_count(&self) -> usize {
-        self.files.len()
-    }
-
     /// Whether the file is present.
     pub fn contains(&self, file: FileId) -> bool {
         self.files.contains_key(&file)
@@ -235,7 +230,7 @@ mod tests {
         se.store(FileId(2), Bytes::from_gb(3)).unwrap();
         assert_eq!(se.used(), Bytes::from_gb(5));
         assert_eq!(se.free(), Bytes::from_gb(5));
-        assert_eq!(se.file_count(), 2);
+        assert_eq!(se.files.len(), 2);
         assert_eq!(se.size_of(FileId(1)).unwrap(), Bytes::from_gb(2));
         assert_eq!(se.delete(FileId(1)).unwrap(), Bytes::from_gb(2));
         assert_eq!(se.used(), Bytes::from_gb(3));
@@ -265,7 +260,7 @@ mod tests {
         se.store(FileId(1), Bytes::from_gb(2)).unwrap();
         se.store(FileId(1), Bytes::from_gb(4)).unwrap();
         assert_eq!(se.used(), Bytes::from_gb(4));
-        assert_eq!(se.file_count(), 1);
+        assert_eq!(se.files.len(), 1);
     }
 
     #[test]

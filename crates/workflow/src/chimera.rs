@@ -104,11 +104,6 @@ impl VirtualDataCatalog {
         Ok(())
     }
 
-    /// The derivation for an output, if registered.
-    pub fn derivation_of(&self, lfn: FileId) -> Option<&Derivation> {
-        self.derivations.get(&lfn)
-    }
-
     /// Number of registered derivations.
     pub fn derivation_count(&self) -> usize {
         self.derivations.len()
@@ -331,7 +326,7 @@ mod tests {
         let vdc = atlas_catalog();
         assert_eq!(vdc.transformation_count(), 3);
         assert_eq!(vdc.derivation_count(), 3);
-        assert!(vdc.derivation_of(FileId(2)).is_some());
-        assert!(vdc.derivation_of(FileId(9)).is_none());
+        assert!(vdc.derivations.contains_key(&FileId(2)));
+        assert!(!vdc.derivations.contains_key(&FileId(9)));
     }
 }

@@ -108,18 +108,14 @@ impl<T> Dag<T> {
     }
 
     /// Number of edges.
-    pub fn edge_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn edge_count(&self) -> usize {
         self.children.iter().map(|c| c.len()).sum()
     }
 
     /// A node's payload.
     pub fn payload(&self, id: NodeId) -> &T {
         &self.payloads[id.index()]
-    }
-
-    /// A node's payload, mutably.
-    pub fn payload_mut(&mut self, id: NodeId) -> &mut T {
-        &mut self.payloads[id.index()]
     }
 
     /// Direct dependencies of a node.
@@ -287,13 +283,6 @@ mod tests {
     fn critical_path_of_chain_is_length() {
         assert_eq!(chain(10).critical_path_len(), 10);
         assert_eq!(Dag::<u8>::new().critical_path_len(), 0);
-    }
-
-    #[test]
-    fn payload_mutation() {
-        let mut d = chain(2);
-        *d.payload_mut(NodeId(0)) = 42;
-        assert_eq!(*d.payload(NodeId(0)), 42);
     }
 
     mod properties {

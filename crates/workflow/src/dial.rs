@@ -97,11 +97,6 @@ impl DatasetCatalog {
         self.datasets.get(dataset).map(|v| v.as_slice())
     }
 
-    /// Registered dataset names.
-    pub fn dataset_names(&self) -> Vec<&str> {
-        self.datasets.keys().map(|s| s.as_str()).collect()
-    }
-
     /// Number of datasets.
     pub fn len(&self) -> usize {
         self.datasets.len()
@@ -256,7 +251,7 @@ mod tests {
     fn catalog_queries() {
         let c = catalog_with(4);
         assert_eq!(c.len(), 1);
-        assert_eq!(c.dataset_names(), vec!["susy_sample"]);
+        assert_eq!(c.datasets.keys().collect::<Vec<_>>(), vec!["susy_sample"]);
         assert_eq!(c.files("susy_sample").unwrap().len(), 4);
     }
 }

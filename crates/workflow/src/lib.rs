@@ -31,8 +31,8 @@ pub mod mop;
 pub mod pegasus;
 
 pub use chimera::{Derivation, Transformation, VirtualDataCatalog};
-pub use dag::{Dag, DagError, NodeId as DagNodeId};
+pub use dag::{Dag, NodeId as DagNodeId};
 pub use dagman::{DagManager, DagState, NodeState};
-pub use dial::{AnalysisJob, DialScheduler};
+pub use dial::DialScheduler;
 pub use mop::{McRunJob, ProductionRequest};
-pub use pegasus::{ConcreteTask, PegasusPlanner, PlanError};
+pub use pegasus::{ConcreteTask, PegasusPlanner};

@@ -29,7 +29,7 @@ pub enum CmsSimulator {
 
 impl CmsSimulator {
     /// Reference CPU seconds per simulated event.
-    pub fn secs_per_event(self) -> f64 {
+    pub(crate) fn secs_per_event(self) -> f64 {
         match self {
             CmsSimulator::Cmsim => 180.0,
             CmsSimulator::Oscar => 540.0,
