@@ -73,19 +73,22 @@ fn autopsy_restores_a_fresh_checkpoint() {
 
 #[test]
 fn autopsy_rejects_a_version_2_snapshot() {
-    let dir = scratch("autopsy-v2");
-    let mut file = b"G3ENGSNP".to_vec();
-    file.extend_from_slice(&2u32.to_le_bytes());
-    file.extend_from_slice(&[0; 8]);
-    file.push(0);
-    std::fs::write(dir.join("old.snap"), &file).expect("write old snapshot");
-    let out = figures_in(&dir, &["autopsy", "old.snap"]);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(1), "{stderr}");
-    assert!(
-        stderr.contains("unsupported snapshot version 2"),
-        "{stderr}"
-    );
-    assert!(!dir.join("results").exists(), "nothing was written");
-    std::fs::remove_dir_all(&dir).ok();
+    // Version 3 files are refused the same way.
+    for version in [2u32, 3] {
+        let dir = scratch(&format!("autopsy-v{version}"));
+        let mut file = b"G3ENGSNP".to_vec();
+        file.extend_from_slice(&version.to_le_bytes());
+        file.extend_from_slice(&[0; 8]);
+        file.push(0);
+        std::fs::write(dir.join("old.snap"), &file).expect("write old snapshot");
+        let out = figures_in(&dir, &["autopsy", "old.snap"]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{stderr}");
+        assert!(
+            stderr.contains(&format!("unsupported snapshot version {version}")),
+            "{stderr}"
+        );
+        assert!(!dir.join("results").exists(), "nothing was written");
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }

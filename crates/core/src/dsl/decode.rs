@@ -7,6 +7,7 @@
 //! line and column of the offending byte. Nothing in this module panics
 //! on malformed input.
 
+use grid3_simkit::time::SimDuration;
 use grid3_site::vo::{UserClass, Vo};
 use serde::Value;
 use std::fmt;
@@ -150,6 +151,47 @@ pub(crate) fn get<'a>(pairs: &'a [(String, Value)], key: &str) -> Option<&'a Val
         .find(|(k, _)| k == key)
         .map(|(_, v)| v)
         .filter(|v| !matches!(v, Value::Null))
+}
+
+/// Overwrite `slot` with the decoded value of `key` (at `path`) when the
+/// key is present; absent and `null` keep what the slot holds.
+pub(crate) fn set<T>(
+    pairs: &[(String, Value)],
+    path: &str,
+    key: &str,
+    slot: &mut T,
+    decode: impl FnOnce(&Value, &str) -> Result<T, DslError>,
+) -> Result<(), DslError> {
+    if let Some(v) = get(pairs, key) {
+        *slot = decode(v, &join(path, key))?;
+    }
+    Ok(())
+}
+
+/// A duration given as `<stem>_mins` or `<stem>_us` (not both), with the
+/// path of the key that held it; `None` when neither is present.
+pub(crate) fn duration(
+    pairs: &[(String, Value)],
+    path: &str,
+    stem: &str,
+) -> Result<Option<(String, SimDuration)>, DslError> {
+    let (mins, us) = (format!("{stem}_mins"), format!("{stem}_us"));
+    let (mins_path, us_path) = (join(path, &mins), join(path, &us));
+    match (get(pairs, &mins), get(pairs, &us)) {
+        (Some(_), Some(_)) => Err(DslError::field(
+            &us_path,
+            format!("give `{mins}` or `{us}`, not both"),
+        )),
+        (Some(v), None) => {
+            let d = SimDuration::from_mins(u64_value(v, &mins_path)?);
+            Ok(Some((mins_path, d)))
+        }
+        (None, Some(v)) => {
+            let d = SimDuration::from_micros(u64_value(v, &us_path)?);
+            Ok(Some((us_path, d)))
+        }
+        (None, None) => Ok(None),
+    }
 }
 
 pub(crate) fn u64_value(v: &Value, path: &str) -> Result<u64, DslError> {

@@ -3,13 +3,13 @@
 //! A scenario file is one JSON object covering the full
 //! [`ScenarioConfig`] surface — window, scale, topology replication,
 //! demo, install pipeline, campaigns (DAG shapes), resilience, storms,
-//! chaos regimes, event queue, federation/grid specs with backend
-//! personalities and VO admission, workload overrides with arrival
-//! processes, and a trace-replay front end. [`ScenarioDoc`] is the
-//! parsed document; it converts **bidirectionally**:
+//! chaos regimes, federation/grid specs with backend personalities and
+//! VO admission, workload overrides with arrival processes, and a
+//! trace-replay front end. A document decodes straight into a config,
+//! and a config encodes straight back:
 //!
 //! ```text
-//! scenarios/*.json ⇄ ScenarioDoc ⇄ ScenarioConfig
+//! scenarios/*.json ⇄ ScenarioConfig
 //! ```
 //!
 //! `tests/scenario_dsl.rs` locks the round trip differentially: every
@@ -22,7 +22,9 @@
 //! [`ScenarioConfig::default`] — which is [`ScenarioConfig::sc2003`],
 //! the paper's 30-day SC2003 window. The minimal document `{}` is
 //! therefore a complete, runnable scenario. Malformed documents produce
-//! typed [`DslError`]s naming the offending field; nothing panics.
+//! typed [`DslError`]s naming the offending field, and so do documents
+//! the engine cannot run (a zero monitor interval, a demo matrix of
+//! fewer than two sites); nothing panics.
 
 mod decode;
 pub mod trace;
@@ -33,7 +35,7 @@ pub use trace::{JobTrace, TraceJob};
 use crate::chaos::{ChaosRates, FaultPlan, PlannedFault};
 use crate::federation::{Federation, GridSpec};
 use crate::resilience::ResilienceConfig;
-use crate::scenario::{CampaignSpec, QueueKind, ScenarioConfig, StormSpec};
+use crate::scenario::{CampaignSpec, ScenarioConfig, StormSpec};
 use decode as d;
 use grid3_apps::workloads::WorkloadSpec;
 use grid3_middleware::backend::BackendKind;
@@ -45,116 +47,8 @@ use grid3_workflow::mop::CmsSimulator;
 use serde::{Serialize, Value};
 use std::path::Path;
 
-/// A parsed scenario document: every knob optional, absent = the
-/// [`ScenarioConfig::default`] value (see the module docs).
-#[derive(Debug, Clone, Default)]
-pub struct ScenarioDoc {
-    /// Free-form scenario name (informational only).
-    pub name: Option<String>,
-    /// Master seed.
-    pub seed: Option<u64>,
-    /// Horizon in days from the 2003-10-25 epoch.
-    pub days: Option<u64>,
-    /// Hour-granular horizon override (trumps `days`).
-    pub horizon_hours: Option<u64>,
-    /// Workload scale factor (must be positive).
-    pub scale: Option<f64>,
-    /// The Entrada GridFTP demonstrator.
-    pub demo: Option<DemoDoc>,
-    /// Monitoring sweep cadence.
-    pub monitor_interval: Option<SimDuration>,
-    /// Install/certification pipeline: a preset name or inline object.
-    pub pipeline: Option<PipelineDoc>,
-    /// SRM-style storage reservations (§8 ablation).
-    pub srm_reservations: Option<bool>,
-    /// The instrumentation layer.
-    pub telemetry: Option<bool>,
-    /// DAG-shaped production campaigns.
-    pub campaigns: Option<Vec<CampaignSpec>>,
-    /// Adaptive fault handling: a preset name or inline object.
-    pub resilience: Option<ResilienceDoc>,
-    /// Correlated multi-site outage storms.
-    pub storms: Option<Vec<StormSpec>>,
-    /// Topology replication factor (≥ 1).
-    pub site_replicas: Option<usize>,
-    /// Event-queue backend.
-    pub queue: Option<QueueKind>,
-    /// Failure regime: an explicit fault plan or chaos rates to sample.
-    pub chaos: Option<ChaosDoc>,
-    /// The invariant auditor.
-    pub audit: Option<bool>,
-    /// The cost-attribution profiler.
-    pub profile: Option<bool>,
-    /// The structured ops journal.
-    pub ops_journal: Option<bool>,
-    /// Multi-grid federation (grids, backends, VO admission, staleness).
-    pub federation: Option<Federation>,
-    /// Workload override (`[]` = no synthetic workloads).
-    pub workloads: Option<Vec<WorkloadSpec>>,
-    /// Submission trace: a JSONL path or inline job list.
-    pub trace: Option<TraceDoc>,
-}
-
-/// The demo block: `{"enabled": …, "sites": …, "daily_target_tb": …}`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DemoDoc {
-    /// Run the demonstrator at all.
-    pub enabled: bool,
-    /// Sites in the transfer matrix.
-    pub sites: usize,
-    /// Daily volume goal, TB.
-    pub daily_target_tb: u64,
-}
-
-/// Install pipeline: `"grid3"`, `"automated"`, or an inline object.
-#[derive(Debug, Clone)]
-pub enum PipelineDoc {
-    /// A named preset.
-    Preset(String),
-    /// Explicit pipeline probabilities.
-    Custom(InstallPipeline),
-}
-
-/// Resilience layer: `"grid3"` or an inline [`ResilienceConfig`].
-#[derive(Debug, Clone)]
-pub enum ResilienceDoc {
-    /// A named preset.
-    Preset(String),
-    /// Explicit configuration.
-    Custom(ResilienceConfig),
-}
-
-/// Failure regime: `{"plan": [...]}` (canonical — what the exporter
-/// writes) or `{"rates": "grid3" | {...}}`, sampled into a plan at load
-/// time from the scenario's own seed so the run stays a pure function of
-/// the document.
-#[derive(Debug, Clone)]
-pub enum ChaosDoc {
-    /// An explicit, replayable fault plan.
-    Plan(FaultPlan),
-    /// Per-class MTBF rates to sample a plan from.
-    Rates(RatesDoc),
-}
-
-/// Chaos rates: `"grid3"` or an inline [`ChaosRates`].
-#[derive(Debug, Clone)]
-pub enum RatesDoc {
-    /// A named preset.
-    Preset(String),
-    /// Explicit rates.
-    Custom(ChaosRates),
-}
-
-/// Submission trace: `{"path": "log.jsonl"}` (resolved relative to the
-/// scenario file) or `{"jobs": [...]}` inline (the canonical form).
-#[derive(Debug, Clone)]
-pub enum TraceDoc {
-    /// A JSONL log on disk.
-    Path(String),
-    /// The jobs inline.
-    Inline(JobTrace),
-}
-
+/// The document's top-level keys, in the order [`encode`] writes them
+/// (`name` is informational and never written).
 const TOP_KEYS: &[&str] = &[
     "name",
     "seed",
@@ -171,7 +65,6 @@ const TOP_KEYS: &[&str] = &[
     "resilience",
     "storms",
     "site_replicas",
-    "queue",
     "chaos",
     "audit",
     "profile",
@@ -185,26 +78,28 @@ const TOP_KEYS: &[&str] = &[
 // Entry points
 // ---------------------------------------------------------------------------
 
-/// Parse a scenario document from JSON text.
-pub fn parse_str(text: &str) -> Result<ScenarioDoc, DslError> {
-    let value: Value =
-        serde_json::from_str(text).map_err(|e| DslError::syntax(text, &e.to_string()))?;
-    ScenarioDoc::from_value(&value)
+/// Parse a scenario document from JSON text into a runnable config.
+/// Trace paths resolve against the process working directory; use
+/// [`load_config`] to anchor them at the scenario file instead.
+pub fn parse_str(text: &str) -> Result<ScenarioConfig, DslError> {
+    parse_in(text, None)
 }
 
-/// Load a scenario document from disk.
-pub(crate) fn load_doc(path: &Path) -> Result<ScenarioDoc, DslError> {
-    let text = std::fs::read_to_string(path).map_err(|e| DslError::Io {
-        path: path.display().to_string(),
-        msg: e.to_string(),
-    })?;
-    parse_str(&text)
+/// Parse `text`, resolving trace paths against `base`.
+fn parse_in(text: &str, base: Option<&Path>) -> Result<ScenarioConfig, DslError> {
+    let value: Value =
+        serde_json::from_str(text).map_err(|e| DslError::syntax(text, &e.to_string()))?;
+    decode(&value, base)
 }
 
 /// Load a scenario file straight into a runnable config. Trace paths
 /// inside the document resolve relative to the file's directory.
 pub fn load_config(path: &Path) -> Result<ScenarioConfig, DslError> {
-    load_doc(path)?.to_config_in(path.parent())
+    let text = std::fs::read_to_string(path).map_err(|e| DslError::Io {
+        path: path.display().to_string(),
+        msg: e.to_string(),
+    })?;
+    parse_in(&text, path.parent())
 }
 
 /// Every built-in scenario constructor, by canonical name. The
@@ -225,444 +120,198 @@ pub fn builtin_scenarios() -> Vec<(&'static str, ScenarioConfig)> {
 /// Export a config to canonical pretty-printed scenario JSON (what the
 /// committed files under `scenarios/` hold).
 pub fn export_config(cfg: &ScenarioConfig) -> String {
-    let mut text =
-        serde_json::to_string_pretty(&ScenarioDoc::from_config(cfg)).expect("doc renders");
+    let mut text = serde_json::to_string_pretty(&encode(cfg)).expect("doc renders");
     text.push('\n');
     text
 }
 
-impl Serialize for ScenarioDoc {
-    fn to_value(&self) -> Value {
-        self.encode()
+// ---------------------------------------------------------------------------
+// Document ⇄ config
+// ---------------------------------------------------------------------------
+
+/// Lay a document's keys over [`ScenarioConfig::default`], reading them
+/// in [`TOP_KEYS`] order except that `scale`, `site_replicas` and the
+/// monitor interval are checked first, so a document with several
+/// defects always reports the same one. Chaos rates are sampled from the
+/// seed, replicas and horizon already read; the trace file (the last
+/// key) loads last, relative to `base`.
+fn decode(v: &Value, base: Option<&Path>) -> Result<ScenarioConfig, DslError> {
+    let o = d::as_object(v, "")?;
+    d::check_keys(o, "", TOP_KEYS)?;
+    let mut cfg = ScenarioConfig::default();
+    d::set(o, "", "scale", &mut cfg.scale, d::f64_value)?;
+    if cfg.scale <= 0.0 {
+        return Err(DslError::field(
+            "scale",
+            format!("{} is not positive", cfg.scale),
+        ));
     }
+    d::set(
+        o,
+        "",
+        "site_replicas",
+        &mut cfg.site_replicas,
+        d::usize_value,
+    )?;
+    if cfg.site_replicas == 0 {
+        return Err(DslError::field("site_replicas", "must be at least 1"));
+    }
+    if let Some((key, interval)) = d::duration(o, "", "monitor_interval")? {
+        if interval.is_zero() {
+            return Err(DslError::field(&key, "must be positive"));
+        }
+        cfg.monitor_interval = interval;
+    }
+    if let Some(v) = d::get(o, "name") {
+        // Informational only: checked, not kept.
+        d::str_value(v, "name")?;
+    }
+    d::set(o, "", "seed", &mut cfg.seed, d::u64_value)?;
+    d::set(o, "", "days", &mut cfg.days, d::u64_value)?;
+    if let Some(v) = d::get(o, "horizon_hours") {
+        cfg.horizon_hours = Some(d::u64_value(v, "horizon_hours")?);
+    }
+    if let Some(v) = d::get(o, "demo") {
+        decode_demo(v, &mut cfg)?;
+    }
+    d::set(o, "", "pipeline", &mut cfg.pipeline, decode_pipeline)?;
+    d::set(
+        o,
+        "",
+        "srm_reservations",
+        &mut cfg.srm_reservations,
+        d::bool_value,
+    )?;
+    d::set(o, "", "telemetry", &mut cfg.telemetry, d::bool_value)?;
+    d::set(o, "", "campaigns", &mut cfg.campaigns, decode_campaigns)?;
+    if let Some(v) = d::get(o, "resilience") {
+        cfg.resilience = Some(decode_resilience(v)?);
+    }
+    d::set(o, "", "storms", &mut cfg.storms, decode_storms)?;
+    if let Some(v) = d::get(o, "chaos") {
+        cfg.chaos = Some(decode_chaos(v, &cfg)?);
+    }
+    d::set(o, "", "audit", &mut cfg.audit, d::bool_value)?;
+    d::set(o, "", "profile", &mut cfg.profile, d::bool_value)?;
+    d::set(o, "", "ops_journal", &mut cfg.ops_journal, d::bool_value)?;
+    if let Some(v) = d::get(o, "federation") {
+        cfg.federation = Some(decode_federation(v)?);
+    }
+    if let Some(v) = d::get(o, "workloads") {
+        cfg.workloads = Some(decode_workloads(v)?);
+    }
+    if let Some(v) = d::get(o, "trace") {
+        cfg.trace = Some(decode_trace(v, base)?);
+    }
+    Ok(cfg)
 }
 
-impl ScenarioDoc {
-    // -- document ⇄ value -------------------------------------------------
-
-    /// Decode a document from its value tree.
-    pub fn from_value(v: &Value) -> Result<ScenarioDoc, DslError> {
-        let o = d::as_object(v, "")?;
-        d::check_keys(o, "", TOP_KEYS)?;
-        let opt = |key: &str| d::get(o, key);
-        let scale = opt("scale").map(|v| d::f64_value(v, "scale")).transpose()?;
-        if let Some(s) = scale {
-            if s <= 0.0 {
-                return Err(DslError::field("scale", format!("{s} is not positive")));
-            }
-        }
-        let site_replicas = opt("site_replicas")
-            .map(|v| d::usize_value(v, "site_replicas"))
-            .transpose()?;
-        if site_replicas == Some(0) {
-            return Err(DslError::field("site_replicas", "must be at least 1"));
-        }
-        let monitor_interval = match (opt("monitor_interval_mins"), opt("monitor_interval_us")) {
-            (Some(_), Some(_)) => {
-                return Err(DslError::field(
-                    "monitor_interval_us",
-                    "give `monitor_interval_mins` or `monitor_interval_us`, not both",
-                ))
-            }
-            (Some(mins), None) => Some(SimDuration::from_mins(d::u64_value(
-                mins,
-                "monitor_interval_mins",
-            )?)),
-            (None, Some(us)) => Some(SimDuration::from_micros(d::u64_value(
-                us,
-                "monitor_interval_us",
-            )?)),
-            (None, None) => None,
-        };
-        Ok(ScenarioDoc {
-            name: opt("name")
-                .map(|v| d::str_value(v, "name").map(str::to_string))
-                .transpose()?,
-            seed: opt("seed").map(|v| d::u64_value(v, "seed")).transpose()?,
-            days: opt("days").map(|v| d::u64_value(v, "days")).transpose()?,
-            horizon_hours: opt("horizon_hours")
-                .map(|v| d::u64_value(v, "horizon_hours"))
-                .transpose()?,
-            scale,
-            demo: opt("demo").map(decode_demo).transpose()?,
-            monitor_interval,
-            pipeline: opt("pipeline").map(decode_pipeline).transpose()?,
-            srm_reservations: opt("srm_reservations")
-                .map(|v| d::bool_value(v, "srm_reservations"))
-                .transpose()?,
-            telemetry: opt("telemetry")
-                .map(|v| d::bool_value(v, "telemetry"))
-                .transpose()?,
-            campaigns: opt("campaigns").map(decode_campaigns).transpose()?,
-            resilience: opt("resilience").map(decode_resilience).transpose()?,
-            storms: opt("storms").map(decode_storms).transpose()?,
-            site_replicas,
-            queue: opt("queue").map(decode_queue).transpose()?,
-            chaos: opt("chaos").map(decode_chaos).transpose()?,
-            audit: opt("audit")
-                .map(|v| d::bool_value(v, "audit"))
-                .transpose()?,
-            profile: opt("profile")
-                .map(|v| d::bool_value(v, "profile"))
-                .transpose()?,
-            ops_journal: opt("ops_journal")
-                .map(|v| d::bool_value(v, "ops_journal"))
-                .transpose()?,
-            federation: opt("federation").map(decode_federation).transpose()?,
-            workloads: opt("workloads").map(decode_workloads).transpose()?,
-            trace: opt("trace").map(decode_trace).transpose()?,
-        })
+/// The canonical document for `cfg`, keys in [`TOP_KEYS`] order: scalar
+/// knobs explicit, optional layers present iff set, and known presets
+/// collapsed to their names. Decoding it reproduces `cfg` exactly — the
+/// conformance suite holds every built-in to this through its golden
+/// hash.
+fn encode(cfg: &ScenarioConfig) -> Value {
+    let mut o: Vec<(String, Value)> = Vec::new();
+    let mut put = |k: &str, v: Value| o.push((k.to_string(), v));
+    put("seed", Value::U64(cfg.seed));
+    put("days", Value::U64(cfg.days));
+    if let Some(h) = cfg.horizon_hours {
+        put("horizon_hours", Value::U64(h));
     }
-
-    /// The canonical value tree (stable key order; only set fields
-    /// appear, so absent-means-default survives the round trip).
-    pub fn encode(&self) -> Value {
-        let mut o: Vec<(String, Value)> = Vec::new();
-        let mut put = |k: &str, v: Value| o.push((k.to_string(), v));
-        if let Some(name) = &self.name {
-            put("name", Value::Str(name.clone()));
-        }
-        if let Some(seed) = self.seed {
-            put("seed", Value::U64(seed));
-        }
-        if let Some(days) = self.days {
-            put("days", Value::U64(days));
-        }
-        if let Some(h) = self.horizon_hours {
-            put("horizon_hours", Value::U64(h));
-        }
-        if let Some(scale) = self.scale {
-            put("scale", Value::F64(scale));
-        }
-        if let Some(demo) = &self.demo {
-            put(
-                "demo",
-                Value::Object(vec![
-                    ("enabled".into(), Value::Bool(demo.enabled)),
-                    ("sites".into(), Value::U64(demo.sites as u64)),
-                    ("daily_target_tb".into(), Value::U64(demo.daily_target_tb)),
-                ]),
-            );
-        }
-        if let Some(interval) = self.monitor_interval {
-            let (key, value) = duration_key("monitor_interval", interval);
-            put(key, value);
-        }
-        if let Some(pipeline) = &self.pipeline {
-            put(
-                "pipeline",
-                match pipeline {
-                    PipelineDoc::Preset(name) => Value::Str(name.clone()),
-                    PipelineDoc::Custom(p) => p.to_value(),
-                },
-            );
-        }
-        if let Some(b) = self.srm_reservations {
-            put("srm_reservations", Value::Bool(b));
-        }
-        if let Some(b) = self.telemetry {
-            put("telemetry", Value::Bool(b));
-        }
-        if let Some(campaigns) = &self.campaigns {
-            put(
-                "campaigns",
-                Value::Array(campaigns.iter().map(encode_campaign).collect()),
-            );
-        }
-        if let Some(resilience) = &self.resilience {
-            put(
-                "resilience",
-                match resilience {
-                    ResilienceDoc::Preset(name) => Value::Str(name.clone()),
-                    ResilienceDoc::Custom(r) => r.to_value(),
-                },
-            );
-        }
-        if let Some(storms) = &self.storms {
-            put(
-                "storms",
-                Value::Array(storms.iter().map(encode_storm).collect()),
-            );
-        }
-        if let Some(replicas) = self.site_replicas {
-            put("site_replicas", Value::U64(replicas as u64));
-        }
-        if let Some(queue) = self.queue {
-            put(
-                "queue",
-                Value::Str(
-                    match queue {
-                        QueueKind::Ladder => "ladder",
-                        QueueKind::Heap => "heap",
-                    }
-                    .to_string(),
-                ),
-            );
-        }
-        if let Some(chaos) = &self.chaos {
-            put(
-                "chaos",
-                match chaos {
-                    ChaosDoc::Plan(plan) => {
-                        Value::Object(vec![("plan".into(), Serialize::to_value(&plan.faults))])
-                    }
-                    ChaosDoc::Rates(RatesDoc::Preset(name)) => {
-                        Value::Object(vec![("rates".into(), Value::Str(name.clone()))])
-                    }
-                    ChaosDoc::Rates(RatesDoc::Custom(rates)) => {
-                        Value::Object(vec![("rates".into(), rates.to_value())])
-                    }
-                },
-            );
-        }
-        if let Some(b) = self.audit {
-            put("audit", Value::Bool(b));
-        }
-        if let Some(b) = self.profile {
-            put("profile", Value::Bool(b));
-        }
-        if let Some(b) = self.ops_journal {
-            put("ops_journal", Value::Bool(b));
-        }
-        if let Some(fed) = &self.federation {
-            put("federation", encode_federation(fed));
-        }
-        if let Some(workloads) = &self.workloads {
-            put(
-                "workloads",
-                Value::Array(workloads.iter().map(encode_workload).collect()),
-            );
-        }
-        if let Some(trace) = &self.trace {
-            put(
-                "trace",
-                match trace {
-                    TraceDoc::Path(p) => {
-                        Value::Object(vec![("path".into(), Value::Str(p.clone()))])
-                    }
-                    TraceDoc::Inline(t) => Value::Object(vec![(
-                        "jobs".into(),
-                        Value::Array(t.jobs.iter().map(TraceJob::encode).collect()),
-                    )]),
-                },
-            );
-        }
-        Value::Object(o)
+    put("scale", Value::F64(cfg.scale));
+    put(
+        "demo",
+        Value::Object(vec![
+            ("enabled".into(), Value::Bool(cfg.include_demo)),
+            ("sites".into(), Value::U64(cfg.demo_sites as u64)),
+            (
+                "daily_target_tb".into(),
+                Value::U64(cfg.demo_daily_target_tb),
+            ),
+        ]),
+    );
+    let (key, value) = duration_key("monitor_interval", cfg.monitor_interval);
+    put(&key, value);
+    put(
+        "pipeline",
+        preset_or_value(
+            &cfg.pipeline,
+            &[
+                ("grid3", InstallPipeline::grid3_default()),
+                ("automated", InstallPipeline::automated()),
+            ],
+        ),
+    );
+    put("srm_reservations", Value::Bool(cfg.srm_reservations));
+    put("telemetry", Value::Bool(cfg.telemetry));
+    if !cfg.campaigns.is_empty() {
+        put(
+            "campaigns",
+            Value::Array(cfg.campaigns.iter().map(encode_campaign).collect()),
+        );
     }
-
-    // -- document ⇄ config ------------------------------------------------
-
-    /// Lower to a runnable config. Trace paths resolve against the
-    /// process working directory; use `ScenarioDoc::to_config_in` (or
-    /// [`load_config`]) to anchor them at the scenario file instead.
-    pub fn to_config(&self) -> Result<ScenarioConfig, DslError> {
-        self.to_config_in(None)
+    if let Some(r) = &cfg.resilience {
+        put(
+            "resilience",
+            preset_or_value(r, &[("grid3", ResilienceConfig::grid3_default())]),
+        );
     }
-
-    /// Lower to a runnable config, resolving trace paths against `base`.
-    pub(crate) fn to_config_in(&self, base: Option<&Path>) -> Result<ScenarioConfig, DslError> {
-        let mut cfg = ScenarioConfig::default();
-        if let Some(seed) = self.seed {
-            cfg.seed = seed;
-        }
-        if let Some(days) = self.days {
-            cfg.days = days;
-        }
-        cfg.horizon_hours = self.horizon_hours;
-        if let Some(scale) = self.scale {
-            if !(scale > 0.0 && scale.is_finite()) {
-                return Err(DslError::field("scale", format!("{scale} is not positive")));
-            }
-            cfg.scale = scale;
-        }
-        if let Some(demo) = &self.demo {
-            cfg.include_demo = demo.enabled;
-            cfg.demo_sites = demo.sites;
-            cfg.demo_daily_target_tb = demo.daily_target_tb;
-        }
-        if let Some(interval) = self.monitor_interval {
-            cfg.monitor_interval = interval;
-        }
-        if let Some(pipeline) = &self.pipeline {
-            cfg.pipeline = match pipeline {
-                PipelineDoc::Preset(name) => match name.as_str() {
-                    "grid3" => InstallPipeline::grid3_default(),
-                    "automated" => InstallPipeline::automated(),
-                    other => {
-                        return Err(DslError::field(
-                            "pipeline",
-                            format!("unknown preset `{other}` (expected `grid3` or `automated`)"),
-                        ))
-                    }
-                },
-                PipelineDoc::Custom(p) => p.clone(),
-            };
-        }
-        if let Some(b) = self.srm_reservations {
-            cfg.srm_reservations = b;
-        }
-        if let Some(b) = self.telemetry {
-            cfg.telemetry = b;
-        }
-        if let Some(campaigns) = &self.campaigns {
-            cfg.campaigns = campaigns.clone();
-        }
-        if let Some(resilience) = &self.resilience {
-            cfg.resilience = Some(match resilience {
-                ResilienceDoc::Preset(name) => match name.as_str() {
-                    "grid3" => ResilienceConfig::grid3_default(),
-                    other => {
-                        return Err(DslError::field(
-                            "resilience",
-                            format!("unknown preset `{other}` (expected `grid3`)"),
-                        ))
-                    }
-                },
-                ResilienceDoc::Custom(r) => r.clone(),
-            });
-        }
-        if let Some(storms) = &self.storms {
-            cfg.storms = storms.clone();
-        }
-        if let Some(replicas) = self.site_replicas {
-            if replicas == 0 {
-                return Err(DslError::field("site_replicas", "must be at least 1"));
-            }
-            cfg.site_replicas = replicas;
-        }
-        if let Some(queue) = self.queue {
-            cfg.queue = queue;
-        }
-        if let Some(b) = self.audit {
-            cfg.audit = b;
-        }
-        if let Some(b) = self.profile {
-            cfg.profile = b;
-        }
-        if let Some(b) = self.ops_journal {
-            cfg.ops_journal = b;
-        }
-        cfg.federation = self.federation.clone();
-        cfg.workloads = self.workloads.clone();
-        cfg.trace = match &self.trace {
-            Some(TraceDoc::Inline(t)) => Some(t.clone()),
-            Some(TraceDoc::Path(p)) => {
-                let full = match base {
-                    Some(dir) => dir.join(p),
-                    None => std::path::PathBuf::from(p),
-                };
-                Some(JobTrace::load_jsonl(&full)?)
-            }
-            None => None,
-        };
-        // Sampled last: the plan depends on the document's own seed,
-        // topology width and horizon.
-        if let Some(chaos) = &self.chaos {
-            cfg.chaos = Some(match chaos {
-                ChaosDoc::Plan(plan) => plan.clone(),
-                ChaosDoc::Rates(rates) => {
-                    let rates = match rates {
-                        RatesDoc::Preset(name) => match name.as_str() {
-                            "grid3" => ChaosRates::grid3_default(),
-                            other => {
-                                return Err(DslError::field(
-                                    "chaos.rates",
-                                    format!("unknown preset `{other}` (expected `grid3`)"),
-                                ))
-                            }
-                        },
-                        RatesDoc::Custom(r) => r.clone(),
-                    };
-                    FaultPlan::sample(
-                        &rates,
-                        cfg.seed,
-                        crate::topology::grid3_topology().len() * cfg.site_replicas,
-                        cfg.horizon().since(SimTime::EPOCH),
-                    )
-                }
-            });
-        }
-        Ok(cfg)
+    if !cfg.storms.is_empty() {
+        put(
+            "storms",
+            Value::Array(cfg.storms.iter().map(encode_storm).collect()),
+        );
     }
+    put("site_replicas", Value::U64(cfg.site_replicas as u64));
+    if let Some(plan) = &cfg.chaos {
+        put(
+            "chaos",
+            Value::Object(vec![("plan".into(), plan.faults.to_value())]),
+        );
+    }
+    put("audit", Value::Bool(cfg.audit));
+    put("profile", Value::Bool(cfg.profile));
+    put("ops_journal", Value::Bool(cfg.ops_journal));
+    if let Some(fed) = &cfg.federation {
+        put("federation", encode_federation(fed));
+    }
+    if let Some(workloads) = &cfg.workloads {
+        put(
+            "workloads",
+            Value::Array(workloads.iter().map(encode_workload).collect()),
+        );
+    }
+    if let Some(trace) = &cfg.trace {
+        put(
+            "trace",
+            Value::Object(vec![(
+                "jobs".into(),
+                Value::Array(trace.jobs.iter().map(TraceJob::encode).collect()),
+            )]),
+        );
+    }
+    Value::Object(o)
+}
 
-    /// Lift a config into a document: scalar knobs become explicit,
-    /// optional layers stay present-iff-set, and known presets collapse
-    /// back to their names. `from_config(cfg).to_config()` reproduces
-    /// `cfg` exactly — the conformance suite holds every built-in to
-    /// this through its golden hash.
-    pub(crate) fn from_config(cfg: &ScenarioConfig) -> ScenarioDoc {
-        let pipeline = if Serialize::to_value(&cfg.pipeline)
-            == Serialize::to_value(&InstallPipeline::grid3_default())
-        {
-            PipelineDoc::Preset("grid3".into())
-        } else if Serialize::to_value(&cfg.pipeline)
-            == Serialize::to_value(&InstallPipeline::automated())
-        {
-            PipelineDoc::Preset("automated".into())
-        } else {
-            PipelineDoc::Custom(cfg.pipeline.clone())
-        };
-        let resilience = cfg.resilience.as_ref().map(|r| {
-            if Serialize::to_value(r) == Serialize::to_value(&ResilienceConfig::grid3_default()) {
-                ResilienceDoc::Preset("grid3".into())
-            } else {
-                ResilienceDoc::Custom(r.clone())
-            }
-        });
-        ScenarioDoc {
-            name: None,
-            seed: Some(cfg.seed),
-            days: Some(cfg.days),
-            horizon_hours: cfg.horizon_hours,
-            scale: Some(cfg.scale),
-            demo: Some(DemoDoc {
-                enabled: cfg.include_demo,
-                sites: cfg.demo_sites,
-                daily_target_tb: cfg.demo_daily_target_tb,
-            }),
-            monitor_interval: Some(cfg.monitor_interval),
-            pipeline: Some(pipeline),
-            srm_reservations: Some(cfg.srm_reservations),
-            telemetry: Some(cfg.telemetry),
-            campaigns: (!cfg.campaigns.is_empty()).then(|| cfg.campaigns.clone()),
-            resilience,
-            storms: (!cfg.storms.is_empty()).then(|| cfg.storms.clone()),
-            site_replicas: Some(cfg.site_replicas),
-            queue: Some(cfg.queue),
-            chaos: cfg.chaos.clone().map(ChaosDoc::Plan),
-            audit: Some(cfg.audit),
-            profile: Some(cfg.profile),
-            ops_journal: Some(cfg.ops_journal),
-            federation: cfg.federation.clone(),
-            workloads: cfg.workloads.clone(),
-            trace: cfg.trace.clone().map(TraceDoc::Inline),
-        }
+/// The name of the first preset `value` equals, else its full encoding.
+fn preset_or_value<T: Serialize>(value: &T, presets: &[(&str, T)]) -> Value {
+    let encoded = value.to_value();
+    match presets.iter().find(|(_, p)| p.to_value() == encoded) {
+        Some((name, _)) => Value::Str(name.to_string()),
+        None => encoded,
     }
 }
 
 /// Encode a duration under `<stem>_mins` when it is a whole number of
 /// minutes (the human-friendly common case), else `<stem>_us` exactly.
-fn duration_key(stem: &str, duration: SimDuration) -> (&'static str, Value) {
+fn duration_key(stem: &str, duration: SimDuration) -> (String, Value) {
     let us = duration.as_micros();
     const US_PER_MIN: u64 = 60_000_000;
     if us.is_multiple_of(US_PER_MIN) {
-        (
-            match stem {
-                "monitor_interval" => "monitor_interval_mins",
-                "staleness" => "staleness_mins",
-                _ => unreachable!("unknown duration stem"),
-            },
-            Value::U64(us / US_PER_MIN),
-        )
+        (format!("{stem}_mins"), Value::U64(us / US_PER_MIN))
     } else {
-        (
-            match stem {
-                "monitor_interval" => "monitor_interval_us",
-                "staleness" => "staleness_us",
-                _ => unreachable!("unknown duration stem"),
-            },
-            Value::U64(us),
-        )
+        (format!("{stem}_us"), Value::U64(us))
     }
 }
 
@@ -670,67 +319,53 @@ fn duration_key(stem: &str, duration: SimDuration) -> (&'static str, Value) {
 // Block decoders/encoders
 // ---------------------------------------------------------------------------
 
-fn decode_demo(v: &Value) -> Result<DemoDoc, DslError> {
+fn decode_demo(v: &Value, cfg: &mut ScenarioConfig) -> Result<(), DslError> {
     let path = "demo";
     let o = d::as_object(v, path)?;
     d::check_keys(o, path, &["enabled", "sites", "daily_target_tb"])?;
-    let defaults = ScenarioConfig::default();
-    Ok(DemoDoc {
-        enabled: d::get(o, "enabled")
-            .map(|v| d::bool_value(v, &d::join(path, "enabled")))
-            .transpose()?
-            .unwrap_or(defaults.include_demo),
-        sites: d::get(o, "sites")
-            .map(|v| d::usize_value(v, &d::join(path, "sites")))
-            .transpose()?
-            .unwrap_or(defaults.demo_sites),
-        daily_target_tb: d::get(o, "daily_target_tb")
-            .map(|v| d::u64_value(v, &d::join(path, "daily_target_tb")))
-            .transpose()?
-            .unwrap_or(defaults.demo_daily_target_tb),
-    })
+    d::set(o, path, "enabled", &mut cfg.include_demo, d::bool_value)?;
+    d::set(o, path, "sites", &mut cfg.demo_sites, d::usize_value)?;
+    if cfg.demo_sites < 2 {
+        // The transfer matrix needs a pair of distinct sites.
+        return Err(DslError::field("demo.sites", "must be at least 2"));
+    }
+    d::set(
+        o,
+        path,
+        "daily_target_tb",
+        &mut cfg.demo_daily_target_tb,
+        d::u64_value,
+    )
 }
 
-fn decode_pipeline(v: &Value) -> Result<PipelineDoc, DslError> {
+fn decode_pipeline(v: &Value, path: &str) -> Result<InstallPipeline, DslError> {
     match v {
         Value::Str(name) => match name.as_str() {
-            "grid3" | "automated" => Ok(PipelineDoc::Preset(name.clone())),
+            "grid3" => Ok(InstallPipeline::grid3_default()),
+            "automated" => Ok(InstallPipeline::automated()),
             other => Err(DslError::field(
-                "pipeline",
+                path,
                 format!("unknown preset `{other}` (expected `grid3` or `automated`)"),
             )),
         },
-        other => d::derived::<InstallPipeline>(other, "pipeline").map(PipelineDoc::Custom),
+        other => d::derived(other, path),
     }
 }
 
-fn decode_resilience(v: &Value) -> Result<ResilienceDoc, DslError> {
+fn decode_resilience(v: &Value) -> Result<ResilienceConfig, DslError> {
     match v {
         Value::Str(name) => match name.as_str() {
-            "grid3" => Ok(ResilienceDoc::Preset(name.clone())),
+            "grid3" => Ok(ResilienceConfig::grid3_default()),
             other => Err(DslError::field(
                 "resilience",
                 format!("unknown preset `{other}` (expected `grid3`)"),
             )),
         },
-        other => d::derived::<ResilienceConfig>(other, "resilience").map(ResilienceDoc::Custom),
+        other => d::derived(other, "resilience"),
     }
 }
 
-fn decode_queue(v: &Value) -> Result<QueueKind, DslError> {
-    let s = d::str_value(v, "queue")?;
-    match s.to_ascii_lowercase().as_str() {
-        "ladder" => Ok(QueueKind::Ladder),
-        "heap" => Ok(QueueKind::Heap),
-        other => Err(DslError::field(
-            "queue",
-            format!("unknown queue `{other}` (expected `ladder` or `heap`)"),
-        )),
-    }
-}
-
-fn decode_campaigns(v: &Value) -> Result<Vec<CampaignSpec>, DslError> {
-    let path = "campaigns";
+fn decode_campaigns(v: &Value, path: &str) -> Result<Vec<CampaignSpec>, DslError> {
     let items = v
         .as_array()
         .ok_or_else(|| DslError::field(path, format!("expected an array, found {}", v.kind())))?;
@@ -840,8 +475,7 @@ fn encode_campaign(spec: &CampaignSpec) -> Value {
     ])
 }
 
-fn decode_storms(v: &Value) -> Result<Vec<StormSpec>, DslError> {
-    let path = "storms";
+fn decode_storms(v: &Value, path: &str) -> Result<Vec<StormSpec>, DslError> {
     let items = v
         .as_array()
         .ok_or_else(|| DslError::field(path, format!("expected an array, found {}", v.kind())))?;
@@ -891,52 +525,48 @@ fn encode_storm(storm: &StormSpec) -> Value {
     ])
 }
 
-fn decode_chaos(v: &Value) -> Result<ChaosDoc, DslError> {
+/// A failure regime: `{"plan": [...]}` (canonical — what [`encode`]
+/// writes) or `{"rates": "grid3" | {...}}`, sampled into a plan from the
+/// seed, topology width and horizon already in `cfg`, so the run stays a
+/// pure function of the document.
+fn decode_chaos(v: &Value, cfg: &ScenarioConfig) -> Result<FaultPlan, DslError> {
     let path = "chaos";
     let o = d::as_object(v, path)?;
     d::check_keys(o, path, &["plan", "rates"])?;
-    match (d::get(o, "plan"), d::get(o, "rates")) {
-        (Some(_), Some(_)) => Err(DslError::field(path, "give `plan` or `rates`, not both")),
+    let rates_path = d::join(path, "rates");
+    let rates = match (d::get(o, "plan"), d::get(o, "rates")) {
+        (Some(_), Some(_)) => {
+            return Err(DslError::field(path, "give `plan` or `rates`, not both"))
+        }
         (Some(plan), None) => {
             let faults: Vec<PlannedFault> = d::derived(plan, &d::join(path, "plan"))?;
-            Ok(ChaosDoc::Plan(FaultPlan::new(faults)))
+            return Ok(FaultPlan::new(faults));
         }
-        (None, Some(rates)) => match rates {
-            Value::Str(name) => match name.as_str() {
-                "grid3" => Ok(ChaosDoc::Rates(RatesDoc::Preset(name.clone()))),
-                other => Err(DslError::field(
-                    &d::join(path, "rates"),
+        (None, Some(Value::Str(name))) => match name.as_str() {
+            "grid3" => ChaosRates::grid3_default(),
+            other => {
+                return Err(DslError::field(
+                    &rates_path,
                     format!("unknown preset `{other}` (expected `grid3`)"),
-                )),
-            },
-            other => d::derived::<ChaosRates>(other, &d::join(path, "rates"))
-                .map(|r| ChaosDoc::Rates(RatesDoc::Custom(r))),
+                ))
+            }
         },
-        (None, None) => Err(DslError::field(path, "needs `plan` or `rates`")),
-    }
+        (None, Some(rates)) => d::derived(rates, &rates_path)?,
+        (None, None) => return Err(DslError::field(path, "needs `plan` or `rates`")),
+    };
+    Ok(FaultPlan::sample(
+        &rates,
+        cfg.seed,
+        crate::topology::grid3_topology().len() * cfg.site_replicas,
+        cfg.horizon().since(SimTime::EPOCH),
+    ))
 }
 
 fn decode_federation(v: &Value) -> Result<Federation, DslError> {
     let path = "federation";
     let o = d::as_object(v, path)?;
     d::check_keys(o, path, &["staleness_mins", "staleness_us", "grids"])?;
-    let staleness = match (d::get(o, "staleness_mins"), d::get(o, "staleness_us")) {
-        (Some(_), Some(_)) => {
-            return Err(DslError::field(
-                &d::join(path, "staleness_us"),
-                "give `staleness_mins` or `staleness_us`, not both",
-            ))
-        }
-        (Some(mins), None) => Some(SimDuration::from_mins(d::u64_value(
-            mins,
-            &d::join(path, "staleness_mins"),
-        )?)),
-        (None, Some(us)) => Some(SimDuration::from_micros(d::u64_value(
-            us,
-            &d::join(path, "staleness_us"),
-        )?)),
-        (None, None) => None,
-    };
+    let staleness = d::duration(o, path, "staleness")?;
     let grids_path = d::join(path, "grids");
     let grids_value = d::get(o, "grids")
         .ok_or_else(|| DslError::field(path, "missing required field `grids`"))?;
@@ -952,7 +582,7 @@ fn decode_federation(v: &Value) -> Result<Federation, DslError> {
         .map(|(i, item)| decode_grid(item, &d::index(&grids_path, i)))
         .collect::<Result<Vec<GridSpec>, DslError>>()?;
     let mut fed = Federation::new(grids);
-    if let Some(staleness) = staleness {
+    if let Some((_, staleness)) = staleness {
         fed.staleness = staleness;
     }
     Ok(fed)
@@ -1016,7 +646,7 @@ fn decode_grid(v: &Value, path: &str) -> Result<GridSpec, DslError> {
 fn encode_federation(fed: &Federation) -> Value {
     let (staleness_key, staleness_value) = duration_key("staleness", fed.staleness);
     Value::Object(vec![
-        (staleness_key.into(), staleness_value),
+        (staleness_key, staleness_value),
         (
             "grids".into(),
             Value::Array(
@@ -1205,15 +835,19 @@ fn encode_workload(w: &WorkloadSpec) -> Value {
     Value::Object(o)
 }
 
-fn decode_trace(v: &Value) -> Result<TraceDoc, DslError> {
+/// A submission trace: `{"path": "log.jsonl"}` (loaded relative to
+/// `base`, the scenario file's directory) or `{"jobs": [...]}` inline
+/// (the canonical form).
+fn decode_trace(v: &Value, base: Option<&Path>) -> Result<JobTrace, DslError> {
     let path = "trace";
     let o = d::as_object(v, path)?;
     d::check_keys(o, path, &["path", "jobs"])?;
     match (d::get(o, "path"), d::get(o, "jobs")) {
         (Some(_), Some(_)) => Err(DslError::field(path, "give `path` or `jobs`, not both")),
-        (Some(p), None) => Ok(TraceDoc::Path(
-            d::str_value(p, &d::join(path, "path"))?.to_string(),
-        )),
+        (Some(p), None) => {
+            let p = d::str_value(p, &d::join(path, "path"))?;
+            JobTrace::load_jsonl(&base.map_or_else(|| p.into(), |dir| dir.join(p)))
+        }
         (None, Some(jobs)) => {
             let jobs_path = d::join(path, "jobs");
             let items = jobs
@@ -1224,7 +858,7 @@ fn decode_trace(v: &Value) -> Result<TraceDoc, DslError> {
                 .enumerate()
                 .map(|(i, item)| TraceJob::decode(item, &d::index(&jobs_path, i)))
                 .collect::<Result<Vec<TraceJob>, DslError>>()?;
-            Ok(TraceDoc::Inline(JobTrace { jobs }))
+            Ok(JobTrace { jobs })
         }
         (None, None) => Err(DslError::field(path, "needs `path` or `jobs`")),
     }

@@ -225,17 +225,7 @@ impl Grid3Engine {
             }
             // Emitted as a *trailing* immediate so the inner event's queue
             // insertion lands after the cascade's — preserving FIFO order.
-            // The payload is swapped out against a cheap placeholder and
-            // the spent box returned to the timer arena, so a timer
-            // round-trip costs no allocation.
-            GridEvent::Timer(at, mut inner) => {
-                let ev = std::mem::replace(
-                    &mut *inner,
-                    GridEvent::Reporting(crate::subsystems::ReportingEvent::MonitorTick),
-                );
-                self.ctx.queue.schedule_at(at, ev);
-                self.ctx.recycle_timer_box(inner);
-            }
+            GridEvent::Timer(at, inner) => self.ctx.queue.schedule_at(at, *inner),
         }
         // Record before draining: the immediates buffer was empty when the
         // handler started (the drain below always leaves it empty), so its

@@ -2,7 +2,9 @@
 //! module stays a thin router).
 
 use crate::engine::Grid3Engine;
+use crate::report::Grid3Report;
 use crate::scenario::ScenarioConfig;
+use grid3_simkit::engine::EventQueue;
 use grid3_simkit::ids::UserId;
 use grid3_simkit::rng::SimRng;
 use grid3_simkit::time::SimTime;
@@ -254,4 +256,73 @@ fn arrivals_win_ties_with_queued_events() {
     // run: a gatekeeper accepts the job before the crash takes it down.
     let accepted: u64 = sim.gatekeepers().iter().map(|g| g.accepted_count()).sum();
     assert_eq!(accepted, 1);
+}
+
+/// `cfg` assembled onto the binary-heap reference queue instead of the
+/// ladder queue every other engine runs on.
+fn on_heap(cfg: ScenarioConfig) -> Grid3Engine {
+    crate::subsystems::assembly::assemble_on(cfg, EventQueue::with_heap())
+}
+
+/// Drain `sim` to quiescence with the auditor on and return its report
+/// JSON, asserting a conserved run: no invariant violations, no leaked
+/// jobs, an empty queue.
+fn drain_audited(mut sim: Grid3Engine) -> String {
+    sim.run_until_idle();
+    let report = Grid3Report::extract(&sim);
+    sim.audit_verify_report(&report);
+    let audit = sim.audit().expect("auditor enabled");
+    assert_eq!(
+        audit.violation_count(),
+        0,
+        "invariant violations: {:#?}",
+        audit.violations()
+    );
+    assert_eq!(sim.active_jobs(), 0, "jobs leaked past quiescence");
+    assert!(sim.queue().is_empty(), "queue not drained");
+    report.to_json()
+}
+
+#[test]
+fn queue_backends_agree_on_an_operated_month() {
+    // Whole-engine differential run: the binary-heap reference queue and
+    // the ladder queue must produce byte-identical reports (same event
+    // order, same RNG draws, same floats). A report compare over a full
+    // operated month catches any tie-break divergence the queue's own
+    // differential tests missed.
+    let cfg = ScenarioConfig::sc2003_operated()
+        .with_scale(0.02)
+        .with_seed(99);
+    let ladder = cfg.run().to_json();
+    let mut heap = on_heap(cfg);
+    heap.run();
+    let heap = Grid3Report::extract(&heap).to_json();
+    assert!(ladder == heap, "queue backends diverged");
+}
+
+#[test]
+fn queue_backends_agree_on_drained_chaos_plans() {
+    // Random fault plans drained to quiescence with the auditor on: both
+    // queues must run clean and agree byte-for-byte on the report.
+    for seed in [5u64, 71, 2003] {
+        let base = ScenarioConfig::sc2003()
+            .with_days(12)
+            .with_scale(0.01)
+            .with_demo(false)
+            .with_seed(seed)
+            .with_audit(true);
+        let plan = crate::chaos::FaultPlan::sample(
+            &crate::chaos::ChaosRates::grid3_default(),
+            seed,
+            crate::topology::grid3_topology().len(),
+            base.horizon().since(SimTime::EPOCH),
+        );
+        let cfg = base.with_chaos(plan);
+        let ladder = drain_audited(Grid3Engine::new(cfg.clone()));
+        let heap = drain_audited(on_heap(cfg));
+        assert!(
+            ladder == heap,
+            "seed {seed}: queue backends diverged under chaos"
+        );
+    }
 }

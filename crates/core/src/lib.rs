@@ -81,7 +81,7 @@ pub mod topology;
 mod engine_tests;
 
 pub use chaos::{ChaosRates, FaultKind, FaultPlan, PlannedFault};
-pub use dsl::{DslError, JobTrace, ScenarioDoc, TraceJob};
+pub use dsl::{DslError, JobTrace, TraceJob};
 pub use engine::Grid3Engine;
 pub use federation::{Federation, GridSpec};
 pub use ops::{OpsEventKind, OpsRecord};

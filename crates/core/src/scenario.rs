@@ -88,11 +88,6 @@ pub struct ScenarioConfig {
     /// Values above 1 append full `~k`-suffixed copies of the catalog —
     /// the [`ScenarioConfig::scale_out`] stress grid.
     pub site_replicas: usize,
-    /// Which event-queue backend drives the run. [`QueueKind::Ladder`]
-    /// is the production default; [`QueueKind::Heap`] keeps the original
-    /// binary heap available for differential tests and benchmarks. The
-    /// two produce bit-identical reports (same total event order).
-    pub queue: QueueKind,
     /// Deterministic fault-injection plan (`None` by default: baseline
     /// scenarios are bit-identical to the pre-chaos engine). The plan is
     /// plain data — replaying the same plan under the same seed
@@ -147,16 +142,6 @@ impl Default for ScenarioConfig {
     }
 }
 
-/// Event-queue backend selector (see [`ScenarioConfig::queue`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum QueueKind {
-    /// FIFO-stable two-tier ladder queue — amortized O(1) per event.
-    #[default]
-    Ladder,
-    /// The original `BinaryHeap` backend — O(log n) per event.
-    Heap,
-}
-
 /// A correlated multi-site outage: every listed site's grid services
 /// crash at the same instant and stay down for the outage window. This
 /// models shared-cause failure bursts (a bad middleware push, a campus
@@ -192,7 +177,6 @@ impl ScenarioConfig {
             resilience: None,
             storms: Vec::new(),
             site_replicas: 1,
-            queue: QueueKind::Ladder,
             chaos: None,
             audit: false,
             profile: false,
@@ -326,12 +310,6 @@ impl ScenarioConfig {
     pub(crate) fn with_site_replicas(mut self, replicas: usize) -> Self {
         assert!(replicas >= 1, "site_replicas must be at least 1");
         self.site_replicas = replicas;
-        self
-    }
-
-    /// Replace the event-queue backend.
-    pub fn with_queue(mut self, queue: QueueKind) -> Self {
-        self.queue = queue;
         self
     }
 
@@ -564,7 +542,6 @@ mod tests {
         assert_eq!(cfg.site_replicas, 10);
         assert_eq!(cfg.scale, 10.0);
         assert!(!cfg.include_demo, "demo stays off in the stress grid");
-        assert_eq!(cfg.queue, QueueKind::Ladder);
         // Over-unity scales multiply quotas (ceil keeps them integral).
         let full: u64 = grid3_workloads().iter().map(|w| w.total_jobs()).sum();
         let scaled: u64 = cfg.scaled_workloads().iter().map(|w| w.total_jobs()).sum();

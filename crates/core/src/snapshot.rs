@@ -2,7 +2,7 @@
 //! resume it later, bit-identically.
 //!
 //! A snapshot captures the *run-mutated* state — the simulation clock and
-//! pending event queue (both backends, including the ladder queue's full
+//! pending event queue (including the ladder queue's full
 //! rung-refinement state), the workload arrival cursor, both RNG stream
 //! positions, every site's cluster/storage/scheduler state, the
 //! middleware fabric (GridFTP transfers in flight, RLS catalog, MDS
@@ -25,8 +25,8 @@
 //!
 //! None of these feed back into simulation state, so their loss cannot
 //! move a simulated byte — the differential suite in `tests/snapshot.rs`
-//! pins snapshot→restore→run against uninterrupted runs for all nine
-//! golden scenarios, on both queue backends.
+//! pins snapshot→restore→run against uninterrupted runs for every golden
+//! scenario of `tests/determinism.rs`.
 //!
 //! # On-disk format
 //!
@@ -80,8 +80,12 @@ use std::path::Path;
 /// captured field set or their serde shapes; readers reject mismatches.
 /// Version 2 replaced the queued workload submissions with the arrival
 /// cursor; version 3 replaced the encoded value tree with the positional
-/// binary codec.
-pub(crate) const SNAPSHOT_VERSION: u32 = 3;
+/// binary codec; version 4 dropped the config's queue-backend option and
+/// the checkpointed state nothing read (the job gauge's time integral,
+/// the gatekeeper peak load, the GridFTP log switch, the scheduler's
+/// constant shares and long-job cap, the replica catalogs' physical file
+/// names).
+pub(crate) const SNAPSHOT_VERSION: u32 = 4;
 
 /// File magic: "G3ENGSNP".
 const MAGIC: [u8; 8] = *b"G3ENGSNP";
@@ -435,7 +439,7 @@ mod tests {
             EngineSnapshot::from_bytes(b"G3EN").err(),
             Some(SnapshotError::Truncated)
         ));
-        for old in [1, 2, 99] {
+        for old in [1, 2, 3, 99] {
             assert_eq!(
                 EngineSnapshot::from_bytes(&file_with(old, &[0])).err(),
                 Some(SnapshotError::UnsupportedVersion(old))

@@ -48,6 +48,13 @@ use super::{BrokeringEvent, EngineCtx, FaultEvent, GridEvent, ReportingEvent, St
 /// the workload arrival table, and schedule demo rounds, failure
 /// incidents and monitor ticks.
 pub(crate) fn assemble(cfg: ScenarioConfig) -> Grid3Engine {
+    assemble_on(cfg, EventQueue::new())
+}
+
+/// [`assemble`] onto a caller-supplied empty event queue. The
+/// differential tests pass [`EventQueue::with_heap`], the binary-heap
+/// reference, to hold the ladder queue to its event order.
+pub(crate) fn assemble_on(cfg: ScenarioConfig, mut queue: EventQueue<GridEvent>) -> Grid3Engine {
     let topo = crate::topology::grid3_topology().replicated(cfg.site_replicas);
     let mut sites = topo.build_sites();
     // The federation layer: label sites into member grids (or the
@@ -61,10 +68,6 @@ pub(crate) fn assemble(cfg: ScenarioConfig) -> Grid3Engine {
     // GRIS records must outlive the republish period or every broker
     // query sees an empty grid.
     center.mds.set_ttl(cfg.monitor_interval * 2);
-    let mut queue: EventQueue<GridEvent> = match cfg.queue {
-        crate::scenario::QueueKind::Ladder => EventQueue::new(),
-        crate::scenario::QueueKind::Heap => EventQueue::with_heap(),
-    };
 
     // Onboard every site (§5.1). Sites whose latent fault evaded
     // certification run with elevated misconfiguration rates (§6.2).
@@ -394,7 +397,6 @@ pub(crate) fn assemble(cfg: ScenarioConfig) -> Grid3Engine {
         ops,
         immediates: Vec::new(),
         drain_pool: Vec::new(),
-        timer_pool: Vec::new(),
         record_pool: Vec::new(),
     };
     let auditor = if cfg.audit {

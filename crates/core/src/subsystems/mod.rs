@@ -441,13 +441,6 @@ pub struct EngineCtx {
     /// swaps in a pre-warmed `Vec` instead of growing a fresh one. Depth
     /// mirrors the deepest immediate cascade seen so far (a handful).
     pub(crate) drain_pool: Vec<Vec<GridEvent>>,
-    /// Recycled [`GridEvent::Timer`] payload boxes: the router frees one
-    /// per timer it re-schedules and [`EngineCtx::emit_timer`] refills
-    /// it, so steady-state timer traffic allocates nothing. The boxes
-    /// themselves are the pooled resource — the free list exists to hand
-    /// the same heap cell back to the next emit.
-    #[allow(clippy::vec_box)]
-    pub(crate) timer_pool: Vec<Box<GridEvent>>,
     /// Recycled [`ReportingEvent::JobFinished`] record boxes: reporting
     /// frees one per terminal record it ingests and the fabric's
     /// terminal funnel refills it via [`EngineCtx::boxed_record`].
@@ -455,9 +448,10 @@ pub struct EngineCtx {
     pub(crate) record_pool: Vec<Box<grid3_site::job::JobRecord>>,
 }
 
-/// Bound on each event-arena free list. Pools track the steady-state
-/// in-flight count (a handful); the cap only matters after a burst, so
-/// memory pinned by a spike is released instead of held for the run.
+/// Bound on the record-arena free list. The pool tracks the
+/// steady-state in-flight count (a handful); the cap only matters after a
+/// burst, so memory pinned by a spike is released instead of held for
+/// the run.
 pub(crate) const ARENA_POOL_CAP: usize = 256;
 
 /// Capacity cap on recycled drain buffers. A chaos fan-out spike (a
@@ -476,18 +470,10 @@ impl EngineCtx {
         self.immediates.push(event);
     }
 
-    /// Emit a trailing [`GridEvent::Timer`] wrapping `inner`, routing
-    /// the payload through the timer arena so steady-state timer traffic
-    /// reuses boxes the router already freed.
+    /// Emit a trailing [`GridEvent::Timer`] wrapping `inner`: the router
+    /// schedules `inner` at `at` once the cascade ahead of it has run.
     pub(crate) fn emit_timer(&mut self, at: SimTime, inner: GridEvent) {
-        let boxed = match self.timer_pool.pop() {
-            Some(mut b) => {
-                *b = inner;
-                b
-            }
-            None => Box::new(inner),
-        };
-        self.immediates.push(GridEvent::Timer(at, boxed));
+        self.immediates.push(GridEvent::Timer(at, Box::new(inner)));
     }
 
     /// Box a terminal job record through the record arena (refilled by
@@ -514,14 +500,6 @@ impl EngineCtx {
             buf.shrink_to(DRAIN_BUF_CAP);
         }
         self.drain_pool.push(buf);
-    }
-
-    /// Return a spent timer payload box to the arena (bounded by
-    /// [`ARENA_POOL_CAP`]).
-    pub(crate) fn recycle_timer_box(&mut self, boxed: Box<GridEvent>) {
-        if self.timer_pool.len() < ARENA_POOL_CAP {
-            self.timer_pool.push(boxed);
-        }
     }
 
     /// Return a spent record box to the arena (bounded by
@@ -591,7 +569,6 @@ mod tests {
             ops: crate::ops::OpsJournal::disabled(),
             immediates: Vec::new(),
             drain_pool: Vec::new(),
-            timer_pool: Vec::new(),
             record_pool: Vec::new(),
         }
     }
@@ -619,26 +596,26 @@ mod tests {
     #[test]
     fn arena_pools_stay_bounded() {
         let mut ctx = test_ctx();
+        let record = JobRecord {
+            job: JobId(1),
+            class: grid3_site::vo::UserClass::Ligo,
+            user: grid3_simkit::ids::UserId(0),
+            site: SiteId(0),
+            submitted: SimTime::EPOCH,
+            started: None,
+            finished: SimTime::from_secs(1),
+            runtime: SimDuration::ZERO,
+            transferred: Bytes::ZERO,
+            outcome: JobOutcome::Completed,
+        };
         for _ in 0..ARENA_POOL_CAP * 2 {
-            ctx.recycle_timer_box(Box::new(GridEvent::Reporting(ReportingEvent::MonitorTick)));
+            ctx.recycle_record_box(Box::new(record.clone()));
         }
-        assert_eq!(ctx.timer_pool.len(), ARENA_POOL_CAP);
-        // Round-trip: emit_timer reuses a pooled box.
-        let before = ctx.timer_pool.len();
-        ctx.emit_timer(
-            SimTime::from_secs(1),
-            GridEvent::Reporting(ReportingEvent::MonitorTick),
-        );
-        assert_eq!(ctx.timer_pool.len(), before - 1);
-        match ctx.immediates.pop() {
-            Some(GridEvent::Timer(at, inner)) => {
-                assert_eq!(at, SimTime::from_secs(1));
-                assert!(matches!(
-                    *inner,
-                    GridEvent::Reporting(ReportingEvent::MonitorTick)
-                ));
-            }
-            other => panic!("expected a timer, got {other:?}"),
-        }
+        assert_eq!(ctx.record_pool.len(), ARENA_POOL_CAP);
+        // Round-trip: boxed_record reuses a pooled box.
+        let before = ctx.record_pool.len();
+        let boxed = ctx.boxed_record(record.clone());
+        assert_eq!(ctx.record_pool.len(), before - 1);
+        assert_eq!(*boxed, record);
     }
 }

@@ -79,7 +79,6 @@ pub struct Gatekeeper {
     overload_threshold: f64,
     /// Whether the service is up.
     pub up: bool,
-    peak_load: f64,
     refused: u64,
     accepted: u64,
     #[serde(skip)]
@@ -105,7 +104,6 @@ impl Gatekeeper {
             submissions: VecDeque::new(),
             overload_threshold: threshold,
             up: true,
-            peak_load: 0.0,
             refused: 0,
             accepted: 0,
             c_refused: Counter::disabled(),
@@ -151,7 +149,6 @@ impl Gatekeeper {
             return Err(GramError::ServiceDown);
         }
         let load = self.load_one_min(now);
-        self.peak_load = self.peak_load.max(load);
         if load > self.overload_threshold {
             self.refused += 1;
             self.c_refused.add(1);
@@ -394,16 +391,21 @@ mod tests {
         let mut gk = Gatekeeper::with_threshold(SiteId(0), 100.0);
         let t = SimTime::EPOCH;
         let mut refused = 0;
+        let mut first_refusal = None;
         for i in 0..200 {
-            if gk.submit(JobId(i), 1.0, t).is_err() {
+            if let Err(e) = gk.submit(JobId(i), 1.0, t) {
                 refused += 1;
+                first_refusal.get_or_insert(e);
             }
         }
         assert!(refused > 0);
         assert_eq!(gk.refused_count(), refused);
         assert_eq!(gk.accepted_count() + refused, 200);
         // Load at first refusal exceeded the threshold.
-        assert!(gk.peak_load > 100.0);
+        match first_refusal {
+            Some(GramError::Overloaded { load }) => assert!(load > 100.0, "{load}"),
+            other => panic!("expected an overload refusal, got {other:?}"),
+        }
         // Once the burst window passes, submissions are accepted again.
         let later = t + SimDuration::from_secs(120);
         assert!(gk.submit(JobId(9999), 1.0, later).is_ok());

@@ -164,7 +164,6 @@ pub struct GridFtp {
     active: FastMap<TransferId, ActiveTransfer>,
     ids: TransferIdGen,
     log: Vec<NetLogEvent>,
-    log_enabled: bool,
     /// Pre-interned per-VO transfer counters, each indexed by
     /// `Vo::index()`: one slot-indexed add per transfer event, no
     /// lookup on the hot path.
@@ -203,7 +202,6 @@ impl GridFtp {
             active: FastMap::default(),
             ids: TransferIdGen::new(),
             log: Vec::new(),
-            log_enabled: true,
             c_started: Vec::new(),
             c_completed: Vec::new(),
             c_bytes_completed: Vec::new(),
@@ -280,13 +278,11 @@ impl GridFtp {
             .unwrap_or(SimDuration::ZERO)
             + SETUP_LATENCY;
         let finish = now + duration;
-        if self.log_enabled {
-            self.log.push(NetLogEvent::Start {
-                id,
-                at: now,
-                bytes: request.bytes,
-            });
-        }
+        self.log.push(NetLogEvent::Start {
+            id,
+            at: now,
+            bytes: request.bytes,
+        });
         self.active.insert(
             id,
             ActiveTransfer {
@@ -316,13 +312,11 @@ impl GridFtp {
         if let Some(c) = self.c_bytes_completed.get(vo) {
             c.add(t.request.bytes.as_u64());
         }
-        if self.log_enabled {
-            self.log.push(NetLogEvent::End {
-                id,
-                at: now,
-                rate: t.rate,
-            });
-        }
+        self.log.push(NetLogEvent::End {
+            id,
+            at: now,
+            rate: t.rate,
+        });
         Ok(TransferOutcome {
             id,
             delivered: t.request.bytes,
@@ -357,9 +351,7 @@ impl GridFtp {
             if let Some(c) = self.c_failed.get(t.request.vo.index()) {
                 c.add(1);
             }
-            if self.log_enabled {
-                self.log.push(NetLogEvent::Error { id, at: now, error });
-            }
+            self.log.push(NetLogEvent::Error { id, at: now, error });
             out.push(TransferOutcome {
                 id,
                 delivered: partial,
@@ -395,9 +387,7 @@ impl GridFtp {
         if let Some(c) = self.c_truncated.get(t.request.vo.index()) {
             c.add(1);
         }
-        if self.log_enabled {
-            self.log.push(NetLogEvent::Error { id, at: now, error });
-        }
+        self.log.push(NetLogEvent::Error { id, at: now, error });
         let remaining = t.request.bytes.saturating_sub(partial);
         Ok(TruncatedTransfer {
             outcome: TransferOutcome {

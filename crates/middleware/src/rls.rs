@@ -2,9 +2,10 @@
 //!
 //! The paper's data management model "is based on GridFTP and RLS" (§8),
 //! with the Giggle LRC/RLI design it cites: each site runs a Local Replica
-//! Catalog (LRC) mapping logical file names to physical locations, and a
-//! Replica Location Index (RLI) aggregates which LRCs know each logical
-//! file. Job lifecycles end with RLS registration (§6.1 counts
+//! Catalog (LRC) of the logical files it holds, and a Replica Location
+//! Index (RLI) aggregates which LRCs know each logical file. Grid3 derived
+//! a replica's physical file name from its site and logical name, so the
+//! model keeps no physical names. Job lifecycles end with RLS registration (§6.1 counts
 //! registration among the steps that must all succeed), and LIGO publishes
 //! staged-data locations "in RLS so that its location is available to the
 //! job" (§4.4).
@@ -13,7 +14,7 @@ use grid3_simkit::ids::{FileId, SiteId};
 use grid3_simkit::telemetry::{Counter, Telemetry};
 use grid3_simkit::units::Bytes;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
 
 /// Errors from catalog operations.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -38,8 +39,8 @@ impl std::error::Error for RlsError {}
 /// The grid-wide replica service: per-site LRCs plus the global RLI.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct ReplicaLocationService {
-    /// site → (lfn → physical file name).
-    lrcs: HashMap<SiteId, BTreeMap<FileId, String>>,
+    /// site → lfns with a replica there.
+    lrcs: HashMap<SiteId, BTreeSet<FileId>>,
     /// lfn → sites holding a replica (the RLI view).
     rli: HashMap<FileId, BTreeSet<SiteId>>,
     /// lfn → size attribute (RLS metadata; planners budget transfers
@@ -75,8 +76,7 @@ impl ReplicaLocationService {
         self.tele = tele;
     }
 
-    /// Register a replica of `lfn` at `site`. The PFN is derived from the
-    /// site and LFN, as Grid3 conventions did. Idempotent per (lfn, site).
+    /// Register a replica of `lfn` at `site`. Idempotent per (lfn, site).
     pub fn register(&mut self, lfn: FileId, site: SiteId, size: Bytes) {
         let idx = site.index();
         while self.c_registered.len() <= idx {
@@ -88,8 +88,7 @@ impl ReplicaLocationService {
             ));
         }
         self.c_registered[idx].add(1);
-        let pfn = format!("gsiftp://{site}/grid3/data/{lfn}");
-        self.lrcs.entry(site).or_default().insert(lfn, pfn);
+        self.lrcs.entry(site).or_default().insert(lfn);
         self.rli.entry(lfn).or_default().insert(site);
         self.sizes.insert(lfn, size);
     }
@@ -134,10 +133,9 @@ impl ReplicaLocationService {
     }
 
     /// Mark a site's catalog answers stale (fault injection): `locate`
-    /// and `pfn` keep returning its replicas, but transfers sourced from
-    /// them will fail until [`Self::heal_stale`] runs — the classic
-    /// "catalog says the data is there, the disk says otherwise" §6
-    /// failure.
+    /// keeps returning its replicas, but transfers sourced from them will
+    /// fail until [`Self::heal_stale`] runs — the classic "catalog says
+    /// the data is there, the disk says otherwise" §6 failure.
     pub fn mark_stale(&mut self, site: SiteId) {
         self.tele
             .counter_add("rls", "stale_marked", format!("site{}", site.0), 1);
@@ -161,7 +159,7 @@ impl ReplicaLocationService {
             return 0;
         };
         let n = lrc.len();
-        for lfn in lrc.keys() {
+        for lfn in &lrc {
             if let Some(sites) = self.rli.get_mut(lfn) {
                 sites.remove(&site);
                 if sites.is_empty() {
@@ -186,10 +184,7 @@ mod tests {
         assert_eq!(rls.locate(FileId(1)).unwrap(), vec![SiteId(0), SiteId(2)]);
         assert!(rls.exists(FileId(1)));
         assert_eq!(rls.size_of(FileId(1)).unwrap(), Bytes::from_gb(2));
-        assert_eq!(
-            rls.lrcs[&SiteId(2)][&FileId(1)],
-            "gsiftp://site-2/grid3/data/lfn-1"
-        );
+        assert!(rls.lrcs[&SiteId(2)].contains(&FileId(1)));
     }
 
     #[test]
@@ -260,7 +255,7 @@ mod tests {
                 for (lfn, sites) in &rls.rli {
                     for site in sites {
                         rli_pairs += 1;
-                        prop_assert!(rls.lrcs.get(site).is_some_and(|l| l.contains_key(lfn)));
+                        prop_assert!(rls.lrcs.get(site).is_some_and(|l| l.contains(lfn)));
                     }
                     prop_assert!(!sites.is_empty());
                     prop_assert!(rls.sizes.contains_key(lfn));

@@ -10,8 +10,7 @@
 //! * [`MonthlySeries`] — calendar-month bins for Figure 6 and the
 //!   peak-production-month rows of Table 1.
 //! * [`GaugeTracker`] — step-function gauge (e.g. concurrent running jobs)
-//!   with exact peak and time-average extraction (§7 "peak 1300
-//!   simultaneous jobs", "40–70 % of resources used").
+//!   with exact peak extraction (§7 "peak 1300 simultaneous jobs").
 
 use crate::time::{month_index_label, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
@@ -245,16 +244,12 @@ impl MonthlySeries {
 }
 
 /// A step-function gauge: tracks a level over time and records its exact
-/// peak. It also accumulates the level's time-integral, which checkpoints
-/// carry.
+/// peak.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct GaugeTracker {
     level: f64,
     peak: f64,
     peak_at: SimTime,
-    last_change: SimTime,
-    integral: f64, // level × seconds
-    origin: SimTime,
 }
 
 impl GaugeTracker {
@@ -264,16 +259,11 @@ impl GaugeTracker {
             level: 0.0,
             peak: 0.0,
             peak_at: origin,
-            last_change: origin,
-            integral: 0.0,
-            origin,
         }
     }
 
     /// Change the level by `delta` at time `now`.
     pub fn step(&mut self, now: SimTime, delta: f64) {
-        self.integral += self.level * now.since(self.last_change).as_secs_f64();
-        self.last_change = now;
         self.level += delta;
         if self.level > self.peak {
             self.peak = self.level;

@@ -55,6 +55,9 @@ pub enum SchedulerKind {
 /// The walltime above which LSF classifies a job as "long".
 pub(crate) const LSF_LONG_THRESHOLD: SimDuration = SimDuration::from_hours(12);
 
+/// Max fraction of total slots LSF long jobs may occupy.
+const LSF_LONG_CAP_FRACTION: f64 = 0.5;
+
 /// A site's batch scheduler.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct BatchScheduler {
@@ -62,11 +65,8 @@ pub struct BatchScheduler {
     fifo: VecDeque<QueuedJob>,
     per_vo: Vec<VecDeque<QueuedJob>>,
     usage: [f64; 6],
-    shares: [f64; 6],
     short_q: VecDeque<QueuedJob>,
     long_q: VecDeque<QueuedJob>,
-    /// Max fraction of total slots long jobs may occupy (LSF only).
-    long_cap_fraction: f64,
     #[serde(skip)]
     c_enqueued: Counter,
     #[serde(skip)]
@@ -74,17 +74,15 @@ pub struct BatchScheduler {
 }
 
 impl BatchScheduler {
-    /// A scheduler of the given kind with equal VO shares.
+    /// A scheduler of the given kind (fair share weighs every VO equally).
     pub fn new(kind: SchedulerKind) -> Self {
         BatchScheduler {
             kind,
             fifo: VecDeque::new(),
             per_vo: (0..6).map(|_| VecDeque::new()).collect(),
             usage: [0.0; 6],
-            shares: [1.0; 6],
             short_q: VecDeque::new(),
             long_q: VecDeque::new(),
-            long_cap_fraction: 0.5,
             c_enqueued: Counter::disabled(),
             c_dispatched: Counter::disabled(),
         }
@@ -148,13 +146,14 @@ impl BatchScheduler {
         match self.kind {
             SchedulerKind::OpenPbs => self.fifo.pop_front(),
             SchedulerKind::CondorFairShare => {
-                // Lowest usage/share ratio among VOs with waiting jobs; ties
-                // break toward the lower VO index, deterministically.
+                // Lowest usage among VOs with waiting jobs (every VO has
+                // an equal share); ties break toward the lower VO index,
+                // deterministically.
                 let best = (0..6)
                     .filter(|&i| !self.per_vo[i].is_empty())
                     .min_by(|&a, &b| {
-                        self.ratio(a)
-                            .partial_cmp(&self.ratio(b))
+                        self.usage[a]
+                            .partial_cmp(&self.usage[b])
                             .unwrap_or(std::cmp::Ordering::Equal)
                     })?;
                 self.per_vo[best].pop_front()
@@ -163,7 +162,7 @@ impl BatchScheduler {
                 if let Some(j) = self.short_q.pop_front() {
                     return Some(j);
                 }
-                let cap = (ctx.total_slots as f64 * self.long_cap_fraction).floor() as usize;
+                let cap = (ctx.total_slots as f64 * LSF_LONG_CAP_FRACTION).floor() as usize;
                 if ctx.running_long < cap {
                     self.long_q.pop_front()
                 } else {
@@ -195,15 +194,6 @@ impl BatchScheduler {
         out.extend(self.short_q.drain(..));
         out.extend(self.long_q.drain(..));
         out
-    }
-
-    fn ratio(&self, idx: usize) -> f64 {
-        let share = self.shares[idx];
-        if share <= 0.0 {
-            f64::INFINITY
-        } else {
-            self.usage[idx] / share
-        }
     }
 }
 
@@ -252,44 +242,17 @@ mod tests {
     }
 
     #[test]
-    fn fair_share_respects_weights() {
-        // USCMS gets 10× the share of BTeV, so equal usage ranks USCMS first.
-        let mut shares = [1.0; 6];
-        shares[Vo::Uscms.index()] = 10.0;
-        let mut s = BatchScheduler::new(SchedulerKind::CondorFairShare);
-        s.shares = shares;
-        s.charge(Vo::Uscms, 500.0);
-        s.charge(Vo::Btev, 500.0);
-        s.enqueue(qj(1, Vo::Btev, 10));
-        s.enqueue(qj(2, Vo::Uscms, 10));
-        assert_eq!(s.dequeue(ctx(0, 10)).unwrap().job.0, 2);
-    }
-
-    #[test]
-    fn zero_share_vo_ranks_last_but_still_runs() {
-        let mut shares = [1.0; 6];
-        shares[Vo::Sdss.index()] = 0.0;
-        let mut s = BatchScheduler::new(SchedulerKind::CondorFairShare);
-        s.shares = shares;
-        s.enqueue(qj(1, Vo::Sdss, 10));
-        s.enqueue(qj(2, Vo::Ligo, 10));
-        assert_eq!(s.dequeue(ctx(0, 10)).unwrap().job.0, 2);
-        assert_eq!(s.dequeue(ctx(0, 10)).unwrap().job.0, 1);
-    }
-
-    #[test]
     fn lsf_short_priority_and_long_cap() {
         let mut s = BatchScheduler::new(SchedulerKind::Lsf);
-        s.long_cap_fraction = 0.25;
         s.enqueue(qj(1, Vo::Uscms, 40)); // long
         s.enqueue(qj(2, Vo::Btev, 2)); // short
                                        // Short job wins despite arriving later.
         assert_eq!(s.dequeue(ctx(0, 8)).unwrap().job.0, 2);
-        // Long cap = 2 slots of 8; with 2 long running, long job is held.
-        assert!(s.dequeue(ctx(2, 8)).is_none());
+        // Long cap = 4 slots of 8; with 4 long running, long job is held.
+        assert!(s.dequeue(ctx(4, 8)).is_none());
         assert_eq!(s.queued(), 1);
         // Once a long job finishes, it dispatches.
-        assert_eq!(s.dequeue(ctx(1, 8)).unwrap().job.0, 1);
+        assert_eq!(s.dequeue(ctx(3, 8)).unwrap().job.0, 1);
     }
 
     #[test]
@@ -353,7 +316,7 @@ mod tests {
                 prop_assert_eq!(expect, got);
             }
 
-            /// Fair share never dispatches a VO whose usage/share strictly
+            /// Fair share never dispatches a VO whose usage strictly
             /// dominates another VO that also has waiting jobs.
             #[test]
             fn fair_share_monotone(usages in proptest::collection::vec(0f64..1e6, 6)) {

@@ -7,7 +7,7 @@
 //! job does).
 
 use grid3_sim::core::chaos::{ChaosRates, FaultKind, FaultPlan, PlannedFault};
-use grid3_sim::core::scenario::{CampaignSpec, QueueKind};
+use grid3_sim::core::scenario::CampaignSpec;
 use grid3_sim::core::{grid3_topology, Grid3Engine, Grid3Report, ScenarioConfig};
 use grid3_sim::igoc::tickets::TicketKind;
 use grid3_sim::simkit::time::{SimDuration, SimTime};
@@ -52,29 +52,23 @@ fn run_audited(cfg: ScenarioConfig) -> (Grid3Engine, Grid3Report) {
 }
 
 #[test]
-fn chaos_property_random_plans_drain_clean_on_both_backends() {
+fn chaos_property_random_plans_drain_clean() {
     // The headline property: random fault plans across seeds must drain
-    // to quiescence with zero auditor violations and no leaked jobs, and
-    // the heap and ladder queue backends must agree byte-for-byte on the
-    // resulting report.
+    // to quiescence with zero auditor violations and no leaked jobs.
+    // (grid3-core's `queue_backends_agree_on_drained_chaos_plans` holds
+    // the binary-heap reference queue to the same reports.)
     for seed in [5u64, 71, 2003] {
         let cfg = chaos_cfg(seed);
         assert!(
             !cfg.chaos.as_ref().unwrap().is_empty(),
             "seed {seed}: sampled plan is empty — rates too low for the window"
         );
-        let (ladder_sim, ladder) = run_audited(cfg.clone());
-        let (_, heap) = run_audited(cfg.with_queue(QueueKind::Heap));
-        assert_eq!(
-            ladder.to_json(),
-            heap.to_json(),
-            "seed {seed}: queue backends diverged under chaos"
-        );
+        let (sim, report) = run_audited(cfg);
         // Every allocated job is accounted for in the audited ledger.
-        let audit = ladder_sim.audit().unwrap();
+        let audit = sim.audit().unwrap();
         let (completed, failed) = audit.ledger();
         assert_eq!(completed + failed, audit.terminal_jobs());
-        assert_eq!(audit.terminal_jobs(), ladder.total_jobs);
+        assert_eq!(audit.terminal_jobs(), report.total_jobs);
     }
 }
 

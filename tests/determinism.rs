@@ -86,26 +86,6 @@ fn determinism_same_seed_same_hash_across_repeats() {
 }
 
 #[test]
-fn determinism_heap_and_ladder_backends_agree() {
-    // Whole-engine differential run: the original binary-heap queue and
-    // the ladder queue must produce byte-identical reports (same event
-    // order, same RNG draws, same floats). A report hash compare over a
-    // full operated month catches any tie-break divergence the unit
-    // differential tests missed.
-    use grid3_core::scenario::QueueKind;
-    let ladder = config("sc2003_operated", 99).run().to_json();
-    let heap = config("sc2003_operated", 99)
-        .with_queue(QueueKind::Heap)
-        .run()
-        .to_json();
-    assert_eq!(
-        fnv1a64(ladder.as_bytes()),
-        fnv1a64(heap.as_bytes()),
-        "queue backends diverged"
-    );
-}
-
-#[test]
 fn determinism_auditor_is_bit_neutral() {
     // The invariant auditor is observation-only: enabling it on the
     // baseline scenario must reproduce the baseline golden hash exactly —

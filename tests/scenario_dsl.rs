@@ -8,10 +8,10 @@
 //! mismatch. Run just these with `cargo test --release -- scenario_dsl`
 //! (the CI release job does).
 
-use grid3_core::dsl::{
-    self, DemoDoc, DslError, JobTrace, PipelineDoc, ResilienceDoc, ScenarioDoc, TraceDoc, TraceJob,
-};
-use grid3_core::scenario::{CampaignSpec, QueueKind, ScenarioConfig, StormSpec};
+use grid3_core::dsl::{self, DslError, JobTrace, TraceJob};
+use grid3_core::resilience::ResilienceConfig;
+use grid3_core::scenario::{CampaignSpec, ScenarioConfig, StormSpec};
+use grid3_pacman::install::InstallPipeline;
 use grid3_simkit::dist::{ArrivalProcess, DurationDist, SizeDist};
 use grid3_simkit::time::{SimDuration, SimTime};
 use grid3_site::vo::UserClass;
@@ -118,16 +118,11 @@ fn scenario_dsl_goldens_reproduce_from_loaded_files() {
 /// `ScenarioConfig::default()` baseline — defaults live in one place.
 #[test]
 fn scenario_dsl_minimal_doc_is_the_default_config() {
-    let cfg = dsl::parse_str("{}")
-        .expect("empty object parses")
-        .to_config()
-        .expect("empty doc lowers");
+    let cfg = dsl::parse_str("{}").expect("empty object parses");
     assert_eq!(config_json(&cfg), config_json(&ScenarioConfig::default()));
     // And null-valued fields count as absent, not as overrides.
     let nulled = dsl::parse_str(r#"{"seed": null, "federation": null, "trace": null}"#)
-        .expect("nulls parse")
-        .to_config()
-        .expect("nulls lower");
+        .expect("nulls parse");
     assert_eq!(
         config_json(&nulled),
         config_json(&ScenarioConfig::default())
@@ -286,6 +281,25 @@ fn scenario_dsl_malformed_documents_never_panic() {
             "trace.jobs[0].walltime_factor",
         ),
         ("[1, 2, 3]", ""),
+        // Documents the engine cannot run: a zero monitor interval would
+        // reschedule its tick at the same instant forever, and the demo
+        // transfer matrix needs two distinct sites.
+        (
+            r#"{"days": 1, "scale": 0.01, "monitor_interval_mins": 0}"#,
+            "monitor_interval_mins",
+        ),
+        (
+            r#"{"days": 1, "scale": 0.01, "monitor_interval_us": 0}"#,
+            "monitor_interval_us",
+        ),
+        (
+            r#"{"days": 1, "scale": 0.01, "demo": {"enabled": true, "sites": 1}}"#,
+            "demo.sites",
+        ),
+        (
+            r#"{"days": 1, "scale": 0.01, "demo": {"enabled": true, "sites": 0}}"#,
+            "demo.sites",
+        ),
     ];
     for (text, path) in cases {
         match dsl::parse_str(text) {
@@ -482,55 +496,54 @@ fn scenario_dsl_trace_path_resolves_relative_to_scenario_file() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// `ScenarioDoc` ⇄ JSON ⇄ `ScenarioConfig`: rendering a document and
-    /// re-parsing it preserves both the canonical value tree and the
-    /// lowered config, for randomized knob settings across every block.
+    /// `ScenarioConfig` → JSON → `ScenarioConfig` with every block set:
+    /// exporting a config and loading it back yields an equal config,
+    /// and exporting that again yields the same bytes, for randomized
+    /// knob settings across campaigns, storms, workloads with Poisson
+    /// arrivals, an inline trace, both pipeline presets, the resilience
+    /// preset, the demo block and a 30-minute monitor sweep.
     #[test]
     fn scenario_dsl_docs_round_trip_through_json(
         seed in 0u64..1_000_000, days in 1u64..400, scale_milli in 1u64..3_000,
-        demo in any::<bool>(), heap in any::<bool>(), replicas in 1usize..4,
+        demo in any::<bool>(), cmsim in any::<bool>(), replicas in 1usize..4,
         srm in any::<bool>(), audit in any::<bool>(), automated in any::<bool>(),
         storm_day in 0u64..30, storm_sites in 1u32..6,
         per_day in 1u64..500, users in 1u32..40, events in 1u64..100_000,
         at_us in 0u64..10_000_000_000, affinity_pct in 0u64..101,
     ) {
-        let doc = ScenarioDoc {
-            name: Some("prop".into()),
-            seed: Some(seed),
-            days: Some(days),
-            horizon_hours: None,
-            scale: Some(scale_milli as f64 / 1000.0),
-            demo: Some(DemoDoc { enabled: demo, sites: 5, daily_target_tb: 2 }),
-            monitor_interval: Some(SimDuration::from_mins(30)),
-            pipeline: Some(PipelineDoc::Preset(
-                if automated { "automated" } else { "grid3" }.into(),
-            )),
-            srm_reservations: Some(srm),
-            telemetry: None,
-            campaigns: Some(vec![CampaignSpec {
+        let cfg = ScenarioConfig {
+            seed,
+            days,
+            scale: scale_milli as f64 / 1000.0,
+            include_demo: demo,
+            demo_sites: 5,
+            demo_daily_target_tb: 2,
+            monitor_interval: SimDuration::from_mins(30),
+            pipeline: if automated {
+                InstallPipeline::automated()
+            } else {
+                InstallPipeline::grid3_default()
+            },
+            srm_reservations: srm,
+            campaigns: vec![CampaignSpec {
                 dataset: "prop_dataset".into(),
                 events,
                 events_per_job: 250,
-                simulator: if heap { CmsSimulator::Cmsim } else { CmsSimulator::Oscar },
+                simulator: if cmsim { CmsSimulator::Cmsim } else { CmsSimulator::Oscar },
                 submit_day: storm_day,
                 retries: 2,
                 throttle: 40,
                 rescue_dags: 1,
-            }]),
-            resilience: Some(ResilienceDoc::Preset("grid3".into())),
-            storms: Some(vec![StormSpec {
+            }],
+            resilience: Some(ResilienceConfig::grid3_default()),
+            storms: vec![StormSpec {
                 day: storm_day,
                 hour: 4,
                 outage_hours: 6,
                 sites: (0..storm_sites).collect(),
-            }]),
-            site_replicas: Some(replicas),
-            queue: Some(if heap { QueueKind::Heap } else { QueueKind::Ladder }),
-            chaos: None,
-            audit: Some(audit),
-            profile: None,
-            ops_journal: None,
-            federation: None,
+            }],
+            site_replicas: replicas,
+            audit,
             workloads: Some(vec![grid3_apps::workloads::WorkloadSpec {
                 class: UserClass::Uscms,
                 users,
@@ -551,7 +564,7 @@ proptest! {
                 sc2003_surge_frac: 0.0,
                 arrivals: Some(ArrivalProcess::Poisson { per_day: per_day as f64 }),
             }]),
-            trace: Some(TraceDoc::Inline(JobTrace {
+            trace: Some(JobTrace {
                 jobs: vec![TraceJob {
                     at: SimTime::EPOCH + SimDuration::from_micros(at_us),
                     class: UserClass::Ligo,
@@ -566,43 +579,34 @@ proptest! {
                     walltime_factor: 3.0,
                     affinity: affinity_pct as f64 / 100.0,
                 }],
-            })),
+            }),
+            ..ScenarioConfig::default()
         };
-        let text = serde_json::to_string_pretty(&doc).expect("doc renders");
-        let reparsed = dsl::parse_str(&text).expect("rendered doc re-parses");
-        prop_assert_eq!(doc.encode(), reparsed.encode(), "value tree drifted");
-        let lowered = doc.to_config().expect("doc lowers");
-        let relowered = reparsed.to_config().expect("reparsed doc lowers");
-        prop_assert_eq!(config_json(&lowered), config_json(&relowered));
+        let text = dsl::export_config(&cfg);
+        let back = dsl::parse_str(&text).expect("export re-parses");
+        prop_assert_eq!(config_json(&back), config_json(&cfg));
+        prop_assert_eq!(dsl::export_config(&back), text);
     }
 
-    /// `ScenarioConfig` → doc → JSON → doc → config is the identity on
+    /// `ScenarioConfig` → JSON → `ScenarioConfig` is the identity on
     /// configs reachable from the builders.
     #[test]
     fn scenario_dsl_configs_survive_the_full_cycle(
         seed in 0u64..100_000, days in 1u64..200, scale_milli in 1u64..2_000,
-        demo in any::<bool>(), srm in any::<bool>(), heap in any::<bool>(),
-        operated in any::<bool>(),
+        demo in any::<bool>(), srm in any::<bool>(), operated in any::<bool>(),
     ) {
-        let mut cfg = if operated {
+        let cfg = if operated {
             ScenarioConfig::sc2003_operated()
         } else {
             ScenarioConfig::sc2003()
-        };
-        cfg = cfg
-            .with_seed(seed)
-            .with_days(days)
-            .with_scale(scale_milli as f64 / 1000.0)
-            .with_demo(demo)
-            .with_srm(srm);
-        if heap {
-            cfg = cfg.with_queue(QueueKind::Heap);
         }
+        .with_seed(seed)
+        .with_days(days)
+        .with_scale(scale_milli as f64 / 1000.0)
+        .with_demo(demo)
+        .with_srm(srm);
         let text = dsl::export_config(&cfg);
-        let back = dsl::parse_str(&text)
-            .expect("export re-parses")
-            .to_config()
-            .expect("export lowers");
+        let back = dsl::parse_str(&text).expect("export re-parses");
         prop_assert_eq!(config_json(&back), config_json(&cfg));
         // Export is stable: exporting the round-tripped config is a
         // byte-identical document.

@@ -4,13 +4,13 @@
 //! snapshot through the on-disk binary format, restore in a fresh
 //! engine, run to the horizon — and the extracted report is
 //! *byte-identical* to the uninterrupted run. The suite pins that
-//! against every golden hash `tests/determinism.rs` holds, on both
-//! queue backends, which transitively proves every piece of run-mutated
-//! state (queue contents and ladder rung refinement, RNG stream
-//! positions, site/middleware/fabric tables, subsystem accumulators,
-//! auditor state) survives the round trip exactly.
+//! against every golden hash `tests/determinism.rs` holds, which
+//! transitively proves every piece of run-mutated state (queue contents
+//! and ladder rung refinement, RNG stream positions,
+//! site/middleware/fabric tables, subsystem accumulators, auditor state)
+//! survives the round trip exactly.
 
-use grid3_core::scenario::{QueueKind, ScenarioConfig};
+use grid3_core::scenario::ScenarioConfig;
 use grid3_core::snapshot::EngineSnapshot;
 use grid3_core::{Grid3Engine, Grid3Report};
 use grid3_simkit::time::{SimDuration, SimTime};
@@ -82,17 +82,6 @@ fn snapshot_restore_reproduces_every_golden() {
         assert_eq!(
             got, want,
             "{scenario}/seed {seed}: restored run diverged from golden ({got:#018x})"
-        );
-    }
-}
-
-#[test]
-fn snapshot_restore_reproduces_every_golden_on_heap_backend() {
-    for &(scenario, seed, want) in GOLDEN {
-        let got = hash_with_cut(config(scenario, seed).with_queue(QueueKind::Heap), 0.5);
-        assert_eq!(
-            got, want,
-            "{scenario}/seed {seed} (heap): restored run diverged from golden ({got:#018x})"
         );
     }
 }
