@@ -183,7 +183,7 @@ pub(crate) fn duration(
             format!("give `{mins}` or `{us}`, not both"),
         )),
         (Some(v), None) => {
-            let d = SimDuration::from_mins(u64_value(v, &mins_path)?);
+            let d = SimDuration::from_mins(clock_count(v, &mins_path, MINUTE_US)?);
             Ok(Some((mins_path, d)))
         }
         (None, Some(v)) => {
@@ -191,6 +191,27 @@ pub(crate) fn duration(
             Ok(Some((us_path, d)))
         }
         (None, None) => Ok(None),
+    }
+}
+
+/// Microseconds in a minute, an hour and a day: the units document
+/// integers are scaled by on their way to the simulation clock.
+pub(crate) const MINUTE_US: u64 = SimDuration::from_mins(1).as_micros();
+pub(crate) const HOUR_US: u64 = SimDuration::from_hours(1).as_micros();
+pub(crate) const DAY_US: u64 = SimDuration::from_days(1).as_micros();
+
+/// A count of `unit_us`-long units (minutes, hours, days) whose length
+/// must fit the simulation clock's `u64` microseconds: a count that
+/// would overflow it is a field error here, not a panic (or a wrapped
+/// clock) wherever the engine first multiplies it out.
+pub(crate) fn clock_count(v: &Value, path: &str, unit_us: u64) -> Result<u64, DslError> {
+    let n = u64_value(v, path)?;
+    match n.checked_mul(unit_us) {
+        Some(_) => Ok(n),
+        None => Err(DslError::field(
+            path,
+            format!("{n} overflows the simulation clock (u64 microseconds)"),
+        )),
     }
 }
 

@@ -167,9 +167,11 @@ fn decode(v: &Value, base: Option<&Path>) -> Result<ScenarioConfig, DslError> {
         d::str_value(v, "name")?;
     }
     d::set(o, "", "seed", &mut cfg.seed, d::u64_value)?;
-    d::set(o, "", "days", &mut cfg.days, d::u64_value)?;
+    d::set(o, "", "days", &mut cfg.days, |v, path| {
+        d::clock_count(v, path, d::DAY_US)
+    })?;
     if let Some(v) = d::get(o, "horizon_hours") {
-        cfg.horizon_hours = Some(d::u64_value(v, "horizon_hours")?);
+        cfg.horizon_hours = Some(d::clock_count(v, "horizon_hours", d::HOUR_US)?);
     }
     if let Some(v) = d::get(o, "demo") {
         decode_demo(v, &mut cfg)?;
@@ -441,12 +443,16 @@ fn decode_campaign(v: &Value, path: &str) -> Result<CampaignSpec, DslError> {
             .transpose()
             .map(|v| v.unwrap_or(default))
     };
+    let submit_day = d::get(o, "submit_day")
+        .map(|v| d::clock_count(v, &d::join(path, "submit_day"), d::DAY_US))
+        .transpose()?
+        .unwrap_or(0);
     Ok(CampaignSpec {
         dataset,
         events,
         events_per_job,
         simulator,
-        submit_day: opt_u64("submit_day", 0)?,
+        submit_day,
         retries: opt_u64("retries", 3)? as u32,
         throttle: opt_u64("throttle", 50)? as usize,
         rescue_dags: opt_u64("rescue_dags", 0)? as u32,
@@ -486,12 +492,13 @@ fn decode_storms(v: &Value, path: &str) -> Result<Vec<StormSpec>, DslError> {
             let path = d::index(path, i);
             let o = d::as_object(item, &path)?;
             d::check_keys(o, &path, &["day", "hour", "outage_hours", "sites"])?;
-            let req = |key: &str| -> Result<u64, DslError> {
-                d::u64_value(
+            let req = |key: &str, unit_us: u64| -> Result<u64, DslError> {
+                d::clock_count(
                     d::get(o, key).ok_or_else(|| {
                         DslError::field(&path, format!("missing required field `{key}`"))
                     })?,
                     &d::join(&path, key),
+                    unit_us,
                 )
             };
             let sites_path = d::join(&path, "sites");
@@ -503,10 +510,18 @@ fn decode_storms(v: &Value, path: &str) -> Result<Vec<StormSpec>, DslError> {
                 .enumerate()
                 .map(|(j, s)| d::u32_value(s, &d::index(&sites_path, j)))
                 .collect::<Result<Vec<u32>, DslError>>()?;
+            let (day, hour) = (req("day", d::DAY_US)?, req("hour", d::HOUR_US)?);
+            // The storm strikes at `day` days plus `hour` hours.
+            if (day * d::DAY_US).checked_add(hour * d::HOUR_US).is_none() {
+                return Err(DslError::field(
+                    &d::join(&path, "hour"),
+                    "day plus hour overflows the simulation clock (u64 microseconds)",
+                ));
+            }
             Ok(StormSpec {
-                day: req("day")?,
-                hour: req("hour")?,
-                outage_hours: req("outage_hours")?,
+                day,
+                hour,
+                outage_hours: req("outage_hours", d::HOUR_US)?,
                 sites,
             })
         })

@@ -171,16 +171,10 @@ fn telemetry_observes_without_perturbing() {
     assert_eq!(sim.bytes_delivered(), base.bytes_delivered());
     assert_eq!(sim.events_processed(), base.events_processed());
     // The disabled handle records nothing; the enabled one carries
-    // middleware counters and spans.
+    // middleware counters.
     assert!(base.telemetry().counters().is_empty());
-    assert!(base.telemetry().spans().is_empty());
     assert!(sim.telemetry().counter_total("gram", "accepted") > 0);
     assert!(sim.telemetry().counter_total("scheduler", "dispatched") > 0);
-    assert!(!sim.telemetry().spans().is_empty());
-    // Spans still open at the horizon belong to jobs/transfers still
-    // in flight — never more than the engine itself tracks.
-    let open_bound = 2 * sim.active_jobs() + sim.telemetry().dropped_span_count() as usize;
-    assert!(sim.telemetry().open_span_count() <= open_bound + sim.gridftp().active_count());
 }
 
 #[test]

@@ -68,9 +68,9 @@ pub struct ScenarioConfig {
     pub pipeline: InstallPipeline,
     /// §8 ablation: SRM-style storage reservations.
     pub srm_reservations: bool,
-    /// Enable the grid-wide instrumentation layer (metrics registry and
-    /// middleware spans). Off by default: the
-    /// disabled handle costs one branch per call site.
+    /// Enable the grid-wide instrumentation layer (the metrics
+    /// registry). Off by default: the disabled handle costs one branch
+    /// per call site.
     pub telemetry: bool,
     /// DAG-shaped production campaigns to run inside the simulation
     /// (empty by default; the flat Table 1 workloads model the bulk).

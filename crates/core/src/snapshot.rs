@@ -16,8 +16,9 @@
 //!
 //! Deliberately not captured (observation-only, process-local):
 //!
-//! * telemetry counter *values* and open span maps — counters are
-//!   re-interned against a fresh registry on restore;
+//! * telemetry counter *values* — counters are re-interned against a
+//!   fresh registry on restore (the per-job timeline is the trace
+//!   store's, which is captured);
 //! * the cost profiler's wall-clock accumulators — restored runs start a
 //!   fresh profile;
 //! * the ops journal — the journal is an append-only log beside the run;
@@ -360,11 +361,6 @@ pub(crate) fn restore_engine(snap: EngineSnapshot) -> Grid3Engine {
     fabric.jobs = snap.jobs;
     fabric.job_ids = snap.job_ids;
     fabric.transfer_purpose = snap.transfer_purpose;
-    // Telemetry spans are process-local observability: open spans do not
-    // survive a restore (the registry they index into is gone).
-    fabric.job_spans.clear();
-    fabric.gram_spans.clear();
-    fabric.transfer_spans.clear();
     fabric.chaos = snap.chaos;
     fabric.federation.apply(snap.federation);
 

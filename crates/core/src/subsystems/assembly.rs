@@ -431,9 +431,6 @@ pub(crate) fn assemble_on(cfg: ScenarioConfig, mut queue: EventQueue<GridEvent>)
         jobs: FastMap::default(),
         job_ids: JobIdGen::new(),
         transfer_purpose: FastMap::default(),
-        job_spans: FastMap::default(),
-        gram_spans: FastMap::default(),
-        transfer_spans: FastMap::default(),
         chaos: chaos_state,
         federation,
     };

@@ -18,7 +18,7 @@ use grid3_monitoring::trace::TraceEvent;
 use grid3_simkit::hash::FastMap;
 use grid3_simkit::ids::{GridId, JobId, SiteId};
 use grid3_simkit::rng::SimRng;
-use grid3_simkit::telemetry::SpanId;
+use grid3_simkit::telemetry::Counter;
 use grid3_simkit::time::{SimDuration, SimTime};
 use grid3_simkit::units::Bytes;
 use grid3_site::job::{FailureCause, JobOutcome, JobSpec};
@@ -67,11 +67,11 @@ pub(crate) struct Brokering {
     /// Per-node retry backoff: a node listed here stays Ready but is not
     /// resubmitted before the stored time, even if another tick fires first.
     campaign_hold: FastMap<(usize, DagNodeId), SimTime>,
-    /// Open DAGMan node spans (released → outcome fed back).
-    dagman_spans: FastMap<JobId, SpanId>,
     /// Rescue-DAG resubmissions already spent, per campaign index
     /// (bounded by each campaign's `rescue_dags` budget).
     campaign_rescues: FastMap<usize, u32>,
+    /// The `resilience/retry` counter, registered on the first retry.
+    c_retry: Option<Counter>,
 }
 
 impl Brokering {
@@ -93,8 +93,8 @@ impl Brokering {
             campaigns,
             campaign_job_map: FastMap::default(),
             campaign_hold: FastMap::default(),
-            dagman_spans: FastMap::default(),
             campaign_rescues: FastMap::default(),
+            c_retry: None,
         }
     }
 
@@ -128,10 +128,11 @@ impl Brokering {
 
     /// The run-mutated slice of this subsystem, for engine snapshots.
     /// The arrival table is rebuilt by re-assembly, so only its cursor
-    /// is captured. The site table, the selection scratch, and the span
-    /// map are rebuildable caches/telemetry and are *not*
-    /// captured: the table re-memoises from the restored MDS on first
-    /// access (same epoch key, same content), and spans restart empty.
+    /// is captured. The site table, the selection scratch and the retry
+    /// counter are rebuildable caches/telemetry and are *not* captured:
+    /// the table re-memoises from the restored MDS on first access (same
+    /// epoch key, same content), and the counter re-registers on first
+    /// use.
     pub(crate) fn capture(&self) -> BrokeringCapture {
         BrokeringCapture {
             arrivals_delivered: self.arrivals_delivered,
@@ -199,22 +200,13 @@ impl Brokering {
         spec: JobSpec,
         affinity: f64,
         campaign: Option<(usize, DagNodeId)>,
-    ) -> JobId {
+    ) {
         let job = fabric.job_ids.next_id();
         if let Some(tag) = campaign {
             self.campaign_job_map.insert(job, tag);
         }
         ctx.traces.open(job, spec.class, spec.user, now);
-        // Engine-level lifecycle span, linked by the TraceStore job id;
-        // closed by the terminal funnel for every terminal path.
-        if ctx.telemetry.is_enabled() {
-            let span = ctx
-                .telemetry
-                .span_enter(now, "engine", "job", Some(u64::from(job.0)));
-            fabric.job_spans.insert(job, span);
-        }
         self.try_place(ctx, fabric, now, job, spec, affinity, 0);
-        job
     }
 
     /// The retry policy governing placement backoff for `spec`'s jobs:
@@ -268,7 +260,12 @@ impl Brokering {
         if let Some(r) = &mut fabric.resilience {
             r.retries_scheduled += 1;
         }
-        ctx.telemetry.counter_add("resilience", "retry", "gram", 1);
+        self.c_retry
+            .get_or_insert_with(|| {
+                ctx.telemetry
+                    .register_counter("resilience", "retry", "gram")
+            })
+            .add(1);
     }
 
     /// One placement attempt: broker (consulting the blacklist) →
@@ -370,20 +367,9 @@ impl Brokering {
 
         // Gatekeeper submission (§6.4 load model). A stale MDS record can
         // route a job to a site whose services have since crashed.
-        let gram_span = if ctx.telemetry.is_enabled() {
-            Some(
-                ctx.telemetry
-                    .span_enter(now, "gram", "manage_job", Some(u64::from(job.0))),
-            )
-        } else {
-            None
-        };
         if let Err(err) =
             fabric.gatekeepers[site.index()].submit(job, spec.staging_load_factor(), now)
         {
-            if let Some(span) = gram_span {
-                ctx.telemetry.span_error(now, span);
-            }
             ctx.traces.record(job, now, TraceEvent::GatekeeperRefused);
             // Transient refusals (overload, service down) back off and
             // re-broker instead of dying on first contact — the GRAM
@@ -414,9 +400,6 @@ impl Brokering {
                 JobOutcome::Failed(cause),
             );
             return;
-        }
-        if let Some(span) = gram_span {
-            fabric.gram_spans.insert(job, span);
         }
 
         // Optional SRM-style reservations (the §8 ablation): scratch at
@@ -534,7 +517,6 @@ impl Brokering {
                     fabric
                         .transfer_purpose
                         .insert(xfer, TransferPurpose::JobStageIn(job));
-                    fabric.open_transfer_span(ctx, now, xfer, "stage_in", Some(u64::from(job.0)));
                     ctx.queue.schedule_at(
                         finish,
                         GridEvent::Staging(StagingEvent::StageInDone(job, xfer)),
@@ -628,9 +610,6 @@ impl Brokering {
             return;
         };
         fabric.release_job_resources(&j, job);
-        if let Some(span) = fabric.gram_spans.remove(&job) {
-            ctx.telemetry.span_error(now, span);
-        }
         self.schedule_retry(ctx, fabric, now, job, j.spec, affinity, attempt);
     }
 
@@ -664,13 +643,7 @@ impl Brokering {
             }
             self.campaigns[idx].1.mark_submitted(node);
             let spec = self.campaigns[idx].1.dag().payload(node).spec.clone();
-            let job = self.submit_spec(ctx, fabric, now, spec, 0.5, Some((idx, node)));
-            if ctx.telemetry.is_enabled() && self.campaign_job_map.contains_key(&job) {
-                let span = ctx
-                    .telemetry
-                    .span_enter(now, "dagman", "node", Some(u64::from(job.0)));
-                self.dagman_spans.insert(job, span);
-            }
+            self.submit_spec(ctx, fabric, now, spec, 0.5, Some((idx, node)));
         }
         // Every held node needs a tick at its hold expiry, or the DAG could
         // stall with nothing active and everything backing off.
@@ -698,13 +671,6 @@ impl Brokering {
         let Some((idx, node)) = self.campaign_job_map.remove(&job) else {
             return;
         };
-        if let Some(span) = self.dagman_spans.remove(&job) {
-            if success {
-                ctx.telemetry.span_exit(now, span);
-            } else {
-                ctx.telemetry.span_error(now, span);
-            }
-        }
         let mgr = &mut self.campaigns[idx].1;
         let delay = if success {
             mgr.mark_done(node);
@@ -734,12 +700,6 @@ impl Brokering {
                     *used += 1;
                     let retries = fabric.cfg.campaigns[idx].retries;
                     let rearmed = mgr.rescue(retries);
-                    ctx.telemetry.counter_add_with(
-                        "dagman",
-                        "rescue_dag",
-                        || format!("campaign{idx}"),
-                        rearmed as u64,
-                    );
                     ctx.ops.record(
                         now,
                         None,

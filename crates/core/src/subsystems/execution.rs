@@ -170,8 +170,6 @@ impl Execution {
         let site = j.site;
         fabric.sites[site.index()].release(job, now);
         fabric.job_gauge.step(now, -1.0);
-        ctx.telemetry
-            .counter_add_with("chaos", "hung_job_reaped", || format!("site{}", site.0), 1);
         ctx.ops.record(
             now,
             Some(site),

@@ -33,7 +33,6 @@ use grid3_monitoring::trace::TraceEvent;
 use grid3_simkit::hash::FastMap;
 use grid3_simkit::ids::{FileId, JobId, JobIdGen, SiteId, TransferId};
 use grid3_simkit::series::GaugeTracker;
-use grid3_simkit::telemetry::SpanId;
 use grid3_simkit::time::{SimDuration, SimTime};
 use grid3_simkit::units::Bytes;
 use grid3_site::cluster::Site;
@@ -142,12 +141,6 @@ pub struct GridFabric {
     pub job_ids: JobIdGen,
     /// What each in-flight GridFTP transfer is for.
     pub transfer_purpose: FastMap<TransferId, TransferPurpose>,
-    /// Open engine-level "job" spans (submit → terminal record).
-    pub job_spans: FastMap<JobId, SpanId>,
-    /// Open gatekeeper spans (accepted → resources released).
-    pub gram_spans: FastMap<JobId, SpanId>,
-    /// Open GridFTP transfer spans (start → complete/failure).
-    pub transfer_spans: FastMap<TransferId, SpanId>,
     /// Runtime chaos switches (black-hole sites, sensor blackouts,
     /// iGOC partitions, pending emergency cleanups). All flags stay
     /// `false` in baseline runs, so every guard reading them is
@@ -191,38 +184,6 @@ impl GridFabric {
         }
     }
 
-    /// Open a GridFTP transfer span (no-op when telemetry is disabled).
-    pub(crate) fn open_transfer_span(
-        &mut self,
-        ctx: &mut EngineCtx,
-        now: SimTime,
-        xfer: TransferId,
-        op: &'static str,
-        job: Option<u64>,
-    ) {
-        if ctx.telemetry.is_enabled() {
-            let span = ctx.telemetry.span_enter(now, "gridftp", op, job);
-            self.transfer_spans.insert(xfer, span);
-        }
-    }
-
-    /// Close a transfer span, as an error when the transfer died.
-    pub(crate) fn close_transfer_span(
-        &mut self,
-        ctx: &mut EngineCtx,
-        now: SimTime,
-        xfer: TransferId,
-        errored: bool,
-    ) {
-        if let Some(span) = self.transfer_spans.remove(&xfer) {
-            if errored {
-                ctx.telemetry.span_error(now, span);
-            } else {
-                ctx.telemetry.span_exit(now, span);
-            }
-        }
-    }
-
     /// Kill staging/queued (not running) jobs at a site.
     pub(crate) fn kill_non_running(
         &mut self,
@@ -258,7 +219,6 @@ impl GridFabric {
         let failed = self.gridftp.fail_site(site, now);
         for outcome in failed {
             // Partial bytes still moved over the wire before the failure.
-            self.close_transfer_span(ctx, now, outcome.id, true);
             ctx.emit(GridEvent::Reporting(ReportingEvent::CreditTransfer(
                 outcome.request.vo,
                 outcome.delivered,
@@ -382,10 +342,9 @@ impl GridFabric {
         }
     }
 
-    /// The single terminal funnel: close the job's spans, then emit the
-    /// immediate triple — record ingestion (reporting), site outcome
-    /// (fault handling), campaign feedback (brokering) — in the
-    /// monolith's original call order.
+    /// The single terminal funnel: emit the immediate triple — record
+    /// ingestion (reporting), site outcome (fault handling), campaign
+    /// feedback (brokering) — in the monolith's original call order.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn finish_job_record(
         &mut self,
@@ -400,18 +359,6 @@ impl GridFabric {
         transferred: Bytes,
         outcome: JobOutcome,
     ) {
-        // Every terminal path funnels through here exactly once, so this
-        // is where the engine and gatekeeper spans close.
-        if let Some(span) = self.job_spans.remove(&job) {
-            if outcome.is_success() {
-                ctx.telemetry.span_exit(now, span);
-            } else {
-                ctx.telemetry.span_error(now, span);
-            }
-        }
-        if let Some(span) = self.gram_spans.remove(&job) {
-            ctx.telemetry.span_exit(now, span);
-        }
         let record = JobRecord {
             job,
             class: spec.class,

@@ -171,8 +171,6 @@ impl FaultHandling {
         ctx.ops
             .record(now, Some(site), OpsEventKind::TicketResolved { ticket });
         ctx.ops.record(now, Some(site), OpsEventKind::SiteRepaired);
-        ctx.telemetry
-            .counter_add_with("resilience", "repair", || format!("site{}", site.0), 1);
         ctx.queue
             .schedule_at(now, GridEvent::Execution(ExecutionEvent::TryDispatch(site)));
     }
@@ -237,8 +235,6 @@ impl FaultHandling {
                 now + delay,
                 GridEvent::Fault(FaultEvent::SiteRepaired(site)),
             );
-            ctx.telemetry
-                .counter_add_with("resilience", "storm", || format!("site{}", site.0), 1);
         }
     }
 }
@@ -317,12 +313,6 @@ impl Subsystem for FaultHandling {
                 if let Some(flag) = fabric.chaos.black_hole.get_mut(site.index()) {
                     *flag = true;
                 }
-                ctx.telemetry.counter_add_with(
-                    "chaos",
-                    "black_hole",
-                    || format!("site{}", site.0),
-                    1,
-                );
                 ctx.ops
                     .record_with(now, Some(site), || OpsEventKind::FaultInjected {
                         kind: "black_hole".to_string(),
@@ -343,12 +333,6 @@ impl Subsystem for FaultHandling {
             }
             FaultEvent::ChaosRlsStale(site, duration) => {
                 fabric.rls.mark_stale(site);
-                ctx.telemetry.counter_add_with(
-                    "chaos",
-                    "rls_stale",
-                    || format!("site{}", site.0),
-                    1,
-                );
                 ctx.ops
                     .record_with(now, Some(site), || OpsEventKind::FaultInjected {
                         kind: "rls_stale".to_string(),
@@ -363,12 +347,6 @@ impl Subsystem for FaultHandling {
             }
             FaultEvent::ChaosMdsFreeze(site, duration) => {
                 fabric.center.mds.set_frozen(site, true);
-                ctx.telemetry.counter_add_with(
-                    "chaos",
-                    "mds_freeze",
-                    || format!("site{}", site.0),
-                    1,
-                );
                 ctx.ops
                     .record_with(now, Some(site), || OpsEventKind::FaultInjected {
                         kind: "mds_freeze".to_string(),
@@ -385,12 +363,6 @@ impl Subsystem for FaultHandling {
                 if let Some(flag) = fabric.chaos.sensor_blackout.get_mut(site.index()) {
                     *flag = true;
                 }
-                ctx.telemetry.counter_add_with(
-                    "chaos",
-                    "sensor_blackout",
-                    || format!("site{}", site.0),
-                    1,
-                );
                 ctx.ops
                     .record_with(now, Some(site), || OpsEventKind::FaultInjected {
                         kind: "sensor_blackout".to_string(),
@@ -409,12 +381,6 @@ impl Subsystem for FaultHandling {
                 if let Some(flag) = fabric.chaos.igoc_partition.get_mut(site.index()) {
                     *flag = true;
                 }
-                ctx.telemetry.counter_add_with(
-                    "chaos",
-                    "igoc_partition",
-                    || format!("site{}", site.0),
-                    1,
-                );
                 ctx.ops
                     .record_with(now, Some(site), || OpsEventKind::FaultInjected {
                         kind: "igoc_partition".to_string(),

@@ -9,7 +9,9 @@
 
 use grid3_apps::demonstrators::EntradaDemo;
 use grid3_monitoring::trace::TraceEvent;
-use grid3_simkit::ids::{FileIdGen, JobId, TransferId};
+use grid3_simkit::hash::FastMap;
+use grid3_simkit::ids::{FileIdGen, JobId, SiteId, TransferId};
+use grid3_simkit::telemetry::Counter;
 use grid3_simkit::time::SimTime;
 use grid3_site::job::FailureCause;
 use grid3_site::scheduler::QueuedJob;
@@ -26,14 +28,23 @@ const CLEANUP_SWEEP_DELAY: grid3_simkit::time::SimDuration =
 
 /// The staging subsystem (see the module docs).
 ///
-/// Serde round-trips the whole struct: the LFN allocator position is
-/// run-mutated state and the demonstrator matrix is cheap config.
+/// Serde round-trips the whole struct but its counters: the LFN
+/// allocator position is run-mutated state and the demonstrator matrix
+/// is cheap config.
 #[derive(Clone, serde::Serialize, serde::Deserialize)]
 pub struct Staging {
     /// Grid-wide logical-file-name allocator.
     lfns: FileIdGen,
     /// The Entrada demonstrator (`None` when the scenario omits it).
     demo: Option<EntradaDemo>,
+    /// `chaos/cleanup_scheduled` counters by site, each registered on
+    /// its site's first sweep.
+    #[serde(skip)]
+    c_cleanup: FastMap<SiteId, Counter>,
+    /// `chaos/truncated_resumed` and `chaos/truncated_corrupt`, indexed
+    /// by `corrupt` and registered on first use.
+    #[serde(skip)]
+    c_truncated: [Option<Counter>; 2],
 }
 
 impl Staging {
@@ -42,11 +53,13 @@ impl Staging {
         Staging {
             lfns: FileIdGen::new(),
             demo,
+            c_cleanup: FastMap::default(),
+            c_truncated: [None, None],
         }
     }
 
-    /// Book a completed transfer: close its span, credit the delivered
-    /// bytes to the VO's accounting, and grow the job's transferred tally.
+    /// Book a completed transfer: credit the delivered bytes to the VO's
+    /// accounting, and grow the job's transferred tally.
     fn book_transfer(
         &mut self,
         ctx: &mut EngineCtx,
@@ -59,7 +72,6 @@ impl Staging {
             if fabric.transfer_purpose.remove(&xfer).is_none() {
                 return false; // stale: the transfer already died with its site
             }
-            fabric.close_transfer_span(ctx, now, xfer, false);
             if let Ok(outcome) = fabric.gridftp.complete(xfer, now) {
                 ctx.emit(GridEvent::Reporting(ReportingEvent::CreditTransfer(
                     outcome.request.vo,
@@ -230,7 +242,6 @@ impl Staging {
                     fabric
                         .transfer_purpose
                         .insert(xfer, TransferPurpose::JobStageOut(job));
-                    fabric.open_transfer_span(ctx, now, xfer, "stage_out", Some(u64::from(job.0)));
                     ctx.queue.schedule_at(
                         finish,
                         GridEvent::Staging(StagingEvent::StageOutDone(job, xfer)),
@@ -251,7 +262,7 @@ impl Staging {
         ctx: &mut EngineCtx,
         fabric: &mut GridFabric,
         now: SimTime,
-        site: grid3_simkit::ids::SiteId,
+        site: SiteId,
     ) {
         fabric
             .center
@@ -268,12 +279,16 @@ impl Staging {
             if let Some(flag) = fabric.chaos.cleanup_pending.get_mut(site.index()) {
                 *flag = true;
             }
-            ctx.telemetry.counter_add_with(
-                "chaos",
-                "cleanup_scheduled",
-                || format!("site{}", site.0),
-                1,
-            );
+            self.c_cleanup
+                .entry(site)
+                .or_insert_with(|| {
+                    ctx.telemetry.register_counter(
+                        "chaos",
+                        "cleanup_scheduled",
+                        format!("site{}", site.0),
+                    )
+                })
+                .add(1);
             ctx.queue.schedule_at(
                 now + CLEANUP_SWEEP_DELAY,
                 GridEvent::Fault(super::FaultEvent::DiskCleanup(site, external)),
@@ -305,7 +320,6 @@ impl Staging {
             return;
         };
         fabric.transfer_purpose.remove(&xfer);
-        fabric.close_transfer_span(ctx, now, xfer, true);
         let job = match purpose {
             TransferPurpose::JobStageIn(job) | TransferPurpose::JobStageOut(job) => job,
             TransferPurpose::Demo => unreachable!("filtered above"),
@@ -321,16 +335,16 @@ impl Staging {
                 j.transferred += cut.outcome.delivered;
             }
         }
-        ctx.telemetry.counter_add(
-            "chaos",
-            if corrupt {
-                "truncated_corrupt"
-            } else {
-                "truncated_resumed"
-            },
-            "",
-            1,
-        );
+        self.c_truncated[usize::from(corrupt)]
+            .get_or_insert_with(|| {
+                let name = if corrupt {
+                    "truncated_corrupt"
+                } else {
+                    "truncated_resumed"
+                };
+                ctx.telemetry.register_counter("chaos", name, "")
+            })
+            .add(1);
         // Checksum-verified resume: re-request the remainder (or the full
         // payload when the fragment failed verification).
         let mut request = cut.outcome.request;
@@ -339,23 +353,18 @@ impl Staging {
         } else {
             cut.remaining
         };
-        let (label, done, cause): (_, fn(JobId, TransferId) -> StagingEvent, _) = match purpose {
-            TransferPurpose::JobStageIn(_) => (
-                "stage_in_resume",
-                StagingEvent::StageInDone,
-                FailureCause::StageInFailure,
-            ),
-            TransferPurpose::JobStageOut(_) => (
-                "stage_out_resume",
-                StagingEvent::StageOutDone,
-                FailureCause::StageOutFailure,
-            ),
+        let (done, cause): (fn(JobId, TransferId) -> StagingEvent, _) = match purpose {
+            TransferPurpose::JobStageIn(_) => {
+                (StagingEvent::StageInDone, FailureCause::StageInFailure)
+            }
+            TransferPurpose::JobStageOut(_) => {
+                (StagingEvent::StageOutDone, FailureCause::StageOutFailure)
+            }
             TransferPurpose::Demo => unreachable!("filtered above"),
         };
         match fabric.gridftp.start(request, now) {
             Ok((resumed, finish)) => {
                 fabric.transfer_purpose.insert(resumed, purpose);
-                fabric.open_transfer_span(ctx, now, resumed, label, Some(u64::from(job.0)));
                 ctx.queue
                     .schedule_at(finish, GridEvent::Staging(done(job, resumed)));
             }
@@ -373,7 +382,6 @@ impl Staging {
             }
             if let Ok((xfer, finish)) = fabric.gridftp.start(req, now) {
                 fabric.transfer_purpose.insert(xfer, TransferPurpose::Demo);
-                fabric.open_transfer_span(ctx, now, xfer, "demo", None);
                 ctx.queue.schedule_at(
                     finish,
                     GridEvent::Staging(StagingEvent::DemoTransferDone(xfer)),
@@ -397,7 +405,6 @@ impl Staging {
         if fabric.transfer_purpose.remove(&xfer).is_none() {
             return; // stale
         }
-        fabric.close_transfer_span(ctx, now, xfer, false);
         if let Ok(outcome) = fabric.gridftp.complete(xfer, now) {
             ctx.emit(GridEvent::Reporting(ReportingEvent::CreditTransfer(
                 outcome.request.vo,

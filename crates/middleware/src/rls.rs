@@ -137,8 +137,6 @@ impl ReplicaLocationService {
     /// fail until [`Self::heal_stale`] runs — the classic "catalog says
     /// the data is there, the disk says otherwise" §6 failure.
     pub fn mark_stale(&mut self, site: SiteId) {
-        self.tele
-            .counter_add("rls", "stale_marked", format!("site{}", site.0), 1);
         self.stale.insert(site);
     }
 

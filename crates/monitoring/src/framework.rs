@@ -428,8 +428,9 @@ mod tests {
     #[test]
     fn telemetry_producer_feeds_the_bus() {
         let tele = Telemetry::enabled();
-        tele.counter_add("gram", "accepted", "site0", 7);
-        tele.counter_add("gridftp", "bytes_completed", "iVDGL", 1024);
+        tele.register_counter("gram", "accepted", "site0").add(7);
+        tele.register_counter("gridftp", "bytes_completed", "iVDGL")
+            .add(1024);
         let producer = TelemetryProducer::new(tele);
         let mut bus = MonitoringBus::new();
         bus.register(Box::new(Counter {

@@ -17,7 +17,9 @@
 //! * [`TraceStore::stuck_jobs`] — jobs with no event for a given span
 //!   (the "why is my job not running" question);
 //! * [`TraceStore::accounting_by_user`] — per-user CPU accounting (the
-//!   §5.2 auditing requirement).
+//!   §5.2 auditing requirement);
+//! * [`TraceStore::chrome_trace`] — every job's timed phases as one
+//!   Chrome `trace_event` document.
 
 use grid3_simkit::ids::{JobId, NodeId, SiteId, UserId};
 use grid3_simkit::time::{SimDuration, SimTime};
@@ -25,6 +27,7 @@ use grid3_simkit::units::Bytes;
 use grid3_site::job::FailureCause;
 use grid3_site::vo::UserClass;
 use serde::{Deserialize, Serialize};
+use std::fmt::Write as _;
 
 /// A submit-side (VO/Condor-G) job identifier, distinct from the grid-wide
 /// execution-side [`JobId`]. Real Grid3 had exactly this split — the DAGMan
@@ -97,6 +100,28 @@ impl TraceEvent {
     }
 }
 
+/// A timed phase of a job's lifecycle, as [`TraceStore::chrome_trace`]
+/// draws it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Phase {
+    Job,
+    Gram,
+    StageIn,
+    StageOut,
+}
+
+impl Phase {
+    /// The phase's trace-event `(category, name, tid)`.
+    fn label(self) -> (&'static str, &'static str, u32) {
+        match self {
+            Phase::Job => ("engine", "job", 1),
+            Phase::Gram => ("gram", "manage_job", 2),
+            Phase::StageIn => ("gridftp", "stage_in", 3),
+            Phase::StageOut => ("gridftp", "stage_out", 3),
+        }
+    }
+}
+
 /// The recorded trace of one job.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct JobTrace {
@@ -142,10 +167,61 @@ impl JobTrace {
         Some(end.since(start))
     }
 
+    /// Call `emit(phase, begin, end, error)` for each phase of this job
+    /// that has ended, in the order they end:
+    ///
+    /// * [`Phase::Job`] — submission to the terminal event, in error when
+    ///   the job failed;
+    /// * [`Phase::Gram`] — gatekeeper acceptance to the terminal event.
+    ///   A refusal is an instant in error, and so is an accepted attempt
+    ///   given up for re-brokering (its stage-in could not start);
+    /// * [`Phase::StageIn`] / [`Phase::StageOut`] — a stage's start to
+    ///   its end, in error when the job died first. A stage that took no
+    ///   simulated time moved nothing over the wire and is left out.
+    ///
+    /// Phases still open at the last event (a job in flight) are not
+    /// emitted.
+    fn phases(&self, mut emit: impl FnMut(Phase, SimTime, SimTime, bool)) {
+        let mut accepted: Option<SimTime> = None;
+        let mut stage: Option<(Phase, SimTime)> = None;
+        let mut last = SimTime::EPOCH;
+        for &(at, event) in &self.events {
+            let failed = matches!(event, TraceEvent::Failed(_));
+            if failed || matches!(event, TraceEvent::StageInDone | TraceEvent::StageOutDone) {
+                if let Some((phase, begin)) = stage.take() {
+                    if at > begin {
+                        emit(phase, begin, at, failed);
+                    }
+                }
+            }
+            match event {
+                // Attempts are only given up synchronously, at the instant
+                // of their last event.
+                TraceEvent::Brokered { .. } => {
+                    if let Some(begin) = accepted.take() {
+                        emit(Phase::Gram, begin, last, true);
+                    }
+                    stage = None;
+                }
+                TraceEvent::GatekeeperRefused => emit(Phase::Gram, at, at, true),
+                TraceEvent::GatekeeperAccepted => accepted = Some(at),
+                TraceEvent::StageInStarted { .. } => stage = Some((Phase::StageIn, at)),
+                TraceEvent::StageOutStarted { .. } => stage = Some((Phase::StageOut, at)),
+                TraceEvent::Completed | TraceEvent::Failed(_) => {
+                    if let Some(begin) = accepted.take() {
+                        emit(Phase::Gram, begin, at, false);
+                    }
+                    emit(Phase::Job, self.events[0].0, at, failed);
+                }
+                _ => {}
+            }
+            last = at;
+        }
+    }
+
     /// Render the trace as a human-readable timeline (the web view §8
     /// wished it had).
     pub fn render(&self) -> String {
-        use std::fmt::Write as _;
         let mut out = format!(
             "{} ↔ {} ({})\n",
             self.submit_id, self.execution_id, self.class
@@ -386,6 +462,33 @@ impl TraceStore {
             ))
         }
     }
+
+    /// Every job's ended phases (see `JobTrace::phases`) as a Chrome
+    /// `trace_event` document: complete `"X"` events with microsecond
+    /// timestamps, one tid per category, the execution-side job id and
+    /// the error flag in `args` — loadable in `chrome://tracing` or
+    /// Perfetto. Jobs appear in submission order.
+    pub fn chrome_trace(&self) -> String {
+        let mut out = String::from("{\"traceEvents\":[");
+        for t in &self.traces {
+            t.phases(|phase, begin, end, error| {
+                if !out.ends_with('[') {
+                    out.push(',');
+                }
+                let (cat, name, tid) = phase.label();
+                let _ = write!(
+                    out,
+                    "{{\"name\":\"{name}\",\"cat\":\"{cat}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
+                     \"pid\":1,\"tid\":{tid},\"args\":{{\"job\":{},\"error\":{error}}}}}",
+                    begin.as_micros(),
+                    end.since(begin).as_micros(),
+                    t.execution_id.0
+                );
+            });
+        }
+        out.push_str("]}");
+        out
+    }
 }
 
 #[cfg(test)]
@@ -541,6 +644,93 @@ mod tests {
         assert_eq!(top.len(), 2);
         assert_eq!(top[0].0, UserId(2));
         assert_eq!(top[1].0, UserId(3));
+    }
+
+    fn phases_of(t: &JobTrace) -> Vec<(Phase, u64, u64, bool)> {
+        let secs = |t: SimTime| t.as_micros() / 1_000_000;
+        let mut out = Vec::new();
+        t.phases(|phase, begin, end, error| out.push((phase, secs(begin), secs(end), error)));
+        out
+    }
+
+    #[test]
+    fn completed_job_has_four_phases() {
+        let (ts, job, _) = store_with_one_job();
+        assert_eq!(
+            phases_of(ts.trace(job).unwrap()),
+            vec![
+                (Phase::StageIn, 3, 100, false),
+                (Phase::StageOut, 4_001, 4_200, false),
+                (Phase::Gram, 2, 4_201, false),
+                (Phase::Job, 0, 4_201, false),
+            ]
+        );
+    }
+
+    #[test]
+    fn given_up_attempts_and_untimed_stages_are_phases_in_error_or_none() {
+        let mut ts = TraceStore::new();
+        let job = JobId(3);
+        let at = SimTime::from_secs;
+        let site = TraceEvent::Brokered { site: SiteId(1) };
+        let stage_in = TraceEvent::StageInStarted {
+            bytes: Bytes::from_gb(1),
+        };
+        ts.open(job, UserClass::Uscms, UserId(0), at(0));
+        // Refused on first contact, then accepted but unable to start its
+        // stage-in (re-brokered), then killed while staging in.
+        for (t, e) in [
+            (0, site),
+            (0, TraceEvent::GatekeeperRefused),
+            (60, site),
+            (60, TraceEvent::GatekeeperAccepted),
+            (60, stage_in),
+            (120, site),
+            (120, TraceEvent::GatekeeperAccepted),
+            (120, stage_in),
+            (150, TraceEvent::Failed(FailureCause::ServiceFailure)),
+        ] {
+            ts.record(job, at(t), e);
+        }
+        assert_eq!(
+            phases_of(ts.trace(job).unwrap()),
+            vec![
+                (Phase::Gram, 0, 0, true),
+                (Phase::Gram, 60, 60, true),
+                (Phase::StageIn, 120, 150, true),
+                (Phase::Gram, 120, 150, false),
+                (Phase::Job, 0, 150, true),
+            ]
+        );
+        // A local stage-in takes no time and is no phase; a job still in
+        // flight has no job or gatekeeper phase yet.
+        let local = JobId(4);
+        ts.open(local, UserClass::Uscms, UserId(0), at(0));
+        for (t, e) in [
+            (0, site),
+            (0, TraceEvent::GatekeeperAccepted),
+            (0, stage_in),
+            (0, TraceEvent::StageInDone),
+            (0, TraceEvent::Queued),
+            (5, TraceEvent::Dispatched { node: NodeId(0) }),
+        ] {
+            ts.record(local, at(t), e);
+        }
+        assert!(phases_of(ts.trace(local).unwrap()).is_empty());
+    }
+
+    #[test]
+    fn chrome_trace_writes_one_event_per_phase() {
+        let (ts, _, _) = store_with_one_job();
+        let trace = ts.chrome_trace();
+        assert!(trace.starts_with("{\"traceEvents\":[{\"name\":\"stage_in\",\"cat\":\"gridftp\""));
+        assert!(trace.ends_with("}]}"));
+        assert_eq!(trace.matches("\"ph\":\"X\"").count(), 4);
+        assert!(trace.contains(
+            "{\"name\":\"job\",\"cat\":\"engine\",\"ph\":\"X\",\"ts\":0,\"dur\":4201000000,\
+             \"pid\":1,\"tid\":1,\"args\":{\"job\":7,\"error\":false}}"
+        ));
+        assert_eq!(TraceStore::new().chrome_trace(), "{\"traceEvents\":[]}");
     }
 
     #[test]

@@ -25,8 +25,8 @@
 //!   paper's figures (integrated and differential CPU usage, transfer
 //!   volume, monthly job counts).
 //! * [`stats`] — small streaming-statistics helpers.
-//! * [`telemetry`] — the grid-wide instrumentation layer: typed metrics
-//!   registry and span tracing with Chrome `trace_event` export.
+//! * [`telemetry`] — the grid-wide instrumentation layer: the typed
+//!   metrics registry.
 //! * [`profiler`] — the cost-attribution profiler: dense per-cost-center
 //!   wall-time/fan-out/allocation accounting for the dispatch loop
 //!   (allocation columns require the `count-allocs` feature).
@@ -50,6 +50,6 @@ pub mod units;
 pub use engine::EventQueue;
 pub use profiler::{alloc_snapshot, CostCenter, CostProfiler};
 pub use rng::SimRng;
-pub use telemetry::{Counter, Histo, SpanId, Telemetry};
+pub use telemetry::{Counter, Histo, Telemetry};
 pub use time::{SimDuration, SimTime};
 pub use units::{Bandwidth, Bytes};

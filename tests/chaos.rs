@@ -196,7 +196,7 @@ fn rescue_dags_rearm_permanently_failed_campaigns() {
         });
     let (sim, _) = run_audited(cfg);
     assert!(
-        sim.telemetry().counter_total("dagman", "rescue_dag") > 0,
+        sim.telemetry().counter_total("dagman", "rescued") > 0,
         "no rescue DAG fired despite guaranteed node failures"
     );
     let progress = sim.campaign_progress();
@@ -231,4 +231,29 @@ fn transfer_truncation_resumes_and_still_balances() {
     let (completed, _) = sim.audit().unwrap().ledger();
     assert!(completed > 0, "nothing completed under truncation chaos");
     assert!(report.total_jobs > 0);
+}
+
+#[test]
+fn chaos_actions_without_another_record_are_counted() {
+    // Transfer cuts and bounce-triggered cleanup sweeps leave no ops
+    // journal record, so their telemetry counters are their only
+    // account. Every cut lands under exactly one checksum outcome, and
+    // GridFTP's own truncation tally must agree; the resumed run still
+    // drains clean.
+    let (sim, _) = run_audited(
+        ScenarioConfig::sc2003_chaos()
+            .with_scale(0.3)
+            .with_demo(false)
+            .with_telemetry(true)
+            .with_audit(true),
+    );
+    let t = sim.telemetry();
+    let corrupt = t.counter("chaos", "truncated_corrupt", "");
+    let resumed = t.counter("chaos", "truncated_resumed", "");
+    assert!(
+        corrupt > 0 && resumed > 0,
+        "cuts: {corrupt} corrupt, {resumed} resumed"
+    );
+    assert_eq!(corrupt + resumed, t.counter_total("gridftp", "truncated"));
+    assert!(t.counter_total("chaos", "cleanup_scheduled") > 0);
 }

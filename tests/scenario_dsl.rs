@@ -300,6 +300,44 @@ fn scenario_dsl_malformed_documents_never_panic() {
             r#"{"days": 1, "scale": 0.01, "demo": {"enabled": true, "sites": 0}}"#,
             "demo.sites",
         ),
+        // Counts of minutes, hours and days whose microseconds overflow
+        // the simulation clock's u64.
+        (
+            r#"{"days": 1, "scale": 0.01, "monitor_interval_mins": 1000000000000}"#,
+            "monitor_interval_mins",
+        ),
+        (
+            r#"{"days": 300000000000, "scale": 0.01, "chaos": {"rates": "grid3"}}"#,
+            "days",
+        ),
+        (
+            r#"{"days": 1, "scale": 0.01, "horizon_hours": 10000000000000}"#,
+            "horizon_hours",
+        ),
+        (
+            r#"{"federation": {"staleness_mins": 1000000000000, "grids": [{"name": "g"}]}}"#,
+            "federation.staleness_mins",
+        ),
+        (
+            r#"{"storms": [{"day": 300000000000, "hour": 0, "outage_hours": 1, "sites": [0]}]}"#,
+            "storms[0].day",
+        ),
+        (
+            r#"{"storms": [{"day": 0, "hour": 10000000000000, "outage_hours": 1, "sites": [0]}]}"#,
+            "storms[0].hour",
+        ),
+        (
+            r#"{"storms": [{"day": 213503982, "hour": 9, "outage_hours": 1, "sites": [0]}]}"#,
+            "storms[0].hour",
+        ),
+        (
+            r#"{"storms": [{"day": 0, "hour": 0, "outage_hours": 10000000000000, "sites": [0]}]}"#,
+            "storms[0].outage_hours",
+        ),
+        (
+            r#"{"campaigns": [{"dataset": "d", "events": 5, "submit_day": 300000000000}]}"#,
+            "campaigns[0].submit_day",
+        ),
     ];
     for (text, path) in cases {
         match dsl::parse_str(text) {

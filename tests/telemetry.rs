@@ -1,18 +1,20 @@
 //! The grid-wide instrumentation layer, end to end: an instrumented
-//! one-day run must yield a valid Chrome trace with spans from the four
-//! core subsystems, well-formed JSON-lines and registry exports, and a
-//! monitoring-bus feed — while never perturbing the simulation itself.
+//! one-day run must yield a valid Chrome trace of the three traced job
+//! phases (engine, gram, gridftp) built from the trace store, a
+//! well-formed registry export and a monitoring-bus feed — while never
+//! perturbing the simulation itself. The trace survives a snapshot cut.
 
 use grid3_sim::core::{CampaignSpec, Grid3Engine, ScenarioConfig};
 use grid3_sim::monitoring::framework::{MonitoringBus, TelemetryProducer};
+use grid3_sim::monitoring::trace::SubmitSideId;
 use grid3_sim::simkit::time::SimTime;
 use grid3_sim::workflow::mop::CmsSimulator;
 use serde_json::Value;
 use std::collections::BTreeSet;
 
-/// One day of SC2003 with a small CMSIM campaign, so every
-/// span-emitting subsystem (gram, gridftp, dagman, engine) does real work
-/// inside the window.
+/// One day of SC2003 with a small CMSIM campaign, so every traced phase
+/// (engine, gram, gridftp) and the DAGMan counters see real work inside
+/// the window.
 fn one_day() -> ScenarioConfig {
     ScenarioConfig::sc2003()
         .with_scale(0.05)
@@ -38,16 +40,21 @@ fn run_one_day() -> Grid3Engine {
     sim
 }
 
-#[test]
-fn chrome_trace_is_valid_json_with_four_subsystems() {
-    let sim = run_one_day();
-    let trace = sim.telemetry().chrome_trace();
-    let parsed: Value = serde_json::from_str(&trace).expect("chrome trace must be valid JSON");
-    let events = parsed
+/// The `traceEvents` array of a Chrome trace document.
+fn trace_events(trace: &str) -> Vec<Value> {
+    let parsed: Value = serde_json::from_str(trace).expect("chrome trace must be valid JSON");
+    parsed
         .get("traceEvents")
         .and_then(Value::as_array)
-        .expect("traceEvents array");
-    assert!(!events.is_empty(), "no spans recorded");
+        .expect("traceEvents array")
+        .to_vec()
+}
+
+#[test]
+fn chrome_trace_is_valid_json_with_three_subsystems() {
+    let sim = run_one_day();
+    let events = trace_events(&sim.traces().chrome_trace());
+    assert!(!events.is_empty(), "no phases traced");
     let cats: BTreeSet<String> = events
         .iter()
         .map(|e| {
@@ -57,11 +64,13 @@ fn chrome_trace_is_valid_json_with_four_subsystems() {
                 .to_string()
         })
         .collect();
-    for subsystem in ["engine", "gram", "gridftp", "dagman"] {
-        assert!(cats.contains(subsystem), "no {subsystem} spans in trace");
-    }
+    let want: BTreeSet<String> = ["engine", "gram", "gridftp"]
+        .into_iter()
+        .map(String::from)
+        .collect();
+    assert_eq!(cats, want);
     // Every complete event carries the required trace_event fields.
-    for e in events {
+    for e in &events {
         assert_eq!(e.get("ph").and_then(Value::as_str), Some("X"));
         assert!(e.get("ts").and_then(Value::as_u64).is_some());
         assert!(e.get("dur").and_then(Value::as_u64).is_some());
@@ -73,29 +82,32 @@ fn chrome_trace_is_valid_json_with_four_subsystems() {
 
 #[test]
 fn span_exports_are_wellformed_and_job_linked() {
+    // Each complete event (a span, in trace-viewer terms) links back to
+    // a trace-store job, and every terminal trace has its engine/job
+    // span — the trace covers the whole run, not a window of it.
     let sim = run_one_day();
-    let jsonl = sim.telemetry().spans_jsonl();
-    let mut engine_spans = 0usize;
-    for line in jsonl.lines() {
-        let v: Value = serde_json::from_str(line).expect("each span line is JSON");
-        if v.get("subsystem").and_then(Value::as_str) == Some("engine") {
-            engine_spans += 1;
-            // Engine job spans link back to TraceStore job ids.
-            let job = v
-                .get("job")
-                .and_then(Value::as_u64)
-                .expect("engine span carries a job id");
-            let id = grid3_sim::simkit::ids::JobId(job as u32);
-            assert!(
-                sim.traces().trace(id).is_some(),
-                "span job {job} missing from the trace store"
-            );
+    let events = trace_events(&sim.traces().chrome_trace());
+    let mut engine_jobs = 0usize;
+    for e in &events {
+        let args = e.get("args").expect("args object");
+        let job = args
+            .get("job")
+            .and_then(Value::as_u64)
+            .expect("every span carries a job id");
+        let id = grid3_sim::simkit::ids::JobId(job as u32);
+        let trace = sim.traces().trace(id).expect("span job is in the store");
+        assert!(args.get("error").is_some());
+        if e.get("cat").and_then(Value::as_str) == Some("engine") {
+            engine_jobs += 1;
+            assert!(trace.is_terminal(), "job {job} has a span but no end");
         }
-        let begin = v.get("begin_us").and_then(Value::as_u64).expect("begin_us");
-        let end = v.get("end_us").and_then(Value::as_u64).expect("end_us");
-        assert!(end >= begin);
     }
-    assert!(engine_spans > 0, "no engine job spans exported");
+    let terminal = (0..sim.traces().len() as u64)
+        .filter_map(|n| sim.traces().find_by_submit_id(SubmitSideId(n)))
+        .filter(|t| t.is_terminal())
+        .count();
+    assert!(terminal > 0);
+    assert_eq!(engine_jobs, terminal);
     // The registry snapshot parses too.
     let registry: Value =
         serde_json::from_str(&sim.telemetry().registry_json()).expect("registry JSON");
@@ -104,6 +116,21 @@ fn span_exports_are_wellformed_and_job_linked() {
         .and_then(Value::as_array)
         .expect("counters array");
     assert!(!counters.is_empty());
+}
+
+#[test]
+fn restored_run_exports_the_same_trace() {
+    // The trace store is checkpointed, so a run cut at hour 12 and
+    // restored traces every job exactly as the uninterrupted run does.
+    let whole = run_one_day().traces().chrome_trace();
+    let mut first = Grid3Engine::new(one_day().with_telemetry(true));
+    first.run_until(SimTime::from_hours(12));
+    let mut resumed = Grid3Engine::restore(first.snapshot());
+    resumed.run();
+    assert!(
+        resumed.traces().chrome_trace() == whole,
+        "the restored run traced the jobs differently"
+    );
 }
 
 #[test]
