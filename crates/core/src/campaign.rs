@@ -8,8 +8,9 @@
 //! one executor: reports are collected in plan order no matter which
 //! worker finished first, so the merged summary is independent of
 //! thread count and scheduling (`run_with_threads(plan, 1)` is the
-//! serial reference). [`run_campaign_resumable`] adds the write-ahead
-//! journal and checkpoints on top of the same merge.
+//! serial reference). [`run_campaign_resumable`] runs on the same worker
+//! pool and adds the write-ahead journal and checkpoints on top of the
+//! same merge.
 
 pub mod resume;
 
@@ -450,8 +451,7 @@ pub fn run_campaign_dir(
     seeds: Vec<u64>,
 ) -> Result<CampaignOutcome, DslError> {
     let DirPlan { plan, skipped } = plan_from_dir(dir, seeds)?;
-    let threads = std::thread::available_parallelism().map_or(1, usize::from);
-    let mut outcome = run_with_threads(&plan, threads);
+    let mut outcome = run_with_threads(&plan, available_threads());
     outcome.summary.skipped = skipped
         .into_iter()
         .map(|(path, err)| SkippedScenario {
@@ -460,6 +460,39 @@ pub fn run_campaign_dir(
         })
         .collect();
     Ok(outcome)
+}
+
+/// The cores this process may use (1 when the platform cannot say).
+fn available_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, usize::from)
+}
+
+/// Run `job` once for every index in `0..n` on up to `threads` scoped
+/// workers, each pulling its next index from a shared cursor, and return
+/// the results in index order: which worker ran an index, and when,
+/// cannot change the output. Every campaign executor runs on this pool.
+fn run_pool<T: Send + Sync>(n: usize, threads: usize, job: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let threads = threads.max(1).min(n.max(1));
+    let slots: Vec<OnceLock<T>> = (0..n).map(|_| OnceLock::new()).collect();
+    let cursor = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        for _ in 0..threads {
+            scope.spawn(|| loop {
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
+                    break;
+                }
+                assert!(
+                    slots[i].set(job(i)).is_ok(),
+                    "each index fills its slot once"
+                );
+            });
+        }
+    });
+    slots
+        .into_iter()
+        .map(|s| s.into_inner().expect("every slot filled"))
+        .collect()
 }
 
 /// Run the plan on exactly `threads` OS threads. Workers pull runs from
@@ -479,27 +512,10 @@ pub fn run_with_threads_observed(
 ) -> CampaignOutcome {
     let runs = plan.runs();
     let n = runs.len();
-    let threads = threads.max(1).min(n.max(1));
-    let slots: Vec<OnceLock<(Grid3Report, Option<CostProfiler>)>> =
-        (0..n).map(|_| OnceLock::new()).collect();
-    let cursor = AtomicUsize::new(0);
     let done = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let result = run_and_observe(plan, &runs[i], &done, n, observer);
-                assert!(slots[i].set(result).is_ok(), "each run fills its slot once");
-            });
-        }
+    let flat = run_pool(n, threads, |i| {
+        run_and_observe(plan, &runs[i], &done, n, observer)
     });
-    let flat: Vec<(Grid3Report, Option<CostProfiler>)> = slots
-        .into_iter()
-        .map(|s| s.into_inner().expect("every slot filled"))
-        .collect();
     merge(plan, flat)
 }
 

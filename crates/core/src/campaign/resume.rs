@@ -7,21 +7,22 @@
 //!
 //! * **Write-ahead journal.** Every completed run's [`Grid3Report`]
 //!   (and profile stats, when profiled) is appended to
-//!   `campaign.wal` *before* it is merged. Records are length-framed
-//!   and checksummed, their payloads in the same positional binary
-//!   codec as snapshots; on restart the journal is replayed, finished
-//!   runs are skipped, and a torn or corrupt tail is truncated away —
-//!   the partial record's run simply re-executes. Runs are a pure
-//!   function of `(config, seed)`, so a replayed report is the report,
-//!   and an interrupted-then-resumed campaign's merged bands are
-//!   byte-identical to a never-interrupted sweep.
+//!   `campaign.wal`, and synced, *before* it is merged. Records are
+//!   length-framed and checksummed, their payloads in the same
+//!   positional binary codec as snapshots; on restart the journal is
+//!   replayed, finished runs are skipped, and a torn or corrupt tail is
+//!   truncated away — the partial record's run simply re-executes. Runs
+//!   are a pure function of `(config, seed)`, so a replayed report is
+//!   the report, and an interrupted-then-resumed campaign's merged bands
+//!   are byte-identical to a never-interrupted sweep.
 //! * **Checkpoint snapshots.** With a checkpoint cadence set, each run
-//!   periodically writes an [`EngineSnapshot`] beside the journal. A
-//!   resume warm-starts the interrupted run from its latest snapshot
-//!   instead of re-simulating the shared prefix — bit-identically, as
-//!   locked by `tests/snapshot.rs`. (One caveat: the wall-clock *cost
-//!   profile* of a warm-started run covers only the resumed portion;
-//!   the simulated state is exact regardless.)
+//!   periodically writes an [`EngineSnapshot`] beside the journal,
+//!   streamed from the live engine (no copy of its state, no whole-file
+//!   buffer). A resume warm-starts the interrupted run from its latest
+//!   snapshot instead of re-simulating the shared prefix —
+//!   bit-identically, as locked by `tests/snapshot.rs`. (One caveat: the
+//!   wall-clock *cost profile* of a warm-started run covers only the
+//!   resumed portion; the simulated state is exact regardless.)
 //! * **Watchdogs.** Each run executes on its own thread. A run that
 //!   panics is quarantined by `catch_unwind`; one that exceeds its
 //!   wall-clock budget is abandoned (the thread cannot be killed and
@@ -33,15 +34,22 @@
 //!   next resume — a watchdog trip may have been environmental; a
 //!   deterministic hang will simply fail again.
 //!
-//! The executor is deliberately serial (one watchdog thread at a
-//! time): the journal then records a deterministic plan-order prefix,
-//! which is what makes "resume = replay prefix + run the rest" exact.
+//! The runs left after replay share the plain executor's worker pool,
+//! one worker per core the process may use
+//! (`std::thread::available_parallelism`). Workers append to the journal
+//! under a lock, in *completion* order, and a run's checkpoint is
+//! removed only once its record is synced. Replay is keyed by each
+//! record's plan index, never by its position, so any completion order
+//! resumes to the same bands; failures are returned in plan order. An
+//! append that fails stops the campaign: no worker starts another run,
+//! and the error is returned once the runs in flight end.
 
 use std::io::{Seek as _, Write as _};
 use std::path::{Path, PathBuf};
+use std::sync::Mutex;
 use std::time::Duration;
 
-use super::{merge_partial, CampaignOutcome, CampaignPlan};
+use super::{available_threads, merge_partial, run_pool, CampaignOutcome, CampaignPlan};
 use crate::engine::Grid3Engine;
 use crate::report::Grid3Report;
 use crate::scenario::ScenarioConfig;
@@ -356,7 +364,7 @@ where
 /// True when `snap` was taken under exactly this configuration (equal
 /// binary encodings, so floats compare bit for bit), so warm-starting
 /// from it is sound.
-fn snapshot_matches(snap: &EngineSnapshot, cfg: &ScenarioConfig) -> bool {
+fn snapshot_matches(snap: &EngineSnapshot<'_>, cfg: &ScenarioConfig) -> bool {
     serde::binary::to_bytes(snap.scenario()) == serde::binary::to_bytes(cfg)
 }
 
@@ -387,7 +395,7 @@ fn run_checkpointed(
             engine.run_until(cut);
             // A checkpoint that fails to write must not kill the run;
             // the campaign just loses warm-start granularity.
-            let _ = engine.snapshot().write_to(snap_path);
+            let _ = engine.write_snapshot(snap_path);
             cut += every;
         }
     }
@@ -397,19 +405,24 @@ fn run_checkpointed(
     (report, profile, warm)
 }
 
+/// A run's result on the worker that ran it: the report, the profile
+/// (if profiled) and whether it warm-started; or the typed failure.
+type RunResult = Result<(Grid3Report, Option<CostProfiler>, bool), FailedRun>;
+
 /// Run the plan crash-safely: journal every outcome before merging,
 /// checkpoint long runs, quarantine hung or panicking runs, and — when
 /// `opts.dir` already holds a journal from an interrupted invocation of
 /// the *same* plan — resume: finished runs replay from the journal,
 /// interrupted ones warm-start from their latest checkpoint, failed
-/// ones re-execute. See the module docs for the full contract.
+/// ones re-execute. The runs left to do share the cores this process
+/// may use. See the module docs for the full contract.
 pub fn run_campaign_resumable(
     plan: &CampaignPlan,
     opts: &ResumableOptions,
 ) -> Result<ResumableOutcome, WalError> {
     std::fs::create_dir_all(&opts.dir)
         .map_err(|e| WalError::Io(format!("{}: {e}", opts.dir.display())))?;
-    let (mut journal, records) =
+    let (journal, records) =
         CampaignJournal::open(&opts.dir.join("campaign.wal"), plan_fingerprint(plan))?;
     let runs = plan.runs();
     let n = runs.len();
@@ -432,48 +445,82 @@ pub fn run_campaign_resumable(
             }
         }
     }
-    let mut failures: Vec<FailedRun> = Vec::new();
-    let mut warm_started = 0usize;
-    for (i, (vi, seed, cfg)) in runs.iter().enumerate() {
-        if slots[i].is_some() {
-            continue;
-        }
-        let snap_path = opts.dir.join(format!("run-{i:04}.snap"));
-        let warm_bytes = std::fs::read(&snap_path).ok();
-        let cfg = cfg.clone();
-        let every = opts.checkpoint_every;
-        let worker_path = snap_path.clone();
-        let result = watchdog(opts.run_budget, move || {
-            run_checkpointed(cfg, warm_bytes, &worker_path, every)
-        });
-        match result {
-            Ok((report, profile, warm)) => {
-                if warm {
-                    warm_started += 1;
-                }
-                journal.append(&WalRecord::Finished {
+    let pending: Vec<usize> = (0..n).filter(|&i| slots[i].is_none()).collect();
+    // The journal, or the first append error: once that is set, no
+    // worker starts another run.
+    let journal: Mutex<Result<CampaignJournal, WalError>> = Mutex::new(Ok(journal));
+    let lock = || {
+        journal
+            .lock()
+            .expect("journal lock poisoned by a panicking worker")
+    };
+    let results = run_pool(
+        pending.len(),
+        available_threads(),
+        |k| -> Option<RunResult> {
+            lock().as_ref().ok()?;
+            let i = pending[k];
+            let (vi, seed, cfg) = &runs[i];
+            let snap_path = opts.dir.join(format!("run-{i:04}.snap"));
+            let warm_bytes = std::fs::read(&snap_path).ok();
+            let cfg = cfg.clone();
+            let every = opts.checkpoint_every;
+            let worker_path = snap_path.clone();
+            let result = watchdog(opts.run_budget, move || {
+                run_checkpointed(cfg, warm_bytes, &worker_path, every)
+            });
+            let record = match &result {
+                Ok((report, profile, _)) => WalRecord::Finished {
                     index: i as u64,
                     report: report.clone(),
                     profile: profile.as_ref().map(|p| p.stats().to_vec()),
-                })?;
-                // The run is durable in the journal; its checkpoint is
-                // now redundant.
-                std::fs::remove_file(&snap_path).ok();
-                slots[i] = Some((report, profile));
-            }
-            Err(failure) => {
-                journal.append(&WalRecord::Failed {
+                },
+                Err(failure) => WalRecord::Failed {
                     index: i as u64,
                     failure: failure.clone(),
-                })?;
-                failures.push(FailedRun {
+                },
+            };
+            {
+                let mut guard = lock();
+                let appended = guard.as_mut().ok()?.append(&record);
+                if let Err(e) = appended {
+                    *guard = Err(e);
+                    return None;
+                }
+            }
+            Some(match result {
+                Ok(done) => {
+                    // The run is durable in the journal; its checkpoint is
+                    // now redundant.
+                    std::fs::remove_file(&snap_path).ok();
+                    Ok(done)
+                }
+                Err(failure) => Err(FailedRun {
                     index: i,
                     variant: plan.variants[*vi].name.clone(),
                     seed: *seed,
                     failure,
                     snapshot: snap_path.exists().then_some(snap_path),
-                });
+                }),
+            })
+        },
+    );
+    journal
+        .into_inner()
+        .expect("journal lock poisoned by a panicking worker")?;
+    let mut failures: Vec<FailedRun> = Vec::new();
+    let mut warm_started = 0usize;
+    // Results come back in plan order, so `failures` is in plan order.
+    for (i, result) in pending.into_iter().zip(results) {
+        match result {
+            Some(Ok((report, profile, warm))) => {
+                warm_started += usize::from(warm);
+                slots[i] = Some((report, profile));
             }
+            Some(Err(failed)) => failures.push(failed),
+            // Only a journal error leaves a run unstarted, and that
+            // returned above.
+            None => {}
         }
     }
     Ok(ResumableOutcome {

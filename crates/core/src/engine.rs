@@ -113,20 +113,31 @@ impl Grid3Engine {
     }
 
     /// Capture the complete run-mutated state of this engine as a
-    /// serializable [`EngineSnapshot`](crate::snapshot::EngineSnapshot).
+    /// serializable [`EngineSnapshot`](crate::snapshot::EngineSnapshot)
+    /// that owns a copy of it.
     ///
     /// Must be called between events (never mid-dispatch); the engine is
     /// untouched. See the [`snapshot`](crate::snapshot) module docs for
     /// exactly what the capture boundary includes.
-    pub fn snapshot(&self) -> crate::snapshot::EngineSnapshot {
-        crate::snapshot::capture(self)
+    pub fn snapshot(&self) -> crate::snapshot::EngineSnapshot<'static> {
+        crate::snapshot::EngineSnapshot::capture(self).into_owned()
+    }
+
+    /// Write this engine's snapshot to `path` straight from the live
+    /// state: the same file as `self.snapshot().write_to(path)`, without
+    /// copying the state first. Checkpoints are written this way.
+    pub fn write_snapshot(
+        &self,
+        path: &std::path::Path,
+    ) -> Result<(), crate::snapshot::SnapshotError> {
+        crate::snapshot::EngineSnapshot::capture(self).write_to(path)
     }
 
     /// Rebuild a runnable engine from a snapshot taken by
     /// [`snapshot`](Self::snapshot): re-assembles the snapshot's scenario
     /// and overlays the captured state. Running the result to the horizon
     /// produces bit-identical reports to the uninterrupted original.
-    pub fn restore(snap: crate::snapshot::EngineSnapshot) -> Self {
+    pub fn restore(snap: crate::snapshot::EngineSnapshot<'_>) -> Self {
         crate::snapshot::restore_engine(snap)
     }
 

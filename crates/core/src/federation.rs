@@ -15,6 +15,8 @@
 //! bit-identical to the pre-federation engine — every multi-grid branch
 //! in the subsystems is gated on `FederationState::is_single`.
 
+use std::borrow::Cow;
+
 use crate::topology::Topology;
 use grid3_middleware::backend::BackendKind;
 use grid3_middleware::mds::MdsPeering;
@@ -294,36 +296,49 @@ impl FederationState {
     /// pure functions of the scenario config, so a restore rebuilds them
     /// via [`FederationState::build`]/[`FederationState::single`] and
     /// overlays only what the run changed.
-    pub fn capture(&self) -> FederationCapture {
+    pub fn capture(&self) -> FederationCapture<'_> {
         FederationCapture {
-            peering: self.peering.clone(),
-            tally: self.tally.clone(),
+            peering: Cow::Borrowed(&self.peering),
+            tally: Cow::Borrowed(&self.tally),
             cross_grid_stage_ins: self.cross_grid_stage_ins,
             cross_grid_stage_in_bytes: self.cross_grid_stage_in_bytes,
         }
     }
 
     /// Overlay a captured run-mutated slice onto a freshly built state.
-    pub fn apply(&mut self, cap: FederationCapture) {
-        self.peering = cap.peering;
-        self.tally = cap.tally;
+    pub fn apply(&mut self, cap: FederationCapture<'_>) {
+        self.peering = cap.peering.into_owned();
+        self.tally = cap.tally.into_owned();
         self.cross_grid_stage_ins = cap.cross_grid_stage_ins;
         self.cross_grid_stage_in_bytes = cap.cross_grid_stage_in_bytes;
     }
 }
 
 /// The run-mutated slice of [`FederationState`] that engine snapshots
-/// carry (see [`FederationState::capture`]).
+/// carry (see [`FederationState::capture`]), borrowed from the live
+/// state or owned once decoded.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct FederationCapture {
+pub struct FederationCapture<'a> {
     /// Federation-level directory state.
-    pub peering: MdsPeering,
+    pub peering: Cow<'a, MdsPeering>,
     /// Per-grid terminal-job tallies.
-    pub tally: Vec<GridTally>,
+    pub tally: Cow<'a, [GridTally]>,
     /// Cross-grid stage-in count.
     pub cross_grid_stage_ins: u64,
     /// Cross-grid stage-in volume.
     pub cross_grid_stage_in_bytes: Bytes,
+}
+
+impl FederationCapture<'_> {
+    /// A capture that owns its parts, cloning what this one borrows.
+    pub(crate) fn into_owned(self) -> FederationCapture<'static> {
+        FederationCapture {
+            peering: Cow::Owned(self.peering.into_owned()),
+            tally: Cow::Owned(self.tally.into_owned()),
+            cross_grid_stage_ins: self.cross_grid_stage_ins,
+            cross_grid_stage_in_bytes: self.cross_grid_stage_in_bytes,
+        }
+    }
 }
 
 #[cfg(test)]

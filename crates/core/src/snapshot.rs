@@ -40,6 +40,11 @@
 //! [8B magic "G3ENGSNP"] [4B version LE] [8B FNV-1a checksum LE] [payload]
 //! ```
 //!
+//! [`EngineSnapshot::write_to`] streams the payload behind a header
+//! whose checksum is still zero, keeping the running FNV-1a sum, then
+//! writes the sum in place: a file never sits in memory whole, and its
+//! bytes are exactly [`EngineSnapshot::to_bytes`].
+//!
 //! The checksum covers the payload only; a torn or bit-flipped file fails
 //! closed with a typed [`SnapshotError`] instead of deserializing
 //! garbage, and a payload that passes the checksum but is not a valid
@@ -73,8 +78,9 @@ use grid3_simkit::rng::SimRng;
 use grid3_simkit::series::GaugeTracker;
 use grid3_simkit::time::SimTime;
 use grid3_site::cluster::Site;
-use serde::{DecodeError, Deserialize, Encode, Serialize};
-use std::io::Write as _;
+use serde::{DecodeError, Deserialize, Encode, Serialize, Sink};
+use std::borrow::Cow;
+use std::io::{BufWriter, Seek as _, SeekFrom, Write as _};
 use std::path::Path;
 
 /// Current snapshot payload schema version. Bumped on any change to the
@@ -93,6 +99,18 @@ const MAGIC: [u8; 8] = *b"G3ENGSNP";
 
 /// Header length in bytes (magic + version + checksum).
 const HEADER_LEN: usize = 8 + 4 + 8;
+
+/// Offset of the payload checksum within the header.
+const CHECKSUM_AT: usize = 8 + 4;
+
+/// The file header with a zero checksum, patched in once the payload
+/// has been encoded.
+fn header() -> [u8; HEADER_LEN] {
+    let mut out = [0; HEADER_LEN];
+    out[..8].copy_from_slice(&MAGIC);
+    out[8..CHECKSUM_AT].copy_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
+    out
+}
 
 /// A serialized-engine error: bad files fail closed with a typed cause.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -140,15 +158,44 @@ impl std::fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
-/// FNV-1a over a byte stream: the same stable hash the golden-report
-/// suite uses, here guarding snapshot payloads and journal records.
-pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+/// FNV-1a's starting state.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Continue an FNV-1a hash in state `h` over `bytes`.
+fn fnv1a64_extend(mut h: u64, bytes: &[u8]) -> u64 {
     for b in bytes {
         h ^= u64::from(*b);
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
+}
+
+/// FNV-1a over a byte stream: the same stable hash the golden-report
+/// suite uses, here guarding snapshot payloads and journal records.
+pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
+    fnv1a64_extend(FNV_OFFSET, bytes)
+}
+
+/// A snapshot file being written: the payload passes through a buffer
+/// to the file, and its FNV-1a sum is kept on the way. `Encode` cannot
+/// fail mid-value, so the first write error is held here (later writes
+/// are dropped) for [`EngineSnapshot::write_to`] to return.
+struct ChecksummedFile {
+    file: BufWriter<std::fs::File>,
+    sum: u64,
+    error: Option<std::io::Error>,
+}
+
+impl Sink for ChecksummedFile {
+    #[inline]
+    fn put(&mut self, bytes: &[u8]) {
+        self.sum = fnv1a64_extend(self.sum, bytes);
+        if self.error.is_none() {
+            if let Err(e) = self.file.write_all(bytes) {
+                self.error = Some(e);
+            }
+        }
+    }
 }
 
 /// Sync the directory holding `path`, so that a file created in it or
@@ -167,38 +214,45 @@ pub(crate) fn sync_parent_dir(path: &Path) -> std::io::Result<()> {
 
 /// A serialized [`Grid3Engine`]: the complete run-mutated state of a
 /// simulation at one instant (see the module docs for the capture
-/// boundary). Built by [`Grid3Engine::snapshot`]; consumed by
-/// [`Grid3Engine::restore`].
+/// boundary). [`Grid3Engine::write_snapshot`] writes one that borrows the
+/// live engine's state; [`Grid3Engine::snapshot`] returns one that owns
+/// a copy, and a decoded one owns what it read. Either encodes to the
+/// same bytes; [`Grid3Engine::restore`] consumes one.
 #[derive(Clone, Serialize, Deserialize)]
-pub struct EngineSnapshot {
+pub struct EngineSnapshot<'a> {
     version: u32,
-    cfg: ScenarioConfig,
-    queue: EventQueue<GridEvent>,
+    cfg: Cow<'a, ScenarioConfig>,
+    queue: Cow<'a, EventQueue<GridEvent>>,
     broker_rng: SimRng,
     fate_rng: SimRng,
-    traces: TraceStore,
-    sites: Vec<Site>,
-    gatekeepers: Vec<Gatekeeper>,
-    gridftp: GridFtp,
-    rls: ReplicaLocationService,
-    center: CenterCapture,
-    voms: Vec<VomsServer>,
-    ca: CertificateAuthority,
-    resilience: Option<ResilienceLayer>,
+    traces: Cow<'a, TraceStore>,
+    sites: Cow<'a, [Site]>,
+    gatekeepers: Cow<'a, [Gatekeeper]>,
+    gridftp: Cow<'a, GridFtp>,
+    rls: Cow<'a, ReplicaLocationService>,
+    center: CenterCapture<'a>,
+    voms: Cow<'a, [VomsServer]>,
+    ca: Cow<'a, CertificateAuthority>,
+    resilience: Option<Cow<'a, ResilienceLayer>>,
     job_gauge: GaugeTracker,
-    jobs: FastMap<JobId, ActiveJob>,
+    jobs: Cow<'a, FastMap<JobId, ActiveJob>>,
     job_ids: JobIdGen,
-    transfer_purpose: FastMap<TransferId, TransferPurpose>,
-    chaos: ChaosState,
-    federation: FederationCapture,
-    brokering: BrokeringCapture,
-    staging: Staging,
-    fault: FaultHandling,
-    reporting: ReportingCapture,
-    auditor: Option<InvariantAuditor>,
+    transfer_purpose: Cow<'a, FastMap<TransferId, TransferPurpose>>,
+    chaos: Cow<'a, ChaosState>,
+    federation: FederationCapture<'a>,
+    brokering: BrokeringCapture<'a>,
+    staging: Cow<'a, Staging>,
+    fault: Cow<'a, FaultHandling>,
+    reporting: ReportingCapture<'a>,
+    auditor: Option<Cow<'a, InvariantAuditor>>,
 }
 
-impl EngineSnapshot {
+/// Own `part`, cloning it if it is borrowed.
+fn owned<T: ToOwned + ?Sized + 'static>(part: Cow<'_, T>) -> Cow<'static, T> {
+    Cow::Owned(part.into_owned())
+}
+
+impl EngineSnapshot<'_> {
     /// The scenario configuration the snapshot was taken under. A
     /// restore re-assembles exactly this configuration before overlaying
     /// the captured state, so the snapshot is self-describing.
@@ -227,18 +281,15 @@ impl EngineSnapshot {
     /// module docs): the payload is encoded once, straight after the
     /// header, and its checksum patched in.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-        out.extend_from_slice(&[0; 8]);
+        let mut out = header().to_vec();
         self.encode(&mut out);
         let sum = fnv1a64(&out[HEADER_LEN..]);
-        out[12..HEADER_LEN].copy_from_slice(&sum.to_le_bytes());
+        out[CHECKSUM_AT..HEADER_LEN].copy_from_slice(&sum.to_le_bytes());
         out
     }
 
     /// Parse the binary format, verifying magic, version and checksum.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
+    pub fn from_bytes(bytes: &[u8]) -> Result<EngineSnapshot<'static>, SnapshotError> {
         if bytes.len() < HEADER_LEN {
             return Err(if bytes.starts_with(&MAGIC) || MAGIC.starts_with(bytes) {
                 SnapshotError::Truncated
@@ -253,12 +304,12 @@ impl EngineSnapshot {
         if version != SNAPSHOT_VERSION {
             return Err(SnapshotError::UnsupportedVersion(version));
         }
-        let want = u64::from_le_bytes(bytes[12..HEADER_LEN].try_into().expect("8 bytes"));
+        let want = u64::from_le_bytes(bytes[CHECKSUM_AT..HEADER_LEN].try_into().expect("8 bytes"));
         let payload = &bytes[HEADER_LEN..];
         if fnv1a64(payload) != want {
             return Err(SnapshotError::ChecksumMismatch);
         }
-        let snap: Self = serde::binary::from_bytes(payload)?;
+        let snap: EngineSnapshot<'static> = serde::binary::from_bytes(payload)?;
         if snap.version != SNAPSHOT_VERSION {
             return Err(SnapshotError::UnsupportedVersion(snap.version));
         }
@@ -266,16 +317,30 @@ impl EngineSnapshot {
     }
 
     /// Write the binary format to `path` atomically and durably: the
-    /// bytes land in a sibling `.tmp` file, which is synced to disk
-    /// before it is renamed into place, and the directory is synced
-    /// after the rename. A crash or power cut at any point leaves the
-    /// previous snapshot or the new one under the final name — never a
-    /// torn one.
+    /// payload streams through a buffer into a sibling `.tmp` file behind
+    /// a header whose checksum is patched in once the payload is written,
+    /// so the file never sits in memory whole. The `.tmp` file is synced
+    /// to disk before it is renamed into place, and the directory is
+    /// synced after the rename. A crash or power cut at any point leaves
+    /// the previous snapshot or the new one under the final name — never
+    /// a torn one.
     pub fn write_to(&self, path: &Path) -> Result<(), SnapshotError> {
         let io = |e: std::io::Error| SnapshotError::Io(format!("{}: {e}", path.display()));
         let tmp = path.with_extension("tmp");
-        let mut file = std::fs::File::create(&tmp).map_err(io)?;
-        file.write_all(&self.to_bytes()).map_err(io)?;
+        let file = std::fs::File::create(&tmp).map_err(io)?;
+        let mut out = ChecksummedFile {
+            file: BufWriter::with_capacity(1 << 16, file),
+            sum: FNV_OFFSET,
+            error: None,
+        };
+        out.file.write_all(&header()).map_err(io)?;
+        self.encode(&mut out);
+        if let Some(e) = out.error {
+            return Err(io(e));
+        }
+        let mut file = out.file.into_inner().map_err(|e| io(e.into_error()))?;
+        file.seek(SeekFrom::Start(CHECKSUM_AT as u64)).map_err(io)?;
+        file.write_all(&out.sum.to_le_bytes()).map_err(io)?;
         file.sync_all().map_err(io)?;
         drop(file);
         std::fs::rename(&tmp, path).map_err(io)?;
@@ -283,92 +348,126 @@ impl EngineSnapshot {
     }
 
     /// Read and parse a snapshot file.
-    pub fn read_from(path: &Path) -> Result<Self, SnapshotError> {
+    pub fn read_from(path: &Path) -> Result<EngineSnapshot<'static>, SnapshotError> {
         let bytes = std::fs::read(path)
             .map_err(|e| SnapshotError::Io(format!("{}: {e}", path.display())))?;
         Self::from_bytes(&bytes)
     }
 }
 
-/// Capture the complete run-mutated state of `engine` (see the module
-/// docs for what is and is not included).
-pub(crate) fn capture(engine: &Grid3Engine) -> EngineSnapshot {
-    assert!(
-        engine.ctx.immediates.is_empty(),
-        "snapshot mid-dispatch: immediates must be drained"
-    );
-    let fabric = &engine.fabric;
-    EngineSnapshot {
-        version: SNAPSHOT_VERSION,
-        cfg: fabric.cfg.clone(),
-        queue: engine.ctx.queue.clone(),
-        broker_rng: engine.ctx.broker_rng.clone(),
-        fate_rng: engine.ctx.fate_rng.clone(),
-        traces: engine.ctx.traces.clone(),
-        sites: fabric.sites.clone(),
-        gatekeepers: fabric.gatekeepers.clone(),
-        gridftp: fabric.gridftp.clone(),
-        rls: fabric.rls.clone(),
-        center: fabric.center.capture(),
-        voms: fabric.voms.clone(),
-        ca: fabric.ca.clone(),
-        resilience: fabric.resilience.clone(),
-        job_gauge: fabric.job_gauge.clone(),
-        jobs: fabric.jobs.clone(),
-        job_ids: fabric.job_ids.clone(),
-        transfer_purpose: fabric.transfer_purpose.clone(),
-        chaos: fabric.chaos.clone(),
-        federation: fabric.federation.capture(),
-        brokering: engine.brokering.capture(),
-        staging: engine.staging.clone(),
-        fault: engine.fault.clone(),
-        reporting: engine.reporting.capture(),
-        auditor: engine.auditor.clone(),
+impl<'a> EngineSnapshot<'a> {
+    /// Borrow the complete run-mutated state of `engine` (see the module
+    /// docs for what is and is not included). This is the one place the
+    /// engine's state maps onto the snapshot layout.
+    pub(crate) fn capture(engine: &'a Grid3Engine) -> Self {
+        assert!(
+            engine.ctx.immediates.is_empty(),
+            "snapshot mid-dispatch: immediates must be drained"
+        );
+        let fabric = &engine.fabric;
+        EngineSnapshot {
+            version: SNAPSHOT_VERSION,
+            cfg: Cow::Borrowed(&fabric.cfg),
+            queue: Cow::Borrowed(&engine.ctx.queue),
+            broker_rng: engine.ctx.broker_rng.clone(),
+            fate_rng: engine.ctx.fate_rng.clone(),
+            traces: Cow::Borrowed(&engine.ctx.traces),
+            sites: Cow::Borrowed(&fabric.sites),
+            gatekeepers: Cow::Borrowed(&fabric.gatekeepers),
+            gridftp: Cow::Borrowed(&fabric.gridftp),
+            rls: Cow::Borrowed(&fabric.rls),
+            center: fabric.center.capture(),
+            voms: Cow::Borrowed(&fabric.voms),
+            ca: Cow::Borrowed(&fabric.ca),
+            resilience: fabric.resilience.as_ref().map(Cow::Borrowed),
+            job_gauge: fabric.job_gauge.clone(),
+            jobs: Cow::Borrowed(&fabric.jobs),
+            job_ids: fabric.job_ids.clone(),
+            transfer_purpose: Cow::Borrowed(&fabric.transfer_purpose),
+            chaos: Cow::Borrowed(&fabric.chaos),
+            federation: fabric.federation.capture(),
+            brokering: engine.brokering.capture(),
+            staging: Cow::Borrowed(&engine.staging),
+            fault: Cow::Borrowed(&engine.fault),
+            reporting: engine.reporting.capture(),
+            auditor: engine.auditor.as_ref().map(Cow::Borrowed),
+        }
+    }
+
+    /// A snapshot that owns every part, cloning what this one borrows.
+    pub(crate) fn into_owned(self) -> EngineSnapshot<'static> {
+        EngineSnapshot {
+            version: self.version,
+            cfg: owned(self.cfg),
+            queue: owned(self.queue),
+            broker_rng: self.broker_rng,
+            fate_rng: self.fate_rng,
+            traces: owned(self.traces),
+            sites: owned(self.sites),
+            gatekeepers: owned(self.gatekeepers),
+            gridftp: owned(self.gridftp),
+            rls: owned(self.rls),
+            center: self.center.into_owned(),
+            voms: owned(self.voms),
+            ca: owned(self.ca),
+            resilience: self.resilience.map(owned),
+            job_gauge: self.job_gauge,
+            jobs: owned(self.jobs),
+            job_ids: self.job_ids,
+            transfer_purpose: owned(self.transfer_purpose),
+            chaos: owned(self.chaos),
+            federation: self.federation.into_owned(),
+            brokering: self.brokering.into_owned(),
+            staging: owned(self.staging),
+            fault: owned(self.fault),
+            reporting: self.reporting.into_owned(),
+            auditor: self.auditor.map(owned),
+        }
     }
 }
 
 /// Rebuild a runnable engine from a snapshot: re-assemble the scenario
 /// (reconstructing everything configuration-derived), then overlay the
 /// captured run state and re-attach process-local telemetry handles.
-pub(crate) fn restore_engine(snap: EngineSnapshot) -> Grid3Engine {
-    let mut engine = crate::subsystems::assembly::assemble(snap.cfg);
+pub(crate) fn restore_engine(snap: EngineSnapshot<'_>) -> Grid3Engine {
+    let mut engine = crate::subsystems::assembly::assemble(snap.cfg.into_owned());
     let tele = engine.ctx.telemetry.clone();
-    engine.ctx.queue = snap.queue;
+    engine.ctx.queue = snap.queue.into_owned();
     engine.ctx.broker_rng = snap.broker_rng;
     engine.ctx.fate_rng = snap.fate_rng;
-    engine.ctx.traces = snap.traces;
+    engine.ctx.traces = snap.traces.into_owned();
 
     let fabric = &mut engine.fabric;
-    fabric.sites = snap.sites;
+    fabric.sites = snap.sites.into_owned();
     for site in fabric.sites.iter_mut() {
         site.scheduler
             .set_telemetry(tele.clone(), format!("site{}", site.id.0));
     }
-    fabric.gatekeepers = snap.gatekeepers;
+    fabric.gatekeepers = snap.gatekeepers.into_owned();
     for gk in fabric.gatekeepers.iter_mut() {
         gk.set_telemetry(tele.clone());
     }
-    fabric.gridftp = snap.gridftp;
+    fabric.gridftp = snap.gridftp.into_owned();
     fabric.gridftp.set_telemetry(tele.clone());
-    fabric.rls = snap.rls;
+    fabric.rls = snap.rls.into_owned();
     fabric.rls.set_telemetry(tele.clone());
     fabric.center.apply(snap.center);
     fabric.center.mds.set_telemetry(tele.clone());
-    fabric.voms = snap.voms;
-    fabric.ca = snap.ca;
-    fabric.resilience = snap.resilience;
+    fabric.voms = snap.voms.into_owned();
+    fabric.ca = snap.ca.into_owned();
+    fabric.resilience = snap.resilience.map(Cow::into_owned);
     fabric.job_gauge = snap.job_gauge;
-    fabric.jobs = snap.jobs;
+    fabric.jobs = snap.jobs.into_owned();
     fabric.job_ids = snap.job_ids;
-    fabric.transfer_purpose = snap.transfer_purpose;
-    fabric.chaos = snap.chaos;
+    fabric.transfer_purpose = snap.transfer_purpose.into_owned();
+    fabric.chaos = snap.chaos.into_owned();
     fabric.federation.apply(snap.federation);
 
     engine.brokering.apply(snap.brokering, &tele);
-    engine.staging = snap.staging;
-    engine.fault = snap.fault;
+    engine.staging = snap.staging.into_owned();
+    engine.fault = snap.fault.into_owned();
     engine.reporting.apply(snap.reporting);
-    engine.auditor = snap.auditor;
+    engine.auditor = snap.auditor.map(Cow::into_owned);
     engine
 }
 

@@ -10,6 +10,8 @@
 //! [`BrokeringEvent::CampaignOutcome`] events emitted by the fabric's
 //! terminal funnel.
 
+use std::borrow::Cow;
+
 use crate::broker::{Broker, SelectScratch, SiteTable};
 use grid3_apps::workloads::Submission;
 use grid3_middleware::backend::RankInputs;
@@ -133,16 +135,16 @@ impl Brokering {
     /// the table re-memoises from the restored MDS on first access (same
     /// epoch key, same content), and the counter re-registers on first
     /// use.
-    pub(crate) fn capture(&self) -> BrokeringCapture {
+    pub(crate) fn capture(&self) -> BrokeringCapture<'_> {
         BrokeringCapture {
             arrivals_delivered: self.arrivals_delivered,
-            broker: self.broker.clone(),
-            retry_state: self.retry_state.clone(),
+            broker: Cow::Borrowed(&self.broker),
+            retry_state: Cow::Borrowed(&self.retry_state),
             unplaced_jobs: self.unplaced_jobs,
-            campaigns: self.campaigns.clone(),
-            campaign_job_map: self.campaign_job_map.clone(),
-            campaign_hold: self.campaign_hold.clone(),
-            campaign_rescues: self.campaign_rescues.clone(),
+            campaigns: Cow::Borrowed(&self.campaigns),
+            campaign_job_map: Cow::Borrowed(&self.campaign_job_map),
+            campaign_hold: Cow::Borrowed(&self.campaign_hold),
+            campaign_rescues: Cow::Borrowed(&self.campaign_rescues),
         }
     }
 
@@ -152,7 +154,7 @@ impl Brokering {
     /// here.
     pub(crate) fn apply(
         &mut self,
-        cap: BrokeringCapture,
+        cap: BrokeringCapture<'_>,
         telemetry: &grid3_simkit::telemetry::Telemetry,
     ) {
         let undelivered = self
@@ -162,16 +164,16 @@ impl Brokering {
         self.arrivals.truncate(undelivered);
         self.arrivals.shrink_to_fit();
         self.arrivals_delivered = cap.arrivals_delivered;
-        self.broker = cap.broker;
-        self.retry_state = cap.retry_state;
+        self.broker = cap.broker.into_owned();
+        self.retry_state = cap.retry_state.into_owned();
         self.unplaced_jobs = cap.unplaced_jobs;
-        self.campaigns = cap.campaigns;
+        self.campaigns = cap.campaigns.into_owned();
         for (_, mgr) in &mut self.campaigns {
             mgr.set_telemetry(telemetry.clone());
         }
-        self.campaign_job_map = cap.campaign_job_map;
-        self.campaign_hold = cap.campaign_hold;
-        self.campaign_rescues = cap.campaign_rescues;
+        self.campaign_job_map = cap.campaign_job_map.into_owned();
+        self.campaign_hold = cap.campaign_hold.into_owned();
+        self.campaign_rescues = cap.campaign_rescues.into_owned();
     }
 
     /// Per-campaign progress: `(dataset, state, done, total)`.
@@ -414,6 +416,9 @@ impl Brokering {
             let scratch = spec.input_bytes + spec.scratch_bytes;
             let fail_disk_full = |fabric: &mut GridFabric, ctx: &mut EngineCtx, job| {
                 fabric.gatekeepers[site.index()].job_done(job).ok();
+                ctx.traces.record(job, now, TraceEvent::GatekeeperAccepted);
+                ctx.traces
+                    .record(job, now, TraceEvent::Failed(FailureCause::DiskFull));
                 fabric.finish_job_record(
                     ctx,
                     now,
@@ -725,17 +730,34 @@ impl Brokering {
 }
 
 /// The run-mutated slice of [`Brokering`] carried by engine snapshots
-/// (see [`Brokering::capture`]).
+/// (see [`Brokering::capture`]), borrowed from the live subsystem or
+/// owned once decoded.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
-pub(crate) struct BrokeringCapture {
+pub(crate) struct BrokeringCapture<'a> {
     arrivals_delivered: u64,
-    broker: Broker,
-    retry_state: FastMap<JobId, (JobSpec, f64, u32)>,
+    broker: Cow<'a, Broker>,
+    retry_state: Cow<'a, FastMap<JobId, (JobSpec, f64, u32)>>,
     unplaced_jobs: u64,
-    campaigns: Vec<(String, DagManager<CmsTask>)>,
-    campaign_job_map: FastMap<JobId, (usize, DagNodeId)>,
-    campaign_hold: FastMap<(usize, DagNodeId), SimTime>,
-    campaign_rescues: FastMap<usize, u32>,
+    campaigns: Cow<'a, [(String, DagManager<CmsTask>)]>,
+    campaign_job_map: Cow<'a, FastMap<JobId, (usize, DagNodeId)>>,
+    campaign_hold: Cow<'a, FastMap<(usize, DagNodeId), SimTime>>,
+    campaign_rescues: Cow<'a, FastMap<usize, u32>>,
+}
+
+impl BrokeringCapture<'_> {
+    /// A capture that owns its parts, cloning what this one borrows.
+    pub(crate) fn into_owned(self) -> BrokeringCapture<'static> {
+        BrokeringCapture {
+            arrivals_delivered: self.arrivals_delivered,
+            broker: Cow::Owned(self.broker.into_owned()),
+            retry_state: Cow::Owned(self.retry_state.into_owned()),
+            unplaced_jobs: self.unplaced_jobs,
+            campaigns: Cow::Owned(self.campaigns.into_owned()),
+            campaign_job_map: Cow::Owned(self.campaign_job_map.into_owned()),
+            campaign_hold: Cow::Owned(self.campaign_hold.into_owned()),
+            campaign_rescues: Cow::Owned(self.campaign_rescues.into_owned()),
+        }
+    }
 }
 
 impl Subsystem for Brokering {

@@ -7,6 +7,8 @@
 //! bytes arrive as immediate events from the terminal funnel, never as
 //! direct writes from another subsystem.
 
+use std::borrow::Cow;
+
 use grid3_monitoring::acdc::AcdcJobMonitor;
 use grid3_monitoring::framework::{MetricEvent, MetricSink};
 use grid3_monitoring::ganglia::GangliaAgent;
@@ -119,12 +121,12 @@ impl Reporting {
         }
     }
 
-    /// Clone the run-mutated accounting state for an engine snapshot.
+    /// Borrow the run-mutated accounting state for an engine snapshot.
     /// `metric_buf` is per-tick scratch and restores empty.
-    pub(crate) fn capture(&self) -> ReportingCapture {
+    pub(crate) fn capture(&self) -> ReportingCapture<'_> {
         ReportingCapture {
-            acdc: self.acdc.clone(),
-            viewer: self.viewer.clone(),
+            acdc: Cow::Borrowed(&self.acdc),
+            viewer: Cow::Borrowed(&self.viewer),
             bytes_delivered: self.bytes_delivered,
             ticks: self.ticks,
         }
@@ -132,9 +134,9 @@ impl Reporting {
 
     /// Overlay a captured accounting state onto a freshly assembled
     /// subsystem.
-    pub(crate) fn apply(&mut self, cap: ReportingCapture) {
-        self.acdc = cap.acdc;
-        self.viewer = cap.viewer;
+    pub(crate) fn apply(&mut self, cap: ReportingCapture<'_>) {
+        self.acdc = cap.acdc.into_owned();
+        self.viewer = cap.viewer.into_owned();
         self.bytes_delivered = cap.bytes_delivered;
         self.ticks = cap.ticks;
     }
@@ -155,13 +157,26 @@ impl Reporting {
 }
 
 /// The run-mutated slice of [`Reporting`] carried by engine snapshots
-/// (see [`Reporting::capture`]).
+/// (see [`Reporting::capture`]), borrowed from the live subsystem or
+/// owned once decoded.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
-pub(crate) struct ReportingCapture {
-    acdc: AcdcJobMonitor,
-    viewer: MdViewer,
+pub(crate) struct ReportingCapture<'a> {
+    acdc: Cow<'a, AcdcJobMonitor>,
+    viewer: Cow<'a, MdViewer>,
     bytes_delivered: Bytes,
     ticks: u64,
+}
+
+impl ReportingCapture<'_> {
+    /// A capture that owns its parts, cloning what this one borrows.
+    pub(crate) fn into_owned(self) -> ReportingCapture<'static> {
+        ReportingCapture {
+            acdc: Cow::Owned(self.acdc.into_owned()),
+            viewer: Cow::Owned(self.viewer.into_owned()),
+            bytes_delivered: self.bytes_delivered,
+            ticks: self.ticks,
+        }
+    }
 }
 
 impl Subsystem for Reporting {

@@ -7,6 +7,8 @@
 //! flow (§5.1 install → certify → register), and escalates repeated
 //! status-probe failures into trouble tickets.
 
+use std::borrow::Cow;
+
 use crate::policy::AcceptableUsePolicy;
 use crate::tickets::{TicketKind, TicketSystem};
 use grid3_middleware::mds::{GiisIndex, GlueRecord, MdsDirectory};
@@ -52,23 +54,39 @@ pub struct OperationsCenter {
 /// The run-mutated slice of the center carried by engine snapshots:
 /// every service that accumulates state during a run. The Pacman cache,
 /// install pipeline and AUP are static configuration rebuilt from the
-/// scenario (see [`OperationsCenter::capture`]).
+/// scenario (see [`OperationsCenter::capture`]). A capture borrows the
+/// live services; a decoded one owns them.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
-pub struct CenterCapture {
+pub struct CenterCapture<'a> {
     /// Top-level MDS index.
-    pub mds: MdsDirectory,
+    pub mds: Cow<'a, MdsDirectory>,
     /// Per-VO GIIS indexes.
-    pub giis: Vec<GiisIndex>,
+    pub giis: Cow<'a, [GiisIndex]>,
     /// The Site Status Catalog.
-    pub status_catalog: SiteStatusCatalog,
+    pub status_catalog: Cow<'a, SiteStatusCatalog>,
     /// MonALISA central repository.
-    pub monalisa: MonAlisaRepository,
+    pub monalisa: Cow<'a, MonAlisaRepository>,
     /// Central Ganglia web frontend.
-    pub ganglia_web: GangliaWeb,
+    pub ganglia_web: Cow<'a, GangliaWeb>,
     /// NetLogger archive.
-    pub netlogger: NetLoggerArchive,
+    pub netlogger: Cow<'a, NetLoggerArchive>,
     /// Trouble tickets.
-    pub tickets: TicketSystem,
+    pub tickets: Cow<'a, TicketSystem>,
+}
+
+impl CenterCapture<'_> {
+    /// A capture that owns every service, cloning what this one borrows.
+    pub fn into_owned(self) -> CenterCapture<'static> {
+        CenterCapture {
+            mds: Cow::Owned(self.mds.into_owned()),
+            giis: Cow::Owned(self.giis.into_owned()),
+            status_catalog: Cow::Owned(self.status_catalog.into_owned()),
+            monalisa: Cow::Owned(self.monalisa.into_owned()),
+            ganglia_web: Cow::Owned(self.ganglia_web.into_owned()),
+            netlogger: Cow::Owned(self.netlogger.into_owned()),
+            tickets: Cow::Owned(self.tickets.into_owned()),
+        }
+    }
 }
 
 /// Result of onboarding one site.
@@ -105,28 +123,28 @@ impl OperationsCenter {
         Self::new(InstallPipeline::grid3_default())
     }
 
-    /// Clone the run-mutated service state for an engine snapshot.
-    pub fn capture(&self) -> CenterCapture {
+    /// Borrow the run-mutated service state for an engine snapshot.
+    pub fn capture(&self) -> CenterCapture<'_> {
         CenterCapture {
-            mds: self.mds.clone(),
-            giis: self.giis.clone(),
-            status_catalog: self.status_catalog.clone(),
-            monalisa: self.monalisa.clone(),
-            ganglia_web: self.ganglia_web.clone(),
-            netlogger: self.netlogger.clone(),
-            tickets: self.tickets.clone(),
+            mds: Cow::Borrowed(&self.mds),
+            giis: Cow::Borrowed(&self.giis),
+            status_catalog: Cow::Borrowed(&self.status_catalog),
+            monalisa: Cow::Borrowed(&self.monalisa),
+            ganglia_web: Cow::Borrowed(&self.ganglia_web),
+            netlogger: Cow::Borrowed(&self.netlogger),
+            tickets: Cow::Borrowed(&self.tickets),
         }
     }
 
     /// Overlay a captured service state onto a freshly built center.
-    pub fn apply(&mut self, cap: CenterCapture) {
-        self.mds = cap.mds;
-        self.giis = cap.giis;
-        self.status_catalog = cap.status_catalog;
-        self.monalisa = cap.monalisa;
-        self.ganglia_web = cap.ganglia_web;
-        self.netlogger = cap.netlogger;
-        self.tickets = cap.tickets;
+    pub fn apply(&mut self, cap: CenterCapture<'_>) {
+        self.mds = cap.mds.into_owned();
+        self.giis = cap.giis.into_owned();
+        self.status_catalog = cap.status_catalog.into_owned();
+        self.monalisa = cap.monalisa.into_owned();
+        self.ganglia_web = cap.ganglia_web.into_owned();
+        self.netlogger = cap.netlogger.into_owned();
+        self.tickets = cap.tickets.into_owned();
     }
 
     /// Onboard a site per §5.1: pull the `grid3` package from the Pacman

@@ -118,7 +118,7 @@ impl serde::Deserialize for SimRng {
 }
 
 impl serde::Encode for SimRng {
-    fn encode(&self, out: &mut Vec<u8>) {
+    fn encode<S: serde::Sink + ?Sized>(&self, out: &mut S) {
         self.inner.state().encode(out);
     }
 }

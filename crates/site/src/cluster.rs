@@ -302,16 +302,15 @@ impl Site {
 
     /// Kill every running job (service crash / rollover). Slots free up
     /// immediately; returns the killed bookings for failure accounting.
+    /// Jobs are released in job-id order: each release adds to its VO's
+    /// `f64` fair-share usage, whose low bits depend on the order of the
+    /// additions, and the running map's order depends on the process.
     pub(crate) fn kill_all_running(&mut self, now: SimTime) -> Vec<RunningJob> {
-        let jobs: Vec<JobId> = self.running.keys().copied().collect();
-        let mut killed = Vec::with_capacity(jobs.len());
-        for j in jobs {
-            if let Some(b) = self.release(j, now) {
-                killed.push(b);
-            }
-        }
-        killed.sort_by_key(|b| b.job);
-        killed
+        let mut jobs: Vec<JobId> = self.running.keys().copied().collect();
+        jobs.sort_unstable();
+        jobs.into_iter()
+            .filter_map(|j| self.release(j, now))
+            .collect()
     }
 
     /// Drain the batch queue (site-wide failure). Returns the queued jobs.
@@ -485,6 +484,22 @@ mod tests {
         // Kill order is deterministic (sorted by job id).
         let ids: Vec<u32> = killed.iter().map(|b| b.job.0).collect();
         assert_eq!(ids, vec![0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn kill_all_running_charges_usage_in_job_id_order() {
+        // Charges of 0.1, 0.2 and 0.3 CPU-seconds sum to different f64s
+        // in different orders; the kill must add them in job-id order.
+        let kill = SimTime::from_secs_f64(3600.0);
+        let mut s = Site::new(SiteId(0), profile(3));
+        for (id, secs) in [(1, 0.1), (2, 0.2), (3, 0.3)] {
+            s.enqueue(qj(id, Vo::Uscms, 4));
+            s.dispatch(SimTime::from_secs_f64(3600.0 - secs), &mut Vec::new());
+        }
+        let by_id = (0.1 + 0.2) + 0.3;
+        assert_ne!(by_id, (0.3 + 0.2) + 0.1, "the sum is order-sensitive");
+        assert_eq!(s.kill_all_running(kill).len(), 3);
+        assert_eq!(s.scheduler.usage_of(Vo::Uscms), by_id);
     }
 
     #[test]

@@ -92,6 +92,36 @@ fn resume_after_interruption_skips_finished_runs_and_matches_uninterrupted() {
 }
 
 #[test]
+fn a_journal_in_reverse_plan_order_resumes_to_identical_bands() {
+    // Workers journal runs as they finish, so a journal's records need
+    // not follow the plan: here the last two runs finished, the later
+    // one first. Replay is keyed by index, and the two runs left run on
+    // the pool; the bands match the serial reference byte for byte.
+    let plan = tiny_plan();
+    let serial = run_with_threads(&plan, 1);
+    let dir = scratch("reverse");
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let (mut journal, _) =
+        CampaignJournal::open(&dir.join("campaign.wal"), plan_fingerprint(&plan))
+            .expect("fresh journal");
+    for (index, report) in serial.reports[1].iter().enumerate().rev() {
+        journal
+            .append(&WalRecord::Finished {
+                index: (serial.reports[0].len() + index) as u64,
+                report: report.clone(),
+                profile: None,
+            })
+            .expect("append");
+    }
+    drop(journal);
+    let resumed = run_campaign_resumable(&plan, &ResumableOptions::new(&dir)).expect("resume runs");
+    assert_eq!(resumed.replayed, serial.reports[1].len());
+    assert!(resumed.failures.is_empty());
+    assert_eq!(summary_json(&resumed.outcome), summary_json(&serial));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn resume_warm_starts_an_interrupted_run_from_its_checkpoint() {
     let plan = CampaignPlan::single("base", tiny(), vec![1, 2]);
     let serial = run_with_threads(&plan, 1);
@@ -149,14 +179,27 @@ fn a_stale_checkpoint_from_a_different_config_degrades_to_a_cold_start() {
 #[test]
 fn checkpointed_campaign_is_byte_identical_to_plain_serial() {
     // Checkpointing (run_until stepping + mid-run snapshots) must be
-    // observation-only: same bands as the uninterrupted executor.
-    let plan = CampaignPlan::single("base", tiny(), vec![7]);
+    // observation-only: same bands as the uninterrupted executor. Runs
+    // checkpoint side by side, and each one's checkpoint goes once its
+    // journal record is synced: none is left behind.
+    let plan = CampaignPlan::single("base", tiny(), vec![7, 8]);
     let dir = scratch("ckpt");
     let opts = ResumableOptions::new(&dir)
         .with_checkpoint_every(grid3_simkit::time::SimDuration::from_days(2));
     let resumable = run_campaign_resumable(&plan, &opts).expect("campaign runs");
     let serial = run_with_threads(&plan, 1);
     assert_eq!(summary_json(&resumable.outcome), summary_json(&serial));
+    let left: Vec<String> = std::fs::read_dir(&dir)
+        .expect("campaign dir")
+        .map(|e| {
+            e.expect("dir entry")
+                .file_name()
+                .to_string_lossy()
+                .into_owned()
+        })
+        .filter(|name| name != "campaign.wal")
+        .collect();
+    assert!(left.is_empty(), "left behind: {left:?}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -173,10 +216,26 @@ fn over_budget_runs_fail_typed_and_the_campaign_completes_then_recovers() {
     )
     .expect("campaign completes despite failures");
     assert_eq!(strangled.failures.len(), plan.len());
-    for f in &strangled.failures {
+    for (i, f) in strangled.failures.iter().enumerate() {
+        assert_eq!(f.index, i, "failures come back in plan order");
         assert!(matches!(f.failure, RunFailure::TimedOut { .. }), "{f:?}");
     }
     assert_eq!(strangled.outcome.summary.runs, 0);
+    // The journal holds exactly one Failed record per run, in whatever
+    // order the workers finished.
+    let (journal, records) =
+        CampaignJournal::open(&dir.join("campaign.wal"), plan_fingerprint(&plan))
+            .expect("journal reopens");
+    drop(journal);
+    let mut failed: Vec<u64> = records
+        .iter()
+        .map(|rec| match rec {
+            WalRecord::Failed { index, .. } => *index,
+            other => panic!("unexpected record {other:?}"),
+        })
+        .collect();
+    failed.sort_unstable();
+    assert_eq!(failed, (0..plan.len() as u64).collect::<Vec<_>>());
     // Failed runs re-execute on resume: with a sane budget the same
     // directory recovers to the uninterrupted bands.
     let recovered = run_campaign_resumable(

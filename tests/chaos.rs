@@ -119,15 +119,22 @@ fn disk_exhaustion_opens_pressure_tickets_and_recovers() {
     // Exhaust storage at several sites with far more external data than
     // the disks hold: the shortfall must surface as DiskPressure tickets
     // (not vanish), cleanup must reclaim the space, and the run must
-    // still drain clean.
-    let faults: Vec<PlannedFault> = (0..6)
-        .map(|s| PlannedFault {
-            at: SimTime::from_days(1) + SimDuration::from_hours(u64::from(s)),
-            kind: FaultKind::DiskExhaustion {
-                site: grid3_sim::simkit::ids::SiteId(s),
-                external_bytes: Bytes::from_tb(500),
-                cleanup_after: SimDuration::from_hours(8),
-            },
+    // still drain clean. Each fill lands a minute after a monitor tick,
+    // so the broker's MDS view of the site stays stale for most of the
+    // two-hour interval and keeps sending it jobs whose stage-in bounces
+    // off the full disk; a bounce schedules a cleanup sweep.
+    let faults: Vec<PlannedFault> = (1..=8u64)
+        .flat_map(|day| {
+            (0..6u32).map(move |s| PlannedFault {
+                at: SimTime::from_days(day)
+                    + SimDuration::from_hours(2 * u64::from(s))
+                    + SimDuration::from_mins(1),
+                kind: FaultKind::DiskExhaustion {
+                    site: grid3_sim::simkit::ids::SiteId(s),
+                    external_bytes: Bytes::from_tb(500),
+                    cleanup_after: SimDuration::from_hours(8),
+                },
+            })
         })
         .collect();
     let cfg = ScenarioConfig::sc2003()
@@ -135,6 +142,7 @@ fn disk_exhaustion_opens_pressure_tickets_and_recovers() {
         .with_scale(0.02)
         .with_demo(false)
         .with_seed(17)
+        .with_telemetry(true)
         .with_audit(true)
         .with_chaos(FaultPlan::new(faults));
     let (sim, _) = run_audited(cfg);
@@ -148,6 +156,10 @@ fn disk_exhaustion_opens_pressure_tickets_and_recovers() {
     assert!(
         pressure > 0,
         "500 TB into a site SE must leave a recorded shortfall ticket"
+    );
+    assert!(
+        sim.telemetry().counter_total("chaos", "cleanup_scheduled") > 0,
+        "no stage-in bounced off a full disk"
     );
     // Cleanup reclaimed the external fill: no site ends the run with its
     // storage pinned full.
@@ -211,10 +223,13 @@ fn rescue_dags_rearm_permanently_failed_campaigns() {
 fn transfer_truncation_resumes_and_still_balances() {
     // Cut in-flight transfers repeatedly over the window, half of them
     // with corrupt partials. Resumed transfers must re-deliver the data:
-    // the run drains with zero violations and jobs still complete.
-    let faults: Vec<PlannedFault> = (0..48)
+    // the run drains with zero violations and jobs still complete. At 2 %
+    // scale a job transfer is in flight at only a few instants of the
+    // window, so a cut is planned every ten minutes from day 1 on; the
+    // rest fizzle.
+    let faults: Vec<PlannedFault> = (0..9 * 24 * 6)
         .map(|i| PlannedFault {
-            at: SimTime::from_days(1) + SimDuration::from_hours(4 * i),
+            at: SimTime::from_days(1) + SimDuration::from_mins(10 * i),
             kind: FaultKind::TransferTruncation {
                 corrupt: i % 2 == 0,
             },
@@ -225,12 +240,18 @@ fn transfer_truncation_resumes_and_still_balances() {
         .with_scale(0.02)
         .with_demo(false)
         .with_seed(23)
+        .with_telemetry(true)
         .with_audit(true)
         .with_chaos(FaultPlan::new(faults));
     let (sim, report) = run_audited(cfg);
     let (completed, _) = sim.audit().unwrap().ledger();
     assert!(completed > 0, "nothing completed under truncation chaos");
     assert!(report.total_jobs > 0);
+    let t = sim.telemetry();
+    let cuts =
+        t.counter("chaos", "truncated_corrupt", "") + t.counter("chaos", "truncated_resumed", "");
+    assert!(cuts > 0, "no transfer was in flight at any planned cut");
+    assert_eq!(cuts, t.counter_total("gridftp", "truncated"));
 }
 
 #[test]

@@ -3,6 +3,7 @@
 //! nightly rollover.
 
 use grid3_sim::core::{Grid3Engine, ScenarioConfig};
+use grid3_sim::monitoring::trace::{SubmitSideId, TraceEvent};
 use grid3_sim::pacman::install::InstallPipeline;
 use grid3_sim::simkit::rng::SimRng;
 use grid3_sim::simkit::time::{SimDuration, SimTime};
@@ -45,6 +46,38 @@ fn srm_reservations_prevent_mid_flight_storage_deaths() {
     );
     // And overall efficiency does not get worse.
     assert!(srm.acdc().overall_efficiency() >= grid3.acdc().overall_efficiency() - 0.02);
+}
+
+#[test]
+fn srm_reservation_failures_end_their_traces() {
+    // A job whose SRM reservation fails is refused at the gatekeeper with
+    // a DiskFull record; its trace must end there too, so every ACDC
+    // record has a terminal trace once the run drains.
+    let mut sim = Grid3Engine::new(
+        ScenarioConfig::sc2003()
+            .with_scale(0.05)
+            .with_seed(2003)
+            .with_srm(true),
+    );
+    sim.run_until_idle();
+    let traces = sim.traces();
+    let traces: Vec<_> = (0..traces.len() as u64)
+        .filter_map(|n| traces.find_by_submit_id(SubmitSideId(n)))
+        .collect();
+    let terminal = traces.iter().filter(|t| t.is_terminal()).count() as u64;
+    assert_eq!(terminal, sim.acdc().total_records());
+    // Reservation failures: DiskFull without a stage-in ever starting.
+    let refused = traces
+        .iter()
+        .filter(|t| {
+            t.last_event().map(|(_, e)| *e) == Some(TraceEvent::Failed(FailureCause::DiskFull))
+                && !t
+                    .events
+                    .iter()
+                    .any(|(_, e)| matches!(e, TraceEvent::StageInStarted { .. }))
+        })
+        .count();
+    assert!(refused > 0, "no SRM reservation failed");
 }
 
 #[test]

@@ -148,3 +148,33 @@ fn snapshot_files_round_trip_and_fail_closed_on_corruption() {
     );
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Both file writers stream the payload behind a zero checksum and patch
+/// the checksum in: the checkpoint written straight from the live engine
+/// and `write_to` of an owned snapshot must each hold exactly the bytes
+/// `to_bytes` builds in memory, at two cuts of every golden.
+#[test]
+fn streamed_snapshot_files_equal_the_in_memory_encoding() {
+    let dir = std::env::temp_dir().join(format!("grid3-snap-stream-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let (live, owned) = (dir.join("live.snap"), dir.join("owned.snap"));
+    for &(scenario, seed, _) in GOLDEN {
+        let cfg = config(scenario, seed);
+        let span = cfg.horizon().since(SimTime::EPOCH).as_secs_f64();
+        let mut engine = Grid3Engine::new(cfg);
+        for frac in [0.3, 0.7] {
+            engine.run_until(SimTime::EPOCH + SimDuration::from_secs_f64(span * frac));
+            let want = engine.snapshot().to_bytes();
+            engine.write_snapshot(&live).expect("checkpoint writes");
+            engine.snapshot().write_to(&owned).expect("snapshot writes");
+            for path in [&live, &owned] {
+                assert!(
+                    std::fs::read(path).expect("read back") == want,
+                    "{scenario}/seed {seed} at {frac}: {} differs from to_bytes",
+                    path.display()
+                );
+            }
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
