@@ -91,8 +91,10 @@ use std::path::Path;
 /// the checkpointed state nothing read (the job gauge's time integral,
 /// the gatekeeper peak load, the GridFTP log switch, the scheduler's
 /// constant shares and long-job cap, the replica catalogs' physical file
-/// names).
-pub(crate) const SNAPSHOT_VERSION: u32 = 4;
+/// names); version 5 carries the MonALISA repository as one ring per
+/// row without per-series geometry, the Ganglia summaries and status
+/// catalog as site-indexed rows, and storage files in id order.
+pub(crate) const SNAPSHOT_VERSION: u32 = 5;
 
 /// File magic: "G3ENGSNP".
 const MAGIC: [u8; 8] = *b"G3ENGSNP";
@@ -458,6 +460,7 @@ pub(crate) fn restore_engine(snap: EngineSnapshot<'_>) -> Grid3Engine {
     fabric.resilience = snap.resilience.map(Cow::into_owned);
     fabric.job_gauge = snap.job_gauge;
     fabric.jobs = snap.jobs.into_owned();
+    fabric.rebuild_staging_in();
     fabric.job_ids = snap.job_ids;
     fabric.transfer_purpose = snap.transfer_purpose.into_owned();
     fabric.chaos = snap.chaos.into_owned();

@@ -420,6 +420,7 @@ pub(crate) fn assemble_on(cfg: ScenarioConfig, mut queue: EventQueue<GridEvent>)
         resilience,
         cfg,
         topo,
+        staging_in: vec![Vec::new(); sites.len()],
         sites,
         gatekeepers,
         gridftp,

@@ -459,7 +459,7 @@ impl Brokering {
         // Evaluated before `spec` moves into the job record: whether a
         // stage-in that cannot start re-brokers or dies.
         let stage_in_retry = Self::can_retry(fabric, &spec, attempt);
-        fabric.jobs.insert(
+        fabric.start_job(
             job,
             ActiveJob {
                 spec,
@@ -611,7 +611,7 @@ impl Brokering {
         affinity: f64,
         attempt: u32,
     ) {
-        let Some(j) = fabric.jobs.remove(&job) else {
+        let Some(j) = fabric.remove_job(job) else {
             return;
         };
         fabric.release_job_resources(&j, job);

@@ -136,7 +136,14 @@ pub struct GridFabric {
     /// Concurrent-running-jobs gauge (§7 peak metric).
     pub job_gauge: GaugeTracker,
     /// Jobs in flight, from gatekeeper acceptance to terminal record.
+    /// Admit and retire them through `GridFabric::start_job` and
+    /// `GridFabric::remove_job`, which keep `staging_in` in step.
     pub jobs: FastMap<JobId, ActiveJob>,
+    /// The jobs of `jobs` in [`Phase::StagingIn`], per site (indexed by
+    /// `SiteId`, unordered), so an incident kills a site's stage-ins
+    /// without scanning every active job. Derived from `jobs`: rebuilt
+    /// on restore, never captured.
+    pub(crate) staging_in: Vec<Vec<JobId>>,
     /// Grid-wide job id allocator.
     pub job_ids: JobIdGen,
     /// What each in-flight GridFTP transfer is for.
@@ -157,8 +164,7 @@ impl GridFabric {
     /// Ship the GridFTP NetLogger event stream to the iGOC archive
     /// (§4.7's central collection point).
     pub(crate) fn drain_netlogger(&mut self) {
-        let events = self.gridftp.drain_log();
-        self.center.netlogger.ingest_all(events.iter());
+        self.center.netlogger.ingest_all(self.gridftp.drain_log());
     }
 
     /// Sync the federation-level directory from each member grid's
@@ -184,7 +190,42 @@ impl GridFabric {
         }
     }
 
-    /// Kill staging/queued (not running) jobs at a site.
+    /// Admit a placed job, which starts out staging in.
+    pub(crate) fn start_job(&mut self, job: JobId, active: ActiveJob) {
+        debug_assert_eq!(active.phase, Phase::StagingIn);
+        self.staging_in[active.site.index()].push(job);
+        self.jobs.insert(job, active);
+    }
+
+    /// Take a job out of the active table.
+    pub(crate) fn remove_job(&mut self, job: JobId) -> Option<ActiveJob> {
+        let j = self.jobs.remove(&job)?;
+        if j.phase == Phase::StagingIn {
+            self.end_stage_in(j.site, job);
+        }
+        Some(j)
+    }
+
+    /// Drop `job` from `site`'s staging-in jobs: its phase moved on.
+    pub(crate) fn end_stage_in(&mut self, site: SiteId, job: JobId) {
+        let jobs = &mut self.staging_in[site.index()];
+        if let Some(at) = jobs.iter().position(|&j| j == job) {
+            jobs.swap_remove(at);
+        }
+    }
+
+    /// Rebuild `staging_in` from the job table (after a restore).
+    pub(crate) fn rebuild_staging_in(&mut self) {
+        self.staging_in.iter_mut().for_each(Vec::clear);
+        for (&job, j) in &self.jobs {
+            if j.phase == Phase::StagingIn {
+                self.staging_in[j.site.index()].push(job);
+            }
+        }
+    }
+
+    /// Kill staging/queued (not running) jobs at a site: the queued ones
+    /// in queue order, then the staging ones in `JobId` order.
     pub(crate) fn kill_non_running(
         &mut self,
         ctx: &mut EngineCtx,
@@ -196,13 +237,22 @@ impl GridFabric {
         for qj in queued {
             self.fail_active_job(ctx, now, qj.job, cause);
         }
-        let mut staging: Vec<JobId> = self
-            .jobs
-            .iter()
-            .filter(|(_, j)| j.site == site && j.phase == Phase::StagingIn)
-            .map(|(id, _)| *id)
-            .collect();
-        staging.sort();
+        let mut staging = std::mem::take(&mut self.staging_in[site.index()]);
+        staging.sort_unstable();
+        debug_assert_eq!(
+            staging,
+            {
+                let mut scan: Vec<JobId> = self
+                    .jobs
+                    .iter()
+                    .filter(|(_, j)| j.site == site && j.phase == Phase::StagingIn)
+                    .map(|(id, _)| *id)
+                    .collect();
+                scan.sort_unstable();
+                scan
+            },
+            "staging-in index out of step with the job table at {site}"
+        );
         for job in staging {
             self.fail_active_job(ctx, now, job, cause);
         }
@@ -272,7 +322,7 @@ impl GridFabric {
         job: JobId,
         cause: FailureCause,
     ) {
-        let Some(j) = self.jobs.remove(&job) else {
+        let Some(j) = self.remove_job(job) else {
             return;
         };
         if j.phase == Phase::Running {
@@ -307,7 +357,7 @@ impl GridFabric {
     /// Terminate an in-flight job as fully completed (§6.1: every
     /// lifecycle step succeeded).
     pub(crate) fn complete_active_job(&mut self, ctx: &mut EngineCtx, now: SimTime, job: JobId) {
-        let Some(j) = self.jobs.remove(&job) else {
+        let Some(j) = self.remove_job(job) else {
             return;
         };
         ctx.traces.record(job, now, TraceEvent::Completed);

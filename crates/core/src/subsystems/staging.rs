@@ -130,6 +130,7 @@ impl Staging {
             j.scratch_lfn = Some(lfn);
             j.phase = Phase::Queued;
         }
+        fabric.end_stage_in(site, job);
         ctx.traces.record(job, now, TraceEvent::StageInDone);
         ctx.traces.record(job, now, TraceEvent::Queued);
         fabric.sites[site.index()].enqueue(QueuedJob {

@@ -408,8 +408,10 @@ impl GridFtp {
     }
 
     /// Drain the captured log (hand events to the monitoring pipeline).
-    pub fn drain_log(&mut self) -> Vec<NetLogEvent> {
-        std::mem::take(&mut self.log)
+    /// The log keeps its buffer, so a periodic drain stops reallocating
+    /// once the buffer has grown to the busiest period's size.
+    pub fn drain_log(&mut self) -> std::vec::Drain<'_, NetLogEvent> {
+        self.log.drain(..)
     }
 
     fn current_rate(&self, src: SiteId, dst: SiteId) -> Bandwidth {

@@ -11,11 +11,11 @@
 //! *authorization semantics*: who is admitted where, and what breaks when
 //! a certificate expires or a DN is missing from the map.
 
+use grid3_simkit::hash::FastMap;
 use grid3_simkit::ids::UserId;
 use grid3_simkit::time::SimTime;
 use grid3_site::vo::Vo;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// An X.509-style identity certificate (semantics only, no crypto).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -113,7 +113,7 @@ impl std::error::Error for AuthError {}
 /// for each VO" — so every mapped DN lands in its VO's group account.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct GridMapFile {
-    entries: HashMap<String, Vo>,
+    entries: FastMap<String, Vo>,
 }
 
 impl GridMapFile {

@@ -10,11 +10,12 @@
 //! staged-data locations "in RLS so that its location is available to the
 //! job" (§4.4).
 
+use grid3_simkit::hash::FastMap;
 use grid3_simkit::ids::{FileId, SiteId};
 use grid3_simkit::telemetry::{Counter, Telemetry};
 use grid3_simkit::units::Bytes;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 /// Errors from catalog operations.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -40,12 +41,12 @@ impl std::error::Error for RlsError {}
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct ReplicaLocationService {
     /// site → lfns with a replica there.
-    lrcs: HashMap<SiteId, BTreeSet<FileId>>,
+    lrcs: FastMap<SiteId, BTreeSet<FileId>>,
     /// lfn → sites holding a replica (the RLI view).
-    rli: HashMap<FileId, BTreeSet<SiteId>>,
+    rli: FastMap<FileId, BTreeSet<SiteId>>,
     /// lfn → size attribute (RLS metadata; planners budget transfers
     /// with it).
-    sizes: HashMap<FileId, Bytes>,
+    sizes: FastMap<FileId, Bytes>,
     /// Sites whose catalog answers have gone stale: the LRC/RLI still
     /// advertise their replicas, but the data is unreadable. Fault
     /// injection sets this; consumers must check [`Self::is_stale`]

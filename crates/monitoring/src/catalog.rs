@@ -10,7 +10,6 @@ use grid3_simkit::ids::SiteId;
 use grid3_simkit::time::{SimDuration, SimTime};
 use grid3_site::cluster::Site;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// Result of one probe of one site.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -38,10 +37,11 @@ pub struct CatalogEntry {
     pub failed_probes: u64,
 }
 
-/// The central catalog service at the iGOC.
+/// The central catalog service at the iGOC. Entries are indexed by
+/// site id; sites never registered or probed hold `None`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SiteStatusCatalog {
-    entries: BTreeMap<SiteId, CatalogEntry>,
+    entries: Vec<Option<CatalogEntry>>,
     /// Probe cadence (the catalog "periodically tests all sites").
     pub probe_interval: SimDuration,
 }
@@ -50,24 +50,29 @@ impl SiteStatusCatalog {
     /// A catalog probing at the given interval.
     pub fn new(probe_interval: SimDuration) -> Self {
         SiteStatusCatalog {
-            entries: BTreeMap::new(),
+            entries: Vec::new(),
             probe_interval,
         }
     }
 
+    /// The slot of a site, grown on first use.
+    fn slot(&mut self, id: SiteId) -> &mut Option<CatalogEntry> {
+        if id.index() >= self.entries.len() {
+            self.entries.resize(id.index() + 1, None);
+        }
+        &mut self.entries[id.index()]
+    }
+
     /// Register a site so it appears on the status page immediately.
     pub fn register(&mut self, id: SiteId, name: impl Into<String>, now: SimTime) {
-        self.entries.insert(
-            id,
-            CatalogEntry {
-                name: name.into(),
-                status: ProbeStatus::Pass,
-                last_probe: now,
-                consecutive_failures: 0,
-                probes: 0,
-                failed_probes: 0,
-            },
-        );
+        *self.slot(id) = Some(CatalogEntry {
+            name: name.into(),
+            status: ProbeStatus::Pass,
+            last_probe: now,
+            consecutive_failures: 0,
+            probes: 0,
+            failed_probes: 0,
+        });
     }
 
     /// Probe one site: the test passes when grid services and the WAN are
@@ -78,7 +83,7 @@ impl SiteStatusCatalog {
         } else {
             ProbeStatus::Fail
         };
-        let entry = self.entries.entry(site.id).or_insert_with(|| CatalogEntry {
+        let entry = self.slot(site.id).get_or_insert_with(|| CatalogEntry {
             name: site.profile.name.clone(),
             status,
             last_probe: now,
@@ -100,26 +105,28 @@ impl SiteStatusCatalog {
 
     /// The catalog entry for a site.
     pub fn entry(&self, id: SiteId) -> Option<&CatalogEntry> {
-        self.entries.get(&id)
+        self.entries.get(id.index())?.as_ref()
     }
 
     /// All entries, in site order (the status web page).
-    pub fn entries(&self) -> &BTreeMap<SiteId, CatalogEntry> {
-        &self.entries
+    pub fn entries(&self) -> impl Iterator<Item = (SiteId, &CatalogEntry)> {
+        self.entries
+            .iter()
+            .enumerate()
+            .filter_map(|(i, e)| Some((SiteId(i as u32), e.as_ref()?)))
     }
 
     /// Sites currently failing.
     pub fn failing_sites(&self) -> Vec<SiteId> {
-        self.entries
-            .iter()
+        self.entries()
             .filter(|(_, e)| e.status == ProbeStatus::Fail)
-            .map(|(id, _)| *id)
+            .map(|(id, _)| id)
             .collect()
     }
 
     /// Availability of a site over its probe history.
     pub fn availability(&self, id: SiteId) -> f64 {
-        match self.entries.get(&id) {
+        match self.entry(id) {
             Some(e) if e.probes > 0 => 1.0 - e.failed_probes as f64 / e.probes as f64,
             _ => 0.0,
         }
@@ -133,7 +140,7 @@ impl MetricSink for SiteStatusCatalog {
 
     fn ingest(&mut self, event: &MetricEvent) {
         if let Metric::ServiceStatus { site, up } = &event.metric {
-            if let Some(e) = self.entries.get_mut(site) {
+            if let Some(Some(e)) = self.entries.get_mut(site.index()) {
                 e.status = if *up {
                     ProbeStatus::Pass
                 } else {
@@ -213,7 +220,7 @@ mod tests {
     fn registered_sites_appear_before_first_probe() {
         let mut cat = SiteStatusCatalog::new(SimDuration::from_mins(30));
         cat.register(SiteId(5), "LATE_SITE", SimTime::EPOCH);
-        assert_eq!(cat.entries().len(), 1);
+        assert_eq!(cat.entries().count(), 1);
         assert_eq!(cat.entry(SiteId(5)).unwrap().name, "LATE_SITE");
         assert_eq!(cat.availability(SiteId(5)), 0.0); // no probes yet
     }
@@ -238,6 +245,6 @@ mod tests {
                 up: false,
             },
         });
-        assert_eq!(cat.entries().len(), 1);
+        assert_eq!(cat.entries().count(), 1);
     }
 }

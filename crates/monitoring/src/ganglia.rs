@@ -13,7 +13,6 @@ use grid3_simkit::time::SimTime;
 use grid3_simkit::units::Bytes;
 use grid3_site::cluster::Site;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// The per-site Ganglia gmond/gmetad pair: samples the cluster and emits
 /// metric events.
@@ -88,10 +87,11 @@ pub struct SiteSummary {
 }
 
 /// The central Ganglia web frontend at the iGOC (the grid-level
-/// "hierarchical view" of §5.1).
+/// "hierarchical view" of §5.1). Summaries are indexed by site id;
+/// sites that never reported hold `None`.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct GangliaWeb {
-    summaries: BTreeMap<SiteId, SiteSummary>,
+    summaries: Vec<Option<SiteSummary>>,
 }
 
 impl GangliaWeb {
@@ -100,15 +100,18 @@ impl GangliaWeb {
         Self::default()
     }
 
-    /// Per-site summaries, in site order.
-    pub fn summaries(&self) -> &BTreeMap<SiteId, SiteSummary> {
-        &self.summaries
+    /// Per-site summaries of the sites that reported, in site order.
+    pub fn summaries(&self) -> impl Iterator<Item = (SiteId, &SiteSummary)> {
+        self.summaries
+            .iter()
+            .enumerate()
+            .filter_map(|(i, s)| Some((SiteId(i as u32), s.as_ref()?)))
     }
 
     /// Grid-wide total CPUs last reported (the §7 CPU count comes off
     /// pages like this).
     pub fn total_cpus(&self) -> u32 {
-        self.summaries.values().map(|s| s.total_cpus).sum()
+        self.summaries().map(|(_, s)| s.total_cpus).sum()
     }
 }
 
@@ -119,11 +122,14 @@ impl MetricSink for GangliaWeb {
 
     fn ingest(&mut self, event: &MetricEvent) {
         fn entry(
-            summaries: &mut BTreeMap<SiteId, SiteSummary>,
+            summaries: &mut Vec<Option<SiteSummary>>,
             site: SiteId,
             at: SimTime,
         ) -> &mut SiteSummary {
-            summaries.entry(site).or_insert(SiteSummary {
+            if site.index() >= summaries.len() {
+                summaries.resize(site.index() + 1, None);
+            }
+            summaries[site.index()].get_or_insert(SiteSummary {
                 load: 0.0,
                 free_cpus: 0,
                 total_cpus: 0,
@@ -231,11 +237,10 @@ mod tests {
         assert_eq!(web.total_cpus(), 300);
         let busy: u32 = web
             .summaries()
-            .values()
-            .map(|s| s.total_cpus - s.free_cpus)
+            .map(|(_, s)| s.total_cpus - s.free_cpus)
             .sum();
         assert_eq!(busy, 110);
-        assert_eq!(web.summaries().len(), 2);
+        assert_eq!(web.summaries().count(), 2);
     }
 
     #[test]
@@ -255,7 +260,7 @@ mod tests {
                 load: 2.0,
             },
         });
-        let seen: Vec<SimTime> = web.summaries().values().map(|s| s.last_seen).collect();
+        let seen: Vec<SimTime> = web.summaries().map(|(_, s)| s.last_seen).collect();
         assert_eq!(seen, vec![SimTime::from_mins(0), SimTime::from_mins(30)]);
     }
 
@@ -269,6 +274,6 @@ mod tests {
                 load: 225.0,
             },
         });
-        assert!(web.summaries().is_empty());
+        assert_eq!(web.summaries().count(), 0);
     }
 }

@@ -36,6 +36,7 @@
 
 pub mod acdc;
 pub mod catalog;
+mod chunked;
 pub mod framework;
 pub mod ganglia;
 pub mod mdviewer;

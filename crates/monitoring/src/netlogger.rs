@@ -10,12 +10,13 @@
 //! why.
 
 use grid3_middleware::gridftp::NetLogEvent;
+use grid3_simkit::hash::FastMap;
 use grid3_simkit::ids::TransferId;
 use grid3_simkit::stats::Summary;
 use grid3_simkit::time::SimTime;
 use grid3_simkit::units::Bytes;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::borrow::Borrow;
 
 /// Aggregate transfer statistics computed from the event stream.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
@@ -51,7 +52,7 @@ impl TransferStats {
 /// The archive: ingests NetLogger events, correlates start/end pairs.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct NetLoggerArchive {
-    open: HashMap<TransferId, (SimTime, Bytes)>,
+    open: FastMap<TransferId, (SimTime, Bytes)>,
     stats: TransferStats,
 }
 
@@ -85,10 +86,11 @@ impl NetLoggerArchive {
         }
     }
 
-    /// Ingest a batch (e.g. `gridftp.drain_log()`).
-    pub fn ingest_all<'a>(&mut self, events: impl IntoIterator<Item = &'a NetLogEvent>) {
+    /// Ingest a batch, borrowed (`gridftp.log().iter()`) or drained
+    /// (`gridftp.drain_log()`).
+    pub fn ingest_all<E: Borrow<NetLogEvent>>(&mut self, events: impl IntoIterator<Item = E>) {
         for e in events {
-            self.ingest(e);
+            self.ingest(e.borrow());
         }
     }
 
@@ -178,10 +180,10 @@ mod tests {
             )
             .unwrap();
         let mut archive = NetLoggerArchive::new();
-        archive.ingest_all(g.drain_log().iter());
+        archive.ingest_all(g.drain_log());
         assert_eq!(archive.open_count(), 1);
         g.complete(id, f).unwrap();
-        archive.ingest_all(g.drain_log().iter());
+        archive.ingest_all(g.drain_log());
         assert_eq!(archive.open_count(), 0);
         assert_eq!(archive.stats().completed, 1);
     }

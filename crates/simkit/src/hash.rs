@@ -14,6 +14,9 @@
 //! Use [`FastMap`] for id-keyed working state; truly dense id ranges
 //! should prefer a plain `Vec` indexed by the id.
 
+// The one sanctioned use of std's `HashMap`: the alias below pins its
+// hasher (see the workspace `clippy.toml`).
+#[allow(clippy::disallowed_types)]
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -84,6 +87,7 @@ impl Hasher for FastHasher {
 pub type FastBuildHasher = BuildHasherDefault<FastHasher>;
 
 /// A `HashMap` on the deterministic fast hasher.
+#[allow(clippy::disallowed_types)]
 pub type FastMap<K, V> = HashMap<K, V, FastBuildHasher>;
 
 #[cfg(test)]

@@ -12,11 +12,11 @@ use crate::node::{NodeState, WorkerNode};
 use crate::scheduler::{BatchScheduler, DispatchCtx, QueuedJob, SchedulerKind};
 use crate::storage::StorageElement;
 use crate::vo::Vo;
+use grid3_simkit::hash::FastMap;
 use grid3_simkit::ids::{JobId, NodeId, SiteId};
 use grid3_simkit::time::{SimDuration, SimTime};
 use grid3_simkit::units::{Bandwidth, Bytes};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Facility class, mirroring the LHC computing tier language of §4.1/4.2.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -135,7 +135,7 @@ pub struct Site {
     /// The storage element.
     pub storage: StorageElement,
     nodes: Vec<WorkerNode>,
-    running: HashMap<JobId, RunningJob>,
+    running: FastMap<JobId, RunningJob>,
     running_long: usize,
     /// Running jobs per VO (indexed by [`Vo::index`]), maintained at
     /// dispatch/release so monitoring agents read counters instead of
@@ -180,7 +180,7 @@ impl Site {
             scheduler,
             storage,
             nodes,
-            running: HashMap::new(),
+            running: FastMap::default(),
             running_long: 0,
             running_per_vo: [0; Vo::ALL.len()],
             free_nodes,
@@ -334,11 +334,13 @@ impl Site {
         for n in &mut self.nodes {
             n.state = NodeState::Up;
         }
-        let busy: std::collections::HashSet<u32> =
-            self.running.values().map(|r| r.node.0).collect();
+        let mut busy = vec![false; self.nodes.len()];
+        for r in self.running.values() {
+            busy[r.node.index()] = true;
+        }
         self.free_nodes = (0..self.nodes.len() as u32)
             .rev()
-            .filter(|i| !busy.contains(i))
+            .filter(|&i| !busy[i as usize])
             .map(NodeId)
             .collect();
     }

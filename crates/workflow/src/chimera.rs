@@ -10,10 +10,11 @@
 
 use crate::dag::{Dag, NodeId};
 use grid3_middleware::rls::ReplicaLocationService;
+use grid3_simkit::hash::FastMap;
 use grid3_simkit::ids::FileId;
 use grid3_simkit::time::SimDuration;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// An executable recipe (the TR of Chimera's VDL).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -125,7 +126,7 @@ impl VirtualDataCatalog {
         rls: &ReplicaLocationService,
     ) -> Result<Dag<AbstractTask>, VdcError> {
         let mut dag = Dag::new();
-        let mut nodes: HashMap<FileId, NodeId> = HashMap::new();
+        let mut nodes: FastMap<FileId, NodeId> = FastMap::default();
         let mut visiting: Vec<FileId> = Vec::new();
         self.expand(request, rls, &mut dag, &mut nodes, &mut visiting)?;
         Ok(dag)
@@ -136,7 +137,7 @@ impl VirtualDataCatalog {
         lfn: FileId,
         rls: &ReplicaLocationService,
         dag: &mut Dag<AbstractTask>,
-        nodes: &mut HashMap<FileId, NodeId>,
+        nodes: &mut FastMap<FileId, NodeId>,
         visiting: &mut Vec<FileId>,
     ) -> Result<Option<NodeId>, VdcError> {
         if rls.exists(lfn) {

@@ -304,7 +304,7 @@ mod tests {
                 // A complete topological order exists iff acyclic.
                 let order = d.topological_order();
                 prop_assert_eq!(order.len(), 20);
-                let pos: std::collections::HashMap<NodeId, usize> =
+                let pos: grid3_simkit::hash::FastMap<NodeId, usize> =
                     order.iter().enumerate().map(|(i, n)| (*n, i)).collect();
                 for (id, _) in d.iter() {
                     for &c in d.children(id) {

@@ -15,12 +15,12 @@ use crate::chimera::AbstractTask;
 use crate::dag::{Dag, NodeId};
 use grid3_middleware::mds::GlueRecord;
 use grid3_middleware::rls::ReplicaLocationService;
+use grid3_simkit::hash::FastMap;
 use grid3_simkit::ids::{FileId, SiteId, UserId};
 use grid3_simkit::units::Bytes;
 use grid3_site::job::JobSpec;
 use grid3_site::vo::UserClass;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// One node of a concrete (executable) workflow.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -128,9 +128,9 @@ impl PegasusPlanner {
         let mut concrete: Dag<ConcreteTask> = Dag::new();
         // Abstract node → (its Register node, its site): children depend on
         // the *registered* output.
-        let mut finished: HashMap<NodeId, (NodeId, SiteId)> = HashMap::new();
+        let mut finished: FastMap<NodeId, (NodeId, SiteId)> = FastMap::default();
         // lfn → producing abstract node.
-        let producer: HashMap<FileId, NodeId> = abstract_dag
+        let producer: FastMap<FileId, NodeId> = abstract_dag
             .iter()
             .map(|(id, t)| (t.derivation.output, id))
             .collect();

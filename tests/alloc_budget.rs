@@ -42,12 +42,16 @@ fn allocs_per_event(cfg: ScenarioConfig) -> (f64, u64) {
 /// and their publish/sample buffers are now reused; the trace store's
 /// dense tables and reserved event vectors removed most of the rest).
 /// Row-mask site selection, a caller-owned dispatch buffer and a status
-/// catalog probe that no longer clones the site name brought it to 2.80.
-/// Measured with the counter to itself, the ceiling of 3.5 is 1.25× the
-/// 2.80 reading, so only a real regression trips the guard.
+/// catalog probe that no longer clones the site name brought it to 2.80
+/// (2.86 before the next change). Append-ordered monitoring then took
+/// it to 0.59: MonALISA series and trace events append to two chunked
+/// logs instead of one growing list per series and per job, storage
+/// files append to a sorted table, and the NetLogger drain keeps its
+/// buffer. Measured with the counter to itself, the ceiling of 0.74 is
+/// 1.25× the 0.59 reading, so only a real regression trips the guard.
 #[test]
 fn scale_out_smoke_stays_under_alloc_budget() {
-    const CEILING: f64 = 3.5;
+    const CEILING: f64 = 0.74;
     let _counter = exclusive_counter();
     let cfg = ScenarioConfig::scale_out().with_scale(0.1).with_days(4);
     let (per_event, events) = allocs_per_event(cfg);

@@ -144,7 +144,7 @@ fn ganglia_web_sees_every_online_site() {
     // 27 production sites reported by the end (surge sites may be offline
     // at the horizon but reported earlier).
     // SMU joins after the 30-day window, so 29 of 30 entries report.
-    assert!(sim.center().ganglia_web.summaries().len() >= 27);
+    assert!(sim.center().ganglia_web.summaries().count() >= 27);
     let reported = sim.center().ganglia_web.total_cpus();
     assert!(reported >= sim.topology().steady_cpus());
     assert!(reported <= sim.topology().peak_cpus());
@@ -169,7 +169,7 @@ fn monalisa_repository_holds_per_site_series() {
 #[test]
 fn status_catalog_probed_everyone() {
     let sim = run_small();
-    let entries = sim.center().status_catalog.entries();
+    let entries: Vec<_> = sim.center().status_catalog.entries().collect();
     assert!(entries.len() >= 27);
     for (id, e) in entries {
         // Sites that never came online inside the window (SMU joins in
