@@ -9,7 +9,7 @@
 //!
 //! The Condor exerciser ("an exerciser backfill application provided by
 //! the Condor group tested the status of the batch systems … at 15 minute
-//! intervals") runs as the `Exerciser` class of [`crate::workloads`].
+//! intervals") runs as the `Exerciser` class of [`super::workloads`].
 
 use grid3_middleware::gridftp::TransferRequest;
 use grid3_simkit::ids::SiteId;

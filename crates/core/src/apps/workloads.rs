@@ -86,12 +86,14 @@ pub(crate) const SC2003_END_DAY: u64 = 28;
 
 impl WorkloadSpec {
     /// Total jobs over the whole window.
-    pub fn total_jobs(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn total_jobs(&self) -> u64 {
         self.monthly_jobs.iter().sum()
     }
 
     /// The peak month's index and job count.
-    pub fn peak_month(&self) -> (u32, u64) {
+    #[cfg(test)]
+    pub(crate) fn peak_month(&self) -> (u32, u64) {
         self.monthly_jobs
             .iter()
             .enumerate()
@@ -229,7 +231,7 @@ fn runtime_dist(mean_hr: f64, sigma: f64, max_hr: f64) -> DurationDist {
 ///
 /// Job totals and peak months match Table 1 exactly; monthly profiles are
 /// synthetic but consistent (documented in EXPERIMENTS.md).
-pub fn grid3_workloads() -> Vec<WorkloadSpec> {
+pub(crate) fn grid3_workloads() -> Vec<WorkloadSpec> {
     vec![
         // BTEV: 1 user, 2598 jobs, avg 1.77 h, max 118.27 h, peak 11-2003
         // (2377 jobs — an intensely bursty November challenge run, §4.5).

@@ -147,7 +147,8 @@ impl FaultPlan {
     }
 
     /// Number of scheduled faults.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.faults.len()
     }
 

@@ -32,18 +32,18 @@ pub mod trace;
 pub use decode::DslError;
 pub use trace::{JobTrace, TraceJob};
 
+use crate::apps::workloads::WorkloadSpec;
 use crate::chaos::{ChaosRates, FaultPlan, PlannedFault};
 use crate::federation::{Federation, GridSpec};
 use crate::resilience::ResilienceConfig;
 use crate::scenario::{CampaignSpec, ScenarioConfig, StormSpec};
+use crate::workflow::mop::CmsSimulator;
 use decode as d;
-use grid3_apps::workloads::WorkloadSpec;
 use grid3_middleware::backend::BackendKind;
 use grid3_pacman::install::InstallPipeline;
 use grid3_simkit::dist::ArrivalProcess;
 use grid3_simkit::time::{SimDuration, SimTime};
 use grid3_site::vo::Vo;
-use grid3_workflow::mop::CmsSimulator;
 use serde::{Serialize, Value};
 use std::path::Path;
 

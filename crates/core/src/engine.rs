@@ -36,6 +36,7 @@
 
 use crate::scenario::ScenarioConfig;
 use crate::topology::Topology;
+use crate::workflow::dagman::DagState;
 use grid3_igoc::center::OperationsCenter;
 use grid3_middleware::gram::Gatekeeper;
 use grid3_middleware::gridftp::GridFtp;
@@ -52,7 +53,6 @@ use grid3_simkit::telemetry::Telemetry;
 use grid3_simkit::time::SimTime;
 use grid3_simkit::units::Bytes;
 use grid3_site::cluster::Site;
-use grid3_workflow::dagman::DagState;
 use std::time::Instant;
 
 use crate::resilience::{ResilienceLayer, SiteStateLedger};

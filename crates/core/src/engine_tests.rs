@@ -116,7 +116,7 @@ fn demo_moves_data_when_enabled() {
 #[test]
 fn dag_campaign_runs_inside_the_grid() {
     use crate::scenario::CampaignSpec;
-    use grid3_workflow::mop::CmsSimulator;
+    use crate::workflow::mop::CmsSimulator;
     // A small OSCAR campaign on top of a minimal background load.
     let cfg = ScenarioConfig::sc2003()
         .with_scale(0.002)
@@ -143,11 +143,11 @@ fn dag_campaign_runs_inside_the_grid() {
                             // still grinding through retries; it must never deadlock with
                             // nothing running.
     match state {
-        grid3_workflow::dagman::DagState::Completed => assert_eq!(*done, 30),
-        grid3_workflow::dagman::DagState::Failed => {
+        crate::workflow::dagman::DagState::Completed => assert_eq!(*done, 30),
+        crate::workflow::dagman::DagState::Failed => {
             assert!(*done < 30);
         }
-        grid3_workflow::dagman::DagState::Running => {
+        crate::workflow::dagman::DagState::Running => {
             assert!(sim.active_jobs() > 0 || *done > 0);
         }
     }

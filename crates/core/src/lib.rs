@@ -1,9 +1,10 @@
 //! # grid3-core
 //!
 //! The top of the Grid2003 reproduction: wires the substrates — sites,
-//! middleware, packaging, monitoring, workflows, applications, operations
-//! — into a whole-grid discrete-event simulation, runs the paper's
-//! scenarios, and extracts the reports its evaluation section presents.
+//! middleware, packaging, monitoring, operations — together with the
+//! workloads and the CMS workflow path it owns into a whole-grid
+//! discrete-event simulation, runs the paper's scenarios, and extracts
+//! the reports its evaluation section presents.
 //!
 //! * [`topology`] — the 27-site Grid3 resource inventory (≈2163 steady
 //!   CPUs, surging past 2800 during SC2003) with per-site schedulers,
@@ -48,6 +49,12 @@
 //! * [`snapshot`] — crash safety: serialize a live engine mid-run to a
 //!   versioned, checksummed snapshot and restore it bit-identically,
 //!   the substrate under resumable campaigns.
+//! * [`apps`] — the workloads the engine submits: the calibrated
+//!   Table 1 job populations and the Entrada GridFTP transfer matrix
+//!   (§4.7).
+//! * [`workflow`] — the CMS production path (§4.2): MCRunJob/MOP writes
+//!   each production request as a DAG, and the Condor-G/DAGMan model
+//!   releases its nodes to the broker.
 //!
 //! ## Quickstart
 //!
@@ -63,6 +70,7 @@
 
 #![warn(missing_docs)]
 
+pub mod apps;
 pub mod broker;
 pub mod campaign;
 pub mod chaos;
@@ -76,6 +84,7 @@ pub mod scenario;
 pub mod snapshot;
 pub mod subsystems;
 pub mod topology;
+pub mod workflow;
 
 #[cfg(test)]
 mod engine_tests;

@@ -139,7 +139,8 @@ impl OpsJournal {
     }
 
     /// Whether this handle records anything.
-    pub fn is_enabled(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_enabled(&self) -> bool {
         self.inner.is_some()
     }
 

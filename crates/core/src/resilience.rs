@@ -291,12 +291,6 @@ impl SiteStateLedger {
         }
     }
 
-    /// Attempts recorded in a bucket.
-    pub fn attempts(&self, state: SiteState) -> u64 {
-        let (c, f) = self.counts(state);
-        c + f
-    }
-
     /// `(completed, failed)` for a bucket.
     pub fn counts(&self, state: SiteState) -> (u64, u64) {
         match state {
@@ -428,7 +422,6 @@ mod tests {
         ledger.record(SiteState::Degraded, false);
         assert_eq!(ledger.efficiency(SiteState::Validated), 0.9);
         assert_eq!(ledger.efficiency(SiteState::Unvalidated), 0.0);
-        assert_eq!(ledger.attempts(SiteState::Validated), 10);
         assert_eq!(ledger.counts(SiteState::Degraded), (0, 1));
     }
 

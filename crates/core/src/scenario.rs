@@ -12,13 +12,13 @@
 //! the full 291 k-job record sample (run it in release builds — the
 //! `figures` binary does); small scales keep unit tests fast.
 
+use crate::apps::workloads::{grid3_workloads, WorkloadSpec};
 use crate::engine::Grid3Engine;
 use crate::report::Grid3Report;
 use crate::resilience::ResilienceConfig;
-use grid3_apps::workloads::{grid3_workloads, WorkloadSpec};
+use crate::workflow::mop::CmsSimulator;
 use grid3_pacman::install::InstallPipeline;
 use grid3_simkit::time::{SimDuration, SimTime};
-use grid3_workflow::mop::CmsSimulator;
 use serde::{Deserialize, Serialize};
 
 /// A DAG-shaped production campaign run *inside* the simulation: MCRunJob

@@ -93,8 +93,10 @@ use std::path::Path;
 /// constant shares and long-job cap, the replica catalogs' physical file
 /// names); version 5 carries the MonALISA repository as one ring per
 /// row without per-series geometry, the Ganglia summaries and status
-/// catalog as site-indexed rows, and storage files in id order.
-pub(crate) const SNAPSHOT_VERSION: u32 = 5;
+/// catalog as site-indexed rows, and storage files in id order; version
+/// 6 dropped the replica service's index and size table and DAGMan's
+/// retry total.
+pub(crate) const SNAPSHOT_VERSION: u32 = 6;
 
 /// File magic: "G3ENGSNP".
 const MAGIC: [u8; 8] = *b"G3ENGSNP";

@@ -8,11 +8,13 @@
 //! first monitor tick), so a given seed yields bit-identical runs
 //! regardless of how the engine is internally organised.
 
+use crate::apps::demonstrators::EntradaDemo;
+use crate::apps::workloads::Submission;
 use crate::engine::Grid3Engine;
 use crate::resilience::ResilienceLayer;
 use crate::scenario::ScenarioConfig;
-use grid3_apps::demonstrators::EntradaDemo;
-use grid3_apps::workloads::Submission;
+use crate::workflow::dagman::DagManager;
+use crate::workflow::mop::{McRunJob, ProductionRequest};
 use grid3_igoc::center::OperationsCenter;
 use grid3_middleware::gram::Gatekeeper;
 use grid3_middleware::gridftp::GridFtp;
@@ -32,8 +34,6 @@ use grid3_simkit::units::Bytes;
 use grid3_site::cluster::Site;
 use grid3_site::failure::FailureEvent;
 use grid3_site::vo::{UserClass, Vo};
-use grid3_workflow::dagman::DagManager;
-use grid3_workflow::mop::{McRunJob, ProductionRequest};
 
 use super::brokering::Brokering;
 use super::execution::Execution;

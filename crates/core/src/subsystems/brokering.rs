@@ -12,8 +12,11 @@
 
 use std::borrow::Cow;
 
+use crate::apps::workloads::Submission;
 use crate::broker::{Broker, SelectScratch, SiteTable};
-use grid3_apps::workloads::Submission;
+use crate::workflow::dag::NodeId as DagNodeId;
+use crate::workflow::dagman::{DagManager, DagState, FailureAction};
+use crate::workflow::mop::CmsTask;
 use grid3_middleware::backend::RankInputs;
 use grid3_middleware::gram::RetryPolicy;
 use grid3_monitoring::trace::TraceEvent;
@@ -24,9 +27,6 @@ use grid3_simkit::telemetry::Counter;
 use grid3_simkit::time::{SimDuration, SimTime};
 use grid3_simkit::units::Bytes;
 use grid3_site::job::{FailureCause, JobOutcome, JobSpec};
-use grid3_workflow::dag::NodeId as DagNodeId;
-use grid3_workflow::dagman::{DagManager, DagState, FailureAction};
-use grid3_workflow::mop::CmsTask;
 
 use super::fabric::{ActiveJob, ExecutionFate, Phase, TransferPurpose, NO_TRANSFER};
 use super::{BrokeringEvent, EngineCtx, GridEvent, GridFabric, StagingEvent, Subsystem};

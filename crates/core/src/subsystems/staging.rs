@@ -7,7 +7,7 @@
 //! emits an immediate [`ExecutionEvent::TryDispatch`] — the routed
 //! replacement for the monolith's direct dispatch call.
 
-use grid3_apps::demonstrators::EntradaDemo;
+use crate::apps::demonstrators::EntradaDemo;
 use grid3_monitoring::trace::TraceEvent;
 use grid3_simkit::hash::FastMap;
 use grid3_simkit::ids::{FileIdGen, JobId, SiteId, TransferId};
@@ -199,7 +199,7 @@ impl Staging {
                 fabric.fail_active_job(ctx, now, job, FailureCause::RegistrationFailure);
                 return;
             }
-            fabric.rls.register(lfn, archive, out);
+            fabric.rls.register(lfn, archive);
             ctx.traces.record(job, now, TraceEvent::Registered);
         }
         fabric.complete_active_job(ctx, now, job);

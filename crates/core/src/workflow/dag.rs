@@ -1,11 +1,10 @@
-//! The DAG engine: typed nodes, dependency edges, ready-set maintenance.
+//! The DAG engine: typed nodes, dependency edges, parent/child queries.
 //!
-//! SDSS cluster-finding alone produced "workflows with several thousand
-//! processing steps organized by Chimera virtual data tools" (§4.3), so
-//! construction and ready-set updates are O(1) amortized per edge.
+//! A MOP production request is one gen→sim→digi chain per job, and §4.2's
+//! 50 M-event sample is 200,000 chains at 250 events per job, so node
+//! construction is O(1) amortized.
 
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 
 /// Index of a node within one DAG.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -13,14 +12,14 @@ pub struct NodeId(pub u32);
 
 impl NodeId {
     /// The raw index.
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.0 as usize
     }
 }
 
 /// DAG construction/validation errors.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub enum DagError {
+pub(crate) enum DagError {
     /// An edge references a node that does not exist.
     UnknownNode(
         /// The offending node id.
@@ -60,12 +59,12 @@ impl<T> Default for Dag<T> {
 
 impl<T> Dag<T> {
     /// An empty DAG.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Add a node; returns its id.
-    pub fn add_node(&mut self, payload: T) -> NodeId {
+    pub(crate) fn add_node(&mut self, payload: T) -> NodeId {
         let id = NodeId(self.payloads.len() as u32);
         self.payloads.push(payload);
         self.children.push(Vec::new());
@@ -76,7 +75,7 @@ impl<T> Dag<T> {
     /// Add a dependency edge `from → to` (`to` waits for `from`).
     /// Rejects unknown nodes, self-edges, and edges that would create a
     /// cycle. Duplicate edges are ignored.
-    pub fn add_edge(&mut self, from: NodeId, to: NodeId) -> Result<(), DagError> {
+    pub(crate) fn add_edge(&mut self, from: NodeId, to: NodeId) -> Result<(), DagError> {
         let n = self.payloads.len() as u32;
         for id in [from, to] {
             if id.0 >= n {
@@ -98,13 +97,8 @@ impl<T> Dag<T> {
     }
 
     /// Number of nodes.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.payloads.len()
-    }
-
-    /// True when the DAG has no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.payloads.is_empty()
     }
 
     /// Number of edges.
@@ -114,22 +108,23 @@ impl<T> Dag<T> {
     }
 
     /// A node's payload.
-    pub fn payload(&self, id: NodeId) -> &T {
+    pub(crate) fn payload(&self, id: NodeId) -> &T {
         &self.payloads[id.index()]
     }
 
     /// Direct dependencies of a node.
-    pub fn parents(&self, id: NodeId) -> &[NodeId] {
+    pub(crate) fn parents(&self, id: NodeId) -> &[NodeId] {
         &self.parents[id.index()]
     }
 
     /// Direct dependents of a node.
-    pub fn children(&self, id: NodeId) -> &[NodeId] {
+    pub(crate) fn children(&self, id: NodeId) -> &[NodeId] {
         &self.children[id.index()]
     }
 
     /// Nodes with no dependencies.
-    pub fn roots(&self) -> Vec<NodeId> {
+    #[cfg(test)]
+    pub(crate) fn roots(&self) -> Vec<NodeId> {
         (0..self.payloads.len() as u32)
             .map(NodeId)
             .filter(|id| self.parents[id.index()].is_empty())
@@ -137,7 +132,8 @@ impl<T> Dag<T> {
     }
 
     /// Nodes with no dependents.
-    pub fn leaves(&self) -> Vec<NodeId> {
+    #[cfg(test)]
+    pub(crate) fn leaves(&self) -> Vec<NodeId> {
         (0..self.payloads.len() as u32)
             .map(NodeId)
             .filter(|id| self.children[id.index()].is_empty())
@@ -146,9 +142,10 @@ impl<T> Dag<T> {
 
     /// Topological order (Kahn's algorithm). Total by construction since
     /// edges that would cycle are rejected; ties resolve in node-id order.
-    pub fn topological_order(&self) -> Vec<NodeId> {
+    #[cfg(test)]
+    pub(crate) fn topological_order(&self) -> Vec<NodeId> {
         let mut indegree: Vec<usize> = self.parents.iter().map(|p| p.len()).collect();
-        let mut queue: VecDeque<NodeId> = (0..self.payloads.len() as u32)
+        let mut queue: std::collections::VecDeque<NodeId> = (0..self.payloads.len() as u32)
             .map(NodeId)
             .filter(|id| indegree[id.index()] == 0)
             .collect();
@@ -176,7 +173,8 @@ impl<T> Dag<T> {
 
     /// The length of the longest path (in nodes) — the workflow's critical
     /// path, which bounds its makespan.
-    pub fn critical_path_len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn critical_path_len(&self) -> usize {
         let order = self.topological_order();
         let mut depth = vec![1usize; self.payloads.len()];
         for id in order {

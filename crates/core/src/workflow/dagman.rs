@@ -6,13 +6,13 @@
 //! per-node limit, throttle the number of simultaneously submitted nodes,
 //! and declare the DAG failed only when a node exhausts its retries.
 
-use crate::dag::{Dag, NodeId};
+use super::dag::{Dag, NodeId};
 use grid3_simkit::telemetry::{Counter, Telemetry};
 use serde::{Deserialize, Serialize};
 
 /// Lifecycle of one DAG node under DAGMan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum NodeState {
+pub(crate) enum NodeState {
     /// Parents not yet complete.
     Waiting,
     /// Eligible for submission.
@@ -38,7 +38,7 @@ pub enum DagState {
 
 /// What to do after a node failure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum FailureAction {
+pub(crate) enum FailureAction {
     /// Resubmit (the node is Ready again).
     Retry {
         /// Retries remaining after this one.
@@ -59,7 +59,6 @@ pub struct DagManager<T> {
     active: usize,
     done: usize,
     failed: usize,
-    total_retries: u64,
     #[serde(skip)]
     c_submitted: Counter,
     #[serde(skip)]
@@ -98,7 +97,6 @@ impl<T> DagManager<T> {
             active: 0,
             done: 0,
             failed: 0,
-            total_retries: 0,
             c_submitted: Counter::disabled(),
             c_done: Counter::disabled(),
             c_retried: Counter::disabled(),
@@ -109,7 +107,7 @@ impl<T> DagManager<T> {
 
     /// Attach the grid-wide instrumentation handle. All five node
     /// life-cycle counters are interned once here.
-    pub fn set_telemetry(&mut self, tele: Telemetry) {
+    pub(crate) fn set_telemetry(&mut self, tele: Telemetry) {
         self.c_submitted = tele.register_counter("dagman", "submitted", "");
         self.c_done = tele.register_counter("dagman", "done", "");
         self.c_retried = tele.register_counter("dagman", "retried", "");
@@ -118,12 +116,13 @@ impl<T> DagManager<T> {
     }
 
     /// The managed DAG.
-    pub fn dag(&self) -> &Dag<T> {
+    pub(crate) fn dag(&self) -> &Dag<T> {
         &self.dag
     }
 
     /// A node's state.
-    pub fn state(&self, node: NodeId) -> NodeState {
+    #[cfg(test)]
+    pub(crate) fn state(&self, node: NodeId) -> NodeState {
         self.states[node.index()]
     }
 
@@ -180,7 +179,7 @@ impl<T> DagManager<T> {
 
     /// Mark an Active node failed; either re-queues it or fails it
     /// permanently.
-    pub fn mark_failed(&mut self, node: NodeId) -> FailureAction {
+    pub(crate) fn mark_failed(&mut self, node: NodeId) -> FailureAction {
         assert_eq!(
             self.states[node.index()],
             NodeState::Active,
@@ -189,7 +188,6 @@ impl<T> DagManager<T> {
         self.active -= 1;
         if self.retries_left[node.index()] > 0 {
             self.retries_left[node.index()] -= 1;
-            self.total_retries += 1;
             self.states[node.index()] = NodeState::Ready;
             self.c_retried.add(1);
             FailureAction::Retry {
@@ -209,7 +207,7 @@ impl<T> DagManager<T> {
     /// file workflow — completed nodes keep their results, only the
     /// failed frontier (and the subgraph still waiting on it) reruns.
     /// Returns the number of nodes re-armed (0 means nothing had failed).
-    pub fn rescue(&mut self, retries: u32) -> usize {
+    pub(crate) fn rescue(&mut self, retries: u32) -> usize {
         let mut rearmed = 0;
         for i in 0..self.states.len() {
             if self.states[i] == NodeState::Failed {
@@ -226,7 +224,8 @@ impl<T> DagManager<T> {
     }
 
     /// Permanently-failed node count.
-    pub fn failed_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn failed_count(&self) -> usize {
         self.failed
     }
 
@@ -244,7 +243,7 @@ impl<T> DagManager<T> {
     /// Whether the DAG is still running with at least one node ready to
     /// release — the condition a submit loop checks before scheduling
     /// another cycle.
-    pub fn has_ready_work(&self) -> bool {
+    pub(crate) fn has_ready_work(&self) -> bool {
         self.dag_state() == DagState::Running && !self.ready_nodes().is_empty()
     }
 
@@ -254,22 +253,9 @@ impl<T> DagManager<T> {
     }
 
     /// Nodes submitted and not yet terminal.
-    pub fn active_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn active_count(&self) -> usize {
         self.active
-    }
-
-    /// Total retries performed.
-    pub fn total_retries(&self) -> u64 {
-        self.total_retries
-    }
-
-    /// Fraction of nodes complete.
-    pub fn progress(&self) -> f64 {
-        if self.dag.is_empty() {
-            1.0
-        } else {
-            self.done as f64 / self.dag.len() as f64
-        }
     }
 }
 
@@ -324,7 +310,6 @@ mod tests {
         assert_eq!(order[0], NodeId(0));
         assert_eq!(order[3], NodeId(3));
         assert_eq!(mgr.dag_state(), DagState::Completed);
-        assert_eq!(mgr.progress(), 1.0);
     }
 
     #[test]
@@ -360,7 +345,6 @@ mod tests {
         mgr.mark_submitted(n);
         assert_eq!(mgr.mark_failed(n), FailureAction::Permanent);
         assert_eq!(mgr.dag_state(), DagState::Failed);
-        assert_eq!(mgr.total_retries(), 2);
     }
 
     #[test]
@@ -432,7 +416,6 @@ mod tests {
     fn empty_dag_is_complete() {
         let mgr: DagManager<u8> = DagManager::new(Dag::new(), 0, 0);
         assert_eq!(mgr.dag_state(), DagState::Completed);
-        assert_eq!(mgr.progress(), 1.0);
         assert!(mgr.ready_nodes().is_empty());
     }
 

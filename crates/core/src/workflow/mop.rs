@@ -10,7 +10,7 @@
 //! writer". §6.2 names the two simulators: CMSIM (GEANT3, FORTRAN,
 //! statically linked) and OSCAR (GEANT4, C++, >30-hour jobs).
 
-use crate::dag::Dag;
+use super::dag::Dag;
 use grid3_simkit::ids::{FileId, FileIdGen, UserId};
 use grid3_simkit::time::SimDuration;
 use grid3_simkit::units::Bytes;

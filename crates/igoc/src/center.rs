@@ -18,7 +18,7 @@ use grid3_monitoring::monalisa::MonAlisaRepository;
 use grid3_monitoring::netlogger::NetLoggerArchive;
 use grid3_pacman::install::{InstallPipeline, InstallReport};
 use grid3_pacman::package::{grid3_package_cache, PackageCache};
-use grid3_simkit::ids::{SiteId, TicketId};
+use grid3_simkit::ids::TicketId;
 use grid3_simkit::rng::SimRng;
 use grid3_simkit::time::{SimDuration, SimTime};
 use grid3_site::cluster::Site;
@@ -119,7 +119,8 @@ impl OperationsCenter {
     }
 
     /// The Grid3-era default center.
-    pub fn grid3_default() -> Self {
+    #[cfg(test)]
+    pub(crate) fn grid3_default() -> Self {
         Self::new(InstallPipeline::grid3_default())
     }
 
@@ -207,28 +208,12 @@ impl OperationsCenter {
         }
         opened
     }
-
-    /// Sites registered with at least `n` VO GIISes — the §7
-    /// "sites running concurrent applications" metric counts multi-VO
-    /// capable sites.
-    pub fn multi_vo_sites(&self, n: usize) -> Vec<SiteId> {
-        let mut counts: std::collections::BTreeMap<SiteId, usize> = Default::default();
-        for giis in &self.giis {
-            for site in giis.sites() {
-                *counts.entry(*site).or_insert(0) += 1;
-            }
-        }
-        counts
-            .into_iter()
-            .filter(|(_, c)| *c >= n)
-            .map(|(s, _)| s)
-            .collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use grid3_simkit::ids::SiteId;
     use grid3_simkit::units::{Bandwidth, Bytes};
     use grid3_site::cluster::{SitePolicy, SiteProfile, SiteTier};
     use grid3_site::failure::FailureModel;
@@ -282,9 +267,6 @@ mod tests {
             let expect = matches!(giis.vo, Vo::Usatlas | Vo::Uscms);
             assert_eq!(!giis.sites().is_empty(), expect, "{}", giis.vo);
         }
-        // Multi-VO metric: admitted to ≥2 GIISes.
-        assert_eq!(center.multi_vo_sites(2), vec![SiteId(1)]);
-        assert!(center.multi_vo_sites(3).is_empty());
     }
 
     #[test]

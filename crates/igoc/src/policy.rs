@@ -47,15 +47,6 @@ impl RevalidationPolicy {
     }
 }
 
-/// Outcome of an authorization check against the policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum PolicyDecision {
-    /// The user accepted the policy and is in good standing.
-    Permitted,
-    /// The user never accepted the policy.
-    NotAccepted,
-}
-
 /// The acceptable-use policy and who accepted it.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct AcceptableUsePolicy {
@@ -87,15 +78,6 @@ impl AcceptableUsePolicy {
         self.accepted.entry(user).or_insert(now);
     }
 
-    /// Check a user's standing.
-    pub fn check(&self, user: UserId) -> PolicyDecision {
-        if self.accepted.contains_key(&user) {
-            PolicyDecision::Permitted
-        } else {
-            PolicyDecision::NotAccepted
-        }
-    }
-
     /// Users in good standing.
     pub fn permitted_count(&self) -> usize {
         self.accepted.len()
@@ -107,12 +89,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn acceptance_gates_access() {
+    fn acceptance_registers_the_user() {
         let mut p = AcceptableUsePolicy::grid3();
         assert!(!p.rules.is_empty());
-        assert_eq!(p.check(UserId(1)), PolicyDecision::NotAccepted);
         p.accept(UserId(1), SimTime::EPOCH);
-        assert_eq!(p.check(UserId(1)), PolicyDecision::Permitted);
         assert_eq!(p.permitted_count(), 1);
     }
 

@@ -91,7 +91,8 @@ pub struct Gatekeeper {
 
 impl Gatekeeper {
     /// A gatekeeper with the default overload threshold.
-    pub fn new(site: SiteId) -> Self {
+    #[cfg(test)]
+    pub(crate) fn new(site: SiteId) -> Self {
         Self::with_threshold(site, DEFAULT_OVERLOAD_THRESHOLD)
     }
 

@@ -247,7 +247,8 @@ impl GridFtp {
     }
 
     /// Number of in-flight transfers.
-    pub fn active_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn active_count(&self) -> usize {
         self.active.len()
     }
 

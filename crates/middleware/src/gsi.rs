@@ -161,18 +161,6 @@ impl GridMapFile {
             None => Err(AuthError::NotMapped),
         }
     }
-
-    /// Render the file in the classic `"DN" account` format (useful in
-    /// examples and debugging).
-    pub fn render(&self) -> String {
-        let mut lines: Vec<String> = self
-            .entries
-            .iter()
-            .map(|(dn, vo)| format!("\"{}\" {}", dn, vo.group_account()))
-            .collect();
-        lines.sort();
-        lines.join("\n")
-    }
 }
 
 #[cfg(test)]
@@ -246,15 +234,6 @@ mod tests {
             map.authorize(&cert, &good_ca, SimTime::EPOCH),
             Err(AuthError::UntrustedIssuer)
         );
-    }
-
-    #[test]
-    fn render_is_sorted_and_formatted() {
-        let mut map = GridMapFile::new();
-        map.add_entry("/CN=Zed", Vo::Btev);
-        map.add_entry("/CN=Amy", Vo::Sdss);
-        let r = map.render();
-        assert_eq!(r, "\"/CN=Amy\" sdss\n\"/CN=Zed\" btev");
     }
 
     #[test]

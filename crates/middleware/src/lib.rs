@@ -11,8 +11,9 @@
 //!   a GLUE-style schema (with the Grid3 extensions of §5.1: application
 //!   install areas, temporary directories, storage element locations, VDT
 //!   location), VO-level GIIS indexes, and the top-level iGOC index.
-//! * [`rls`] — the Replica Location Service: local replica catalogs per
-//!   site plus a global index (the Giggle LRC/RLI design the paper cites).
+//! * [`rls`] — the Replica Location Service: one local replica catalog
+//!   per site (the LRC half of the Giggle LRC/RLI design the paper
+//!   cites) and the sites whose catalogs have gone stale.
 //! * [`gridftp`] — wide-area transfer service with per-site shared link
 //!   bandwidth and NetLogger-style event instrumentation (§4.7).
 //! * [`gram`] — the GRAM gatekeeper with the §6.4 empirical load model

@@ -77,13 +77,6 @@ impl VomsServer {
         });
     }
 
-    /// Remove a member by DN.
-    pub fn remove(&mut self, dn: &str) -> bool {
-        let before = self.members.len();
-        self.members.retain(|m| m.dn != dn);
-        self.members.len() != before
-    }
-
     /// Whether a DN is a member.
     #[cfg(test)]
     fn is_member(&self, dn: &str) -> bool {
@@ -177,14 +170,6 @@ mod tests {
         assert_eq!(s.app_admin_count(), 1);
         // Original registration date preserved.
         assert_eq!(s.members()[0].registered, SimTime::EPOCH);
-    }
-
-    #[test]
-    fn removal() {
-        let mut s = server_with(Vo::Sdss, 3);
-        assert!(s.remove("/CN=SDSS user 1"));
-        assert!(!s.remove("/CN=SDSS user 1"));
-        assert_eq!(s.member_count(), 2);
     }
 
     #[test]

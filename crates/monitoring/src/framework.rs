@@ -129,7 +129,8 @@ impl MonitoringBus {
     }
 
     /// Register a sink; returns its index for later retrieval.
-    pub fn register(&mut self, sink: Box<dyn MetricSink>) -> usize {
+    #[cfg(test)]
+    pub(crate) fn register(&mut self, sink: Box<dyn MetricSink>) -> usize {
         self.sinks.push(sink);
         self.sinks.len() - 1
     }

@@ -28,16 +28,17 @@ impl GangliaAgent {
         GangliaAgent { site }
     }
 
-    /// Sample the cluster: CPU load (running jobs / slots, the classic
-    /// load-average proxy), free slots and disk usage.
-    pub fn sample(&self, site: &Site, now: SimTime) -> Vec<MetricEvent> {
+    /// [`Self::sample_into`] a fresh buffer.
+    #[cfg(test)]
+    pub(crate) fn sample(&self, site: &Site, now: SimTime) -> Vec<MetricEvent> {
         let mut events = Vec::new();
         self.sample_into(site, now, &mut events);
         events
     }
 
-    /// [`GangliaAgent::sample`] into a caller-owned buffer (appended,
-    /// not cleared) — the monitor sweep reuses one buffer across all
+    /// Sample the cluster: CPU load (running jobs / slots, the classic
+    /// load-average proxy), free slots and disk usage, appended to `out`
+    /// (not cleared) — the monitor sweep reuses one buffer across all
     /// sites so a tick allocates nothing.
     pub fn sample_into(&self, site: &Site, now: SimTime, out: &mut Vec<MetricEvent>) {
         let total = site.total_slots() as u32;

@@ -100,7 +100,8 @@ impl NetLoggerArchive {
     }
 
     /// Transfers started but not yet terminal.
-    pub fn open_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn open_count(&self) -> usize {
         self.open.len()
     }
 }

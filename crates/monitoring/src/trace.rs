@@ -149,13 +149,6 @@ impl JobTrace {
             .unwrap_or(false)
     }
 
-    /// Wall time from submission to the terminal event, if terminal.
-    pub fn turnaround(&self) -> Option<SimDuration> {
-        let first = self.events.first()?.0;
-        let (last, e) = self.events.last()?;
-        e.is_terminal().then(|| last.since(first))
-    }
-
     /// Time between two named phases (first occurrence of each), e.g.
     /// queue wait = `Queued` → `Dispatched`.
     pub fn span_between(
@@ -784,7 +777,6 @@ mod tests {
         let (ts, job, _) = store_with_one_job();
         let t = ts.trace(job).unwrap();
         assert!(t.is_terminal());
-        assert_eq!(t.turnaround(), Some(SimDuration::from_secs(4_201)));
         // Queue wait: Queued (t=100) → Dispatched (t=400).
         let wait = t
             .span_between(

@@ -70,12 +70,14 @@ impl PackageCache {
     }
 
     /// Look up a package by name.
-    pub fn get(&self, name: &str) -> Option<&Package> {
+    #[cfg(test)]
+    pub(crate) fn get(&self, name: &str) -> Option<&Package> {
         self.packages.get(name)
     }
 
     /// Number of packages in the cache.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.packages.len()
     }
 

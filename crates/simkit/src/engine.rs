@@ -251,11 +251,6 @@ impl<E> LadderQueue<E> {
         Some(ev)
     }
 
-    /// Drop every event and reset the tiers.
-    pub fn clear(&mut self) {
-        *self = Self::new();
-    }
-
     /// Borrowing iterator over every stored event, in internal storage
     /// order (bottom tier, then rung buckets, then the far-future
     /// spill) — *not* pop order. Consumes nothing; `len` and all
@@ -539,14 +534,6 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Drop every pending event (used when a scenario ends early).
-    pub fn clear(&mut self) {
-        match &mut self.backend {
-            Backend::Ladder(l) => l.clear(),
-            Backend::Heap(h) => h.clear(),
-        }
-    }
-
     /// Visit every pending event in pop (`(time, seq)`) order without
     /// consuming anything: `len`, the clock, and the ladder's internal
     /// refinement state are all preserved. Snapshot code uses this to
@@ -642,18 +629,6 @@ mod tests {
         let (t2, e2) = q.pop().unwrap();
         assert_eq!((t2, e2), (SimTime::from_secs(10), "late"));
         assert_eq!(q.now(), SimTime::from_secs(10));
-    }
-
-    #[test]
-    fn clear_empties_queue() {
-        let mut q = EventQueue::new();
-        for i in 0..5 {
-            q.schedule_at(SimTime::from_secs(i), i);
-        }
-        assert_eq!(q.len(), 5);
-        q.clear();
-        assert!(q.is_empty());
-        assert!(q.pop().is_none());
     }
 
     #[test]

@@ -102,16 +102,6 @@ impl BinnedSeries {
     pub fn peak(&self) -> f64 {
         self.bins.iter().cloned().fold(0.0, f64::max)
     }
-
-    /// Merge another series with identical geometry into this one.
-    pub fn merge(&mut self, other: &BinnedSeries) {
-        assert_eq!(self.start, other.start, "series start mismatch");
-        assert_eq!(self.width, other.width, "series width mismatch");
-        assert_eq!(self.bins.len(), other.bins.len(), "series length mismatch");
-        for (a, b) in self.bins.iter_mut().zip(&other.bins) {
-            *a += b;
-        }
-    }
 }
 
 /// Integrates interval quantities into a [`BinnedSeries`].
@@ -201,7 +191,8 @@ impl MonthlySeries {
     }
 
     /// Add `value` to the month containing `t`, growing as needed.
-    pub fn add(&mut self, t: SimTime, value: f64) {
+    #[cfg(test)]
+    pub(crate) fn add(&mut self, t: SimTime, value: f64) {
         self.add_month_index(t.month_index(), value);
     }
 
@@ -226,15 +217,6 @@ impl MonthlySeries {
     /// Raw values, index 0 = October 2003.
     pub fn values(&self) -> &[f64] {
         &self.bins
-    }
-
-    /// `(label, value)` of the peak month, or `None` if empty.
-    pub fn peak(&self) -> Option<(String, f64)> {
-        self.bins
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-            .map(|(i, v)| (month_index_label(i as u32), *v))
     }
 
     /// Sum across months.
@@ -324,24 +306,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_adds_elementwise() {
-        let mut a = BinnedSeries::daily(SimTime::EPOCH, 3);
-        let mut b = BinnedSeries::daily(SimTime::EPOCH, 3);
-        a.add(SimTime::from_days(1), 2.0);
-        b.add(SimTime::from_days(1), 3.0);
-        a.merge(&b);
-        assert_eq!(a.values(), &[0.0, 5.0, 0.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "width mismatch")]
-    fn merge_rejects_mismatched_geometry() {
-        let mut a = BinnedSeries::daily(SimTime::EPOCH, 3);
-        let b = BinnedSeries::new(SimTime::EPOCH, SimDuration::from_hours(1), 3);
-        a.merge(&b);
-    }
-
-    #[test]
     fn integrator_splits_across_bins() {
         let mut u = UsageIntegrator::daily(SimTime::EPOCH, 3);
         // One CPU busy from day0 12:00 to day1 12:00 → half a day in each bin.
@@ -390,7 +354,6 @@ mod tests {
         assert_eq!(l[1], ("11-2003".to_string(), 50.0));
         assert_eq!(l[2], ("12-2003".to_string(), 0.0));
         assert_eq!(l[3], ("01-2004".to_string(), 20.0));
-        assert_eq!(m.peak(), Some(("11-2003".to_string(), 50.0)));
         assert_eq!(m.total(), 80.0);
     }
 

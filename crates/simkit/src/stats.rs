@@ -89,27 +89,6 @@ impl Summary {
     pub fn sum(&self) -> f64 {
         self.sum
     }
-
-    /// Merge another summary into this one (parallel reduction).
-    pub fn merge(&mut self, other: &Summary) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
 }
 
 /// NaN-safe descending order on `f64` keys, for ranking closures.
@@ -209,44 +188,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_equals_sequential() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut whole = Summary::new();
-        for x in &xs {
-            whole.record(*x);
-        }
-        let mut a = Summary::new();
-        let mut b = Summary::new();
-        for x in &xs[..37] {
-            a.record(*x);
-        }
-        for x in &xs[37..] {
-            b.record(*x);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert!((a.mean() - whole.mean()).abs() < 1e-9);
-        assert!((a.variance() - whole.variance()).abs() < 1e-9);
-        assert_eq!(a.min(), whole.min());
-        assert_eq!(a.max(), whole.max());
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a = Summary::new();
-        a.record(3.0);
-        let before = a.clone();
-        a.merge(&Summary::new());
-        assert_eq!(a.count(), before.count());
-        assert_eq!(a.mean(), before.mean());
-
-        let mut e = Summary::new();
-        e.merge(&before);
-        assert_eq!(e.count(), 1);
-        assert_eq!(e.mean(), 3.0);
-    }
-
-    #[test]
     fn percentile_nearest_rank() {
         let xs = [1.0, 2.0, 3.0, 4.0, 5.0];
         assert_eq!(percentile(&xs, 0.0), 1.0);
@@ -297,22 +238,6 @@ mod tests {
         use proptest::prelude::*;
 
         proptest! {
-            #[test]
-            fn merge_associativity(xs in proptest::collection::vec(-100f64..100.0, 3..120),
-                                   split in 1usize..100) {
-                let k = split % (xs.len() - 1) + 1;
-                let mut whole = Summary::new();
-                for x in &xs { whole.record(*x); }
-                let mut a = Summary::new();
-                let mut b = Summary::new();
-                for x in &xs[..k] { a.record(*x); }
-                for x in &xs[k..] { b.record(*x); }
-                a.merge(&b);
-                prop_assert_eq!(a.count(), whole.count());
-                prop_assert!((a.mean() - whole.mean()).abs() < 1e-6);
-                prop_assert!((a.variance() - whole.variance()).abs() < 1e-4);
-            }
-
             #[test]
             fn percentile_is_bounded(xs in proptest::collection::vec(-1e6f64..1e6, 1..100),
                                      p in 0f64..100.0) {

@@ -203,7 +203,8 @@ impl Counter {
     }
 
     /// Whether this handle records anywhere.
-    pub fn is_enabled(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_enabled(&self) -> bool {
         self.0.is_some()
     }
 
@@ -239,7 +240,8 @@ impl Histo {
     }
 
     /// Whether this handle records anywhere.
-    pub fn is_enabled(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_enabled(&self) -> bool {
         self.0.is_some()
     }
 
@@ -364,7 +366,8 @@ impl Telemetry {
     }
 
     /// Snapshot of one histogram.
-    pub fn histogram(
+    #[cfg(test)]
+    pub(crate) fn histogram(
         &self,
         subsystem: &'static str,
         name: &'static str,

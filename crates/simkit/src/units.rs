@@ -27,13 +27,8 @@ impl Bytes {
         Bytes(b)
     }
 
-    /// Construct from kibibytes? No — the paper speaks in decimal units
-    /// (GB = 10⁹), so we follow it: kilobytes are 10³ bytes.
-    pub const fn from_kb(kb: u64) -> Self {
-        Bytes(kb * 1_000)
-    }
-
-    /// Megabytes (10⁶ bytes).
+    /// Megabytes (10⁶ bytes). The paper speaks in decimal units
+    /// (GB = 10⁹), so the constructors follow it.
     pub const fn from_mb(mb: u64) -> Self {
         Bytes(mb * 1_000_000)
     }
@@ -215,7 +210,6 @@ mod tests {
 
     #[test]
     fn byte_constructors_are_decimal() {
-        assert_eq!(Bytes::from_kb(1).as_u64(), 1_000);
         assert_eq!(Bytes::from_mb(1).as_u64(), 1_000_000);
         assert_eq!(Bytes::from_gb(2).as_u64(), 2_000_000_000);
         assert_eq!(Bytes::from_tb(1).as_u64(), 1_000_000_000_000);

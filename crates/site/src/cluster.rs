@@ -3,11 +3,9 @@
 //! A [`Site`] bundles the cluster (worker nodes), the local batch
 //! scheduler, the storage element, the WAN link capacity and the local
 //! policy — the §5 design point that "each resource … was logically
-//! associated with a VO" while remaining under local control. The §6.4
-//! site-selection criteria are implemented here as [`Site::eligible`].
+//! associated with a VO" while remaining under local control.
 
 use crate::failure::FailureModel;
-use crate::job::JobSpec;
 use crate::node::{NodeState, WorkerNode};
 use crate::scheduler::{BatchScheduler, DispatchCtx, QueuedJob, SchedulerKind};
 use crate::storage::StorageElement;
@@ -90,22 +88,6 @@ pub struct SiteProfile {
     pub policy: SitePolicy,
     /// Failure behaviour of this site.
     pub failures: FailureModel,
-}
-
-/// Why a site cannot take a job (§6.4's four selection criteria plus VO
-/// admission).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum IneligibleReason {
-    /// VO not admitted by local policy.
-    VoNotAllowed,
-    /// Job needs outbound connectivity the worker nodes lack.
-    NoOutboundConnectivity,
-    /// Not enough free disk for the job's data.
-    InsufficientDisk,
-    /// Requested walltime exceeds the site maximum.
-    WalltimeTooLong,
-    /// Site services are down.
-    ServiceDown,
 }
 
 /// Book-keeping for a job occupying a slot.
@@ -216,27 +198,6 @@ impl Site {
         &self.running_per_vo
     }
 
-    /// §6.4 site-selection check: can this site, right now, accept `spec`?
-    pub fn eligible(&self, spec: &JobSpec) -> Result<(), IneligibleReason> {
-        if !self.service_up {
-            return Err(IneligibleReason::ServiceDown);
-        }
-        if !self.profile.policy.admits_vo(spec.class.vo()) {
-            return Err(IneligibleReason::VoNotAllowed);
-        }
-        if spec.needs_outbound && !self.profile.outbound_connectivity {
-            return Err(IneligibleReason::NoOutboundConnectivity);
-        }
-        if spec.requested_walltime > self.profile.policy.max_walltime {
-            return Err(IneligibleReason::WalltimeTooLong);
-        }
-        let disk_needed = spec.input_bytes + spec.output_bytes + spec.scratch_bytes;
-        if disk_needed > self.storage.free() {
-            return Err(IneligibleReason::InsufficientDisk);
-        }
-        Ok(())
-    }
-
     /// Put a job in the batch queue.
     pub fn enqueue(&mut self, job: QueuedJob) {
         self.scheduler.enqueue(job);
@@ -344,21 +305,11 @@ impl Site {
             .map(NodeId)
             .collect();
     }
-
-    /// Utilization of batch slots in `[0, 1]`.
-    pub fn utilization(&self) -> f64 {
-        if self.nodes.is_empty() {
-            return 0.0;
-        }
-        self.running.len() as f64 / self.nodes.len() as f64
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::vo::UserClass;
-    use grid3_simkit::ids::UserId;
 
     fn profile(cpus: u32) -> SiteProfile {
         SiteProfile {
@@ -383,21 +334,6 @@ mod tests {
             vo,
             requested_walltime: SimDuration::from_hours(hours),
             enqueued: SimTime::EPOCH,
-        }
-    }
-
-    fn spec() -> JobSpec {
-        JobSpec {
-            class: UserClass::Usatlas,
-            user: UserId(0),
-            reference_runtime: SimDuration::from_hours(8),
-            requested_walltime: SimDuration::from_hours(12),
-            input_bytes: Bytes::from_gb(1),
-            output_bytes: Bytes::from_gb(2),
-            scratch_bytes: Bytes::from_gb(1),
-            needs_outbound: false,
-            staged_files: 2,
-            registers_output: true,
         }
     }
 
@@ -433,43 +369,6 @@ mod tests {
         assert_eq!(s.scheduler.usage_of(Vo::Uscms), 4.0 * 3600.0);
         // Releasing twice is a no-op.
         assert!(s.release(JobId(1), SimTime::EPOCH).is_none());
-    }
-
-    #[test]
-    fn eligibility_covers_section_6_4_criteria() {
-        let mut p = profile(4);
-        p.outbound_connectivity = false;
-        p.policy.max_walltime = SimDuration::from_hours(10);
-        p.policy.allowed_vos = Some(vec![Vo::Usatlas, Vo::Uscms]);
-        let mut site = Site::new(SiteId(0), p);
-
-        let mut sp = spec();
-        sp.requested_walltime = SimDuration::from_hours(8);
-
-        // VO admission.
-        let mut ligo = sp.clone();
-        ligo.class = UserClass::Ligo;
-        assert_eq!(site.eligible(&ligo), Err(IneligibleReason::VoNotAllowed));
-        // Outbound connectivity.
-        let mut ob = sp.clone();
-        ob.needs_outbound = true;
-        assert_eq!(
-            site.eligible(&ob),
-            Err(IneligibleReason::NoOutboundConnectivity)
-        );
-        // Walltime.
-        let mut long = sp.clone();
-        long.requested_walltime = SimDuration::from_hours(30);
-        assert_eq!(site.eligible(&long), Err(IneligibleReason::WalltimeTooLong));
-        // Disk.
-        let mut fat = sp.clone();
-        fat.scratch_bytes = Bytes::from_tb(2);
-        assert_eq!(site.eligible(&fat), Err(IneligibleReason::InsufficientDisk));
-        // Service down.
-        site.service_up = false;
-        assert_eq!(site.eligible(&sp), Err(IneligibleReason::ServiceDown));
-        site.service_up = true;
-        assert_eq!(site.eligible(&sp), Ok(()));
     }
 
     #[test]
@@ -543,15 +442,5 @@ mod tests {
         s.release(first, SimTime::EPOCH + SimDuration::from_hours(1));
         s.dispatch(SimTime::EPOCH + SimDuration::from_hours(1), &mut started);
         assert_eq!(started.len(), 1);
-    }
-
-    #[test]
-    fn utilization_tracks_running() {
-        let mut s = Site::new(SiteId(0), profile(4));
-        assert_eq!(s.utilization(), 0.0);
-        s.enqueue(qj(0, Vo::Usatlas, 4));
-        s.enqueue(qj(1, Vo::Usatlas, 4));
-        s.dispatch(SimTime::EPOCH, &mut Vec::new());
-        assert!((s.utilization() - 0.5).abs() < 1e-12);
     }
 }

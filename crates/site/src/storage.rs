@@ -98,6 +98,7 @@ impl FileTable {
     }
 
     /// Size of a live file.
+    #[cfg(test)]
     fn get(&self, file: FileId) -> Option<Bytes> {
         let slot = self.slots[self.find(file).ok()?];
         slot.live.then_some(slot.size)
@@ -243,17 +244,9 @@ impl StorageElement {
             .saturating_sub(self.reserved)
     }
 
-    /// Utilization in `[0, 1]`.
-    pub fn utilization(&self) -> f64 {
-        if self.capacity.is_zero() {
-            1.0
-        } else {
-            self.stored.as_u64() as f64 / self.capacity.as_u64() as f64
-        }
-    }
-
     /// Whether the file is present.
-    pub fn contains(&self, file: FileId) -> bool {
+    #[cfg(test)]
+    pub(crate) fn contains(&self, file: FileId) -> bool {
         self.files.get(file).is_some()
     }
 
@@ -286,7 +279,8 @@ impl StorageElement {
     }
 
     /// Size of a stored file.
-    pub fn size_of(&self, file: FileId) -> Result<Bytes, StorageError> {
+    #[cfg(test)]
+    pub(crate) fn size_of(&self, file: FileId) -> Result<Bytes, StorageError> {
         self.files.get(file).ok_or(StorageError::NotFound(file))
     }
 
@@ -475,7 +469,6 @@ mod tests {
     #[test]
     fn zero_capacity_is_always_full() {
         let se = StorageElement::new(Bytes::ZERO);
-        assert_eq!(se.utilization(), 1.0);
         assert_eq!(se.free(), Bytes::ZERO);
     }
 

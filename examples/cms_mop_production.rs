@@ -9,19 +9,33 @@
 //! cargo run --release --example cms_mop_production
 //! ```
 
-use grid3_sim::apps::cms;
 use grid3_sim::simkit::ids::UserId;
 use grid3_sim::simkit::time::SimDuration;
-use grid3_sim::workflow::mop::{CmsSimulator, CmsStep, McRunJob};
+use grid3_sim::workflow::mop::{CmsSimulator, CmsStep, McRunJob, ProductionRequest};
 
 fn main() {
-    // A slice of the DC04 preparation: 100k OSCAR + 50k CMSIM events.
-    let requests = cms::dc04_requests(100_000, 50_000, 25_000, UserId(7));
+    // A slice of the DC04 preparation: 100k OSCAR + 50k CMSIM events, as
+    // control-database rows of 25k events and 250 events per job chain.
+    let requests: Vec<ProductionRequest> = [
+        (CmsSimulator::Oscar, "oscar", 4),
+        (CmsSimulator::Cmsim, "cmsim", 2),
+    ]
+    .into_iter()
+    .flat_map(|(simulator, label, parts)| {
+        (0..parts).map(move |part| ProductionRequest {
+            dataset: format!("dc04_{label}_{part:03}"),
+            events: 25_000,
+            events_per_job: 250,
+            simulator,
+            operator: UserId(7),
+        })
+    })
+    .collect();
     println!(
         "{} production requests covering {} events ({} job chains)",
         requests.len(),
         requests.iter().map(|r| r.events).sum::<u64>(),
-        cms::total_chains(&requests),
+        requests.iter().map(|r| r.chains()).sum::<u64>(),
     );
 
     let mut mc = McRunJob::new();

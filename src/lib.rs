@@ -11,17 +11,18 @@
 //! * [`middleware`] — GRAM, GridFTP, MDS, RLS, GSI, VOMS;
 //! * [`pacman`] — packaging and site installation/certification;
 //! * [`monitoring`] — Ganglia, MonALISA, ACDC, status catalog, MDViewer;
-//! * [`workflow`] — DAGs, Chimera, Pegasus, DAGMan, MOP, DIAL;
-//! * [`apps`] — the ten Grid3 application demonstrators;
 //! * [`igoc`] — the operations center;
-//! * [`core`] — topology, broker, the whole-grid simulation, reports.
+//! * [`core`] — topology, broker, the whole-grid simulation, reports;
+//! * [`workflow`] — the CMS production path: DAGs, DAGMan, MCRunJob/MOP
+//!   (`core::workflow`);
+//! * [`apps`] — the calibrated Table 1 workloads and the Entrada GridFTP
+//!   demonstrator (`core::apps`).
 
-pub use grid3_apps as apps;
 pub use grid3_core as core;
+pub use grid3_core::{apps, workflow};
 pub use grid3_igoc as igoc;
 pub use grid3_middleware as middleware;
 pub use grid3_monitoring as monitoring;
 pub use grid3_pacman as pacman;
 pub use grid3_simkit as simkit;
 pub use grid3_site as site;
-pub use grid3_workflow as workflow;

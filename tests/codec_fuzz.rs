@@ -1,6 +1,8 @@
-//! Fixed-seed mutation fuzzing of the two binary input boundaries: engine
-//! snapshots (`EngineSnapshot::from_bytes`) and campaign journal frames
-//! (`CampaignJournal::open`).
+//! Fixed-seed mutation fuzzing of the input boundaries: the two binary
+//! ones, engine snapshots (`EngineSnapshot::from_bytes`) and campaign
+//! journal frames (`CampaignJournal::open`), and the two text ones,
+//! scenario documents (`dsl::parse_str`) and JSONL submission logs
+//! (`JobTrace::parse_jsonl`).
 //!
 //! Each case takes a real encoding and applies one mutation — bit flips,
 //! byte overwrites, a truncation, an insertion, or a length field set to
@@ -8,7 +10,9 @@
 //! so the mutated bytes reach the decoder rather than stopping at the
 //! integrity check. Neither boundary may panic: a snapshot decodes or
 //! fails with a typed `SnapshotError`, and a journal keeps its intact
-//! record prefix.
+//! record prefix. Text cases take the same byte mutations, or replace a
+//! number with an extreme value; a document or log parses or fails with
+//! a typed `DslError`.
 
 use std::path::PathBuf;
 
@@ -16,9 +20,12 @@ use grid3_core::campaign::{
     plan_fingerprint, run_campaign_resumable, run_with_threads, CampaignJournal, CampaignPlan,
     ResumableOptions, WalError, WalRecord,
 };
+use grid3_core::dsl::{self, DslError, JobTrace, TraceJob};
 use grid3_core::scenario::ScenarioConfig;
 use grid3_core::snapshot::{EngineSnapshot, SnapshotError};
 use grid3_core::Grid3Engine;
+use grid3_simkit::ids::UserId;
+use grid3_simkit::rng::SimRng;
 use grid3_simkit::time::SimTime;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
@@ -317,4 +324,150 @@ fn a_value_tree_journal_reopens_empty_and_every_run_re_executes() {
     let (_, replayable) = CampaignJournal::open(&path, fingerprint).expect("reopens");
     assert_eq!(replayable.len(), plan.len(), "every run re-executed");
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// What the numeric-token mutation writes in place of a number: values
+/// out of every field's range, and tokens of the wrong JSON type.
+const EXTREMES: [&str; 7] = [
+    "-1",
+    "0",
+    "1e308",
+    "18446744073709551616",
+    "null",
+    "\"x\"",
+    "[]",
+];
+
+/// Byte ranges of the JSON number tokens in `text`, skipping string
+/// contents.
+fn number_tokens(text: &str) -> Vec<(usize, usize)> {
+    let bytes = text.as_bytes();
+    let mut out = Vec::new();
+    let (mut i, mut in_string) = (0, false);
+    while i < bytes.len() {
+        let b = bytes[i];
+        if in_string {
+            match b {
+                b'\\' => i += 1,
+                b'"' => in_string = false,
+                _ => {}
+            }
+        } else if b == b'"' {
+            in_string = true;
+        } else if b == b'-' || b.is_ascii_digit() {
+            let start = i;
+            while i < bytes.len()
+                && matches!(bytes[i], b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')
+            {
+                i += 1;
+            }
+            out.push((start, i));
+            continue;
+        }
+        i += 1;
+    }
+    out
+}
+
+/// Apply one random mutation to a text input and describe it: one case
+/// in five replaces a number token with an [`EXTREMES`] value, the rest
+/// take one of [`mutate`]'s byte mutations (invalid UTF-8 is replaced,
+/// as a text reader would have to).
+fn mutate_text(rng: &mut StdRng, text: &str) -> (String, String) {
+    let numbers = number_tokens(text);
+    if !numbers.is_empty() && rng.gen_range(0..5u32) == 0 {
+        let (start, end) = numbers[rng.gen_range(0..numbers.len())];
+        let extreme = EXTREMES[rng.gen_range(0..EXTREMES.len())];
+        let what = format!("number `{}` at {start} set to {extreme}", &text[start..end]);
+        return (format!("{}{extreme}{}", &text[..start], &text[end..]), what);
+    }
+    let mut bytes = text.as_bytes().to_vec();
+    let what = mutate(rng, &mut bytes, &[]);
+    (String::from_utf8_lossy(&bytes).into_owned(), what)
+}
+
+/// Feed [`CASES`] mutated copies of `inputs` (name, text) to `parse`,
+/// naming any case that panics; some must parse and some must fail.
+fn fuzz_text<T>(
+    seed: u64,
+    inputs: &[(String, String)],
+    parse: impl Fn(&str) -> Result<T, DslError> + std::panic::RefUnwindSafe,
+) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let (mut parsed, mut rejected) = (0, 0);
+    for case in 0..CASES {
+        let (name, text) = &inputs[rng.gen_range(0..inputs.len())];
+        let (mutated, what) = mutate_text(&mut rng, text);
+        match std::panic::catch_unwind(|| parse(&mutated))
+            .unwrap_or_else(|_| panic!("case {case} ({name}: {what}) panicked the decoder"))
+        {
+            Ok(_) => parsed += 1,
+            Err(_) => rejected += 1,
+        }
+    }
+    assert!(
+        parsed > 0 && rejected > 0,
+        "parsed {parsed}, rejected {rejected}"
+    );
+}
+
+#[test]
+fn mutated_scenario_documents_parse_or_fail_typed() {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("scenarios");
+    let mut docs: Vec<(String, String)> = std::fs::read_dir(&dir)
+        .expect("scenarios/")
+        .map(|e| e.expect("dir entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "json"))
+        .map(|p| {
+            let text = std::fs::read_to_string(&p).expect("scenario text");
+            (
+                p.file_name().expect("name").to_string_lossy().into_owned(),
+                text,
+            )
+        })
+        .collect();
+    docs.sort();
+    assert!(docs.len() >= 7, "every built-in scenario is committed");
+    for (name, text) in &docs {
+        dsl::parse_str(text).unwrap_or_else(|e| panic!("{name} parses unmutated: {e}"));
+    }
+    fuzz_text(0xD5_1DEA, &docs, dsl::parse_str);
+}
+
+/// A submission log of real shape: the first three days of the
+/// calibrated `sc2003` workload at 1 % scale, written as JSONL.
+fn workload_log() -> String {
+    let cfg = ScenarioConfig::sc2003().with_scale(0.01).with_seed(7);
+    let mut jobs: Vec<TraceJob> = Vec::new();
+    for w in cfg.scaled_workloads() {
+        let mut rng = SimRng::for_label(cfg.seed, &format!("workload/{}", w.class.name()));
+        for s in w.schedule(&mut rng, UserId(0), SimTime::from_days(3)) {
+            let spec = s.spec;
+            jobs.push(TraceJob {
+                at: s.at,
+                class: spec.class,
+                user: format!("u{}", spec.user.0),
+                runtime: spec.reference_runtime,
+                input_bytes: spec.input_bytes.as_u64(),
+                output_bytes: spec.output_bytes.as_u64(),
+                scratch_bytes: spec.scratch_bytes.as_u64(),
+                staged_files: spec.staged_files,
+                needs_outbound: spec.needs_outbound,
+                registers_output: spec.registers_output,
+                walltime_factor: spec.requested_walltime.as_secs_f64()
+                    / spec.reference_runtime.as_secs_f64(),
+                affinity: w.vo_affinity,
+            });
+        }
+    }
+    jobs.sort_by_key(|j| j.at);
+    JobTrace { jobs }.to_jsonl()
+}
+
+#[test]
+fn mutated_submission_logs_parse_or_fail_typed() {
+    let log = workload_log();
+    let trace = JobTrace::parse_jsonl(&log).expect("the unmutated log parses");
+    assert!(trace.jobs.len() >= 20, "{} jobs", trace.jobs.len());
+    fuzz_text(0x10_6F11E5, &[("log".into(), log)], JobTrace::parse_jsonl);
 }

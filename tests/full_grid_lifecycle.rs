@@ -108,11 +108,26 @@ fn figures_series_are_well_formed() {
 
 #[test]
 fn rls_holds_registered_outputs() {
+    use grid3_sim::monitoring::trace::TraceEvent;
     let mut sim = Grid3Engine::new(small());
     sim.run();
     // Registering classes completed jobs, so the catalog is non-trivial.
     assert!(sim.rls().lfn_count() > 0);
     assert_eq!(sim.rls().replica_count(), sim.rls().lfn_count());
+    // Each output is registered once, in the same step that records
+    // `Registered` in its job's trace: a lost or doubled registration
+    // breaks the equality.
+    let traces = sim.traces();
+    let registered = (0..traces.len() as u32)
+        .filter_map(|jid| traces.find_by_execution_id(grid3_sim::simkit::ids::JobId(jid)))
+        .filter(|t| {
+            t.events
+                .iter()
+                .any(|(_, e)| matches!(e, TraceEvent::Registered))
+        })
+        .count();
+    assert_eq!(sim.rls().replica_count(), registered);
+    assert_eq!(sim.rls().lfn_count(), registered);
 }
 
 #[test]

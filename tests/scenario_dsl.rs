@@ -11,11 +11,11 @@
 use grid3_core::dsl::{self, DslError, JobTrace, TraceJob};
 use grid3_core::resilience::ResilienceConfig;
 use grid3_core::scenario::{CampaignSpec, ScenarioConfig, StormSpec};
+use grid3_core::workflow::mop::CmsSimulator;
 use grid3_pacman::install::InstallPipeline;
 use grid3_simkit::dist::{ArrivalProcess, DurationDist, SizeDist};
 use grid3_simkit::time::{SimDuration, SimTime};
 use grid3_site::vo::UserClass;
-use grid3_workflow::mop::CmsSimulator;
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 
@@ -582,7 +582,7 @@ proptest! {
             }],
             site_replicas: replicas,
             audit,
-            workloads: Some(vec![grid3_apps::workloads::WorkloadSpec {
+            workloads: Some(vec![grid3_core::apps::workloads::WorkloadSpec {
                 class: UserClass::Uscms,
                 users,
                 admin_share: 0.5,

@@ -1,88 +1,10 @@
-//! Cross-crate workflow integration: Chimera → Pegasus → DAGMan over real
-//! middleware state, plus the MOP and LIGO pipelines (§4.1–§4.5).
+//! Cross-crate workflow integration: the CMS MOP pipeline under DAGMan
+//! (§4.2).
 
-use grid3_sim::apps::{atlas, ligo, sdss};
-use grid3_sim::middleware::mds::{GlueRecord, MdsDirectory};
-use grid3_sim::middleware::rls::ReplicaLocationService;
-use grid3_sim::simkit::ids::{FileIdGen, SiteId, UserId};
-use grid3_sim::simkit::time::{SimDuration, SimTime};
-use grid3_sim::simkit::units::{Bandwidth, Bytes};
+use grid3_sim::simkit::ids::UserId;
 use grid3_sim::site::vo::{UserClass, Vo};
 use grid3_sim::workflow::dagman::{DagManager, DagState};
 use grid3_sim::workflow::mop::{CmsSimulator, McRunJob, ProductionRequest};
-use grid3_sim::workflow::pegasus::{ConcreteTask, PegasusPlanner};
-
-fn record(id: u32, wall_hr: u64) -> GlueRecord {
-    GlueRecord {
-        site: SiteId(id),
-        site_name: format!("S{id}"),
-        total_cpus: 128,
-        free_cpus: 100,
-        queued_jobs: 0,
-        max_walltime: SimDuration::from_hours(wall_hr),
-        se_free: Bytes::from_tb(20),
-        se_total: Bytes::from_tb(20),
-        wan_bandwidth: Bandwidth::from_mbit_per_sec(155.0),
-        outbound_connectivity: true,
-        allowed_vos: None,
-        owner_vo: None,
-        app_install_area: "/app".into(),
-        tmp_dir: "/tmp".into(),
-        data_dir: "/data".into(),
-        vdt_location: "/vdt".into(),
-        vdt_version: "VDT-1.1.8".into(),
-        timestamp: SimTime::EPOCH,
-    }
-}
-
-#[test]
-fn atlas_chain_plans_and_executes_to_completion() {
-    let mut lfns = FileIdGen::new();
-    let dc = atlas::dc2_virtual_data(3, &mut lfns);
-    let mut rls = ReplicaLocationService::new();
-    let mut mds = MdsDirectory::with_default_ttl();
-    mds.publish(record(0, 96)); // archive
-    mds.publish(record(1, 72));
-    let planner = PegasusPlanner::new(SiteId(0));
-
-    for chain in &dc.chains {
-        let abstract_dag = dc.vdc.plan_request(chain.reconstructed, &rls).unwrap();
-        let candidates = mds.fresh_records(SimTime::EPOCH);
-        let concrete = planner
-            .plan(
-                &abstract_dag,
-                UserClass::Usatlas,
-                UserId(0),
-                &candidates,
-                &rls,
-            )
-            .unwrap();
-        let mut mgr = DagManager::new(concrete, 1, 0);
-        // Drive without failures; register materializes replicas.
-        loop {
-            let ready = mgr.ready_nodes();
-            if ready.is_empty() {
-                break;
-            }
-            for n in ready {
-                mgr.mark_submitted(n);
-                if let ConcreteTask::Register { lfn, site, bytes } = mgr.dag().payload(n).clone() {
-                    rls.register(lfn, site, bytes);
-                }
-                mgr.mark_done(n);
-            }
-        }
-        assert_eq!(mgr.dag_state(), DagState::Completed);
-    }
-    // Every produced file of every chain is now in RLS at the archive.
-    assert_eq!(rls.lfn_count(), 9);
-    // Re-requesting a completed chain needs no work: virtual data.
-    let replan = dc
-        .vdc
-        .plan_request(dc.chains[0].reconstructed, &rls)
-        .unwrap();
-    assert!(replan.is_empty());
-}
 
 #[test]
 fn mop_dag_respects_chain_structure_under_dagman() {
@@ -112,67 +34,6 @@ fn mop_dag_respects_chain_structure_under_dagman() {
     assert_eq!(mgr.dag_state(), DagState::Completed);
     assert_eq!(mgr.done_count(), 12);
     assert!(rounds >= 6, "throttling forces multiple rounds");
-}
-
-#[test]
-fn ligo_workflow_respects_stage_search_publish_order() {
-    let mut lfns = FileIdGen::new();
-    let search = ligo::s2_search(4, SiteId(15), UserId(3), &mut lfns);
-    let order = search.workflow.topological_order();
-    let pos: Vec<usize> = (0..search.workflow.len())
-        .map(|i| order.iter().position(|n| n.index() == i).unwrap())
-        .collect();
-    for (id, task) in search.workflow.iter() {
-        match task {
-            ligo::LigoTask::Search { .. } => {
-                for p in search.workflow.parents(id) {
-                    assert!(pos[p.index()] < pos[id.index()]);
-                    assert!(matches!(
-                        search.workflow.payload(*p),
-                        ligo::LigoTask::StageData { .. }
-                    ));
-                }
-            }
-            ligo::LigoTask::PublishResults { .. } => {
-                assert_eq!(search.workflow.parents(id).len(), 1);
-            }
-            _ => {}
-        }
-    }
-}
-
-#[test]
-fn sdss_thousand_step_workflow_plans_onto_the_grid() {
-    let mut lfns = FileIdGen::new();
-    let search = sdss::cluster_search(1_000, 20, &mut lfns);
-    let mut rls = ReplicaLocationService::new();
-    for f in &search.field_inputs {
-        rls.register(*f, SiteId(0), Bytes::from_mb(200));
-    }
-    let abstract_dag = search
-        .vdc
-        .plan_request(search.catalog_output, &rls)
-        .unwrap();
-    assert_eq!(abstract_dag.len(), 1_021);
-
-    let mut mds = MdsDirectory::with_default_ttl();
-    mds.publish(record(0, 96));
-    mds.publish(record(1, 48));
-    let candidates = mds.fresh_records(SimTime::EPOCH);
-    let planner = PegasusPlanner::new(SiteId(0));
-    let concrete = planner
-        .plan(&abstract_dag, UserClass::Sdss, UserId(0), &candidates, &rls)
-        .unwrap();
-    // 3 concrete nodes per abstract task plus stage-ins.
-    assert!(concrete.len() >= 3 * 1_021);
-    // The fan-in shape survives planning: exactly one final register node
-    // has no children.
-    let terminal_registers = concrete
-        .leaves()
-        .iter()
-        .filter(|n| matches!(concrete.payload(**n), ConcreteTask::Register { .. }))
-        .count();
-    assert!(terminal_registers >= 1);
 }
 
 #[test]
