@@ -360,8 +360,7 @@ fn main() {
         for c in tele.counters().iter().take(12) {
             println!("    {}/{}[{}] = {}", c.subsystem, c.name, c.label, c.value);
         }
-        // Machine-readable snapshot: the full registry, mirroring what
-        // the monitoring bus producer publishes.
+        // Machine-readable snapshot: the full registry.
         let json = format!(
             "{{\"registry\":{},\"events_processed\":{}}}",
             tele.registry_json(),

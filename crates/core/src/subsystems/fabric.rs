@@ -23,7 +23,7 @@ use crate::resilience::ResilienceLayer;
 use crate::scenario::ScenarioConfig;
 use crate::topology::Topology;
 use grid3_igoc::center::OperationsCenter;
-use grid3_igoc::tickets::{TicketKind, TicketStatus};
+use grid3_igoc::tickets::TicketKind;
 use grid3_middleware::gram::Gatekeeper;
 use grid3_middleware::gridftp::GridFtp;
 use grid3_middleware::gsi::CertificateAuthority;
@@ -298,8 +298,7 @@ impl GridFabric {
         let open: Vec<_> = self
             .center
             .tickets
-            .for_site(site)
-            .filter(|t| matches!(t.status, TicketStatus::Open))
+            .open_at(site)
             .filter(|t| t.kind != TicketKind::FailureStorm)
             .map(|t| t.id)
             .collect();

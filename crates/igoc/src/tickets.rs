@@ -9,7 +9,9 @@
 
 use grid3_simkit::ids::{SiteId, TicketId, TicketIdGen};
 use grid3_simkit::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
+use serde::{Decode, DecodeError, Deserialize, Encode, Reader, Serialize, Sink};
+use std::borrow::Cow;
+use std::collections::BTreeSet;
 
 /// What kind of problem a ticket reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
@@ -91,10 +93,15 @@ pub struct Ticket {
 }
 
 /// The ticket system.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct TicketSystem {
     ids: TicketIdGen,
+    /// Every ticket ever opened; ticket `n` is `tickets[n]`.
     tickets: Vec<Ticket>,
+    /// The open tickets as `(site, id)`, so each site's are in id order.
+    /// Derived from `tickets`: snapshots leave it out, and decoding
+    /// rebuilds it.
+    open: BTreeSet<(SiteId, TicketId)>,
 }
 
 impl TicketSystem {
@@ -106,6 +113,7 @@ impl TicketSystem {
     /// Open a ticket; returns its id.
     pub fn open(&mut self, site: SiteId, kind: TicketKind, now: SimTime) -> TicketId {
         let id = self.ids.next_id();
+        self.open.insert((site, id));
         self.tickets.push(Ticket {
             id,
             site,
@@ -124,6 +132,7 @@ impl TicketSystem {
             Some(t) if matches!(t.status, TicketStatus::Open) => {
                 t.status = TicketStatus::Resolved(now);
                 t.effort_hours = t.kind.effort_hours();
+                self.open.remove(&(t.site, id));
                 true
             }
             _ => false,
@@ -135,8 +144,17 @@ impl TicketSystem {
         &self.tickets
     }
 
-    /// Tickets opened against one site.
-    pub fn for_site(&self, site: SiteId) -> impl Iterator<Item = &Ticket> {
+    /// One site's open tickets, in id order.
+    pub fn open_at(&self, site: SiteId) -> impl Iterator<Item = &Ticket> {
+        self.open
+            .range((site, TicketId(0))..=(site, TicketId(u32::MAX)))
+            .map(|&(_, id)| &self.tickets[id.index()])
+    }
+
+    /// Tickets opened against one site (the scan [`TicketSystem::open_at`]
+    /// answers from its index).
+    #[cfg(test)]
+    fn for_site(&self, site: SiteId) -> impl Iterator<Item = &Ticket> {
         self.tickets.iter().filter(move |t| t.site == site)
     }
 
@@ -179,6 +197,65 @@ impl TicketSystem {
                 resolved.iter().sum::<f64>() / resolved.len() as f64,
             ))
         }
+    }
+}
+
+/// The ticket system's snapshot layout: the id generator and every
+/// ticket, without the derived open-ticket index.
+#[derive(Serialize, Deserialize)]
+struct TicketSystemWire<'a> {
+    ids: Cow<'a, TicketIdGen>,
+    tickets: Cow<'a, [Ticket]>,
+}
+
+impl TicketSystem {
+    fn to_wire(&self) -> TicketSystemWire<'_> {
+        TicketSystemWire {
+            ids: Cow::Borrowed(&self.ids),
+            tickets: Cow::Borrowed(&self.tickets),
+        }
+    }
+
+    /// The system a decoded layout describes, with its index rebuilt;
+    /// fails unless ticket `n` has id `n` and the generator hands out the
+    /// next one.
+    fn from_wire(wire: TicketSystemWire<'_>) -> Result<Self, &'static str> {
+        let (ids, tickets) = (wire.ids.into_owned(), wire.tickets.into_owned());
+        if ids.issued() as usize != tickets.len()
+            || tickets.iter().enumerate().any(|(n, t)| t.id.index() != n)
+        {
+            return Err("ticket ids");
+        }
+        let open = tickets
+            .iter()
+            .filter(|t| matches!(t.status, TicketStatus::Open))
+            .map(|t| (t.site, t.id))
+            .collect();
+        Ok(TicketSystem { ids, tickets, open })
+    }
+}
+
+impl Serialize for TicketSystem {
+    fn to_value(&self) -> serde::Value {
+        self.to_wire().to_value()
+    }
+}
+
+impl Deserialize for TicketSystem {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
+        TicketSystem::from_wire(TicketSystemWire::from_value(v)?).map_err(serde::DeError::msg)
+    }
+}
+
+impl Encode for TicketSystem {
+    fn encode<S: Sink + ?Sized>(&self, out: &mut S) {
+        self.to_wire().encode(out);
+    }
+}
+
+impl Decode for TicketSystem {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        TicketSystem::from_wire(TicketSystemWire::decode(r)?).map_err(DecodeError::Invalid)
     }
 }
 
@@ -261,5 +338,64 @@ mod tests {
         let ts = TicketSystem::new();
         assert!(ts.mean_resolution_time().is_none());
         assert_eq!(ts.fte_in_window(SimTime::EPOCH, SimTime::EPOCH), 0.0);
+    }
+
+    mod properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        const SITES: u32 = 4;
+
+        /// Each site's open tickets from the index, against a scan of
+        /// every ticket.
+        fn assert_index_matches_scan(ts: &TicketSystem) {
+            for site in (0..SITES).map(SiteId) {
+                let index: Vec<TicketId> = ts.open_at(site).map(|t| t.id).collect();
+                let scan: Vec<TicketId> = ts
+                    .for_site(site)
+                    .filter(|t| matches!(t.status, TicketStatus::Open))
+                    .map(|t| t.id)
+                    .collect();
+                assert_eq!(index, scan, "{site}");
+            }
+        }
+
+        proptest! {
+            /// The open-ticket index answers like a scan through random
+            /// opens and resolutions (repeated ones and unknown ids
+            /// included), and keeps doing so after a snapshot round trip
+            /// through either model cut in mid-sequence.
+            #[test]
+            fn open_ticket_index_matches_a_scan(
+                ops in proptest::collection::vec((any::<bool>(), 0..SITES, 0u32..40, 0usize..3), 1..120),
+                cut in 0usize..120,
+                by_value in any::<bool>(),
+            ) {
+                let kinds = [TicketKind::DiskFull, TicketKind::ServiceDown, TicketKind::FailureStorm];
+                let mut ts = TicketSystem::new();
+                for (step, (open, site, ticket, kind)) in ops.into_iter().enumerate() {
+                    if step == cut {
+                        let back = if by_value {
+                            TicketSystem::from_value(&ts.to_value()).unwrap()
+                        } else {
+                            let bytes = serde::binary::to_bytes(&ts);
+                            let back: TicketSystem = serde::binary::from_bytes(&bytes).unwrap();
+                            prop_assert!(serde::binary::to_bytes(&back) == bytes);
+                            back
+                        };
+                        prop_assert_eq!(back.tickets(), ts.tickets());
+                        assert_index_matches_scan(&back);
+                        ts = back;
+                    }
+                    let now = SimTime::from_secs(step as u64);
+                    if open {
+                        ts.open(SiteId(site), kinds[kind], now);
+                    } else {
+                        ts.resolve(TicketId(ticket), now);
+                    }
+                    assert_index_matches_scan(&ts);
+                }
+            }
+        }
     }
 }

@@ -7,7 +7,7 @@
 //! moves an entry that is already written.
 
 /// Entries per chunk (a power of two, so indexing is a shift and a mask).
-const CHUNK: usize = 1 << 12;
+pub(crate) const CHUNK: usize = 1 << 12;
 
 /// The log (see the module docs). Entries are addressed by their `u32`
 /// position, which is what the logs' back-links store.

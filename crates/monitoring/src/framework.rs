@@ -1,8 +1,7 @@
-//! The monitoring dataflow: metric events, the bus, and the Figure 1
-//! topology as checkable data.
+//! The monitoring dataflow: metric events, the sinks that ingest them,
+//! and the Figure 1 topology as checkable data.
 
 use grid3_simkit::ids::SiteId;
-use grid3_simkit::telemetry::Telemetry;
 use grid3_simkit::time::SimTime;
 use grid3_simkit::units::Bytes;
 use grid3_site::job::JobRecord;
@@ -83,17 +82,6 @@ pub enum Metric {
         /// Bytes delivered.
         bytes: Bytes,
     },
-    /// One counter reading from the grid-wide telemetry registry.
-    TelemetryCounter {
-        /// Producing subsystem (`"gram"`, `"gridftp"`, …).
-        subsystem: String,
-        /// Metric name within the subsystem.
-        name: String,
-        /// Site/VO label (empty = grid-wide).
-        label: String,
-        /// Counter value at snapshot time.
-        value: u64,
-    },
 }
 
 /// A timestamped metric.
@@ -111,88 +99,6 @@ pub trait MetricSink {
     fn name(&self) -> &str;
     /// Ingest one event.
     fn ingest(&mut self, event: &MetricEvent);
-}
-
-/// The central bus: producers publish, every registered sink sees every
-/// event. The redundancy §5.2 describes (the same information reaching
-/// multiple tools by different paths) falls out of the broadcast.
-#[derive(Default)]
-pub struct MonitoringBus {
-    sinks: Vec<Box<dyn MetricSink>>,
-    published: u64,
-}
-
-impl MonitoringBus {
-    /// An empty bus.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Register a sink; returns its index for later retrieval.
-    #[cfg(test)]
-    pub(crate) fn register(&mut self, sink: Box<dyn MetricSink>) -> usize {
-        self.sinks.push(sink);
-        self.sinks.len() - 1
-    }
-
-    /// Publish an event to every sink.
-    pub fn publish(&mut self, event: MetricEvent) {
-        self.published += 1;
-        for sink in &mut self.sinks {
-            sink.ingest(&event);
-        }
-    }
-
-    /// Total events published.
-    pub fn published_count(&self) -> u64 {
-        self.published
-    }
-}
-
-/// Producer adapting the telemetry registry to the monitoring bus: each
-/// snapshot turns every counter into a [`Metric::TelemetryCounter`]
-/// event, so the Figure 1 dataflow carries the instrumentation feed
-/// alongside Ganglia/MDS/scheduler metrics and the §5.2 cross-check can
-/// be performed downstream.
-#[derive(Debug, Clone)]
-pub struct TelemetryProducer {
-    tele: Telemetry,
-}
-
-impl TelemetryProducer {
-    /// Wrap the shared instrumentation handle.
-    pub fn new(tele: Telemetry) -> Self {
-        TelemetryProducer { tele }
-    }
-
-    /// Snapshot the registry at `now` as bus events, in the registry's
-    /// deterministic `(subsystem, name, label)` order.
-    pub fn snapshot(&self, now: SimTime) -> Vec<MetricEvent> {
-        self.tele
-            .counters()
-            .into_iter()
-            .map(|c| MetricEvent {
-                at: now,
-                metric: Metric::TelemetryCounter {
-                    subsystem: c.subsystem.to_string(),
-                    name: c.name.to_string(),
-                    label: c.label,
-                    value: c.value,
-                },
-            })
-            .collect()
-    }
-
-    /// Snapshot the registry and publish every reading to `bus`.
-    /// Returns the number of events published.
-    pub fn publish_to(&self, bus: &mut MonitoringBus, now: SimTime) -> usize {
-        let events = self.snapshot(now);
-        let n = events.len();
-        for e in events {
-            bus.publish(e);
-        }
-        n
-    }
 }
 
 /// Role of a component in Figure 1.
@@ -306,46 +212,6 @@ pub fn fig1_topology() -> (Vec<Component>, Vec<(usize, usize)>) {
 mod tests {
     use super::*;
 
-    struct Counter {
-        name: String,
-        seen: usize,
-    }
-    impl MetricSink for Counter {
-        fn name(&self) -> &str {
-            &self.name
-        }
-        fn ingest(&mut self, _event: &MetricEvent) {
-            self.seen += 1;
-        }
-    }
-
-    #[test]
-    fn bus_broadcasts_to_all_sinks() {
-        let mut bus = MonitoringBus::new();
-        let a = bus.register(Box::new(Counter {
-            name: "a".into(),
-            seen: 0,
-        }));
-        let b = bus.register(Box::new(Counter {
-            name: "b".into(),
-            seen: 0,
-        }));
-        for i in 0..5 {
-            bus.publish(MetricEvent {
-                at: SimTime::from_secs(i),
-                metric: Metric::CpuLoad {
-                    site: SiteId(0),
-                    load: i as f64,
-                },
-            });
-        }
-        assert_eq!(bus.published_count(), 5);
-        let names: Vec<&str> = bus.sinks.iter().map(|s| s.name()).collect();
-        assert_eq!(names, vec!["a", "b"]);
-        // Both sinks saw all five (redundant paths by construction).
-        let _ = (a, b);
-    }
-
     #[test]
     fn fig1_roles_are_complete() {
         let (components, edges) = fig1_topology();
@@ -424,28 +290,5 @@ mod tests {
         let (_, edges) = fig1_topology();
         assert!(edges.contains(&(2, 4)), "scheduler → MonALISA");
         assert!(edges.contains(&(2, 7)), "scheduler → ACDC");
-    }
-
-    #[test]
-    fn telemetry_producer_feeds_the_bus() {
-        let tele = Telemetry::enabled();
-        tele.register_counter("gram", "accepted", "site0").add(7);
-        tele.register_counter("gridftp", "bytes_completed", "iVDGL")
-            .add(1024);
-        let producer = TelemetryProducer::new(tele);
-        let mut bus = MonitoringBus::new();
-        bus.register(Box::new(Counter {
-            name: "MonALISA".into(),
-            seen: 0,
-        }));
-        let n = producer.publish_to(&mut bus, SimTime::from_secs(60));
-        assert_eq!(n, 2);
-        assert_eq!(bus.published_count(), 2);
-        let events = producer.snapshot(SimTime::from_secs(60));
-        assert!(matches!(
-            &events[0].metric,
-            Metric::TelemetryCounter { subsystem, name, label, value: 7 }
-                if subsystem == "gram" && name == "accepted" && label == "site0"
-        ));
     }
 }

@@ -12,9 +12,9 @@
 //!
 //! Modules, one per Figure 1 component family:
 //!
-//! * [`framework`] — metric events, the producer/intermediary/consumer
-//!   bus, and the Figure 1 topology as data (so tests can verify every
-//!   path exists).
+//! * [`framework`] — metric events, the sinks that ingest them, and the
+//!   Figure 1 producer/intermediary/consumer topology as data (so tests
+//!   can verify every path exists).
 //! * [`ganglia`] — per-site cluster monitoring (CPU/network load, disk),
 //!   with the central iGOC web summary.
 //! * [`monalisa`] — agent-based monitoring with the central repository and
@@ -46,7 +46,7 @@ pub mod trace;
 
 pub use acdc::{AcdcJobMonitor, ClassStats};
 pub use catalog::SiteStatusCatalog;
-pub use framework::{fig1_topology, ComponentKind, Metric, MetricEvent, MonitoringBus};
+pub use framework::{fig1_topology, ComponentKind, Metric, MetricEvent};
 pub use ganglia::{GangliaAgent, GangliaWeb};
 pub use mdviewer::MdViewer;
 pub use monalisa::{MonAlisaAgent, MonAlisaRepository};

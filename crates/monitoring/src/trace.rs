@@ -99,6 +99,60 @@ impl TraceEvent {
     pub fn is_terminal(&self) -> bool {
         matches!(self, TraceEvent::Completed | TraceEvent::Failed(_))
     }
+
+    /// The event as a trace slot packs it: the variant's tag and its
+    /// operand (the id, the failure cause's index, the byte count, or 0).
+    fn pack(self) -> (u32, u64) {
+        match self {
+            TraceEvent::Submitted { user } => (0, user.0.into()),
+            TraceEvent::Brokered { site } => (1, site.0.into()),
+            TraceEvent::GatekeeperAccepted => (2, 0),
+            TraceEvent::GatekeeperRefused => (3, 0),
+            TraceEvent::StageInStarted { bytes } => (4, bytes.as_u64()),
+            TraceEvent::StageInDone => (5, 0),
+            TraceEvent::Queued => (6, 0),
+            TraceEvent::Dispatched { node } => (7, node.0.into()),
+            TraceEvent::ExecutionEnded => (8, 0),
+            TraceEvent::StageOutStarted { bytes } => (9, bytes.as_u64()),
+            TraceEvent::StageOutDone => (10, 0),
+            TraceEvent::Registered => (11, 0),
+            TraceEvent::Completed => (12, 0),
+            TraceEvent::Failed(cause) => (13, cause.index() as u64),
+        }
+    }
+
+    /// The event that [`TraceEvent::pack`] packed as `(tag, operand)`.
+    /// Ids and cause indexes were packed from their own types, so the
+    /// narrowing casts are exact.
+    fn unpack(tag: u32, operand: u64) -> TraceEvent {
+        match tag {
+            0 => TraceEvent::Submitted {
+                user: UserId(operand as u32),
+            },
+            1 => TraceEvent::Brokered {
+                site: SiteId(operand as u32),
+            },
+            2 => TraceEvent::GatekeeperAccepted,
+            3 => TraceEvent::GatekeeperRefused,
+            4 => TraceEvent::StageInStarted {
+                bytes: Bytes::new(operand),
+            },
+            5 => TraceEvent::StageInDone,
+            6 => TraceEvent::Queued,
+            7 => TraceEvent::Dispatched {
+                node: NodeId(operand as u32),
+            },
+            8 => TraceEvent::ExecutionEnded,
+            9 => TraceEvent::StageOutStarted {
+                bytes: Bytes::new(operand),
+            },
+            10 => TraceEvent::StageOutDone,
+            11 => TraceEvent::Registered,
+            12 => TraceEvent::Completed,
+            13 => TraceEvent::Failed(FailureCause::ALL[operand as usize]),
+            _ => unreachable!("trace slots are packed with tags 0 to 13"),
+        }
+    }
 }
 
 /// A timed phase of a job's lifecycle, as [`TraceStore::chrome_trace`]
@@ -297,13 +351,74 @@ struct TraceHead {
     superseded_last: u32,
 }
 
-/// One logged event, linked back to the same job's previous event.
+/// One slot of the trace log: a logged event, linked back to the same
+/// job's previous event, with the event packed into `code` — its tag in
+/// the top four bits and its operand in the [`OPERAND_BITS`] below. An
+/// operand of [`WIDE`] or more is written as [`WIDE`], and the next slot
+/// (see [`Slot::wide`]) holds the whole value. That slot is never a
+/// link target.
 #[derive(Debug, Clone, Copy)]
-struct Entry {
+struct Slot {
     at: SimTime,
-    event: TraceEvent,
     /// Log position of the job's previous event, or [`NO_EVENT`].
     prev: u32,
+    code: u32,
+}
+
+/// Bits of a slot's `code` that hold the event's operand.
+const OPERAND_BITS: u32 = 28;
+/// The operand field's largest value, written for every operand that
+/// needs the slot after it.
+const WIDE: u32 = (1 << OPERAND_BITS) - 1;
+
+impl Slot {
+    /// The slot after a [`WIDE`] code: the whole operand, split over
+    /// the link and code words.
+    fn wide(operand: u64) -> Slot {
+        Slot {
+            at: SimTime::EPOCH,
+            prev: operand as u32,
+            code: (operand >> 32) as u32,
+        }
+    }
+
+    /// The operand a [`Slot::wide`] slot holds.
+    fn wide_operand(self) -> u64 {
+        u64::from(self.code) << 32 | u64::from(self.prev)
+    }
+}
+
+/// The trace store's event log: its [`Slot`]s, with each event
+/// addressed by the position of its first slot.
+#[derive(Debug, Clone, Default)]
+struct EventLog(ChunkedLog<Slot>);
+
+impl EventLog {
+    /// Append `event` at `at`, linked back to `prev`; returns its
+    /// position.
+    fn push(&mut self, at: SimTime, event: TraceEvent, prev: u32) -> u32 {
+        let (tag, operand) = event.pack();
+        let code = tag << OPERAND_BITS | operand.min(u64::from(WIDE)) as u32;
+        let pos = self.0.push(Slot { at, prev, code });
+        if operand >= u64::from(WIDE) {
+            self.0.push(Slot::wide(operand));
+        }
+        pos
+    }
+
+    /// The event at `pos`: its time, the event, and the position of the
+    /// same job's previous event.
+    fn entry(&self, pos: u32) -> (SimTime, TraceEvent, u32) {
+        let slot = self.0.get(pos);
+        let mut operand = u64::from(slot.code & WIDE);
+        if operand == u64::from(WIDE) {
+            // The wide slot went through the same position check as
+            // `pos`, so `pos + 1` cannot overflow.
+            operand = self.0.get(pos + 1).wide_operand();
+        }
+        let event = TraceEvent::unpack(slot.code >> OPERAND_BITS, operand);
+        (slot.at, event, slot.prev)
+    }
 }
 
 const NO_TRACE: u32 = u32::MAX;
@@ -322,7 +437,9 @@ const UNKNOWN_JOB: JobSide = JobSide {
 /// Every job's events go onto one log in the order they happen, each
 /// linked back to the same job's previous event, so recording appends
 /// to memory that is already hot instead of growing one list per job.
-/// The queries build a [`JobTrace`] by walking a job's links.
+/// The queries build a [`JobTrace`] by walking a job's links. An event
+/// takes one 16-byte `Slot`, or two when its operand needs more than
+/// 28 bits (a payload of 256 MiB or more).
 ///
 /// Execution-side job ids and user ids are allocated densely, so the
 /// lookup tables are vectors indexed by id; submit-side ids are handed
@@ -334,7 +451,7 @@ const UNKNOWN_JOB: JobSide = JobSide {
 #[derive(Debug, Clone, Default)]
 pub struct TraceStore {
     heads: Vec<TraceHead>,
-    log: ChunkedLog<Entry>,
+    log: EventLog,
     jobs: Vec<JobSide>,
     accounts: Vec<UserAccount>,
     next_submit_id: u64,
@@ -379,11 +496,7 @@ impl TraceStore {
         if old.trace != NO_TRACE {
             self.heads[old.trace as usize].superseded_last = old.last;
         }
-        let first = self.log.push(Entry {
-            at,
-            event: TraceEvent::Submitted { user },
-            prev: NO_EVENT,
-        });
+        let first = self.log.push(at, TraceEvent::Submitted { user }, NO_EVENT);
         self.jobs[j] = JobSide {
             trace,
             user,
@@ -413,7 +526,8 @@ impl TraceStore {
                 self.account_mut(side.user).cpu_secs += at.since(side.dispatch_at).as_secs_f64();
             }
             TraceEvent::StageInStarted { bytes } | TraceEvent::StageOutStarted { bytes } => {
-                self.account_mut(side.user).bytes_moved += bytes.as_u64();
+                let account = self.account_mut(side.user);
+                account.bytes_moved = account.bytes_moved.saturating_add(bytes.as_u64());
             }
             TraceEvent::Completed => {
                 self.account_mut(side.user).completed += 1;
@@ -423,11 +537,7 @@ impl TraceStore {
             }
             _ => {}
         }
-        self.jobs[job.index()].last = self.log.push(Entry {
-            at,
-            event,
-            prev: side.last,
-        });
+        self.jobs[job.index()].last = self.log.push(at, event, side.last);
     }
 
     /// Log position of trace `t`'s newest event.
@@ -443,11 +553,11 @@ impl TraceStore {
     /// Trace `t`'s events into `out`, in order.
     fn events_into(&self, t: usize, out: &mut Vec<(SimTime, TraceEvent)>) {
         out.clear();
-        let mut at = self.newest(t);
-        while at != NO_EVENT {
-            let e = self.log.get(at);
-            out.push((e.at, e.event));
-            at = e.prev;
+        let mut pos = self.newest(t);
+        while pos != NO_EVENT {
+            let (at, event, prev) = self.log.entry(pos);
+            out.push((at, event));
+            pos = prev;
         }
         out.reverse();
     }
@@ -497,8 +607,8 @@ impl TraceStore {
     pub fn stuck_jobs(&self, now: SimTime, idle: SimDuration) -> Vec<JobTrace> {
         (0..self.heads.len())
             .filter(|&t| {
-                let last = self.log.get(self.newest(t));
-                !last.event.is_terminal() && now.since(last.at) > idle
+                let (at, event, _) = self.log.entry(self.newest(t));
+                !event.is_terminal() && now.since(at) > idle
             })
             .map(|t| self.build(t))
             .collect()
@@ -538,15 +648,15 @@ impl TraceStore {
                 // Walking back from the newest event, the last `Queued`
                 // and `Dispatched` met are the first ones recorded.
                 let (mut queued, mut dispatched) = (None, None);
-                let mut at = self.newest(t);
-                while at != NO_EVENT {
-                    let e = self.log.get(at);
-                    match e.event {
-                        TraceEvent::Queued => queued = Some(e.at),
-                        TraceEvent::Dispatched { .. } => dispatched = Some(e.at),
+                let mut pos = self.newest(t);
+                while pos != NO_EVENT {
+                    let (at, event, prev) = self.log.entry(pos);
+                    match event {
+                        TraceEvent::Queued => queued = Some(at),
+                        TraceEvent::Dispatched { .. } => dispatched = Some(at),
                         _ => {}
                     }
-                    at = e.prev;
+                    pos = prev;
                 }
                 Some(dispatched?.since(queued?))
             })
@@ -612,11 +722,7 @@ impl TraceStore {
     /// Append an event to the trace decoded last.
     fn push_decoded_event(&mut self, at: SimTime, event: TraceEvent) {
         let head = self.heads.last_mut().expect("a trace header comes first");
-        head.superseded_last = self.log.push(Entry {
-            at,
-            event,
-            prev: head.superseded_last,
-        });
+        head.superseded_last = self.log.push(at, event, head.superseded_last);
     }
 
     /// Hand each trace's newest event to the job that tracks it, once
@@ -723,6 +829,7 @@ impl Decode for TraceStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chunked::CHUNK;
 
     fn store_with_one_job() -> (TraceStore, JobId, SubmitSideId) {
         let mut ts = TraceStore::new();
@@ -981,27 +1088,145 @@ mod tests {
         assert_eq!(ts.len(), 2);
     }
 
-    /// The event `pick` names, with payloads drawn from `n`.
-    fn event_of(pick: u8, n: u32) -> TraceEvent {
+    /// The event `pick` names, with payload `n`; ids saturate at
+    /// `u32::MAX`.
+    fn event_of(pick: u8, n: u64) -> TraceEvent {
+        let id = u32::try_from(n).unwrap_or(u32::MAX);
         match pick {
-            0 => TraceEvent::Submitted { user: UserId(n) },
-            1 => TraceEvent::Brokered { site: SiteId(n) },
+            0 => TraceEvent::Submitted { user: UserId(id) },
+            1 => TraceEvent::Brokered { site: SiteId(id) },
             2 => TraceEvent::GatekeeperAccepted,
             3 => TraceEvent::GatekeeperRefused,
             4 => TraceEvent::StageInStarted {
-                bytes: Bytes::from_gb(u64::from(n)),
+                bytes: Bytes::new(n),
             },
             5 => TraceEvent::StageInDone,
             6 => TraceEvent::Queued,
-            7 => TraceEvent::Dispatched { node: NodeId(n) },
+            7 => TraceEvent::Dispatched { node: NodeId(id) },
             8 => TraceEvent::ExecutionEnded,
             9 => TraceEvent::StageOutStarted {
-                bytes: Bytes::from_gb(u64::from(n)),
+                bytes: Bytes::new(n),
             },
             10 => TraceEvent::StageOutDone,
             11 => TraceEvent::Registered,
             12 => TraceEvent::Completed,
-            _ => TraceEvent::Failed(FailureCause::ALL[n as usize % FailureCause::ALL.len()]),
+            _ => {
+                TraceEvent::Failed(FailureCause::ALL[(n % FailureCause::ALL.len() as u64) as usize])
+            }
+        }
+    }
+
+    /// Operands at the edge of a slot's 28-bit operand field: zero, the
+    /// largest a slot holds, the sentinel (the smallest that takes a
+    /// second slot), the first past the field, and the widest id and
+    /// byte count.
+    const EDGE: [u64; 6] = [
+        0,
+        (1 << 28) - 2,
+        (1 << 28) - 1,
+        1 << 28,
+        u32::MAX as u64,
+        u64::MAX,
+    ];
+
+    #[test]
+    fn slots_are_sixteen_bytes_and_wide_operands_take_a_second() {
+        assert_eq!(std::mem::size_of::<Slot>(), 16);
+        // The 12-event lifecycle stages 1 GB in and 2 GB out, both wider
+        // than 28 bits.
+        let (ts, job, _) = store_with_one_job();
+        let events = ts.trace(job).unwrap().events;
+        assert_eq!((events.len(), ts.log.0.len()), (12, 14));
+        // Replayed with stage sizes that fit in 28 bits, up to the largest,
+        // each event is one slot; a stage-in of the sentinel takes two.
+        for (stage_in, slots) in [(1 << 20, 12), (EDGE[1], 12), (EDGE[2], 13)] {
+            let mut replay = TraceStore::new();
+            replay.open(job, UserClass::Usatlas, UserId(3), SimTime::EPOCH);
+            for &(at, event) in &events[1..] {
+                let event = match event {
+                    TraceEvent::StageInStarted { .. } => event_of(4, stage_in),
+                    TraceEvent::StageOutStarted { .. } => event_of(9, 2 << 20),
+                    e => e,
+                };
+                replay.record(job, at, event);
+            }
+            assert_eq!(replay.log.0.len(), slots, "stage-in of {stage_in} bytes");
+        }
+    }
+
+    #[test]
+    fn every_variant_has_a_four_bit_tag() {
+        // No wildcard: a new variant fails to compile here until it is
+        // counted, and the tag above a 28-bit operand has room for 16.
+        let variant = |e: TraceEvent| match e {
+            TraceEvent::Submitted { .. } => 0,
+            TraceEvent::Brokered { .. } => 1,
+            TraceEvent::GatekeeperAccepted => 2,
+            TraceEvent::GatekeeperRefused => 3,
+            TraceEvent::StageInStarted { .. } => 4,
+            TraceEvent::StageInDone => 5,
+            TraceEvent::Queued => 6,
+            TraceEvent::Dispatched { .. } => 7,
+            TraceEvent::ExecutionEnded => 8,
+            TraceEvent::StageOutStarted { .. } => 9,
+            TraceEvent::StageOutDone => 10,
+            TraceEvent::Registered => 11,
+            TraceEvent::Completed => 12,
+            TraceEvent::Failed(_) => 13,
+        };
+        let variants = 14u8;
+        assert!(u32::from(variants) <= 1 << (32 - OPERAND_BITS));
+        let mut tags = Vec::new();
+        for pick in 0..variants {
+            for n in EDGE {
+                let event = event_of(pick, n);
+                assert_eq!(variant(event), pick);
+                let (tag, operand) = event.pack();
+                assert_eq!(TraceEvent::unpack(tag, operand), event);
+                tags.push(tag);
+            }
+        }
+        tags.dedup();
+        assert_eq!(tags, (0..u32::from(variants)).collect::<Vec<_>>());
+    }
+
+    /// A job's wide event whose second slot starts the log's second
+    /// chunk reads back whole, also after both snapshot round trips.
+    #[test]
+    fn a_wide_event_straddles_a_chunk_boundary() {
+        let mut ts = TraceStore::new();
+        let job = JobId(0);
+        let at = SimTime::from_secs;
+        ts.open(job, UserClass::Uscms, UserId(1), at(0));
+        let mut model = vec![JobTrace {
+            submit_id: SubmitSideId(0),
+            execution_id: job,
+            class: UserClass::Uscms,
+            events: vec![(at(0), TraceEvent::Submitted { user: UserId(1) })],
+        }];
+        let mut clock = 0;
+        let mut record = |ts: &mut TraceStore, event| {
+            clock += 1;
+            ts.record(job, at(clock), event);
+            model[0].events.push((at(clock), event));
+        };
+        while ts.log.0.len() < CHUNK - 1 {
+            let site = SiteId(ts.log.0.len() as u32 % 300);
+            record(&mut ts, TraceEvent::Brokered { site });
+        }
+        record(&mut ts, event_of(4, u64::MAX));
+        record(&mut ts, event_of(7, u64::from(u32::MAX)));
+        record(&mut ts, event_of(9, EDGE[2]));
+        record(&mut ts, event_of(13, 4));
+        assert_eq!(ts.log.0.len(), CHUNK + 6);
+        let now = at(clock + 30);
+        for store in assert_round_trips(&ts, &model, &[Some(0)], now) {
+            // One trace, so a decoded store lays its log out the same way.
+            assert_eq!(store.log.0.get(CHUNK as u32 - 1).code & WIDE, WIDE);
+            assert_eq!(
+                store.trace(job).unwrap().events[CHUNK - 1],
+                model[0].events[CHUNK - 1]
+            );
         }
     }
 
@@ -1064,6 +1289,34 @@ mod tests {
         assert_eq!(ts.chrome_trace(), chrome);
     }
 
+    /// `ts` answers like `model` (see `assert_matches`), writes the bytes
+    /// of `model`'s snapshot layout, and answers the same after a round
+    /// trip through the binary codec and through the value model; returns
+    /// the two decoded stores.
+    fn assert_round_trips(
+        ts: &TraceStore,
+        model: &[JobTrace],
+        current: &[Option<usize>],
+        now: SimTime,
+    ) -> [TraceStore; 2] {
+        assert_matches(ts, model, current, now);
+        let bytes = serde::binary::to_bytes(ts);
+        let wire = TraceStoreWire {
+            traces: model.to_vec(),
+            jobs: ts.jobs.clone(),
+            accounts: ts.accounts.clone(),
+            next_submit_id: model.len() as u64,
+        };
+        assert!(bytes == serde::binary::to_bytes(&wire));
+        let back: TraceStore = serde::binary::from_bytes(&bytes).unwrap();
+        assert_matches(&back, model, current, now);
+        assert!(serde::binary::to_bytes(&back) == bytes);
+        assert_eq!(back.accounts, ts.accounts);
+        let from_value = TraceStore::from_value(&ts.to_value()).unwrap();
+        assert_matches(&from_value, model, current, now);
+        [back, from_value]
+    }
+
     mod properties {
         use super::*;
         use proptest::prelude::*;
@@ -1071,17 +1324,18 @@ mod tests {
         proptest! {
             /// The store answers like one event list per trace: every
             /// trace by either id, stuck jobs, queue waits and the Chrome
-            /// trace, with job ids opened more than once and events for
-            /// unknown jobs, through both snapshot models.
+            /// trace, with job ids opened more than once, events for
+            /// unknown jobs and operands on both sides of the slot's
+            /// 28-bit field, through both snapshot models.
             #[test]
             fn store_matches_per_job_event_lists(
-                ops in proptest::collection::vec((0u8..18, 0u32..10, 0u64..30), 1..250),
+                ops in proptest::collection::vec((0u8..18, 0u32..10, 0u64..30, 0usize..12), 1..250),
             ) {
                 let mut ts = TraceStore::new();
                 let mut model: Vec<JobTrace> = Vec::new();
                 let mut current: Vec<Option<usize>> = vec![None; 12];
                 let mut clock = 0u64;
-                for (op, job, dt) in ops {
+                for (op, job, dt, payload) in ops {
                     clock += dt;
                     let (at, id) = (SimTime::from_secs(clock), JobId(job));
                     if op >= 14 && (op == 17 || current[job as usize].is_none()) {
@@ -1097,32 +1351,15 @@ mod tests {
                             events: vec![(at, TraceEvent::Submitted { user })],
                         });
                     } else {
-                        let event = event_of(op % 14, job + dt as u32);
+                        let n = EDGE.get(payload).copied().unwrap_or(u64::from(job) + dt);
+                        let event = event_of(op % 14, n);
                         ts.record(id, at, event);
                         if let Some(t) = current[job as usize] {
                             model[t].events.push((at, event));
                         }
                     }
                 }
-                let now = SimTime::from_secs(clock + 30);
-                assert_matches(&ts, &model, &current, now);
-                let bytes = serde::binary::to_bytes(&ts);
-                let wire = TraceStoreWire {
-                    traces: model.clone(),
-                    jobs: ts.jobs.clone(),
-                    accounts: ts.accounts.clone(),
-                    next_submit_id: model.len() as u64,
-                };
-                prop_assert!(bytes == serde::binary::to_bytes(&wire));
-                let back: TraceStore = serde::binary::from_bytes(&bytes).unwrap();
-                assert_matches(&back, &model, &current, now);
-                prop_assert!(serde::binary::to_bytes(&back) == bytes);
-                prop_assert_eq!(
-                    back.accounting_by_user(UserId(1)),
-                    ts.accounting_by_user(UserId(1))
-                );
-                let back = TraceStore::from_value(&ts.to_value()).unwrap();
-                assert_matches(&back, &model, &current, now);
+                assert_round_trips(&ts, &model, &current, SimTime::from_secs(clock + 30));
             }
         }
     }

@@ -1,11 +1,10 @@
 //! The grid-wide instrumentation layer, end to end: an instrumented
 //! one-day run must yield a valid Chrome trace of the three traced job
-//! phases (engine, gram, gridftp) built from the trace store, a
-//! well-formed registry export and a monitoring-bus feed — while never
-//! perturbing the simulation itself. The trace survives a snapshot cut.
+//! phases (engine, gram, gridftp) built from the trace store and a
+//! well-formed registry export — while never perturbing the simulation
+//! itself. The trace survives a snapshot cut.
 
 use grid3_sim::core::{CampaignSpec, Grid3Engine, ScenarioConfig};
-use grid3_sim::monitoring::framework::{MonitoringBus, TelemetryProducer};
 use grid3_sim::monitoring::trace::SubmitSideId;
 use grid3_sim::simkit::time::SimTime;
 use grid3_sim::workflow::mop::CmsSimulator;
@@ -148,14 +147,4 @@ fn event_loop_profile_covers_the_run() {
     for pair in rows.windows(2) {
         assert!(pair[0].ns_per_event >= pair[1].ns_per_event);
     }
-}
-
-#[test]
-fn telemetry_feeds_the_monitoring_bus() {
-    let sim = run_one_day();
-    let mut bus = MonitoringBus::new();
-    let producer = TelemetryProducer::new(sim.telemetry().clone());
-    let published = producer.publish_to(&mut bus, SimTime::from_days(1));
-    assert!(published > 0, "producer published nothing");
-    assert_eq!(bus.published_count(), published as u64);
 }
