@@ -35,19 +35,8 @@ const SEED: u64 = 2003;
 
 /// The figure and experiment keywords, in the order they run.
 const FIGURES: [&str; 13] = [
-    "fig2",
-    "fig3",
-    "fig4",
-    "fig5",
-    "fig6",
-    "table1",
-    "metrics",
-    "gkload",
-    "variance",
-    "ablation",
-    "telemetry",
-    "heat",
-    "ops",
+    "fig2", "fig3", "fig4", "fig5", "fig6", "table1", "metrics", "gkload", "variance", "ablation",
+    "trace", "heat", "ops",
 ];
 
 /// Keywords that are neither figures nor path-taking modes.
@@ -336,39 +325,21 @@ fn main() {
         println!();
     }
 
-    if want("telemetry") {
-        println!("Telemetry — grid-wide instrumentation over the SC2003 window");
-        eprintln!("[figures] running instrumented sc2003 scenario at full scale…");
-        let mut sim = grid3_core::Grid3Engine::new(
-            ScenarioConfig::sc2003()
-                .with_seed(SEED)
-                .with_telemetry(true),
-        );
+    if want("trace") {
+        println!("Trace — every job's phases over the SC2003 window");
+        eprintln!("[figures] running sc2003 scenario at full scale…");
+        let mut sim = grid3_core::Grid3Engine::new(ScenarioConfig::sc2003().with_seed(SEED));
         sim.run();
-        let tele = &sim.telemetry();
         println!("  events processed: {}", sim.events_processed());
         println!("  (per-event-type cost ranking: figures -- heat)");
-        // The Chrome trace is built from the trace store, which records
-        // every job's lifecycle whether or not telemetry is on.
         let trace = sim.traces().chrome_trace();
         println!(
             "  jobs traced: {} (Chrome trace of their phases: {:.1} MB)",
             sim.traces().len(),
             trace.len() as f64 / 1e6
         );
-        println!("  registry counters:");
-        for c in tele.counters().iter().take(12) {
-            println!("    {}/{}[{}] = {}", c.subsystem, c.name, c.label, c.value);
-        }
-        // Machine-readable snapshot: the full registry.
-        let json = format!(
-            "{{\"registry\":{},\"events_processed\":{}}}",
-            tele.registry_json(),
-            sim.events_processed()
-        );
-        std::fs::write("results/telemetry.json", json).ok();
         std::fs::write("results/trace_sc2003.json", trace).ok();
-        println!("  wrote results/telemetry.json and results/trace_sc2003.json\n");
+        println!("  wrote results/trace_sc2003.json\n");
     }
 
     if want("heat") {
@@ -453,6 +424,7 @@ fn main() {
                     format!("rescue DAG on campaign {campaign} re-armed {rearmed} nodes")
                 }
                 OpsEventKind::WatchdogReap { job } => format!("watchdog reaped {job}"),
+                OpsEventKind::CleanupScheduled => "disk cleanup sweep scheduled".to_string(),
             }
         };
 

@@ -73,8 +73,8 @@ fn autopsy_restores_a_fresh_checkpoint() {
 
 #[test]
 fn autopsy_rejects_a_version_2_snapshot() {
-    // Version 3 files are refused the same way.
-    for version in [2u32, 3, 4, 5] {
+    // Versions 3 to 6 are refused the same way.
+    for version in [2u32, 3, 4, 5, 6] {
         let dir = scratch(&format!("autopsy-v{version}"));
         let mut file = b"G3ENGSNP".to_vec();
         file.extend_from_slice(&version.to_le_bytes());

@@ -60,7 +60,6 @@ const TOP_KEYS: &[&str] = &[
     "monitor_interval_us",
     "pipeline",
     "srm_reservations",
-    "telemetry",
     "campaigns",
     "resilience",
     "storms",
@@ -184,7 +183,6 @@ fn decode(v: &Value, base: Option<&Path>) -> Result<ScenarioConfig, DslError> {
         &mut cfg.srm_reservations,
         d::bool_value,
     )?;
-    d::set(o, "", "telemetry", &mut cfg.telemetry, d::bool_value)?;
     d::set(o, "", "campaigns", &mut cfg.campaigns, decode_campaigns)?;
     if let Some(v) = d::get(o, "resilience") {
         cfg.resilience = Some(decode_resilience(v)?);
@@ -246,7 +244,6 @@ fn encode(cfg: &ScenarioConfig) -> Value {
         ),
     );
     put("srm_reservations", Value::Bool(cfg.srm_reservations));
-    put("telemetry", Value::Bool(cfg.telemetry));
     if !cfg.campaigns.is_empty() {
         put(
             "campaigns",

@@ -2,7 +2,7 @@
 //!
 //! [`Grid3Engine`] is deliberately thin: it owns the clock (via the
 //! event queue), the typed event router, and the five subsystem services
-//! it routes between — `Brokering`, [`Staging`], [`Execution`],
+//! it routes between — `Brokering`, `Staging`, [`Execution`],
 //! `FaultHandling` and `Reporting` — plus the
 //! shared [`GridFabric`] status board they all consult. Assembly (the §5
 //! deployment pipeline) lives in [`crate::subsystems::assembly`];
@@ -25,8 +25,7 @@
 //!   Workload submissions are timed events kept outside the queue, in
 //!   the brokering arrival table; the loop merges the two streams in
 //!   the order the queue would have produced.
-//! * **Immediate** events (emitted with
-//!   [`EngineCtx::emit`](crate::subsystems::EngineCtx::emit)) replace
+//! * **Immediate** events (emitted with `EngineCtx::emit`) replace
 //!   the former direct cross-subsystem method calls. The router drains
 //!   them depth-first in emission order before advancing the queue, so
 //!   the sequence of state changes — and with it every RNG draw and
@@ -49,7 +48,6 @@ use grid3_monitoring::trace::TraceStore;
 use grid3_simkit::engine::EventQueue;
 use grid3_simkit::profiler::{alloc_snapshot, CostProfiler};
 use grid3_simkit::series::GaugeTracker;
-use grid3_simkit::telemetry::Telemetry;
 use grid3_simkit::time::SimTime;
 use grid3_simkit::units::Bytes;
 use grid3_site::cluster::Site;
@@ -355,11 +353,6 @@ impl Grid3Engine {
     /// The §8 troubleshooting/accounting trace store.
     pub fn traces(&self) -> &TraceStore {
         &self.ctx.traces
-    }
-
-    /// The grid-wide instrumentation layer.
-    pub fn telemetry(&self) -> &Telemetry {
-        &self.ctx.telemetry
     }
 
     /// The adaptive fault-handling layer (`None` for baseline runs).

@@ -22,7 +22,7 @@
 //!   former monolithic engine by the golden-hash determinism suite.
 //! * [`subsystems`] — the services themselves (brokering, staging,
 //!   execution, fault handling, reporting) behind the
-//!   [`subsystems::Subsystem`] trait, the shared
+//!   `Subsystem` trait, the shared
 //!   [`subsystems::GridFabric`] status board, and the §5 assembly
 //!   pipeline. The simulated lifecycle is §6.1's: submission →
 //!   gatekeeper → stage-in → batch queue → execution → stage-out → RLS

@@ -7,16 +7,24 @@
 //! aggregates what those actions achieved, but loses the operational
 //! narrative — when a site went dark, who opened the ticket, when the
 //! rescue DAG fired. The journal records exactly that narrative as
-//! typed [`OpsRecord`]s emitted by the resilience, fault-handling, and
-//! chaos layers, and `figures -- ops` renders it as the per-site
-//! timeline + incident log an operator would have watched live.
+//! typed [`OpsRecord`]s emitted by the resilience, fault-handling,
+//! staging and monitoring paths, and `figures -- ops` renders it as the
+//! per-site timeline + incident log an operator would have watched live.
+//! Every ticket the iGOC opens gets a [`OpsEventKind::TicketOpened`] (or,
+//! for a failure storm, also a [`OpsEventKind::StormDetected`]) line
+//! before any line that resolves it, and every injected chaos action
+//! gets a line of its own.
 //!
-//! Like the telemetry handle, the journal is observation-only and
-//! disabled by default: a disabled handle makes every record call a
-//! single branch, and an enabled one must not perturb the simulation —
-//! the golden-hash suite runs with it on. Journal output lives beside
-//! the report, never inside it, so report hashes cannot see it.
+//! Grid-wide counts are not kept here: each component keeps its own
+//! tally (gatekeepers, GridFTP's NetLogger stream, ACDC, the trace
+//! store), which the §5.2 cross-checks compare. The journal is
+//! observation-only and disabled by default: a disabled handle makes
+//! every record call a single branch, and an enabled one must not
+//! perturb the simulation — the golden-hash suite runs with it on.
+//! Journal output lives beside the report, never inside it, so report
+//! hashes cannot see it.
 
+use grid3_igoc::tickets::TicketKind;
 use grid3_simkit::ids::{GridId, JobId, SiteId, TicketId};
 use grid3_simkit::time::SimTime;
 use serde::{Deserialize, Serialize};
@@ -28,9 +36,11 @@ use std::rc::Rc;
 /// tagged (`{"Variant": {...}}`), one JSON object per journal line.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum OpsEventKind {
-    /// A fault fired at a site (natural incident or injected chaos);
-    /// `kind` is the incident's event label (`"incident"`,
-    /// `"chaos_black_hole"`, …).
+    /// A fault fired (natural incident or injected chaos); `kind` is the
+    /// fault's label (`"disk_full"`, `"black_hole"`, …). A transfer cut
+    /// reads `"truncated_resumed"` or, when the partial file failed its
+    /// checksum, `"truncated_corrupt"`, at the site of the job whose
+    /// transfer was cut.
     FaultInjected {
         /// Event label of the fault.
         kind: String,
@@ -76,6 +86,10 @@ pub enum OpsEventKind {
         /// The reaped job.
         job: JobId,
     },
+    /// A stage-in bounced off a disk that external data had filled, and
+    /// a cleanup sweep to reclaim that data was scheduled (§6.2's
+    /// "remove the offending files", as a policy).
+    CleanupScheduled,
 }
 
 /// One journal line: when, where, what.
@@ -108,7 +122,7 @@ impl OpsRecord {
 
 /// The shared journal handle carried in `EngineCtx`. Cloning is cheap;
 /// every clone appends to the same stream. The disabled handle (the
-/// default) makes [`OpsJournal::record`] a single branch.
+/// default) makes each record call a single branch.
 #[derive(Clone, Default)]
 pub struct OpsJournal {
     inner: Option<Rc<RefCell<Vec<OpsRecord>>>>,
@@ -119,12 +133,12 @@ pub struct OpsJournal {
 
 impl OpsJournal {
     /// A no-op handle.
-    pub fn disabled() -> Self {
+    pub(crate) fn disabled() -> Self {
         OpsJournal::default()
     }
 
     /// An active, empty journal.
-    pub fn enabled() -> Self {
+    pub(crate) fn enabled() -> Self {
         OpsJournal {
             inner: Some(Rc::new(RefCell::new(Vec::new()))),
             grid_of: crate::federation::GridMap::default(),
@@ -153,7 +167,7 @@ impl OpsJournal {
     }
 
     /// Append one event to the journal.
-    pub fn record(&self, at: SimTime, site: Option<SiteId>, kind: OpsEventKind) {
+    pub(crate) fn record(&self, at: SimTime, site: Option<SiteId>, kind: OpsEventKind) {
         if let Some(inner) = &self.inner {
             inner.borrow_mut().push(OpsRecord {
                 at,
@@ -162,6 +176,20 @@ impl OpsJournal {
                 kind,
             });
         }
+    }
+
+    /// Journal that the iGOC opened `ticket` of class `kind` at `site`.
+    pub(crate) fn ticket_opened(
+        &self,
+        at: SimTime,
+        site: SiteId,
+        ticket: TicketId,
+        kind: TicketKind,
+    ) {
+        self.record_with(at, Some(site), || OpsEventKind::TicketOpened {
+            ticket,
+            kind: format!("{kind:?}"),
+        });
     }
 
     /// [`OpsJournal::record`] with a lazily built event: `kind` is only

@@ -68,10 +68,6 @@ pub struct ScenarioConfig {
     pub pipeline: InstallPipeline,
     /// §8 ablation: SRM-style storage reservations.
     pub srm_reservations: bool,
-    /// Enable the grid-wide instrumentation layer (the metrics
-    /// registry). Off by default: the disabled handle costs one branch
-    /// per call site.
-    pub telemetry: bool,
     /// DAG-shaped production campaigns to run inside the simulation
     /// (empty by default; the flat Table 1 workloads model the bulk).
     pub campaigns: Vec<CampaignSpec>,
@@ -172,7 +168,6 @@ impl ScenarioConfig {
             monitor_interval: SimDuration::from_hours(2),
             pipeline: InstallPipeline::grid3_default(),
             srm_reservations: false,
-            telemetry: false,
             campaigns: Vec::new(),
             resilience: None,
             storms: Vec::new(),
@@ -328,12 +323,6 @@ impl ScenarioConfig {
     /// Enable the SRM-reservation ablation.
     pub fn with_srm(mut self, on: bool) -> Self {
         self.srm_reservations = on;
-        self
-    }
-
-    /// Enable/disable the instrumentation layer.
-    pub fn with_telemetry(mut self, on: bool) -> Self {
-        self.telemetry = on;
         self
     }
 

@@ -16,9 +16,6 @@
 //!
 //! Deliberately not captured (observation-only, process-local):
 //!
-//! * telemetry counter *values* — counters are re-interned against a
-//!   fresh registry on restore (the per-job timeline is the trace
-//!   store's, which is captured);
 //! * the cost profiler's wall-clock accumulators — restored runs start a
 //!   fresh profile;
 //! * the ops journal — the journal is an append-only log beside the run;
@@ -95,8 +92,8 @@ use std::path::Path;
 /// row without per-series geometry, the Ganglia summaries and status
 /// catalog as site-indexed rows, and storage files in id order; version
 /// 6 dropped the replica service's index and size table and DAGMan's
-/// retry total.
-pub(crate) const SNAPSHOT_VERSION: u32 = 6;
+/// retry total; version 7 dropped the config's telemetry switch.
+pub(crate) const SNAPSHOT_VERSION: u32 = 7;
 
 /// File magic: "G3ENGSNP".
 const MAGIC: [u8; 8] = *b"G3ENGSNP";
@@ -432,10 +429,9 @@ impl<'a> EngineSnapshot<'a> {
 
 /// Rebuild a runnable engine from a snapshot: re-assemble the scenario
 /// (reconstructing everything configuration-derived), then overlay the
-/// captured run state and re-attach process-local telemetry handles.
+/// captured run state.
 pub(crate) fn restore_engine(snap: EngineSnapshot<'_>) -> Grid3Engine {
     let mut engine = crate::subsystems::assembly::assemble(snap.cfg.into_owned());
-    let tele = engine.ctx.telemetry.clone();
     engine.ctx.queue = snap.queue.into_owned();
     engine.ctx.broker_rng = snap.broker_rng;
     engine.ctx.fate_rng = snap.fate_rng;
@@ -443,20 +439,10 @@ pub(crate) fn restore_engine(snap: EngineSnapshot<'_>) -> Grid3Engine {
 
     let fabric = &mut engine.fabric;
     fabric.sites = snap.sites.into_owned();
-    for site in fabric.sites.iter_mut() {
-        site.scheduler
-            .set_telemetry(tele.clone(), format!("site{}", site.id.0));
-    }
     fabric.gatekeepers = snap.gatekeepers.into_owned();
-    for gk in fabric.gatekeepers.iter_mut() {
-        gk.set_telemetry(tele.clone());
-    }
     fabric.gridftp = snap.gridftp.into_owned();
-    fabric.gridftp.set_telemetry(tele.clone());
     fabric.rls = snap.rls.into_owned();
-    fabric.rls.set_telemetry(tele.clone());
     fabric.center.apply(snap.center);
-    fabric.center.mds.set_telemetry(tele.clone());
     fabric.voms = snap.voms.into_owned();
     fabric.ca = snap.ca.into_owned();
     fabric.resilience = snap.resilience.map(Cow::into_owned);
@@ -468,7 +454,7 @@ pub(crate) fn restore_engine(snap: EngineSnapshot<'_>) -> Grid3Engine {
     fabric.chaos = snap.chaos.into_owned();
     fabric.federation.apply(snap.federation);
 
-    engine.brokering.apply(snap.brokering, &tele);
+    engine.brokering.apply(snap.brokering);
     engine.staging = snap.staging.into_owned();
     engine.fault = snap.fault.into_owned();
     engine.reporting.apply(snap.reporting);

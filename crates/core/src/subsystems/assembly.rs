@@ -3,10 +3,10 @@
 //!
 //! Construction order is load-bearing: every RNG stream is labelled and
 //! every initial event is scheduled in a fixed sequence (onboarding,
-//! telemetry wiring, middleware, user registration, the workload arrival
-//! table, incident sampling, storms, the demonstrator, campaigns, the
-//! first monitor tick), so a given seed yields bit-identical runs
-//! regardless of how the engine is internally organised.
+//! middleware, user registration, the workload arrival table, incident
+//! sampling, storms, the demonstrator, campaigns, the first monitor
+//! tick), so a given seed yields bit-identical runs regardless of how
+//! the engine is internally organised.
 
 use crate::apps::demonstrators::EntradaDemo;
 use crate::apps::workloads::Submission;
@@ -28,7 +28,6 @@ use grid3_simkit::hash::FastMap;
 use grid3_simkit::ids::{JobIdGen, SiteId, UserId};
 use grid3_simkit::rng::SimRng;
 use grid3_simkit::series::GaugeTracker;
-use grid3_simkit::telemetry::Telemetry;
 use grid3_simkit::time::{SimDuration, SimTime};
 use grid3_simkit::units::Bytes;
 use grid3_site::cluster::Site;
@@ -77,36 +76,18 @@ pub(crate) fn assemble_on(cfg: ScenarioConfig, mut queue: EventQueue<GridEvent>)
         site.validated = outcome.validated_clean;
     }
 
-    // The instrumentation layer: one shared handle threaded through
-    // every subsystem. Disabled unless the scenario opts in.
-    let telemetry = if cfg.telemetry {
-        Telemetry::enabled()
-    } else {
-        Telemetry::disabled()
-    };
-    center.mds.set_telemetry(telemetry.clone());
-    for site in sites.iter_mut() {
-        site.scheduler
-            .set_telemetry(telemetry.clone(), format!("site{}", site.id.0));
-    }
-
     // Gatekeepers and the transfer fabric. Each site's overload
     // threshold comes from its grid's compute backend (the `Vdt`
     // reference backend reproduces `Gatekeeper::new`'s default).
-    let mut gatekeepers: Vec<Gatekeeper> = sites
+    let gatekeepers: Vec<Gatekeeper> = sites
         .iter()
         .map(|s| {
             let grid = &federation.grids()[federation.grid_of(s.id).index()];
             Gatekeeper::with_threshold(s.id, grid.backend.compute().overload_threshold())
         })
         .collect();
-    for gk in gatekeepers.iter_mut() {
-        gk.set_telemetry(telemetry.clone());
-    }
-    let mut gridftp = GridFtp::new(sites.iter().map(|s| (s.id, s.profile.wan_bandwidth)));
-    gridftp.set_telemetry(telemetry.clone());
-    let mut rls = ReplicaLocationService::new();
-    rls.set_telemetry(telemetry.clone());
+    let gridftp = GridFtp::new(sites.iter().map(|s| (s.id, s.profile.wan_bandwidth)));
+    let rls = ReplicaLocationService::new();
 
     // Users: register each class's population in its VO's VOMS server,
     // issue certificates, accept the AUP (§5.3, §5.4).
@@ -354,8 +335,7 @@ pub(crate) fn assemble_on(cfg: ScenarioConfig, mut queue: EventQueue<GridEvent>)
             simulator: spec.simulator,
             operator: UserId(0),
         });
-        let mut mgr = DagManager::new(dag, spec.retries, spec.throttle);
-        mgr.set_telemetry(telemetry.clone());
+        let mgr = DagManager::new(dag, spec.retries, spec.throttle);
         campaigns.push((spec.dataset.clone(), mgr));
         queue.schedule_at(
             SimTime::from_days(spec.submit_day),
@@ -392,7 +372,6 @@ pub(crate) fn assemble_on(cfg: ScenarioConfig, mut queue: EventQueue<GridEvent>)
         broker_rng: SimRng::for_entity(cfg.seed, 0xB0B),
         fate_rng: SimRng::for_entity(cfg.seed, 0xFA7E),
         queue,
-        telemetry,
         traces: TraceStore::new(),
         ops,
         immediates: Vec::new(),

@@ -23,7 +23,6 @@ use grid3_monitoring::trace::TraceEvent;
 use grid3_simkit::hash::FastMap;
 use grid3_simkit::ids::{GridId, JobId, SiteId};
 use grid3_simkit::rng::SimRng;
-use grid3_simkit::telemetry::Counter;
 use grid3_simkit::time::{SimDuration, SimTime};
 use grid3_simkit::units::Bytes;
 use grid3_site::job::{FailureCause, JobOutcome, JobSpec};
@@ -72,8 +71,6 @@ pub(crate) struct Brokering {
     /// Rescue-DAG resubmissions already spent, per campaign index
     /// (bounded by each campaign's `rescue_dags` budget).
     campaign_rescues: FastMap<usize, u32>,
-    /// The `resilience/retry` counter, registered on the first retry.
-    c_retry: Option<Counter>,
 }
 
 impl Brokering {
@@ -96,7 +93,6 @@ impl Brokering {
             campaign_job_map: FastMap::default(),
             campaign_hold: FastMap::default(),
             campaign_rescues: FastMap::default(),
-            c_retry: None,
         }
     }
 
@@ -130,11 +126,10 @@ impl Brokering {
 
     /// The run-mutated slice of this subsystem, for engine snapshots.
     /// The arrival table is rebuilt by re-assembly, so only its cursor
-    /// is captured. The site table, the selection scratch and the retry
-    /// counter are rebuildable caches/telemetry and are *not* captured:
-    /// the table re-memoises from the restored MDS on first access (same
-    /// epoch key, same content), and the counter re-registers on first
-    /// use.
+    /// is captured. The site table and the selection scratch are
+    /// rebuildable caches and are *not* captured: the table re-memoises
+    /// from the restored MDS on first access (same epoch key, same
+    /// content).
     pub(crate) fn capture(&self) -> BrokeringCapture<'_> {
         BrokeringCapture {
             arrivals_delivered: self.arrivals_delivered,
@@ -149,14 +144,8 @@ impl Brokering {
     }
 
     /// Overlay a captured slice onto a freshly assembled subsystem: the
-    /// re-assembled arrival table drops its delivered prefix. Campaign
-    /// DAGMan counters deserialize inert, so telemetry is re-attached
-    /// here.
-    pub(crate) fn apply(
-        &mut self,
-        cap: BrokeringCapture<'_>,
-        telemetry: &grid3_simkit::telemetry::Telemetry,
-    ) {
+    /// re-assembled arrival table drops its delivered prefix.
+    pub(crate) fn apply(&mut self, cap: BrokeringCapture<'_>) {
         let undelivered = self
             .arrivals
             .len()
@@ -168,9 +157,6 @@ impl Brokering {
         self.retry_state = cap.retry_state.into_owned();
         self.unplaced_jobs = cap.unplaced_jobs;
         self.campaigns = cap.campaigns.into_owned();
-        for (_, mgr) in &mut self.campaigns {
-            mgr.set_telemetry(telemetry.clone());
-        }
         self.campaign_job_map = cap.campaign_job_map.into_owned();
         self.campaign_hold = cap.campaign_hold.into_owned();
         self.campaign_rescues = cap.campaign_rescues.into_owned();
@@ -262,12 +248,6 @@ impl Brokering {
         if let Some(r) = &mut fabric.resilience {
             r.retries_scheduled += 1;
         }
-        self.c_retry
-            .get_or_insert_with(|| {
-                ctx.telemetry
-                    .register_counter("resilience", "retry", "gram")
-            })
-            .add(1);
     }
 
     /// One placement attempt: broker (consulting the blacklist) →
@@ -762,8 +742,6 @@ impl BrokeringCapture<'_> {
 
 impl Subsystem for Brokering {
     type Event = BrokeringEvent;
-
-    const NAME: &'static str = "brokering";
 
     fn handle(
         &mut self,

@@ -184,8 +184,6 @@ impl Execution {
 impl Subsystem for Execution {
     type Event = ExecutionEvent;
 
-    const NAME: &'static str = "execution";
-
     fn handle(
         &mut self,
         now: SimTime,

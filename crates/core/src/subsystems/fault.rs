@@ -61,10 +61,7 @@ impl FaultHandling {
                 );
                 let ticket = fabric.center.tickets.open(site, TicketKind::DiskFull, now);
                 ctx.ops
-                    .record_with(now, Some(site), || OpsEventKind::TicketOpened {
-                        ticket,
-                        kind: format!("{:?}", TicketKind::DiskFull),
-                    });
+                    .ticket_opened(now, site, ticket, TicketKind::DiskFull);
                 if !consumed.shortfall.is_zero() && fabric.cfg.chaos.is_some() {
                     // The incident wanted more space than the disk had:
                     // surface the shortfall as a quota-pressure ticket
@@ -75,10 +72,7 @@ impl FaultHandling {
                         .tickets
                         .open(site, TicketKind::DiskPressure, now);
                     ctx.ops
-                        .record_with(now, Some(site), || OpsEventKind::TicketOpened {
-                            ticket,
-                            kind: format!("{:?}", TicketKind::DiskPressure),
-                        });
+                        .ticket_opened(now, site, ticket, TicketKind::DiskPressure);
                 }
                 if let Some(r) = &mut fabric.resilience {
                     r.suspend(site);
@@ -220,10 +214,7 @@ impl FaultHandling {
                 .tickets
                 .open(site, TicketKind::FailureStorm, now);
             ctx.ops
-                .record_with(now, Some(site), || OpsEventKind::TicketOpened {
-                    ticket,
-                    kind: format!("{:?}", TicketKind::FailureStorm),
-                });
+                .ticket_opened(now, site, ticket, TicketKind::FailureStorm);
             ctx.ops
                 .record(now, Some(site), OpsEventKind::StormDetected { ticket });
             r.begin_repair(site, ticket);
@@ -241,8 +232,6 @@ impl FaultHandling {
 
 impl Subsystem for FaultHandling {
     type Event = FaultEvent;
-
-    const NAME: &'static str = "fault";
 
     fn handle(
         &mut self,

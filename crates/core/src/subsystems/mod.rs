@@ -2,13 +2,13 @@
 //!
 //! The former monolithic engine handled every event and owned every piece
 //! of state in one `impl` block. It is now split along the paper's own
-//! operational seams into five services, each implementing [`Subsystem`]:
+//! operational seams into five services, each implementing `Subsystem`:
 //!
 //! * `Brokering` — workload intake (the arrival
 //!   table the engine loop merges with the queue), §6.4 site selection,
 //!   GRAM submission with retry/backoff, and the DAGMan campaign feedback
 //!   loop (§4.2).
-//! * [`Staging`](staging::Staging) — GridFTP stage-in/stage-out, SE
+//! * `Staging` — GridFTP stage-in/stage-out, SE
 //!   placement, RLS registration, and the Entrada demonstrator (§4.7).
 //! * [`Execution`](execution::Execution) — batch dispatch and the
 //!   predetermined execution fates (§6.2's per-job loss models).
@@ -44,7 +44,6 @@ use grid3_simkit::engine::EventQueue;
 use grid3_simkit::ids::{JobId, SiteId, TransferId};
 use grid3_simkit::profiler::CostCenter;
 use grid3_simkit::rng::SimRng;
-use grid3_simkit::telemetry::Telemetry;
 use grid3_simkit::time::{SimDuration, SimTime};
 use grid3_simkit::units::Bytes;
 use grid3_site::failure::FailureEvent;
@@ -56,15 +55,12 @@ use serde::{Deserialize, Serialize};
 ///
 /// A subsystem owns its private state and consumes exactly one event
 /// type. It receives the shared services in [`EngineCtx`] (event queue,
-/// RNG streams, telemetry, trace store) and the shared grid state in
+/// RNG streams, trace store, ops journal) and the shared grid state in
 /// [`GridFabric`]; everything else it wants done it requests by emitting
 /// events through [`EngineCtx::emit`] or [`EventQueue::schedule_at`].
-pub trait Subsystem {
+pub(crate) trait Subsystem {
     /// The event type this subsystem consumes.
     type Event;
-
-    /// Stable subsystem name, for diagnostics and documentation.
-    const NAME: &'static str;
 
     /// Handle one event firing at `now`.
     fn handle(
@@ -198,7 +194,7 @@ pub enum ReportingEvent {
 pub enum GridEvent {
     /// Routed to `brokering::Brokering`.
     Brokering(BrokeringEvent),
-    /// Routed to [`staging::Staging`].
+    /// Routed to `staging::Staging`.
     Staging(StagingEvent),
     /// Routed to [`execution::Execution`].
     Execution(ExecutionEvent),
@@ -415,10 +411,10 @@ impl GridEvent {
 }
 
 /// The explicit context every subsystem receives: the event queue (and
-/// with it the clock), the engine's deterministic RNG streams, the
-/// instrumentation handle, the §8 trace store, and the immediate-event
-/// buffer the router drains depth-first.
-pub struct EngineCtx {
+/// with it the clock), the engine's deterministic RNG streams, the §8
+/// trace store, the ops journal, and the immediate-event buffer the
+/// router drains depth-first.
+pub(crate) struct EngineCtx {
     /// The time-ordered event queue; `queue.now()` is the clock.
     pub queue: EventQueue<GridEvent>,
     /// Broker decisions draw from this stream (stream id `0xB0B`).
@@ -426,9 +422,6 @@ pub struct EngineCtx {
     /// Execution fates and registration losses draw from this stream
     /// (stream id `0xFA7E`).
     pub fate_rng: SimRng,
-    /// The grid-wide instrumentation layer. A disabled handle (the
-    /// default) makes every record call a no-op branch.
-    pub telemetry: Telemetry,
     /// The §8 troubleshooting/accounting trace store (submit-side ↔
     /// execution-side id linkage, per-user accounting).
     pub traces: grid3_monitoring::trace::TraceStore,
@@ -564,7 +557,6 @@ mod tests {
             queue: grid3_simkit::engine::EventQueue::new(),
             broker_rng: grid3_simkit::rng::SimRng::for_entity(1, 1),
             fate_rng: grid3_simkit::rng::SimRng::for_entity(1, 2),
-            telemetry: Telemetry::disabled(),
             traces: grid3_monitoring::trace::TraceStore::new(),
             ops: crate::ops::OpsJournal::disabled(),
             immediates: Vec::new(),

@@ -102,7 +102,7 @@ impl Reporting {
         // answer nothing either.
         let topo = &fabric.topo;
         let chaos = &fabric.chaos;
-        fabric.center.probe_round(
+        let opened = fabric.center.probe_round(
             fabric.sites.iter().filter(|s| {
                 topo.is_online(s.id, now)
                     && !chaos.is_igoc_partitioned(s.id)
@@ -110,6 +110,10 @@ impl Reporting {
             }),
             now,
         );
+        for ticket in opened {
+            let t = &fabric.center.tickets.tickets()[ticket.index()];
+            ctx.ops.ticket_opened(now, t.site, ticket, t.kind);
+        }
         // Ship accumulated NetLogger events with each sweep, mirroring the
         // periodic collection of §4.7.
         fabric.drain_netlogger();
@@ -181,8 +185,6 @@ impl ReportingCapture<'_> {
 
 impl Subsystem for Reporting {
     type Event = ReportingEvent;
-
-    const NAME: &'static str = "reporting";
 
     fn handle(
         &mut self,

@@ -8,10 +8,10 @@
 //! replacement for the monolith's direct dispatch call.
 
 use crate::apps::demonstrators::EntradaDemo;
+use crate::ops::OpsEventKind;
+use grid3_igoc::tickets::TicketKind;
 use grid3_monitoring::trace::TraceEvent;
-use grid3_simkit::hash::FastMap;
 use grid3_simkit::ids::{FileIdGen, JobId, SiteId, TransferId};
-use grid3_simkit::telemetry::Counter;
 use grid3_simkit::time::SimTime;
 use grid3_site::job::FailureCause;
 use grid3_site::scheduler::QueuedJob;
@@ -28,23 +28,14 @@ const CLEANUP_SWEEP_DELAY: grid3_simkit::time::SimDuration =
 
 /// The staging subsystem (see the module docs).
 ///
-/// Serde round-trips the whole struct but its counters: the LFN
-/// allocator position is run-mutated state and the demonstrator matrix
-/// is cheap config.
+/// Serde round-trips the whole struct: the LFN allocator position is
+/// run-mutated state and the demonstrator matrix is cheap config.
 #[derive(Clone, serde::Serialize, serde::Deserialize)]
-pub struct Staging {
+pub(crate) struct Staging {
     /// Grid-wide logical-file-name allocator.
     lfns: FileIdGen,
     /// The Entrada demonstrator (`None` when the scenario omits it).
     demo: Option<EntradaDemo>,
-    /// `chaos/cleanup_scheduled` counters by site, each registered on
-    /// its site's first sweep.
-    #[serde(skip)]
-    c_cleanup: FastMap<SiteId, Counter>,
-    /// `chaos/truncated_resumed` and `chaos/truncated_corrupt`, indexed
-    /// by `corrupt` and registered on first use.
-    #[serde(skip)]
-    c_truncated: [Option<Counter>; 2],
 }
 
 impl Staging {
@@ -53,8 +44,6 @@ impl Staging {
         Staging {
             lfns: FileIdGen::new(),
             demo,
-            c_cleanup: FastMap::default(),
-            c_truncated: [None, None],
         }
     }
 
@@ -265,10 +254,12 @@ impl Staging {
         now: SimTime,
         site: SiteId,
     ) {
-        fabric
+        let ticket = fabric
             .center
             .tickets
-            .open(site, grid3_igoc::tickets::TicketKind::DiskPressure, now);
+            .open(site, TicketKind::DiskPressure, now);
+        ctx.ops
+            .ticket_opened(now, site, ticket, TicketKind::DiskPressure);
         let external = fabric.sites[site.index()].storage.external_bytes();
         let pending = fabric
             .chaos
@@ -280,16 +271,8 @@ impl Staging {
             if let Some(flag) = fabric.chaos.cleanup_pending.get_mut(site.index()) {
                 *flag = true;
             }
-            self.c_cleanup
-                .entry(site)
-                .or_insert_with(|| {
-                    ctx.telemetry.register_counter(
-                        "chaos",
-                        "cleanup_scheduled",
-                        format!("site{}", site.0),
-                    )
-                })
-                .add(1);
+            ctx.ops
+                .record(now, Some(site), OpsEventKind::CleanupScheduled);
             ctx.queue.schedule_at(
                 now + CLEANUP_SWEEP_DELAY,
                 GridEvent::Fault(super::FaultEvent::DiskCleanup(site, external)),
@@ -336,16 +319,16 @@ impl Staging {
                 j.transferred += cut.outcome.delivered;
             }
         }
-        self.c_truncated[usize::from(corrupt)]
-            .get_or_insert_with(|| {
-                let name = if corrupt {
+        let site = fabric.jobs.get(&job).map(|j| j.site);
+        ctx.ops
+            .record_with(now, site, || OpsEventKind::FaultInjected {
+                kind: if corrupt {
                     "truncated_corrupt"
                 } else {
                     "truncated_resumed"
-                };
-                ctx.telemetry.register_counter("chaos", name, "")
-            })
-            .add(1);
+                }
+                .to_string(),
+            });
         // Checksum-verified resume: re-request the remainder (or the full
         // payload when the fragment failed verification).
         let mut request = cut.outcome.request;
@@ -417,8 +400,6 @@ impl Staging {
 
 impl Subsystem for Staging {
     type Event = StagingEvent;
-
-    const NAME: &'static str = "staging";
 
     fn handle(
         &mut self,

@@ -7,7 +7,6 @@
 //! and declare the DAG failed only when a node exhausts its retries.
 
 use super::dag::{Dag, NodeId};
-use grid3_simkit::telemetry::{Counter, Telemetry};
 use serde::{Deserialize, Serialize};
 
 /// Lifecycle of one DAG node under DAGMan.
@@ -59,16 +58,6 @@ pub struct DagManager<T> {
     active: usize,
     done: usize,
     failed: usize,
-    #[serde(skip)]
-    c_submitted: Counter,
-    #[serde(skip)]
-    c_done: Counter,
-    #[serde(skip)]
-    c_retried: Counter,
-    #[serde(skip)]
-    c_failed_permanent: Counter,
-    #[serde(skip)]
-    c_rescued: Counter,
 }
 
 impl<T> DagManager<T> {
@@ -97,22 +86,7 @@ impl<T> DagManager<T> {
             active: 0,
             done: 0,
             failed: 0,
-            c_submitted: Counter::disabled(),
-            c_done: Counter::disabled(),
-            c_retried: Counter::disabled(),
-            c_failed_permanent: Counter::disabled(),
-            c_rescued: Counter::disabled(),
         }
-    }
-
-    /// Attach the grid-wide instrumentation handle. All five node
-    /// life-cycle counters are interned once here.
-    pub(crate) fn set_telemetry(&mut self, tele: Telemetry) {
-        self.c_submitted = tele.register_counter("dagman", "submitted", "");
-        self.c_done = tele.register_counter("dagman", "done", "");
-        self.c_retried = tele.register_counter("dagman", "retried", "");
-        self.c_failed_permanent = tele.register_counter("dagman", "failed_permanent", "");
-        self.c_rescued = tele.register_counter("dagman", "rescued", "");
     }
 
     /// The managed DAG.
@@ -151,7 +125,6 @@ impl<T> DagManager<T> {
         );
         self.states[node.index()] = NodeState::Active;
         self.active += 1;
-        self.c_submitted.add(1);
     }
 
     /// Mark an Active node done; returns children that became Ready.
@@ -164,7 +137,6 @@ impl<T> DagManager<T> {
         self.states[node.index()] = NodeState::Done;
         self.active -= 1;
         self.done += 1;
-        self.c_done.add(1);
         let mut released = Vec::new();
         for &c in self.dag.children(node) {
             self.unfinished_parents[c.index()] -= 1;
@@ -189,14 +161,12 @@ impl<T> DagManager<T> {
         if self.retries_left[node.index()] > 0 {
             self.retries_left[node.index()] -= 1;
             self.states[node.index()] = NodeState::Ready;
-            self.c_retried.add(1);
             FailureAction::Retry {
                 remaining: self.retries_left[node.index()],
             }
         } else {
             self.states[node.index()] = NodeState::Failed;
             self.failed += 1;
-            self.c_failed_permanent.add(1);
             FailureAction::Permanent
         }
     }
@@ -217,9 +187,6 @@ impl<T> DagManager<T> {
             }
         }
         self.failed -= rearmed;
-        if rearmed > 0 {
-            self.c_rescued.add(rearmed as u64);
-        }
         rearmed
     }
 

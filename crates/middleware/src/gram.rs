@@ -28,7 +28,6 @@
 
 use grid3_simkit::hash::FastMap;
 use grid3_simkit::ids::{JobId, SiteId};
-use grid3_simkit::telemetry::{Counter, Histo, Telemetry};
 use grid3_simkit::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -43,10 +42,6 @@ pub(crate) const SPIKE_PER_SUBMISSION: f64 = 2.0;
 
 /// Default load at which the gatekeeper starts refusing submissions.
 pub(crate) const DEFAULT_OVERLOAD_THRESHOLD: f64 = 500.0;
-
-/// Bucket bounds for the `load_at_accept` histogram, anchored at the
-/// paper's calibration points (225 sustained, ×2 and ×4 staging).
-static LOAD_BOUNDS: [f64; 6] = [25.0, 50.0, 100.0, 225.0, 450.0, 900.0];
 
 /// The paper's sustained-load law as a pure function, for parameter sweeps
 /// (the `gkload` experiment): managed jobs × staging factor.
@@ -81,12 +76,6 @@ pub struct Gatekeeper {
     pub up: bool,
     refused: u64,
     accepted: u64,
-    #[serde(skip)]
-    c_refused: Counter,
-    #[serde(skip)]
-    c_accepted: Counter,
-    #[serde(skip)]
-    h_load_at_accept: Histo,
 }
 
 impl Gatekeeper {
@@ -107,22 +96,7 @@ impl Gatekeeper {
             up: true,
             refused: 0,
             accepted: 0,
-            c_refused: Counter::disabled(),
-            c_accepted: Counter::disabled(),
-            h_load_at_accept: Histo::disabled(),
         }
-    }
-
-    /// Attach the grid-wide instrumentation handle. Counters are labelled
-    /// `site<N>` so per-site and grid-wide views both fall out of the
-    /// registry. Metric slots are interned once here; the per-submission
-    /// hot path is then a slot-indexed add with no lookup or allocation.
-    pub fn set_telemetry(&mut self, tele: Telemetry) {
-        let label = format!("site{}", self.site.0);
-        self.c_refused = tele.register_counter("gram", "refused", label.clone());
-        self.c_accepted = tele.register_counter("gram", "accepted", label.clone());
-        self.h_load_at_accept =
-            tele.register_histogram("gram", "load_at_accept", label, &LOAD_BOUNDS);
     }
 
     /// Jobs currently managed.
@@ -146,21 +120,17 @@ impl Gatekeeper {
         now: SimTime,
     ) -> Result<(), GramError> {
         if !self.up {
-            self.c_refused.add(1);
             return Err(GramError::ServiceDown);
         }
         let load = self.load_one_min(now);
         if load > self.overload_threshold {
             self.refused += 1;
-            self.c_refused.add(1);
             return Err(GramError::Overloaded { load });
         }
         self.submissions.push_back(now);
         self.managed.insert(job, staging_factor);
         self.managed_weight += staging_factor;
         self.accepted += 1;
-        self.c_accepted.add(1);
-        self.h_load_at_accept.observe(load);
         Ok(())
     }
 

@@ -16,7 +16,6 @@
 
 use grid3_simkit::hash::FastMap;
 use grid3_simkit::ids::{SiteId, TransferId, TransferIdGen};
-use grid3_simkit::telemetry::{Counter, Telemetry};
 use grid3_simkit::time::{SimDuration, SimTime};
 use grid3_simkit::units::{Bandwidth, Bytes};
 use grid3_site::vo::Vo;
@@ -24,11 +23,6 @@ use serde::{Deserialize, Serialize};
 
 /// Per-transfer setup cost (GSI handshake, control channel).
 pub(crate) const SETUP_LATENCY: SimDuration = SimDuration::from_secs(2);
-
-/// Registry label for a VO (the paper's Figure 5 groups volume by VO).
-fn vo_label(vo: Vo) -> &'static str {
-    vo.name()
-}
 
 /// A transfer to be performed.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -164,19 +158,6 @@ pub struct GridFtp {
     active: FastMap<TransferId, ActiveTransfer>,
     ids: TransferIdGen,
     log: Vec<NetLogEvent>,
-    /// Pre-interned per-VO transfer counters, each indexed by
-    /// `Vo::index()`: one slot-indexed add per transfer event, no
-    /// lookup on the hot path.
-    #[serde(skip)]
-    c_started: Vec<Counter>,
-    #[serde(skip)]
-    c_completed: Vec<Counter>,
-    #[serde(skip)]
-    c_bytes_completed: Vec<Counter>,
-    #[serde(skip)]
-    c_failed: Vec<Counter>,
-    #[serde(skip)]
-    c_truncated: Vec<Counter>,
 }
 
 impl GridFtp {
@@ -202,29 +183,7 @@ impl GridFtp {
             active: FastMap::default(),
             ids: TransferIdGen::new(),
             log: Vec::new(),
-            c_started: Vec::new(),
-            c_completed: Vec::new(),
-            c_bytes_completed: Vec::new(),
-            c_failed: Vec::new(),
-            c_truncated: Vec::new(),
         }
-    }
-
-    /// Attach the grid-wide instrumentation handle. Transfer counters are
-    /// labelled by VO, matching the paper's Figure 5 (volume by VO); all
-    /// thirty slots are interned here, once.
-    pub fn set_telemetry(&mut self, tele: Telemetry) {
-        let per_vo = |name: &'static str| -> Vec<Counter> {
-            Vo::ALL
-                .iter()
-                .map(|vo| tele.register_counter("gridftp", name, vo_label(*vo)))
-                .collect()
-        };
-        self.c_started = per_vo("started");
-        self.c_completed = per_vo("completed");
-        self.c_bytes_completed = per_vo("bytes_completed");
-        self.c_failed = per_vo("failed");
-        self.c_truncated = per_vo("truncated");
     }
 
     /// Mark a site's link up or down.
@@ -266,9 +225,6 @@ impl GridFtp {
             }
         }
         let id = self.ids.next_id();
-        if let Some(c) = self.c_started.get(request.vo.index()) {
-            c.add(1);
-        }
         self.bump_streams(request.src);
         if request.dst != request.src {
             self.bump_streams(request.dst);
@@ -306,13 +262,6 @@ impl GridFtp {
             .remove(&id)
             .ok_or(TransferError::UnknownTransfer)?;
         self.release_streams(&t.request);
-        let vo = t.request.vo.index();
-        if let Some(c) = self.c_completed.get(vo) {
-            c.add(1);
-        }
-        if let Some(c) = self.c_bytes_completed.get(vo) {
-            c.add(t.request.bytes.as_u64());
-        }
         self.log.push(NetLogEvent::End {
             id,
             at: now,
@@ -349,9 +298,6 @@ impl GridFtp {
                 ((t.rate.as_bytes_per_sec() * elapsed) as u64).min(t.request.bytes.as_u64()),
             );
             let error = TransferError::KilledBySiteFailure(site);
-            if let Some(c) = self.c_failed.get(t.request.vo.index()) {
-                c.add(1);
-            }
             self.log.push(NetLogEvent::Error { id, at: now, error });
             out.push(TransferOutcome {
                 id,
@@ -385,9 +331,6 @@ impl GridFtp {
             ((t.rate.as_bytes_per_sec() * elapsed) as u64).min(t.request.bytes.as_u64()),
         );
         let error = TransferError::Truncated;
-        if let Some(c) = self.c_truncated.get(t.request.vo.index()) {
-            c.add(1);
-        }
         self.log.push(NetLogEvent::Error { id, at: now, error });
         let remaining = t.request.bytes.saturating_sub(partial);
         Ok(TruncatedTransfer {

@@ -14,7 +14,6 @@
 //! so stale sites drop out of brokering.
 
 use grid3_simkit::ids::{GridId, SiteId};
-use grid3_simkit::telemetry::{Counter, Telemetry};
 use grid3_simkit::time::{SimDuration, SimTime};
 use grid3_simkit::units::{Bandwidth, Bytes};
 use grid3_site::cluster::Site;
@@ -156,12 +155,6 @@ pub struct MdsDirectory {
     /// (fault injection): publishes for it are dropped, so its last
     /// record ages out past the TTL like a genuinely wedged GRIS.
     frozen: Vec<bool>,
-    #[serde(skip)]
-    tele: Telemetry,
-    /// Pre-interned `published` counters, indexed by site; grown on
-    /// first publish from a site.
-    #[serde(skip)]
-    c_published: Vec<Counter>,
 }
 
 impl MdsDirectory {
@@ -177,16 +170,7 @@ impl MdsDirectory {
             epoch: 0,
             ttl,
             frozen: Vec::new(),
-            tele: Telemetry::disabled(),
-            c_published: Vec::new(),
         }
-    }
-
-    /// Attach the grid-wide instrumentation handle. Per-site publish
-    /// counters are interned on first publish.
-    pub fn set_telemetry(&mut self, tele: Telemetry) {
-        self.c_published.clear();
-        self.tele = tele;
     }
 
     /// A directory with the default TTL.
@@ -202,15 +186,6 @@ impl MdsDirectory {
             return;
         }
         let idx = record.site.index();
-        while self.c_published.len() <= idx {
-            let i = self.c_published.len();
-            self.c_published.push(self.tele.register_counter(
-                "mds",
-                "published",
-                format!("site{i}"),
-            ));
-        }
-        self.c_published[idx].add(1);
         if idx >= self.records.len() {
             self.records.resize_with(idx + 1, || None);
         }
@@ -235,15 +210,6 @@ impl MdsDirectory {
         let idx = site.id.index();
         match self.records.get_mut(idx).and_then(Option::as_mut) {
             Some(r) if r.site_name == site.profile.name && r.vdt_version == vdt_version => {
-                while self.c_published.len() <= idx {
-                    let i = self.c_published.len();
-                    self.c_published.push(self.tele.register_counter(
-                        "mds",
-                        "published",
-                        format!("site{i}"),
-                    ));
-                }
-                self.c_published[idx].add(1);
                 r.total_cpus = site.total_slots() as u32;
                 r.free_cpus = site.free_slots() as u32;
                 r.queued_jobs = site.queued_count() as u32;

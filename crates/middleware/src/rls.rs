@@ -12,7 +12,6 @@
 
 use grid3_simkit::hash::FastMap;
 use grid3_simkit::ids::{FileId, SiteId};
-use grid3_simkit::telemetry::{Counter, Telemetry};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
@@ -27,13 +26,6 @@ pub struct ReplicaLocationService {
     /// before trusting an answer (which is exactly the failure mode —
     /// most don't).
     stale: BTreeSet<SiteId>,
-    #[serde(skip)]
-    tele: Telemetry,
-    /// Pre-interned `registered` counters, indexed by site; grown on
-    /// first registration from a site so the per-file hot path is a
-    /// slot-indexed add.
-    #[serde(skip)]
-    c_registered: Vec<Counter>,
 }
 
 impl ReplicaLocationService {
@@ -42,24 +34,8 @@ impl ReplicaLocationService {
         Self::default()
     }
 
-    /// Attach the grid-wide instrumentation handle.
-    pub fn set_telemetry(&mut self, tele: Telemetry) {
-        self.c_registered.clear();
-        self.tele = tele;
-    }
-
     /// Register a replica of `lfn` at `site`. Idempotent per (lfn, site).
     pub fn register(&mut self, lfn: FileId, site: SiteId) {
-        let idx = site.index();
-        while self.c_registered.len() <= idx {
-            let i = self.c_registered.len();
-            self.c_registered.push(self.tele.register_counter(
-                "rls",
-                "registered",
-                format!("site{i}"),
-            ));
-        }
-        self.c_registered[idx].add(1);
         self.lrcs.entry(site).or_default().insert(lfn);
     }
 

@@ -124,9 +124,7 @@ pub struct Component {
 /// The Figure 1 monitoring architecture as a directed graph:
 /// `(components, edges)` with edges as index pairs `(from, to)`.
 ///
-/// Producers: Ganglia, MDS GRIS, job-scheduler agents, SNMP, plus the
-/// simulator's own telemetry registry (feeding MonALISA like the other
-/// instrumentation sources).
+/// Producers: Ganglia, MDS GRIS, job-scheduler agents, SNMP.
 /// Intermediaries: MonALISA, VO GIIS, ACDC Job DB, ML repository, GIIS.
 /// Consumers: web frontends, server DB reports, MDViewer.
 pub fn fig1_topology() -> (Vec<Component>, Vec<(usize, usize)>) {
@@ -184,10 +182,6 @@ pub fn fig1_topology() -> (Vec<Component>, Vec<(usize, usize)>) {
             name: "Web outputs",
             kind: Consumer,
         }, // 12
-        Component {
-            name: "Telemetry registry",
-            kind: Producer,
-        }, // 13
     ];
     let edges = vec![
         (0, 4),  // Ganglia → MonALISA agents read ganglia metrics (§5.2)
@@ -203,7 +197,6 @@ pub fn fig1_topology() -> (Vec<Component>, Vec<(usize, usize)>) {
         (7, 10), // ACDC DB → aggregated queries / reports
         (7, 11), // ACDC DB → MDViewer plots
         (6, 12), // GIIS → web views
-        (13, 4), // telemetry registry → MonALISA (instrumentation feed)
     ];
     (components, edges)
 }
@@ -227,7 +220,7 @@ mod tests {
             .iter()
             .filter(|c| c.kind == ComponentKind::Consumer)
             .count();
-        assert_eq!(producers, 5);
+        assert_eq!(producers, 4);
         assert_eq!(intermediaries, 5);
         assert_eq!(consumers, 4);
         // Every edge references valid nodes.

@@ -25,8 +25,6 @@
 //!   paper's figures (integrated and differential CPU usage, transfer
 //!   volume, monthly job counts).
 //! * [`stats`] — small streaming-statistics helpers.
-//! * [`telemetry`] — the grid-wide instrumentation layer: the typed
-//!   metrics registry.
 //! * [`profiler`] — the cost-attribution profiler: dense per-cost-center
 //!   wall-time/fan-out/allocation accounting for the dispatch loop
 //!   (allocation columns require the `count-allocs` feature).
@@ -43,13 +41,11 @@ pub mod profiler;
 pub mod rng;
 pub mod series;
 pub mod stats;
-pub mod telemetry;
 pub mod time;
 pub mod units;
 
 pub use engine::EventQueue;
 pub use profiler::{alloc_snapshot, CostCenter, CostProfiler};
 pub use rng::SimRng;
-pub use telemetry::{Counter, Histo, Telemetry};
 pub use time::{SimDuration, SimTime};
 pub use units::{Bandwidth, Bytes};

@@ -14,7 +14,6 @@
 
 use crate::vo::Vo;
 use grid3_simkit::ids::JobId;
-use grid3_simkit::telemetry::{Counter, Telemetry};
 use grid3_simkit::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -67,10 +66,6 @@ pub struct BatchScheduler {
     usage: [f64; 6],
     short_q: VecDeque<QueuedJob>,
     long_q: VecDeque<QueuedJob>,
-    #[serde(skip)]
-    c_enqueued: Counter,
-    #[serde(skip)]
-    c_dispatched: Counter,
 }
 
 impl BatchScheduler {
@@ -83,19 +78,7 @@ impl BatchScheduler {
             usage: [0.0; 6],
             short_q: VecDeque::new(),
             long_q: VecDeque::new(),
-            c_enqueued: Counter::disabled(),
-            c_dispatched: Counter::disabled(),
         }
-    }
-
-    /// Attach the grid-wide instrumentation handle; `label` (typically
-    /// `site<N>`) tags this scheduler's counters in the registry. Slots
-    /// are interned once here so enqueue/dequeue pay a slot-indexed add
-    /// rather than a name lookup per job.
-    pub fn set_telemetry(&mut self, tele: Telemetry, label: impl Into<String>) {
-        let label = label.into();
-        self.c_enqueued = tele.register_counter("scheduler", "enqueued", label.clone());
-        self.c_dispatched = tele.register_counter("scheduler", "dispatched", label);
     }
 
     /// The discipline this scheduler implements.
@@ -119,7 +102,6 @@ impl BatchScheduler {
 
     /// Add a job to the queue.
     pub fn enqueue(&mut self, job: QueuedJob) {
-        self.c_enqueued.add(1);
         match self.kind {
             SchedulerKind::OpenPbs => self.fifo.push_back(job),
             SchedulerKind::CondorFairShare => self.per_vo[job.vo.index()].push_back(job),
@@ -135,14 +117,6 @@ impl BatchScheduler {
 
     /// Pick the next job to dispatch, or `None` if nothing is eligible.
     pub(crate) fn dequeue(&mut self, ctx: DispatchCtx) -> Option<QueuedJob> {
-        let picked = self.dequeue_inner(ctx);
-        if picked.is_some() {
-            self.c_dispatched.add(1);
-        }
-        picked
-    }
-
-    fn dequeue_inner(&mut self, ctx: DispatchCtx) -> Option<QueuedJob> {
         match self.kind {
             SchedulerKind::OpenPbs => self.fifo.pop_front(),
             SchedulerKind::CondorFairShare => {

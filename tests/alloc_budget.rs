@@ -62,21 +62,17 @@ fn scale_out_smoke_stays_under_alloc_budget() {
     );
 }
 
-/// Disabled-observer paths must not build telemetry/journal payloads:
-/// with telemetry, ops journal, and profiler all off (the default
-/// sc2003 configuration), per-event allocation must stay at the same
-/// order as the instrumented run — a leak of eager `format!` label
-/// construction shows up as a multiple, not a few percent.
+/// Disabled-observer paths must not build journal payloads: with the
+/// ops journal and profiler both off (the default sc2003
+/// configuration), per-event allocation must stay at the same order as
+/// the instrumented run — a leak of eager `format!` label construction
+/// shows up as a multiple, not a few percent.
 #[test]
 fn disabled_observers_allocate_nothing_extra_per_event() {
     let _counter = exclusive_counter();
     let base = ScenarioConfig::sc2003().with_scale(0.05).with_days(6);
     let (plain, events) = allocs_per_event(base.clone());
-    let (observed, ev2) = allocs_per_event(
-        base.with_telemetry(true)
-            .with_ops_journal(true)
-            .with_profile(true),
-    );
+    let (observed, ev2) = allocs_per_event(base.with_ops_journal(true).with_profile(true));
     assert_eq!(events, ev2, "observers must not change the event stream");
     println!(
         "[alloc_budget] sc2003 smoke: disabled {plain:.2} vs observed {observed:.2} allocs/event"

@@ -7,9 +7,11 @@
 //! job does).
 
 use grid3_sim::core::chaos::{ChaosRates, FaultKind, FaultPlan, PlannedFault};
+use grid3_sim::core::ops::OpsEventKind;
 use grid3_sim::core::scenario::CampaignSpec;
 use grid3_sim::core::{grid3_topology, Grid3Engine, Grid3Report, ScenarioConfig};
 use grid3_sim::igoc::tickets::TicketKind;
+use grid3_sim::middleware::gridftp::{NetLogEvent, TransferError};
 use grid3_sim::simkit::time::{SimDuration, SimTime};
 use grid3_sim::simkit::units::Bytes;
 use grid3_sim::workflow::mop::CmsSimulator;
@@ -35,7 +37,12 @@ fn chaos_cfg(seed: u64) -> ScenarioConfig {
 /// conserved, balanced run: every job terminal exactly once, storage
 /// within bounds, report totals matching the audited ledger.
 fn run_audited(cfg: ScenarioConfig) -> (Grid3Engine, Grid3Report) {
-    let mut sim = Grid3Engine::new(cfg);
+    drain_audited(Grid3Engine::new(cfg))
+}
+
+/// [`run_audited`] for an engine that may already be part-way through
+/// its window.
+fn drain_audited(mut sim: Grid3Engine) -> (Grid3Engine, Grid3Report) {
     sim.run_until_idle();
     let report = Grid3Report::extract(&sim);
     sim.audit_verify_report(&report);
@@ -49,6 +56,34 @@ fn run_audited(cfg: ScenarioConfig) -> (Grid3Engine, Grid3Report) {
     assert_eq!(sim.active_jobs(), 0, "jobs leaked past quiescence");
     assert!(sim.queue().is_empty(), "queue not drained");
     (sim, report)
+}
+
+/// How many journal lines of the run match `pred`.
+fn journal_count(sim: &Grid3Engine, pred: impl Fn(&OpsEventKind) -> bool) -> usize {
+    sim.ops_journal()
+        .records()
+        .iter()
+        .filter(|r| pred(&r.kind))
+        .count()
+}
+
+/// Journal lines of transfer cuts whose partial file passed (`false`)
+/// or failed (`true`) its checksum.
+fn journaled_cuts(sim: &Grid3Engine, corrupt: bool) -> usize {
+    let label = if corrupt {
+        "truncated_corrupt"
+    } else {
+        "truncated_resumed"
+    };
+    journal_count(
+        sim,
+        |k| matches!(k, OpsEventKind::FaultInjected { kind } if kind == label),
+    )
+}
+
+/// Journal lines of cleanup sweeps scheduled after a stage-in bounced.
+fn journaled_cleanups(sim: &Grid3Engine) -> usize {
+    journal_count(sim, |k| *k == OpsEventKind::CleanupScheduled)
 }
 
 #[test]
@@ -142,7 +177,7 @@ fn disk_exhaustion_opens_pressure_tickets_and_recovers() {
         .with_scale(0.02)
         .with_demo(false)
         .with_seed(17)
-        .with_telemetry(true)
+        .with_ops_journal(true)
         .with_audit(true)
         .with_chaos(FaultPlan::new(faults));
     let (sim, _) = run_audited(cfg);
@@ -158,7 +193,7 @@ fn disk_exhaustion_opens_pressure_tickets_and_recovers() {
         "500 TB into a site SE must leave a recorded shortfall ticket"
     );
     assert!(
-        sim.telemetry().counter_total("chaos", "cleanup_scheduled") > 0,
+        journaled_cleanups(&sim) > 0,
         "no stage-in bounced off a full disk"
     );
     // Cleanup reclaimed the external fill: no site ends the run with its
@@ -193,7 +228,7 @@ fn rescue_dags_rearm_permanently_failed_campaigns() {
         .with_scale(0.002)
         .with_demo(false)
         .with_seed(9)
-        .with_telemetry(true)
+        .with_ops_journal(true)
         .with_audit(true)
         .with_chaos(FaultPlan::new(holes))
         .with_campaign(CampaignSpec {
@@ -207,8 +242,17 @@ fn rescue_dags_rearm_permanently_failed_campaigns() {
             rescue_dags: 20,
         });
     let (sim, _) = run_audited(cfg);
+    let rearmed: u64 = sim
+        .ops_journal()
+        .records()
+        .iter()
+        .filter_map(|r| match r.kind {
+            OpsEventKind::RescueDag { rearmed, .. } => Some(rearmed),
+            _ => None,
+        })
+        .sum();
     assert!(
-        sim.telemetry().counter_total("dagman", "rescued") > 0,
+        rearmed > 0,
         "no rescue DAG fired despite guaranteed node failures"
     );
     let progress = sim.campaign_progress();
@@ -240,41 +284,78 @@ fn transfer_truncation_resumes_and_still_balances() {
         .with_scale(0.02)
         .with_demo(false)
         .with_seed(23)
-        .with_telemetry(true)
+        .with_ops_journal(true)
         .with_audit(true)
         .with_chaos(FaultPlan::new(faults));
     let (sim, report) = run_audited(cfg);
     let (completed, _) = sim.audit().unwrap().ledger();
     assert!(completed > 0, "nothing completed under truncation chaos");
     assert!(report.total_jobs > 0);
-    let t = sim.telemetry();
-    let cuts =
-        t.counter("chaos", "truncated_corrupt", "") + t.counter("chaos", "truncated_resumed", "");
+    let cuts = journaled_cuts(&sim, true) + journaled_cuts(&sim, false);
     assert!(cuts > 0, "no transfer was in flight at any planned cut");
-    assert_eq!(cuts, t.counter_total("gridftp", "truncated"));
 }
 
 #[test]
 fn chaos_actions_without_another_record_are_counted() {
-    // Transfer cuts and bounce-triggered cleanup sweeps leave no ops
-    // journal record, so their telemetry counters are their only
-    // account. Every cut lands under exactly one checksum outcome, and
-    // GridFTP's own truncation tally must agree; the resumed run still
-    // drains clean.
-    let (sim, _) = run_audited(
-        ScenarioConfig::sc2003_chaos()
-            .with_scale(0.3)
-            .with_demo(false)
-            .with_telemetry(true)
-            .with_audit(true),
-    );
-    let t = sim.telemetry();
-    let corrupt = t.counter("chaos", "truncated_corrupt", "");
-    let resumed = t.counter("chaos", "truncated_resumed", "");
+    // Transfer cuts and bounce-triggered cleanup sweeps each write one
+    // ops journal line. Every cut lands under exactly one checksum
+    // outcome, and their sum must equal the cuts GridFTP's NetLogger
+    // stream reports; the resumed run still drains clean.
+    let cfg = ScenarioConfig::sc2003_chaos()
+        .with_scale(0.3)
+        .with_demo(false)
+        .with_ops_journal(true)
+        .with_audit(true);
+    let (truncated, sim) = count_netlogger_truncations(cfg);
+    let (sim, _) = drain_audited(sim);
+    let corrupt = journaled_cuts(&sim, true);
+    let resumed = journaled_cuts(&sim, false);
     assert!(
         corrupt > 0 && resumed > 0,
         "cuts: {corrupt} corrupt, {resumed} resumed"
     );
-    assert_eq!(corrupt + resumed, t.counter_total("gridftp", "truncated"));
-    assert!(t.counter_total("chaos", "cleanup_scheduled") > 0);
+    assert_eq!(corrupt + resumed, truncated);
+    assert!(journaled_cleanups(&sim) > 0);
+}
+
+/// Run `cfg` to its horizon and count the transfers that GridFTP's
+/// NetLogger stream reports as truncated. Each monitor sweep ships the
+/// stream to the iGOC archive, which keeps no per-error breakdown, so
+/// the run stops just before every sweep to read what the stream holds.
+/// A cut planned at a sweep's own instant would fire first and be
+/// shipped unread, so the plan must place none there. Returns the count
+/// and the engine, stopped at the horizon.
+fn count_netlogger_truncations(cfg: ScenarioConfig) -> (usize, Grid3Engine) {
+    let interval = cfg.monitor_interval;
+    let horizon = cfg.horizon();
+    let plan = cfg.chaos.as_ref().expect("a chaos scenario");
+    assert!(
+        plan.faults.iter().all(|f| {
+            !matches!(f.kind, FaultKind::TransferTruncation { .. })
+                || f.at.since(SimTime::EPOCH).as_micros() % interval.as_micros() != 0
+        }),
+        "a cut is planned at a monitor sweep's instant"
+    );
+    let mut sim = Grid3Engine::new(cfg);
+    let mut truncated = 0;
+    let mut stop = SimTime::EPOCH;
+    while stop < horizon {
+        stop = (stop + interval).min(horizon);
+        sim.run_until(stop);
+        truncated += sim
+            .gridftp()
+            .log()
+            .iter()
+            .filter(|e| {
+                matches!(
+                    e,
+                    NetLogEvent::Error {
+                        error: TransferError::Truncated,
+                        ..
+                    }
+                )
+            })
+            .count();
+    }
+    (truncated, sim)
 }

@@ -100,22 +100,20 @@ fn determinism_auditor_is_bit_neutral() {
 
 #[test]
 fn determinism_profiler_and_ops_journal_are_bit_neutral() {
-    // The cost profiler times handlers, the ops journal records
-    // operational events and telemetry counts middleware work, but all
-    // three are observation-only: every golden hash must reproduce
-    // exactly with every observer enabled. This is the tentpole
-    // guarantee — "the engine explains where its time goes" without
-    // moving a single simulated byte.
+    // The cost profiler times handlers and the ops journal records
+    // operational events, but both are observation-only: every golden
+    // hash must reproduce exactly with every observer enabled. This is
+    // the tentpole guarantee — "the engine explains where its time
+    // goes" without moving a single simulated byte.
     for (scenario, seed, want) in GOLDEN {
         let artifacts = config(scenario, seed)
             .with_profile(true)
             .with_ops_journal(true)
-            .with_telemetry(true)
             .run_full();
         let got = fnv1a64(artifacts.report.to_json().as_bytes());
         assert_eq!(
             got, want,
-            "{scenario} seed {seed}: profiler/ops journal/telemetry perturbed the run \
+            "{scenario} seed {seed}: profiler/ops journal perturbed the run \
              (got 0x{got:016x}, want 0x{want:016x})"
         );
         // The instrumented run really did profile: every dispatch — timed

@@ -210,3 +210,53 @@ fn tickets_track_incidents_and_resolve() {
     );
     assert!(fte < 4.0, "ops load {fte:.2} FTE");
 }
+
+#[test]
+fn ops_journal_opens_every_ticket_before_resolving_it() {
+    // The journal is the iGOC's console: every ticket the ticket system
+    // holds has an opening line (`TicketOpened`, or `StormDetected` for
+    // a failure storm), and each `TicketResolved` line follows its
+    // ticket's opening line. Probe rounds open ServiceDown and
+    // NetworkOutage tickets; chaos runs also open DiskPressure tickets
+    // when a stage-in bounces off a full disk.
+    use grid3_sim::core::ops::OpsEventKind;
+    use std::collections::BTreeSet;
+    for cfg in [
+        ScenarioConfig::sc2003_operated(),
+        ScenarioConfig::sc2003_chaos(),
+    ] {
+        let mut sim = Grid3Engine::new(cfg.with_scale(0.1).with_ops_journal(true));
+        sim.run();
+        let mut opened = BTreeSet::new();
+        let mut resolved = 0;
+        for r in sim.ops_journal().records() {
+            match r.kind {
+                OpsEventKind::TicketOpened { ticket, .. }
+                | OpsEventKind::StormDetected { ticket } => {
+                    opened.insert(ticket);
+                }
+                OpsEventKind::TicketResolved { ticket } => {
+                    assert!(
+                        opened.contains(&ticket),
+                        "{ticket} resolved at {} before the journal opened it",
+                        r.at
+                    );
+                    resolved += 1;
+                }
+                _ => {}
+            }
+        }
+        let tickets: BTreeSet<_> = sim
+            .center()
+            .tickets
+            .tickets()
+            .iter()
+            .map(|t| t.id)
+            .collect();
+        assert!(resolved > 0, "no ticket resolved");
+        assert_eq!(
+            opened, tickets,
+            "the journal and the ticket system disagree"
+        );
+    }
+}

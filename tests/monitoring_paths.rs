@@ -5,6 +5,7 @@
 use grid3_sim::core::{Grid3Engine, ScenarioConfig};
 use grid3_sim::monitoring::framework::{fig1_topology, ComponentKind};
 use grid3_sim::monitoring::monalisa::SeriesKey;
+use grid3_sim::monitoring::trace::{SubmitSideId, TraceEvent};
 use grid3_sim::site::vo::Vo;
 
 fn run_small() -> Grid3Engine {
@@ -13,18 +14,6 @@ fn run_small() -> Grid3Engine {
             .with_scale(0.01)
             .with_seed(33)
             .with_demo(false),
-    );
-    sim.run();
-    sim
-}
-
-fn run_small_instrumented() -> Grid3Engine {
-    let mut sim = Grid3Engine::new(
-        ScenarioConfig::sc2003()
-            .with_scale(0.01)
-            .with_seed(33)
-            .with_demo(false)
-            .with_telemetry(true),
     );
     sim.run();
     sim
@@ -107,34 +96,66 @@ fn crosscheck_acdc_cpu_days_vs_mdviewer_integration() {
     assert!(viewer_cms <= acdc_cms * 2.0 + 1.0);
 }
 
+/// How many gatekeeper acceptances and refusals the trace store saw.
+fn traced_gatekeeper_verdicts(sim: &Grid3Engine) -> (u64, u64) {
+    let traces = sim.traces();
+    let (mut accepted, mut refused) = (0, 0);
+    for n in 0..traces.len() as u64 {
+        let trace = traces
+            .find_by_submit_id(SubmitSideId(n))
+            .expect("dense ids");
+        for (_, event) in &trace.events {
+            match event {
+                TraceEvent::GatekeeperAccepted => accepted += 1,
+                TraceEvent::GatekeeperRefused => refused += 1,
+                _ => {}
+            }
+        }
+    }
+    (accepted, refused)
+}
+
 #[test]
 fn crosscheck_gram_counter_vs_acdc_records() {
-    // §5.2 redundancy, extended to the instrumentation layer: the
-    // gatekeeper-accepted counter and the ACDC record database count the
-    // same population by independent paths. Every ACDC record is an
-    // unplaced, refused or terminal accepted job; accepted jobs still in
-    // flight at the horizon have a counter increment but no record yet.
-    let sim = run_small_instrumented();
-    let accepted = sim.telemetry().counter_total("gram", "accepted");
-    let refused = sim.telemetry().counter_total("gram", "refused");
+    // §5.2 redundancy: the gatekeepers' own acceptance tallies, the trace
+    // store and the ACDC record database count the same population by
+    // independent paths. Every ACDC record is an unplaced, refused or
+    // terminal accepted job; accepted jobs still in flight at the
+    // horizon are counted but have no record yet. A refusal is traced
+    // whether the gatekeeper was overloaded or down; its own tally
+    // counts overload refusals only.
+    let sim = run_small();
+    let accepted: u64 = sim.gatekeepers().iter().map(|g| g.accepted_count()).sum();
     assert!(accepted > 0, "no accepted jobs counted");
+    let (traced_accepted, refused) = traced_gatekeeper_verdicts(&sim);
+    assert_eq!(accepted, traced_accepted);
     let terminal_accepted = sim.acdc().total_records() - refused - sim.unplaced_jobs();
     assert_eq!(accepted, terminal_accepted + sim.active_jobs() as u64);
 }
 
 #[test]
 fn crosscheck_gridftp_bytes_vs_netlogger() {
-    // The bytes-transferred counter (incremented at each successful
-    // `complete`) against the NetLogger archive's correlated Start/End
-    // totals, collected via the §4.7 event stream.
-    let sim = run_small_instrumented();
-    let counted = sim.telemetry().counter_total("gridftp", "bytes_completed");
-    assert!(counted > 0, "no transfer bytes counted");
+    // Three paths count the bytes GridFTP delivered: the NetLogger
+    // archive correlates the §4.7 event stream's Start/End records, the
+    // accounting funnel credits each completed transfer, and MDViewer
+    // bins the same credits into Figure 5. A transfer killed mid-flight
+    // credits its partial bytes but logs an Error, not an End, so the
+    // paths agree exactly only when no transfer errored.
+    let sim = run_small();
     let stats = sim.center().netlogger.stats();
-    assert_eq!(counted, stats.bytes_completed.as_u64());
-    assert_eq!(
-        sim.telemetry().counter_total("gridftp", "completed"),
-        stats.completed
+    assert_eq!(stats.errored, 0, "an errored transfer splits the paths");
+    let logged = stats.bytes_completed.as_u64();
+    assert!(logged > 0, "no transfer bytes logged");
+    assert_eq!(logged, sim.bytes_delivered().as_u64());
+    let fig5_tb = *sim
+        .viewer()
+        .fig5_cumulative_tb_total()
+        .last()
+        .expect("a non-empty window");
+    let fig5_bytes = fig5_tb * 1e12;
+    assert!(
+        (fig5_bytes - logged as f64).abs() <= logged as f64 * 1e-12,
+        "Figure 5 reads {fig5_bytes} bytes, NetLogger {logged}"
     );
 }
 

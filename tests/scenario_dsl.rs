@@ -221,6 +221,7 @@ fn scenario_dsl_malformed_documents_never_panic() {
         (r#"{"scale": -1.5}"#, "scale"),
         (r#"{"site_replicas": 0}"#, "site_replicas"),
         (r#"{"queue": "lifo"}"#, "queue"),
+        (r#"{"telemetry": true}"#, "telemetry"),
         (r#"{"pipeline": "manual"}"#, "pipeline"),
         (r#"{"resilience": "heroic"}"#, "resilience"),
         (r#"{"seed": "lots"}"#, "seed"),
