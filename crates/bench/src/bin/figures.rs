@@ -433,7 +433,7 @@ fn main() {
         println!("  per-site state timeline (suspensions ⇄ reinstatements):");
         let mut by_site: std::collections::BTreeMap<u32, Vec<String>> =
             std::collections::BTreeMap::new();
-        for r in &records {
+        for r in records {
             let transition = match &r.kind {
                 OpsEventKind::SiteSuspended => Some("⏸"),
                 OpsEventKind::SiteReinstated => Some("▶"),

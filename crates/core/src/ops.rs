@@ -18,7 +18,7 @@
 //! Grid-wide counts are not kept here: each component keeps its own
 //! tally (gatekeepers, GridFTP's NetLogger stream, ACDC, the trace
 //! store), which the §5.2 cross-checks compare. The journal is
-//! observation-only and disabled by default: a disabled handle makes
+//! observation-only and disabled by default: a disabled journal makes
 //! every record call a single branch, and an enabled one must not
 //! perturb the simulation — the golden-hash suite runs with it on.
 //! Journal output lives beside the report, never inside it, so report
@@ -28,9 +28,7 @@ use grid3_igoc::tickets::TicketKind;
 use grid3_simkit::ids::{GridId, JobId, SiteId, TicketId};
 use grid3_simkit::time::SimTime;
 use serde::{Deserialize, Serialize};
-use std::cell::RefCell;
 use std::fmt::Write as _;
-use std::rc::Rc;
 
 /// What happened, in the operators' vocabulary. Serialized externally
 /// tagged (`{"Variant": {...}}`), one JSON object per journal line.
@@ -120,19 +118,19 @@ impl OpsRecord {
     }
 }
 
-/// The shared journal handle carried in `EngineCtx`. Cloning is cheap;
-/// every clone appends to the same stream. The disabled handle (the
+/// The run's journal, owned by `EngineCtx`. A disabled journal (the
 /// default) makes each record call a single branch.
-#[derive(Clone, Default)]
+#[derive(Debug, Default)]
 pub struct OpsJournal {
-    inner: Option<Rc<RefCell<Vec<OpsRecord>>>>,
+    enabled: bool,
+    records: Vec<OpsRecord>,
     /// Site→grid labelling for federated runs; the empty default maps
     /// every site to grid 0 and leaves [`OpsRecord::grid`] unset.
     grid_of: crate::federation::GridMap,
 }
 
 impl OpsJournal {
-    /// A no-op handle.
+    /// A journal that records nothing.
     pub(crate) fn disabled() -> Self {
         OpsJournal::default()
     }
@@ -140,8 +138,8 @@ impl OpsJournal {
     /// An active, empty journal.
     pub(crate) fn enabled() -> Self {
         OpsJournal {
-            inner: Some(Rc::new(RefCell::new(Vec::new()))),
-            grid_of: crate::federation::GridMap::default(),
+            enabled: true,
+            ..OpsJournal::default()
         }
     }
 
@@ -152,10 +150,10 @@ impl OpsJournal {
         self.grid_of = grid_of;
     }
 
-    /// Whether this handle records anything.
+    /// Whether this journal records anything.
     #[cfg(test)]
     pub(crate) fn is_enabled(&self) -> bool {
-        self.inner.is_some()
+        self.enabled
     }
 
     fn grid_label(&self, site: Option<SiteId>) -> Option<GridId> {
@@ -167,20 +165,13 @@ impl OpsJournal {
     }
 
     /// Append one event to the journal.
-    pub(crate) fn record(&self, at: SimTime, site: Option<SiteId>, kind: OpsEventKind) {
-        if let Some(inner) = &self.inner {
-            inner.borrow_mut().push(OpsRecord {
-                at,
-                site,
-                grid: self.grid_label(site),
-                kind,
-            });
-        }
+    pub(crate) fn record(&mut self, at: SimTime, site: Option<SiteId>, kind: OpsEventKind) {
+        self.record_with(at, site, || kind);
     }
 
     /// Journal that the iGOC opened `ticket` of class `kind` at `site`.
     pub(crate) fn ticket_opened(
-        &self,
+        &mut self,
         at: SimTime,
         site: SiteId,
         ticket: TicketId,
@@ -195,42 +186,37 @@ impl OpsJournal {
     /// [`OpsJournal::record`] with a lazily built event: `kind` is only
     /// invoked when the journal is enabled, so call sites whose payloads
     /// carry `format!`/`to_string` strings cost nothing — no allocation,
-    /// no formatting — on the (default) disabled handle.
+    /// no formatting — on the (default) disabled journal.
     pub(crate) fn record_with(
-        &self,
+        &mut self,
         at: SimTime,
         site: Option<SiteId>,
         kind: impl FnOnce() -> OpsEventKind,
     ) {
-        if let Some(inner) = &self.inner {
-            inner.borrow_mut().push(OpsRecord {
+        if self.enabled {
+            let grid = self.grid_label(site);
+            self.records.push(OpsRecord {
                 at,
                 site,
-                grid: self.grid_label(site),
+                grid,
                 kind: kind(),
             });
         }
     }
 
     /// Records appended so far, in emission order.
-    pub fn records(&self) -> Vec<OpsRecord> {
-        self.inner
-            .as_ref()
-            .map(|inner| inner.borrow().clone())
-            .unwrap_or_default()
+    pub fn records(&self) -> &[OpsRecord] {
+        &self.records
     }
 
     /// Number of records appended so far.
     pub fn len(&self) -> usize {
-        self.inner
-            .as_ref()
-            .map(|inner| inner.borrow().len())
-            .unwrap_or(0)
+        self.records.len()
     }
 
     /// Whether the journal holds no records (always true when disabled).
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.records.is_empty()
     }
 
     /// The whole journal as JSON lines, one record per line, in
@@ -238,19 +224,10 @@ impl OpsJournal {
     /// log files" export, for operational events.
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
-        for r in self.records() {
+        for r in &self.records {
             let _ = writeln!(out, "{}", r.to_json_line());
         }
         out
-    }
-}
-
-impl std::fmt::Debug for OpsJournal {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match &self.inner {
-            Some(inner) => write!(f, "OpsJournal(enabled, {} records)", inner.borrow().len()),
-            None => write!(f, "OpsJournal(disabled)"),
-        }
     }
 }
 
@@ -260,7 +237,7 @@ mod tests {
 
     #[test]
     fn disabled_journal_is_inert() {
-        let j = OpsJournal::disabled();
+        let mut j = OpsJournal::disabled();
         j.record(SimTime::EPOCH, None, OpsEventKind::SiteSuspended);
         assert!(!j.is_enabled());
         assert!(j.is_empty());
@@ -269,7 +246,7 @@ mod tests {
 
     #[test]
     fn records_round_trip_through_json_lines() {
-        let j = OpsJournal::enabled();
+        let mut j = OpsJournal::enabled();
         j.record(
             SimTime::from_secs(60),
             Some(SiteId(3)),
@@ -354,21 +331,5 @@ mod tests {
         assert_eq!(records[0].grid, None);
         assert_eq!(records[1].grid, Some(GridId(1)));
         assert_eq!(records[2].grid, None);
-    }
-
-    #[test]
-    fn clones_share_the_stream() {
-        let j = OpsJournal::enabled();
-        let clone = j.clone();
-        clone.record(
-            SimTime::EPOCH,
-            Some(SiteId(0)),
-            OpsEventKind::WatchdogReap { job: JobId(9) },
-        );
-        assert_eq!(j.len(), 1);
-        assert_eq!(
-            j.records()[0].kind,
-            OpsEventKind::WatchdogReap { job: JobId(9) }
-        );
     }
 }

@@ -298,7 +298,7 @@ impl Grid3Report {
                     let t = fed.tally_of(g.id);
                     GridEfficiency {
                         grid: g.name.clone(),
-                        backend: g.backend.info().software_tag().to_string(),
+                        backend: g.backend.knobs().software_tag.to_string(),
                         sites: g.site_count,
                         completed: t.completed,
                         failed: t.failed,

@@ -450,7 +450,7 @@ impl ScenarioConfig {
         let report = Grid3Report::extract(&sim);
         RunArtifacts {
             events_processed: sim.events_processed(),
-            ops: sim.ops_journal().clone(),
+            ops: std::mem::take(&mut sim.ctx.ops),
             profile: sim.take_profiler(),
             report,
         }
@@ -467,8 +467,7 @@ pub struct RunArtifacts {
     pub events_processed: u64,
     /// The accumulated cost profile (`None` unless `profile` was on).
     pub profile: Option<grid3_simkit::profiler::CostProfiler>,
-    /// The ops journal handle (disabled and empty unless `ops_journal`
-    /// was on).
+    /// The ops journal (disabled and empty unless `ops_journal` was on).
     pub ops: crate::ops::OpsJournal,
 }
 

@@ -92,8 +92,10 @@ use std::path::Path;
 /// row without per-series geometry, the Ganglia summaries and status
 /// catalog as site-indexed rows, and storage files in id order; version
 /// 6 dropped the replica service's index and size table and DAGMan's
-/// retry total; version 7 dropped the config's telemetry switch.
-pub(crate) const SNAPSHOT_VERSION: u32 = 7;
+/// retry total; version 7 dropped the config's telemetry switch;
+/// version 8 dropped the MonALISA CPU-load row from every site and the
+/// status catalog's probe interval.
+pub(crate) const SNAPSHOT_VERSION: u32 = 8;
 
 /// File magic: "G3ENGSNP".
 const MAGIC: [u8; 8] = *b"G3ENGSNP";

@@ -83,7 +83,7 @@ pub(crate) fn assemble_on(cfg: ScenarioConfig, mut queue: EventQueue<GridEvent>)
         .iter()
         .map(|s| {
             let grid = &federation.grids()[federation.grid_of(s.id).index()];
-            Gatekeeper::with_threshold(s.id, grid.backend.compute().overload_threshold())
+            Gatekeeper::with_threshold(s.id, grid.backend.knobs().overload_threshold)
         })
         .collect();
     let gridftp = GridFtp::new(sites.iter().map(|s| (s.id, s.profile.wan_bandwidth)));

@@ -211,8 +211,9 @@ impl Brokering {
             return Some(
                 fabric.federation.grids()[g.index()]
                     .backend
-                    .compute()
-                    .retry_policy(),
+                    .knobs()
+                    .retry_policy
+                    .clone(),
             );
         }
         None
@@ -563,7 +564,7 @@ impl Brokering {
                 &self.site_table,
                 now,
                 Some(g),
-                grid.backend.info().rank_inputs(),
+                grid.backend.knobs().rank_inputs,
                 |s| fabric.topo.is_online(s, now),
                 fabric
                     .resilience

@@ -288,7 +288,7 @@ impl GridFabric {
     /// the partition-heal event re-runs this.
     pub(crate) fn resolve_site_tickets(
         &mut self,
-        ops: &crate::ops::OpsJournal,
+        ops: &mut crate::ops::OpsJournal,
         site: SiteId,
         now: SimTime,
     ) {

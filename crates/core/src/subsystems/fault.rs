@@ -250,7 +250,7 @@ impl Subsystem for FaultHandling {
                 fabric
                     .gridftp
                     .set_link_up(site, fabric.sites[site.index()].network_up);
-                fabric.resolve_site_tickets(&ctx.ops, site, now);
+                fabric.resolve_site_tickets(&mut ctx.ops, site, now);
                 if let Some(r) = &mut fabric.resilience {
                     r.reinstate(site, now);
                     ctx.ops
@@ -264,7 +264,7 @@ impl Subsystem for FaultHandling {
                 fabric
                     .gridftp
                     .set_link_up(site, fabric.sites[site.index()].service_up);
-                fabric.resolve_site_tickets(&ctx.ops, site, now);
+                fabric.resolve_site_tickets(&mut ctx.ops, site, now);
                 if let Some(r) = &mut fabric.resilience {
                     r.reinstate(site, now);
                     ctx.ops
@@ -281,7 +281,7 @@ impl Subsystem for FaultHandling {
                 if let Some(flag) = fabric.chaos.cleanup_pending.get_mut(site.index()) {
                     *flag = false;
                 }
-                fabric.resolve_site_tickets(&ctx.ops, site, now);
+                fabric.resolve_site_tickets(&mut ctx.ops, site, now);
                 if let Some(r) = &mut fabric.resilience {
                     r.reinstate(site, now);
                     ctx.ops
@@ -385,7 +385,7 @@ impl Subsystem for FaultHandling {
                 }
                 // Ticket traffic queued behind the partition resolves now
                 // that the site can reach the operations center again.
-                fabric.resolve_site_tickets(&ctx.ops, site, now);
+                fabric.resolve_site_tickets(&mut ctx.ops, site, now);
             }
         }
     }

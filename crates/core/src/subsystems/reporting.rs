@@ -1,7 +1,7 @@
 //! Reporting: the periodic monitoring sweep (§4.7 — GRIS republish,
-//! Ganglia/MonALISA agents, status probes, NetLogger collection) and the
-//! accounting databases (the ACDC job monitor behind Table 1 and the
-//! MDViewer daily series behind the figures).
+//! Ganglia and MonALISA samples, status probes, NetLogger collection)
+//! and the accounting databases (the ACDC job monitor behind Table 1 and
+//! the MDViewer daily series behind the figures).
 //!
 //! Owns the accounting state outright: terminal job records and delivered
 //! bytes arrive as immediate events from the terminal funnel, never as
@@ -10,10 +10,7 @@
 use std::borrow::Cow;
 
 use grid3_monitoring::acdc::AcdcJobMonitor;
-use grid3_monitoring::framework::{MetricEvent, MetricSink};
-use grid3_monitoring::ganglia::GangliaAgent;
 use grid3_monitoring::mdviewer::MdViewer;
-use grid3_monitoring::monalisa::MonAlisaAgent;
 use grid3_simkit::time::SimTime;
 use grid3_simkit::units::Bytes;
 use grid3_site::job::JobRecord;
@@ -30,9 +27,6 @@ pub(crate) struct Reporting {
     pub(crate) viewer: MdViewer,
     /// Total bytes delivered over GridFTP (completed + partial).
     pub(crate) bytes_delivered: Bytes,
-    /// Reusable agent-sample buffer: one tick sweeps every site through
-    /// it, so steady-state monitoring allocates nothing per site.
-    metric_buf: Vec<MetricEvent>,
     /// Monitor sweeps completed so far — the clock that paces each
     /// backend's GRIS republish cadence (EDG/LCG publishes every second
     /// sweep; `Vdt` every sweep, keeping the legacy fast path).
@@ -46,7 +40,6 @@ impl Reporting {
             acdc: AcdcJobMonitor::new(),
             viewer,
             bytes_delivered: Bytes::ZERO,
-            metric_buf: Vec::new(),
             ticks: 0,
         }
     }
@@ -54,7 +47,7 @@ impl Reporting {
     fn on_monitor_tick(&mut self, ctx: &mut EngineCtx, fabric: &mut GridFabric, now: SimTime) {
         let tick = self.ticks;
         self.ticks += 1;
-        // GRIS republish + Ganglia/MonALISA agents. Each site publishes
+        // GRIS republish + Ganglia/MonALISA samples. Each site publishes
         // its grid's software tag at its grid's refresh cadence — the
         // `Vdt` reference backend republishes "VDT-1.1.8" every sweep,
         // exactly the legacy behaviour (and the `publish_refresh` fast
@@ -63,15 +56,15 @@ impl Reporting {
             if !fabric.topo.is_online(fabric.sites[i].id, now) {
                 continue;
             }
-            let info = fabric.federation.grids()
+            let knobs = fabric.federation.grids()
                 [fabric.federation.grid_of(fabric.sites[i].id).index()]
             .backend
-            .info();
-            if tick.is_multiple_of(info.refresh_period_ticks()) {
+            .knobs();
+            if tick.is_multiple_of(knobs.refresh_period_ticks) {
                 fabric
                     .center
                     .mds
-                    .publish_refresh(&fabric.sites[i], info.software_tag(), now);
+                    .publish_refresh(&fabric.sites[i], knobs.software_tag, now);
             }
             // A sensor blackout (chaos fault) silences the site's
             // Ganglia/MonALISA agents; the GRIS keeps publishing — the
@@ -80,19 +73,9 @@ impl Reporting {
             if fabric.chaos.is_sensor_blackout(fabric.sites[i].id) {
                 continue;
             }
-            let ganglia = GangliaAgent::new(fabric.sites[i].id);
-            self.metric_buf.clear();
-            ganglia.sample_into(&fabric.sites[i], now, &mut self.metric_buf);
-            for ev in &self.metric_buf {
-                fabric.center.ganglia_web.ingest(ev);
-            }
+            fabric.center.ganglia_web.observe(&fabric.sites[i], now);
             let load = fabric.gatekeepers[i].load_one_min(now);
-            let ml = MonAlisaAgent::new(fabric.sites[i].id);
-            self.metric_buf.clear();
-            ml.sample_into(&fabric.sites[i], load, now, &mut self.metric_buf);
-            for ev in &self.metric_buf {
-                fabric.center.monalisa.ingest(ev);
-            }
+            fabric.center.monalisa.observe(&fabric.sites[i], load, now);
         }
         // Hierarchical MDS peering: fold this sweep's per-grid directory
         // freshness into the federation-level index (a no-op single-grid).
@@ -126,7 +109,6 @@ impl Reporting {
     }
 
     /// Borrow the run-mutated accounting state for an engine snapshot.
-    /// `metric_buf` is per-tick scratch and restores empty.
     pub(crate) fn capture(&self) -> ReportingCapture<'_> {
         ReportingCapture {
             acdc: Cow::Borrowed(&self.acdc),

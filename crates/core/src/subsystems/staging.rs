@@ -181,8 +181,8 @@ impl Staging {
                 let g = fabric.federation.grid_of(archive);
                 fabric.federation.grids()[g.index()]
                     .backend
-                    .replica()
-                    .registration_failure_chance()
+                    .knobs()
+                    .registration_failure_chance
             };
             if ctx.fate_rng.chance(reg_fail) {
                 fabric.fail_active_job(ctx, now, job, FailureCause::RegistrationFailure);

@@ -109,7 +109,7 @@ impl OperationsCenter {
             pipeline,
             mds: MdsDirectory::with_default_ttl(),
             giis: Vo::ALL.iter().map(|vo| GiisIndex::new(*vo)).collect(),
-            status_catalog: SiteStatusCatalog::new(SimDuration::from_mins(30)),
+            status_catalog: SiteStatusCatalog::new(),
             monalisa: MonAlisaRepository::new(SimDuration::from_mins(5), 4_096),
             ganglia_web: GangliaWeb::new(),
             netlogger: NetLoggerArchive::new(),

@@ -238,7 +238,7 @@ impl RetryPolicy {
     /// schedule spans ≈5 h of backoff — sized to outlast a typical
     /// service outage at the far end of a transfer, not just a load
     /// spike at the gatekeeper.
-    pub fn grid3_default() -> Self {
+    pub const fn grid3_default() -> Self {
         RetryPolicy {
             max_retries: 5,
             base: SimDuration::from_mins(5),

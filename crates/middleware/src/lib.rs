@@ -19,9 +19,9 @@
 //! * [`gram`] — the GRAM gatekeeper with the §6.4 empirical load model
 //!   (sustained 1-minute load ≈225 while managing ≈1000 jobs, multiplied
 //!   2–4× by file staging, spiking under high submission frequency).
-//! * [`backend`] — pluggable middleware personalities: the [`backend::Vdt`]
-//!   reference bundle (the constants above) and the contrasting
-//!   [`backend::EdgLcg`] flavour, selected per grid in federated runs.
+//! * [`backend`] — middleware personalities as data: the VDT reference
+//!   knobs (the constants above) and the contrasting EDG/LCG flavour,
+//!   selected per grid by [`BackendKind`] in federated runs.
 
 #![warn(missing_docs)]
 

@@ -9,7 +9,6 @@
 //! jobs" — so the per-class statistics here count completed jobs only,
 //! while failure accounting is kept separately for the efficiency metrics.
 
-use crate::framework::{Metric, MetricEvent, MetricSink};
 use grid3_simkit::ids::{SiteId, UserId};
 use grid3_simkit::series::MonthlySeries;
 use grid3_simkit::stats::success_rate;
@@ -306,18 +305,6 @@ impl AcdcJobMonitor {
     }
 }
 
-impl MetricSink for AcdcJobMonitor {
-    fn name(&self) -> &str {
-        "ACDC Job DB"
-    }
-
-    fn ingest(&mut self, event: &MetricEvent) {
-        if let Metric::Job(record) = &event.metric {
-            self.ingest_record(record);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -493,26 +480,6 @@ mod tests {
         let by_site = db.cpu_days_by_site(UserClass::Uscms);
         assert!((by_site[&SiteId(3)] - 2.0).abs() < 1e-9);
         assert!((by_site[&SiteId(5)] - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn monitor_acts_as_metric_sink() {
-        let mut db = AcdcJobMonitor::new();
-        let rec = record(1, UserClass::Ivdgl, 0, 0, 3, 1.0, JobOutcome::Completed);
-        db.ingest(&MetricEvent {
-            at: rec.finished,
-            metric: Metric::Job(rec.clone()),
-        });
-        // Non-job metrics are ignored.
-        db.ingest(&MetricEvent {
-            at: rec.finished,
-            metric: Metric::CpuLoad {
-                site: SiteId(0),
-                load: 1.0,
-            },
-        });
-        assert_eq!(db.total_records(), 1);
-        assert_eq!(db.name(), "ACDC Job DB");
     }
 
     #[test]

@@ -5,9 +5,8 @@
 //! all Grid3 sites, their location on a map, their status, and other
 //! important information."
 
-use crate::framework::{Metric, MetricEvent, MetricSink};
 use grid3_simkit::ids::SiteId;
-use grid3_simkit::time::{SimDuration, SimTime};
+use grid3_simkit::time::SimTime;
 use grid3_site::cluster::Site;
 use serde::{Deserialize, Serialize};
 
@@ -39,20 +38,15 @@ pub struct CatalogEntry {
 
 /// The central catalog service at the iGOC. Entries are indexed by
 /// site id; sites never registered or probed hold `None`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct SiteStatusCatalog {
     entries: Vec<Option<CatalogEntry>>,
-    /// Probe cadence (the catalog "periodically tests all sites").
-    pub probe_interval: SimDuration,
 }
 
 impl SiteStatusCatalog {
-    /// A catalog probing at the given interval.
-    pub fn new(probe_interval: SimDuration) -> Self {
-        SiteStatusCatalog {
-            entries: Vec::new(),
-            probe_interval,
-        }
+    /// An empty catalog.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// The slot of a site, grown on first use.
@@ -133,64 +127,15 @@ impl SiteStatusCatalog {
     }
 }
 
-impl MetricSink for SiteStatusCatalog {
-    fn name(&self) -> &str {
-        "Site Status Catalog"
-    }
-
-    fn ingest(&mut self, event: &MetricEvent) {
-        if let Metric::ServiceStatus { site, up } = &event.metric {
-            if let Some(Some(e)) = self.entries.get_mut(site.index()) {
-                e.status = if *up {
-                    ProbeStatus::Pass
-                } else {
-                    ProbeStatus::Fail
-                };
-                e.last_probe = event.at;
-                e.probes += 1;
-                if *up {
-                    e.consecutive_failures = 0;
-                } else {
-                    e.failed_probes += 1;
-                    e.consecutive_failures += 1;
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use grid3_simkit::units::{Bandwidth, Bytes};
-    use grid3_site::cluster::{SitePolicy, SiteProfile, SiteTier};
-    use grid3_site::failure::FailureModel;
-    use grid3_site::scheduler::SchedulerKind;
-
-    fn mk_site(id: u32) -> Site {
-        Site::new(
-            SiteId(id),
-            SiteProfile {
-                name: format!("S{id}"),
-                tier: SiteTier::University,
-                owner_vo: None,
-                cpus: 8,
-                node_speed: 1.0,
-                outbound_connectivity: true,
-                wan_bandwidth: Bandwidth::from_mbit_per_sec(100.0),
-                storage_capacity: Bytes::from_tb(1),
-                scheduler: SchedulerKind::OpenPbs,
-                dedicated: true,
-                policy: SitePolicy::open(SimDuration::from_hours(24)),
-                failures: FailureModel::none(),
-            },
-        )
-    }
+    use crate::testing;
 
     #[test]
     fn probe_tracks_status_and_counts() {
-        let mut cat = SiteStatusCatalog::new(SimDuration::from_mins(30));
-        let mut site = mk_site(0);
+        let mut cat = SiteStatusCatalog::new();
+        let mut site = testing::site(0, 8);
         assert_eq!(cat.probe(&site, SimTime::EPOCH), ProbeStatus::Pass);
         site.service_up = false;
         assert_eq!(cat.probe(&site, SimTime::from_mins(30)), ProbeStatus::Fail);
@@ -205,8 +150,8 @@ mod tests {
 
     #[test]
     fn recovery_resets_consecutive_failures() {
-        let mut cat = SiteStatusCatalog::new(SimDuration::from_mins(30));
-        let mut site = mk_site(1);
+        let mut cat = SiteStatusCatalog::new();
+        let mut site = testing::site(1, 8);
         site.network_up = false;
         cat.probe(&site, SimTime::EPOCH);
         cat.probe(&site, SimTime::from_mins(30));
@@ -218,33 +163,10 @@ mod tests {
 
     #[test]
     fn registered_sites_appear_before_first_probe() {
-        let mut cat = SiteStatusCatalog::new(SimDuration::from_mins(30));
+        let mut cat = SiteStatusCatalog::new();
         cat.register(SiteId(5), "LATE_SITE", SimTime::EPOCH);
         assert_eq!(cat.entries().count(), 1);
         assert_eq!(cat.entry(SiteId(5)).unwrap().name, "LATE_SITE");
         assert_eq!(cat.availability(SiteId(5)), 0.0); // no probes yet
-    }
-
-    #[test]
-    fn sink_updates_from_service_status_metrics() {
-        let mut cat = SiteStatusCatalog::new(SimDuration::from_mins(30));
-        cat.register(SiteId(0), "S0", SimTime::EPOCH);
-        cat.ingest(&MetricEvent {
-            at: SimTime::from_mins(5),
-            metric: Metric::ServiceStatus {
-                site: SiteId(0),
-                up: false,
-            },
-        });
-        assert_eq!(cat.failing_sites(), vec![SiteId(0)]);
-        // Unknown site ignored.
-        cat.ingest(&MetricEvent {
-            at: SimTime::from_mins(5),
-            metric: Metric::ServiceStatus {
-                site: SiteId(77),
-                up: false,
-            },
-        });
-        assert_eq!(cat.entries().count(), 1);
     }
 }

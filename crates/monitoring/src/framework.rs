@@ -1,105 +1,10 @@
-//! The monitoring dataflow: metric events, the sinks that ingest them,
-//! and the Figure 1 topology as checkable data.
+//! The Figure 1 monitoring architecture as checkable data.
+//!
+//! The engine's monitor sweep writes the Ganglia web summary and the
+//! MonALISA repository directly; this graph records how the paper's
+//! components feed each other, so tests can check every path exists.
 
-use grid3_simkit::ids::SiteId;
-use grid3_simkit::time::SimTime;
-use grid3_simkit::units::Bytes;
-use grid3_site::job::JobRecord;
-use grid3_site::vo::Vo;
 use serde::{Deserialize, Serialize};
-
-/// One monitored datum flowing through the framework.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum Metric {
-    /// Ganglia: cluster CPU load average at a site.
-    CpuLoad {
-        /// Site measured.
-        site: SiteId,
-        /// 1-minute load average.
-        load: f64,
-    },
-    /// MDS/GRIS: free batch slots.
-    FreeCpus {
-        /// Site measured.
-        site: SiteId,
-        /// Free slots.
-        free: u32,
-        /// Total slots.
-        total: u32,
-    },
-    /// Job-scheduler agents: queue depth.
-    QueuedJobs {
-        /// Site measured.
-        site: SiteId,
-        /// Jobs waiting.
-        queued: u32,
-    },
-    /// MonALISA VO-activity agents: running jobs per VO at a site.
-    RunningJobs {
-        /// Site measured.
-        site: SiteId,
-        /// VO whose jobs are counted.
-        vo: Vo,
-        /// Jobs running.
-        running: u32,
-    },
-    /// Ganglia: storage element usage.
-    DiskUsage {
-        /// Site measured.
-        site: SiteId,
-        /// Bytes used.
-        used: Bytes,
-        /// Capacity.
-        total: Bytes,
-    },
-    /// GRAM log agents: gatekeeper 1-minute load.
-    GatekeeperLoad {
-        /// Site measured.
-        site: SiteId,
-        /// The load value.
-        load: f64,
-    },
-    /// Site Status Catalog probe result.
-    ServiceStatus {
-        /// Site probed.
-        site: SiteId,
-        /// Whether the probe succeeded.
-        up: bool,
-    },
-    /// A completed/failed job's accounting record (ACDC pull).
-    Job(
-        /// The record.
-        JobRecord,
-    ),
-    /// GridFTP transfer volume (NetLogger / MonALISA I/O agents).
-    TransferVolume {
-        /// Source site.
-        src: SiteId,
-        /// Destination site.
-        dst: SiteId,
-        /// VO responsible.
-        vo: Vo,
-        /// Bytes delivered.
-        bytes: Bytes,
-    },
-}
-
-/// A timestamped metric.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct MetricEvent {
-    /// When the producer observed it.
-    pub at: SimTime,
-    /// The datum.
-    pub metric: Metric,
-}
-
-/// Anything that ingests metric events (intermediaries and consumers).
-pub trait MetricSink {
-    /// Component name (matching Figure 1 labels where applicable).
-    fn name(&self) -> &str;
-    /// Ingest one event.
-    fn ingest(&mut self, event: &MetricEvent);
-}
 
 /// Role of a component in Figure 1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -127,6 +32,11 @@ pub struct Component {
 /// Producers: Ganglia, MDS GRIS, job-scheduler agents, SNMP.
 /// Intermediaries: MonALISA, VO GIIS, ACDC Job DB, ML repository, GIIS.
 /// Consumers: web frontends, server DB reports, MDViewer.
+///
+/// The table is the paper's graph, not the simulator's wiring: the
+/// monitor sweep samples each site once and writes both stores itself,
+/// so the Ganglia → MonALISA edge (MonALISA agents reading Ganglia
+/// metrics) is not simulated.
 pub fn fig1_topology() -> (Vec<Component>, Vec<(usize, usize)>) {
     use ComponentKind::*;
     let components = vec![

@@ -12,14 +12,14 @@
 //!
 //! Modules, one per Figure 1 component family:
 //!
-//! * [`framework`] — metric events, the sinks that ingest them, and the
-//!   Figure 1 producer/intermediary/consumer topology as data (so tests
-//!   can verify every path exists).
-//! * [`ganglia`] — per-site cluster monitoring (CPU/network load, disk),
-//!   with the central iGOC web summary.
-//! * [`monalisa`] — agent-based monitoring with the central repository and
-//!   its round-robin database (§5.2: "storing it in a round robin-like
-//!   database").
+//! * [`framework`] — the Figure 1 producer/intermediary/consumer
+//!   topology as a checked table (so tests can verify every path
+//!   exists); the simulator does not route data along it.
+//! * [`ganglia`] — the central iGOC web summary of per-site cluster
+//!   monitoring (CPU load, slots, disk), written by the monitor sweep.
+//! * [`monalisa`] — the central MonALISA repository and its round-robin
+//!   database (§5.2: "storing it in a round robin-like database"),
+//!   holding the per-site series the monitor sweep records.
 //! * [`acdc`] — the ACDC job monitor from U. Buffalo: pull-based job-record
 //!   collection and the per-class statistics that produce Table 1.
 //! * [`catalog`] — the Site Status Catalog: periodic site tests, status
@@ -46,9 +46,56 @@ pub mod trace;
 
 pub use acdc::{AcdcJobMonitor, ClassStats};
 pub use catalog::SiteStatusCatalog;
-pub use framework::{fig1_topology, ComponentKind, Metric, MetricEvent};
-pub use ganglia::{GangliaAgent, GangliaWeb};
+pub use framework::{fig1_topology, ComponentKind};
+pub use ganglia::GangliaWeb;
 pub use mdviewer::MdViewer;
-pub use monalisa::{MonAlisaAgent, MonAlisaRepository};
+pub use monalisa::MonAlisaRepository;
 pub use netlogger::NetLoggerArchive;
 pub use trace::{JobTrace, SubmitSideId, TraceEvent, TraceStore};
+
+/// Sites for the unit tests.
+#[cfg(test)]
+mod testing {
+    use grid3_simkit::ids::{JobId, SiteId};
+    use grid3_simkit::time::{SimDuration, SimTime};
+    use grid3_simkit::units::{Bandwidth, Bytes};
+    use grid3_site::cluster::{Site, SitePolicy, SiteProfile, SiteTier};
+    use grid3_site::failure::FailureModel;
+    use grid3_site::scheduler::{QueuedJob, SchedulerKind};
+    use grid3_site::vo::Vo;
+
+    /// An open, failure-free Tier-2 site of `cpus` slots and 1 TB of
+    /// disk.
+    pub(crate) fn site(id: u32, cpus: u32) -> Site {
+        Site::new(
+            SiteId(id),
+            SiteProfile {
+                name: format!("S{id}"),
+                tier: SiteTier::Tier2,
+                owner_vo: None,
+                cpus,
+                node_speed: 1.0,
+                outbound_connectivity: true,
+                wan_bandwidth: Bandwidth::from_mbit_per_sec(100.0),
+                storage_capacity: Bytes::from_tb(1),
+                scheduler: SchedulerKind::OpenPbs,
+                dedicated: true,
+                policy: SitePolicy::open(SimDuration::from_hours(48)),
+                failures: FailureModel::none(),
+            },
+        )
+    }
+
+    /// Queue one 4-hour job per entry of `vos` at `site`.
+    pub(crate) fn enqueue(site: &mut Site, vos: &[Vo]) {
+        for vo in vos {
+            let job = JobId((site.queued_count() + site.running_count()) as u32);
+            site.enqueue(QueuedJob {
+                job,
+                vo: *vo,
+                requested_walltime: SimDuration::from_hours(4),
+                enqueued: SimTime::EPOCH,
+            });
+        }
+    }
+}

@@ -17,7 +17,6 @@
 //! contributes `[started, finished)`, whether or not it ultimately
 //! succeeded — failed jobs burned real CPU on Grid3 too.
 
-use crate::framework::{Metric, MetricEvent, MetricSink};
 use grid3_simkit::ids::SiteId;
 use grid3_simkit::series::{BinnedSeries, UsageIntegrator};
 #[cfg(test)]
@@ -188,20 +187,6 @@ impl MdViewer {
     }
 }
 
-impl MetricSink for MdViewer {
-    fn name(&self) -> &str {
-        "MDViewer"
-    }
-
-    fn ingest(&mut self, event: &MetricEvent) {
-        match &event.metric {
-            Metric::Job(record) => self.ingest_job(record),
-            Metric::TransferVolume { vo, bytes, .. } => self.ingest_transfer(event.at, *vo, *bytes),
-            _ => {}
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -318,26 +303,5 @@ mod tests {
         assert!((cum[1] - 7.0).abs() < 1e-9);
         // §7 daily metric: peak day moved 5 TB.
         assert!((v.peak_daily_tb() - 5.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn viewer_acts_as_sink_for_both_metric_kinds() {
-        let mut v = MdViewer::new(SimTime::EPOCH, 10);
-        v.ingest(&MetricEvent {
-            at: SimTime::from_hours(1),
-            metric: Metric::Job(job(UserClass::Btev, 0, 1, 10, JobOutcome::Completed)),
-        });
-        v.ingest(&MetricEvent {
-            at: SimTime::from_hours(2),
-            metric: Metric::TransferVolume {
-                src: SiteId(0),
-                dst: SiteId(1),
-                vo: Vo::Btev,
-                bytes: Bytes::from_gb(500),
-            },
-        });
-        assert!(v.total_cpu_days(Vo::Btev) > 0.0);
-        assert!((v.total_tb(Vo::Btev) - 0.5).abs() < 1e-9);
-        assert_eq!(v.name(), "MDViewer");
     }
 }

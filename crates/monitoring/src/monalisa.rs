@@ -1,4 +1,4 @@
-//! MonALISA: agents, the central repository, and its round-robin database.
+//! MonALISA: the central repository and its round-robin database.
 //!
 //! §5.2: "MonALISA … provides access to monitoring data provided by a
 //! variety of information providers, including agents which monitored the
@@ -9,7 +9,6 @@
 //! sites such as jobs run, compute element usage, and I/O."
 
 use crate::chunked::ChunkedLog;
-use crate::framework::{Metric, MetricEvent, MetricSink};
 use grid3_simkit::ids::SiteId;
 use grid3_simkit::time::{SimDuration, SimTime};
 use grid3_site::cluster::Site;
@@ -94,67 +93,6 @@ impl RoundRobinDb {
     }
 }
 
-/// A per-site MonALISA agent: wraps the GRAM log, job queues and Ganglia
-/// metrics into metric events (§5.2's agent list).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct MonAlisaAgent {
-    /// Site this agent runs at.
-    pub site: SiteId,
-}
-
-impl MonAlisaAgent {
-    /// An agent for `site`.
-    pub fn new(site: SiteId) -> Self {
-        MonAlisaAgent { site }
-    }
-
-    /// Sample VO activity and queue depth at the site.
-    pub fn sample(&self, site: &Site, gatekeeper_load: f64, now: SimTime) -> Vec<MetricEvent> {
-        let mut events = Vec::new();
-        self.sample_into(site, gatekeeper_load, now, &mut events);
-        events
-    }
-
-    /// [`MonAlisaAgent::sample`] into a caller-owned buffer (appended,
-    /// not cleared) — the monitor sweep reuses one buffer across all
-    /// sites so a tick allocates nothing.
-    pub fn sample_into(
-        &self,
-        site: &Site,
-        gatekeeper_load: f64,
-        now: SimTime,
-        out: &mut Vec<MetricEvent>,
-    ) {
-        let per_vo = site.running_per_vo();
-        out.extend([
-            MetricEvent {
-                at: now,
-                metric: Metric::QueuedJobs {
-                    site: self.site,
-                    queued: site.queued_count() as u32,
-                },
-            },
-            MetricEvent {
-                at: now,
-                metric: Metric::GatekeeperLoad {
-                    site: self.site,
-                    load: gatekeeper_load,
-                },
-            },
-        ]);
-        for vo in Vo::ALL {
-            out.push(MetricEvent {
-                at: now,
-                metric: Metric::RunningJobs {
-                    site: self.site,
-                    vo,
-                    running: per_vo[vo.index()],
-                },
-            });
-        }
-    }
-}
-
 /// Key of a repository series.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum SeriesKey {
@@ -175,16 +113,11 @@ pub enum SeriesKey {
         /// VO.
         Vo,
     ),
-    /// Cluster CPU load at a site.
-    CpuLoad(
-        /// Site.
-        SiteId,
-    ),
 }
 
 /// Series slots per site in the repository's dense layout: queue depth,
-/// gatekeeper load, CPU load, plus one running-jobs series per VO.
-const SLOTS_PER_SITE: usize = 3 + Vo::ALL.len();
+/// gatekeeper load, plus one running-jobs series per VO.
+const SLOTS_PER_SITE: usize = 2 + Vo::ALL.len();
 
 /// No log position: the end of a series' chain of closed buckets.
 const NONE: u32 = u32::MAX;
@@ -228,8 +161,8 @@ type Ring = Vec<(SimTime, f64, u32)>;
 
 /// The central MonALISA repository at the iGOC.
 ///
-/// Every key the agents emit maps to a fixed `(site, slot)` row, so a
-/// sample is an index, not a map walk. A row holds its series' open
+/// Every series key maps to a fixed `(site, slot)` row, so a sample is
+/// an index, not a map walk. A row holds its series' open
 /// bucket; a sample for a later step closes that bucket onto one
 /// time-ordered log shared by every series, linked back to the series'
 /// previous closed bucket. Each series is thus a [`RoundRobinDb`] ring
@@ -272,8 +205,7 @@ impl MonAlisaRepository {
         let (site, slot) = match key {
             SeriesKey::Queued(s) => (s, 0),
             SeriesKey::GkLoad(s) => (s, 1),
-            SeriesKey::CpuLoad(s) => (s, 2),
-            SeriesKey::Running(s, vo) => (s, 3 + vo.index()),
+            SeriesKey::Running(s, vo) => (s, 2 + vo.index()),
         };
         site.index() * SLOTS_PER_SITE + slot
     }
@@ -323,6 +255,19 @@ impl MonAlisaRepository {
     /// Number of distinct series held.
     pub fn series_count(&self) -> usize {
         self.populated
+    }
+
+    /// Record one agent report from `site` at `now` (§5.2's job-queue,
+    /// GRAM-log and VO-activity agents): its queue depth, its
+    /// gatekeeper's 1-minute load, then running jobs per VO.
+    pub fn observe(&mut self, site: &Site, gatekeeper_load: f64, now: SimTime) {
+        let id = site.id;
+        self.record(SeriesKey::Queued(id), now, site.queued_count() as f64);
+        self.record(SeriesKey::GkLoad(id), now, gatekeeper_load);
+        let per_vo = site.running_per_vo();
+        for vo in Vo::ALL {
+            self.record(SeriesKey::Running(id, vo), now, per_vo[vo.index()] as f64);
+        }
     }
 
     /// Record a sample with [`RoundRobinDb::record`]'s semantics.
@@ -542,33 +487,10 @@ impl Decode for MonAlisaRepository {
     }
 }
 
-impl MetricSink for MonAlisaRepository {
-    fn name(&self) -> &str {
-        "ML repository"
-    }
-
-    fn ingest(&mut self, event: &MetricEvent) {
-        match &event.metric {
-            Metric::QueuedJobs { site, queued } => {
-                self.record(SeriesKey::Queued(*site), event.at, *queued as f64);
-            }
-            Metric::GatekeeperLoad { site, load } => {
-                self.record(SeriesKey::GkLoad(*site), event.at, *load);
-            }
-            Metric::RunningJobs { site, vo, running } => {
-                self.record(SeriesKey::Running(*site, *vo), event.at, *running as f64);
-            }
-            Metric::CpuLoad { site, load } => {
-                self.record(SeriesKey::CpuLoad(*site), event.at, *load);
-            }
-            _ => {}
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing;
     use std::collections::BTreeMap;
 
     #[test]
@@ -607,43 +529,27 @@ mod tests {
     }
 
     #[test]
-    fn repository_routes_series_by_key() {
+    fn observe_fills_its_sites_rows() {
+        let mut site = testing::site(1, 8);
+        testing::enqueue(&mut site, &[Vo::Uscms, Vo::Ligo, Vo::Uscms]);
+        site.dispatch(SimTime::EPOCH, &mut Vec::new());
+        testing::enqueue(&mut site, &[Vo::Btev; 4]);
         let mut repo = MonAlisaRepository::new(SimDuration::from_mins(5), 100);
-        repo.ingest(&MetricEvent {
-            at: SimTime::from_mins(1),
-            metric: Metric::RunningJobs {
-                site: SiteId(0),
-                vo: Vo::Uscms,
-                running: 40,
-            },
-        });
-        repo.ingest(&MetricEvent {
-            at: SimTime::from_mins(1),
-            metric: Metric::RunningJobs {
-                site: SiteId(1),
-                vo: Vo::Uscms,
-                running: 60,
-            },
-        });
-        repo.ingest(&MetricEvent {
-            at: SimTime::from_mins(1),
-            metric: Metric::GatekeeperLoad {
-                site: SiteId(0),
-                load: 225.0,
-            },
-        });
-        assert_eq!(repo.series_count(), 3);
-        let running = |site, vo| {
-            repo.series(&SeriesKey::Running(SiteId(site), vo))
-                .and_then(|db| db.last())
-        };
-        assert_eq!(running(0, Vo::Uscms), Some(40.0));
-        assert_eq!(running(1, Vo::Uscms), Some(60.0));
-        assert_eq!(running(0, Vo::Ligo), None);
-        assert_eq!(
-            repo.series(&SeriesKey::GkLoad(SiteId(0))).unwrap().last(),
-            Some(225.0)
-        );
+        repo.observe(&site, 225.0, SimTime::from_mins(1));
+        assert_eq!(repo.series_count(), SLOTS_PER_SITE);
+        for idx in 0..3 * SLOTS_PER_SITE {
+            let key = key_of((idx / SLOTS_PER_SITE) as u32, idx % SLOTS_PER_SITE);
+            let want = match key {
+                SeriesKey::Queued(SiteId(1)) => Some(4.0),
+                SeriesKey::GkLoad(SiteId(1)) => Some(225.0),
+                SeriesKey::Running(SiteId(1), Vo::Uscms) => Some(2.0),
+                SeriesKey::Running(SiteId(1), Vo::Ligo) => Some(1.0),
+                SeriesKey::Running(SiteId(1), _) => Some(0.0),
+                _ => None,
+            };
+            let got = repo.series(&key).map(|db| db.series());
+            assert_eq!(got, want.map(|v| vec![(SimTime::EPOCH, v)]), "{key:?}");
+        }
     }
 
     /// The key of dense row `slot` at `site`.
@@ -652,8 +558,7 @@ mod tests {
         match slot {
             0 => SeriesKey::Queued(site),
             1 => SeriesKey::GkLoad(site),
-            2 => SeriesKey::CpuLoad(site),
-            _ => SeriesKey::Running(site, Vo::ALL[slot - 3]),
+            _ => SeriesKey::Running(site, Vo::ALL[slot - 2]),
         }
     }
 

@@ -71,7 +71,6 @@ fn digest(sim: &Grid3Engine) -> u64 {
         let site = SiteId(s);
         keys.push(SeriesKey::Queued(site));
         keys.push(SeriesKey::GkLoad(site));
-        keys.push(SeriesKey::CpuLoad(site));
         keys.extend(Vo::ALL.iter().map(|vo| SeriesKey::Running(site, *vo)));
     }
     keys.sort();

@@ -174,7 +174,12 @@ fn ganglia_web_sees_every_online_site() {
 #[test]
 fn monalisa_repository_holds_per_site_series() {
     let sim = run_small();
-    assert!(sim.center().monalisa.series_count() > 100);
+    // Every site that reported to Ganglia has its 8 MonALISA series:
+    // queue depth, gatekeeper load and running jobs for each of 6 VOs.
+    assert_eq!(
+        sim.center().monalisa.series_count(),
+        8 * sim.center().ganglia_web.summaries().count()
+    );
     // Gatekeeper-load series exist for the Tier-1s.
     for site in [0u32, 1] {
         assert!(
