@@ -103,23 +103,40 @@ impl WorkloadSpec {
     }
 
     /// Generate the submission schedule up to (excluding) `until`,
-    /// time-ordered. Submission instants are uniform within each month;
-    /// users are assigned with the admin taking `admin_share` of
-    /// submissions.
-    ///
-    /// Generation stops at the first month starting at or after `until`.
-    /// Each generated month is still drawn in full (instants within a
-    /// month are unsorted), so the kept submissions draw exactly the RNG
-    /// values a full seven-month schedule would: the result equals the
-    /// full schedule filtered to `at < until`.
+    /// time-ordered: the submissions in draw order, stable-sorted by
+    /// instant, so submissions drawn at the same instant stay in draw
+    /// order. The result equals a full seven-month schedule filtered to
+    /// `at < until`.
     pub fn schedule(
         &self,
         rng: &mut SimRng,
         first_user: UserId,
         until: SimTime,
     ) -> Vec<Submission> {
+        let mut subs = self.draw(rng, first_user, until);
+        subs.sort_by_key(|s| s.at);
+        subs
+    }
+
+    /// Draw the submissions before `until` in draw order, which is not
+    /// time order: submission instants are uniform within each month.
+    /// Users are assigned with the admin taking `admin_share` of
+    /// submissions.
+    ///
+    /// Generation stops at the first month starting at or after `until`.
+    /// Each generated month is still drawn in full, so the kept
+    /// submissions draw exactly the RNG values a full seven-month
+    /// schedule would: the result equals the full draw filtered to
+    /// `at < until`. The result is allocated once, sized from the drawn
+    /// months' job counts.
+    pub(crate) fn draw(
+        &self,
+        rng: &mut SimRng,
+        first_user: UserId,
+        until: SimTime,
+    ) -> Vec<Submission> {
         if let Some(process) = &self.arrivals {
-            return self.schedule_process(process, rng, first_user, until);
+            return self.draw_process(process, rng, first_user, until);
         }
         let months = (0..self.monthly_jobs.len())
             .take_while(|&m| month_bounds(m as u32).0 < until)
@@ -147,15 +164,14 @@ impl WorkloadSpec {
                 }
             }
         }
-        subs.sort_by_key(|s| s.at);
         subs
     }
 
-    /// Schedule via a declarative arrival process over the workload's
-    /// month window (`monthly_jobs.len()` months from the epoch). The
-    /// whole window's offsets are drawn; specs are drawn only for the
-    /// arrivals before `until`.
-    fn schedule_process(
+    /// Draw via a declarative arrival process over the workload's month
+    /// window (`monthly_jobs.len()` months from the epoch). The whole
+    /// window's offsets are drawn (ascending); specs are drawn only for
+    /// the arrivals before `until`.
+    fn draw_process(
         &self,
         process: &ArrivalProcess,
         rng: &mut SimRng,
@@ -166,12 +182,11 @@ impl WorkloadSpec {
         let (window_start, _) = month_bounds(0);
         let (_, window_end) = month_bounds(months - 1);
         let window = window_end.since(window_start);
-        let mut subs = Vec::new();
-        for offset in process.arrivals(rng, window) {
+        let offsets = process.arrivals(rng, window);
+        let kept = offsets.partition_point(|&offset| window_start + offset < until);
+        let mut subs = Vec::with_capacity(kept);
+        for &offset in &offsets[..kept] {
             let at = window_start + offset;
-            if at >= until {
-                break;
-            }
             let user = self.pick_user(rng, first_user);
             subs.push(Submission {
                 at,

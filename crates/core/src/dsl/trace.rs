@@ -17,6 +17,7 @@ use grid3_simkit::units::Bytes;
 use grid3_site::job::JobSpec;
 use grid3_site::vo::UserClass;
 use serde::{Deserialize, Serialize, Value};
+use std::collections::BTreeSet;
 
 /// One logged job submission. Defaults (documented per field) let a log
 /// carry only the submit time, class, user and runtime.
@@ -270,15 +271,16 @@ impl JobTrace {
     }
 
     /// The distinct `(class, user)` identities in first-occurrence order —
-    /// the population the assembly registers with VOMS/CA/AUP.
+    /// the population the assembly registers with VOMS/CA/AUP. One pass
+    /// over the log, with an ordered set of the identities seen so far
+    /// (labels come from the log, so no hash a crafted log could flood).
     pub fn identities(&self) -> Vec<(UserClass, &str)> {
-        let mut out: Vec<(UserClass, &str)> = Vec::new();
+        let mut seen = BTreeSet::new();
+        let mut out = Vec::new();
         for job in &self.jobs {
-            if !out
-                .iter()
-                .any(|(c, u)| *c == job.class && *u == job.user.as_str())
-            {
-                out.push((job.class, job.user.as_str()));
+            let identity = (job.class, job.user.as_str());
+            if seen.insert(identity) {
+                out.push(identity);
             }
         }
         out

@@ -11,8 +11,8 @@
 //! scenario configuration — topology, install pipeline, arena pools,
 //! broker caches, the workload arrival table — is *not* captured:
 //! [`Grid3Engine::restore`] rebuilds it by re-assembling the scenario and
-//! overlaying the captured state (the arrival table drops the prefix the
-//! cursor says was already delivered).
+//! overlaying the captured state (the arrival table drops the rows the
+//! cursor says were already delivered).
 //!
 //! Deliberately not captured (observation-only, process-local):
 //!

@@ -9,7 +9,8 @@
 //! the engine is internally organised.
 
 use crate::apps::demonstrators::EntradaDemo;
-use crate::apps::workloads::Submission;
+use crate::apps::workloads::{Submission, WorkloadSpec};
+use crate::dsl::TraceJob;
 use crate::engine::Grid3Engine;
 use crate::resilience::ResilienceLayer;
 use crate::scenario::ScenarioConfig;
@@ -33,6 +34,7 @@ use grid3_simkit::units::Bytes;
 use grid3_site::cluster::Site;
 use grid3_site::failure::FailureEvent;
 use grid3_site::vo::{UserClass, Vo};
+use std::collections::BTreeMap;
 
 use super::brokering::Brokering;
 use super::execution::Execution;
@@ -135,7 +137,7 @@ pub(crate) fn assemble_on(cfg: ScenarioConfig, mut queue: EventQueue<GridEvent>)
     // Trace replay: each distinct (class, user) identity in the log gets
     // real credentials like any synthetic user, in first-occurrence order
     // so UserIds are a pure function of the trace.
-    let mut trace_users: Vec<(UserClass, String, UserId)> = Vec::new();
+    let mut trace_users: BTreeMap<(UserClass, &str), UserId> = BTreeMap::new();
     if let Some(trace) = &cfg.trace {
         for (class, label) in trace.identities() {
             let user = UserId(next_user);
@@ -148,45 +150,10 @@ pub(crate) fn assemble_on(cfg: ScenarioConfig, mut queue: EventQueue<GridEvent>)
             server.register(user, dn.clone(), VoRole::Member, SimTime::EPOCH);
             ca.issue(user, dn, SimTime::from_days(730));
             center.aup.accept(user, SimTime::EPOCH);
-            trace_users.push((class, label.to_string(), user));
+            trace_users.insert((class, label), user);
         }
     }
-
-    // The arrival table: every workload submission inside the horizon
-    // (workloads in config order), then the replayed trace jobs in log
-    // order, stable-sorted by instant. That is exactly the `(time, seq)`
-    // order these submissions would fire in had each been scheduled
-    // into the queue here, ahead of every other event.
-    let mut arrivals = Vec::new();
-    for (w, first_user) in workloads.iter().zip(&first_users) {
-        let mut rng = SimRng::for_label(cfg.seed, &format!("workload/{}", w.class.name()));
-        arrivals.extend(
-            w.schedule(&mut rng, *first_user, cfg.horizon())
-                .into_iter()
-                .map(|sub| (sub, w.vo_affinity)),
-        );
-    }
-
-    // Replay the trace: fully-specified jobs at their logged instants,
-    // no RNG draws, so replayed runs are bit-deterministic.
-    if let Some(trace) = &cfg.trace {
-        for job in &trace.jobs {
-            if job.at >= cfg.horizon() {
-                continue;
-            }
-            let user = trace_users
-                .iter()
-                .find(|(c, u, _)| *c == job.class && *u == job.user)
-                .map(|(_, _, id)| *id)
-                .expect("trace identity registered");
-            let sub = Submission {
-                at: job.at,
-                spec: job.spec(user),
-            };
-            arrivals.push((sub, job.affinity));
-        }
-    }
-    arrivals.sort_by_key(|(sub, _)| sub.at);
+    let arrivals = arrival_table(&cfg, &workloads, &first_users, &trace_users);
 
     // With the resilience layer on, sites also suffer ongoing
     // configuration drift (§6.2's regressions after validation) at
@@ -424,5 +391,231 @@ pub(crate) fn assemble_on(cfg: ScenarioConfig, mut queue: EventQueue<GridEvent>)
         reporting: Reporting::new(viewer),
         auditor,
         profiler,
+    }
+}
+
+/// The arrival table, latest first (the next arrival is popped off the
+/// back): every workload submission inside the horizon and every
+/// replayed trace job before it.
+///
+/// Each row is keyed by `(instant, draw position)`. Positions count
+/// through the workloads in config order, each in draw order, then
+/// through the trace jobs in log order, so the keys are unique and
+/// their sorted order is a stable sort of the rows by instant: exactly
+/// the `(time, seq)` order these submissions would fire in had each
+/// been scheduled into the queue here, ahead of every other event. The
+/// keys are sorted once and the rows gathered from them straight into
+/// the table, which is allocated once at its final length.
+fn arrival_table(
+    cfg: &ScenarioConfig,
+    workloads: &[WorkloadSpec],
+    first_users: &[UserId],
+    trace_users: &BTreeMap<(UserClass, &str), UserId>,
+) -> Vec<(Submission, f64)> {
+    let horizon = cfg.horizon();
+    let drawn: Vec<Vec<Submission>> = workloads
+        .iter()
+        .zip(first_users)
+        .map(|(w, first_user)| {
+            let mut rng = SimRng::for_label(cfg.seed, &format!("workload/{}", w.class.name()));
+            w.draw(&mut rng, *first_user, horizon)
+        })
+        .collect();
+    // Replayed jobs are fully specified at their logged instants: no
+    // RNG draws, so replayed runs are bit-deterministic.
+    let trace: &[TraceJob] = cfg.trace.as_ref().map_or(&[], |t| &t.jobs);
+
+    // `starts[i]` is workload `i`'s first position; the last entry is
+    // the first trace position.
+    let mut starts = Vec::with_capacity(drawn.len() + 1);
+    let mut next = 0;
+    for subs in &drawn {
+        starts.push(next);
+        next += subs.len();
+    }
+    starts.push(next);
+    let mut keys: Vec<(SimTime, usize)> = Vec::with_capacity(next + trace.len());
+    keys.extend(
+        drawn
+            .iter()
+            .flatten()
+            .enumerate()
+            .map(|(pos, sub)| (sub.at, pos)),
+    );
+    for (i, job) in trace.iter().enumerate() {
+        if job.at < horizon {
+            keys.push((job.at, next + i));
+        }
+    }
+    keys.sort_unstable();
+
+    keys.iter()
+        .rev()
+        .map(|&(_, pos)| {
+            let w = starts.partition_point(|&start| start <= pos) - 1;
+            match drawn.get(w) {
+                Some(subs) => (subs[pos - starts[w]].clone(), workloads[w].vo_affinity),
+                None => {
+                    let job = &trace[pos - next];
+                    let user = trace_users[&(job.class, job.user.as_str())];
+                    let sub = Submission {
+                        at: job.at,
+                        spec: job.spec(user),
+                    };
+                    (sub, job.affinity)
+                }
+            }
+        })
+        .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::apps::workloads::grid3_workloads;
+    use crate::dsl::JobTrace;
+    use grid3_simkit::dist::ArrivalProcess;
+
+    /// The reference table: each workload's `schedule` in config order,
+    /// then the trace jobs in log order, stable-sorted by instant and
+    /// reversed (latest first). Trace users follow the synthetic users
+    /// and the seven iGOC operators, in first-occurrence order.
+    fn reference_table(cfg: &ScenarioConfig) -> Vec<(Submission, f64)> {
+        let horizon = cfg.horizon();
+        let mut rows = Vec::new();
+        let mut next_user = 0;
+        for w in cfg.scaled_workloads() {
+            let mut rng = SimRng::for_label(cfg.seed, &format!("workload/{}", w.class.name()));
+            let subs = w.schedule(&mut rng, UserId(next_user), horizon);
+            rows.extend(subs.into_iter().map(|sub| (sub, w.vo_affinity)));
+            next_user += w.users;
+        }
+        next_user += 7;
+        if let Some(trace) = &cfg.trace {
+            let mut identities: Vec<(UserClass, &str)> = Vec::new();
+            for job in &trace.jobs {
+                if !identities.contains(&(job.class, job.user.as_str())) {
+                    identities.push((job.class, job.user.as_str()));
+                }
+            }
+            for job in trace.jobs.iter().filter(|job| job.at < horizon) {
+                let index = identities
+                    .iter()
+                    .position(|&identity| identity == (job.class, job.user.as_str()))
+                    .expect("identity listed");
+                let user = UserId(next_user + index as u32);
+                let sub = Submission {
+                    at: job.at,
+                    spec: job.spec(user),
+                };
+                rows.push((sub, job.affinity));
+            }
+        }
+        rows.sort_by_key(|row| row.0.at);
+        rows.reverse();
+        rows
+    }
+
+    /// Assemble `cfg` and compare the brokering table row for row.
+    fn assert_table_matches_reference(cfg: ScenarioConfig) {
+        let expected = reference_table(&cfg);
+        let engine = assemble(cfg);
+        let table = engine.brokering.arrival_rows();
+        assert_eq!(table.len(), expected.len(), "arrival count");
+        for (i, (got, want)) in table.iter().zip(&expected).enumerate() {
+            assert_eq!(got, want, "row {i} of {}", expected.len());
+        }
+    }
+
+    fn workload(class: UserClass) -> WorkloadSpec {
+        grid3_workloads()
+            .into_iter()
+            .find(|w| w.class == class)
+            .expect("Table 1 class")
+    }
+
+    fn every_six_hours() -> Option<ArrivalProcess> {
+        Some(ArrivalProcess::Periodic {
+            every: SimDuration::from_hours(6),
+            offset: SimDuration::ZERO,
+        })
+    }
+
+    fn small(days: u64) -> ScenarioConfig {
+        ScenarioConfig::sc2003().with_days(days).with_demo(false)
+    }
+
+    /// Logged jobs on the six-hour grid of [`every_six_hours`] (so each
+    /// ties with a workload submission), two of them at one instant, one
+    /// past a ten-day horizon, with users shared across jobs.
+    fn tied_trace() -> JobTrace {
+        let job = |hours: u64, class: UserClass, user: &str, affinity: f64| TraceJob {
+            at: SimTime::from_hours(hours),
+            class,
+            user: user.to_string(),
+            runtime: SimDuration::from_secs(600 + hours),
+            input_bytes: hours * 1_000,
+            output_bytes: 0,
+            scratch_bytes: 0,
+            staged_files: 1,
+            needs_outbound: false,
+            registers_output: false,
+            walltime_factor: 2.0,
+            affinity,
+        };
+        JobTrace {
+            jobs: vec![
+                job(12, UserClass::Usatlas, "op1", 0.1),
+                job(6, UserClass::Ligo, "op2", 0.2),
+                job(12, UserClass::Usatlas, "op3", 0.3),
+                job(12, UserClass::Sdss, "op1", 0.4),
+                job(300, UserClass::Ligo, "late", 0.5),
+                job(0, UserClass::Usatlas, "op1", 0.6),
+                job(6, UserClass::Ligo, "op2", 0.7),
+            ],
+        }
+    }
+
+    #[test]
+    fn arrival_table_breaks_cross_class_ties_in_config_order() {
+        let mut sdss = workload(UserClass::Sdss);
+        let mut atlas = workload(UserClass::Usatlas);
+        sdss.arrivals = every_six_hours();
+        atlas.arrivals = every_six_hours();
+        assert_table_matches_reference(small(10).with_workloads(vec![sdss, atlas]));
+    }
+
+    #[test]
+    fn arrival_table_puts_trace_jobs_after_workload_ties() {
+        let mut sdss = workload(UserClass::Sdss);
+        sdss.arrivals = every_six_hours();
+        let cfg = small(10)
+            .with_workloads(vec![sdss, workload(UserClass::Btev)])
+            .with_trace(tied_trace());
+        assert_table_matches_reference(cfg);
+    }
+
+    #[test]
+    fn arrival_table_matches_reference_for_a_poisson_workload() {
+        let mut sdss = workload(UserClass::Sdss);
+        sdss.arrivals = Some(ArrivalProcess::Poisson { per_day: 40.0 });
+        let cfg = small(20).with_workloads(vec![workload(UserClass::Ivdgl), sdss]);
+        assert_table_matches_reference(cfg);
+    }
+
+    #[test]
+    fn arrival_table_matches_reference_for_sc2003_with_its_surge() {
+        assert_table_matches_reference(ScenarioConfig::sc2003().with_scale(0.25));
+    }
+
+    #[test]
+    fn arrival_table_matches_reference_when_the_horizon_cuts_november() {
+        // Day 25 is mid-SC2003 week: month 1 is drawn in full and its
+        // surge straddles the horizon.
+        let cfg = ScenarioConfig::sc2003()
+            .with_scale(0.1)
+            .with_days(25)
+            .with_trace(tied_trace());
+        assert_table_matches_reference(cfg);
     }
 }

@@ -75,12 +75,11 @@ pub(crate) struct Brokering {
 
 impl Brokering {
     /// Build the subsystem around the assembled campaign table and the
-    /// arrival table (in delivery order).
+    /// arrival table, latest first: the next arrival is the last row.
     pub(crate) fn new(
         campaigns: Vec<(String, DagManager<CmsTask>)>,
-        mut arrivals: Vec<(Submission, f64)>,
+        arrivals: Vec<(Submission, f64)>,
     ) -> Self {
-        arrivals.reverse();
         Brokering {
             arrivals,
             arrivals_delivered: 0,
@@ -105,6 +104,12 @@ impl Brokering {
     /// is exhausted).
     pub(crate) fn next_arrival(&self) -> Option<SimTime> {
         self.arrivals.last().map(|(sub, _)| sub.at)
+    }
+
+    /// The undelivered arrival table, latest first.
+    #[cfg(test)]
+    pub(crate) fn arrival_rows(&self) -> &[(Submission, f64)] {
+        &self.arrivals
     }
 
     /// Take the next arrival, handing the table's memory back whenever
@@ -144,7 +149,7 @@ impl Brokering {
     }
 
     /// Overlay a captured slice onto a freshly assembled subsystem: the
-    /// re-assembled arrival table drops its delivered prefix.
+    /// re-assembled arrival table drops its delivered rows off the back.
     pub(crate) fn apply(&mut self, cap: BrokeringCapture<'_>) {
         let undelivered = self
             .arrivals
